@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .cyclo import Cyclotomic, csum, divide, root_of_unity
 from .commutant import CouplingMatrix
@@ -213,16 +213,29 @@ def find_parents(
     md: ModularData, Z: CouplingMatrix, pool: Sequence[CouplingMatrix]
 ) -> tuple[list[int], list[int]]:
     """Pool indices of type I matrices matching Z's vacuum column (parents
-    on the plus side) and vacuum row (minus side), in canonical pool order."""
-    plus, minus = [], []
-    for i, W in enumerate(pool):
-        if not factorize_type_one(md, W):
-            continue
-        if W.vacuum_column == Z.vacuum_column:
-            plus.append(i)
-        if W.vacuum_column == Z.vacuum_row:
-            minus.append(i)
-    return plus, minus
+    on the plus side) and vacuum row (minus side), in canonical pool order.
+
+    Factorizes the whole pool on every call. `classify_all` factorizes each
+    invariant once and looks every parent pair up in one map instead."""
+    facts = [factorize_type_one(md, W) for W in pool]
+    return _parents(_type_one_by_column(pool, facts), Z)
+
+
+def _type_one_by_column(
+    pool: Sequence[CouplingMatrix], facts: Sequence[list[BranchingData]]
+) -> dict[tuple[int, ...], list[int]]:
+    """Vacuum column -> ascending pool indices of the type I matrices with it."""
+    by_column: dict[tuple[int, ...], list[int]] = {}
+    for i, (W, branchings) in enumerate(zip(pool, facts)):
+        if branchings:
+            by_column.setdefault(W.vacuum_column, []).append(i)
+    return by_column
+
+
+def _parents(
+    by_column: dict[tuple[int, ...], list[int]], Z: CouplingMatrix
+) -> tuple[list[int], list[int]]:
+    return list(by_column.get(Z.vacuum_column, ())), list(by_column.get(Z.vacuum_row, ()))
 
 
 def find_block_bijection(
@@ -326,14 +339,19 @@ def extended_modular_data(
     if z0 != ratio * md.z:
         failures.append("z0 != (w_plus/w) z")
     if md.nondegenerate:
+        Yext_bar = [[v.conjugate() for v in row] for row in Yext]
+        gram_ext: dict[tuple[int, int], Cyclotomic] = {}
         for a in range(t):
             for b in range(t):
-                s = csum(Yext[a][k] * Yext[b][k].conjugate() for k in range(t))
-                want = indices.w_zero if a == b else None
-                if want is None:
+                if a <= b:
+                    gram_ext[a, b] = csum(Yext[a][k] * Yext_bar[b][k] for k in range(t))
+                # Yext Yext^dagger is Hermitian: entry (b, a) is the conjugate
+                # of entry (a, b), so it is zero exactly when that one is.
+                s = gram_ext[min(a, b), max(a, b)]
+                if a != b:
                     if not s.is_zero():
                         failures.append(f"Yext Yext^dagger not diagonal at ({a},{b})")
-                elif s != want:
+                elif s != indices.w_zero:
                     failures.append(f"(Yext Yext^dagger)[{a},{a}] != w_zero")
     return ExtendedModularData(
         Yext=Yext,
@@ -409,59 +427,89 @@ def _dependent_rows(M: list[list[int]]) -> list[int]:
     return dep
 
 
+class RationalSpan:
+    """Rational span of a list of coupling matrices, reduced to echelon form
+    once; the dimension and every membership test read that one reduction."""
+
+    def __init__(self, mats: Sequence[CouplingMatrix]):
+        self._echelon = _row_reduce([_flatten(m) for m in mats])
+
+    @property
+    def dimension(self) -> int:
+        return len(self._echelon)
+
+    def __contains__(self, target: CouplingMatrix) -> bool:
+        return not any(_residual(_flatten(target), self._echelon))
+
+
 def rational_span_dimension(mats: Sequence[CouplingMatrix]) -> int:
-    rows = [[Fraction(v) for row in m.Z for v in row] for m in mats]
-    return len(_row_reduce(rows))
+    return RationalSpan(mats).dimension
 
 
 def in_rational_span(target: CouplingMatrix, mats: Sequence[CouplingMatrix]) -> bool:
-    rows = [[Fraction(v) for row in m.Z for v in row] for m in mats]
-    base = rational_span_dimension(mats)
-    rows.append([Fraction(v) for row in target.Z for v in row])
-    return len(_row_reduce(rows)) == base
+    return target in RationalSpan(mats)
 
 
 def span_relations(mats: Sequence[CouplingMatrix]) -> list[tuple[int, ...]]:
     """Integer basis of the rational relations sum_i c_i Z_i = 0 among the
     given matrices, each normalized to coprime entries with positive lead."""
+    return span_dimension_and_relations(mats)[1]
+
+
+def span_dimension_and_relations(
+    mats: Sequence[CouplingMatrix],
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Span dimension and `span_relations` from one reduction of [Z | I]: the
+    rows whose pivot lies in the matrix part count the dimension, the rest
+    carry the relations."""
     k = len(mats)
     width = len(mats[0].Z) ** 2 if mats else 0
     # Kernel of the k x width coefficient matrix (rows = flattened matrices).
-    rows = [[Fraction(v) for row in m.Z for v in row] + [Fraction(1 if j == i else 0) for j in range(k)] for i, m in enumerate(mats)]
-    reduced = _row_reduce(rows)
+    rows = [_flatten(m) + [Fraction(1 if j == i else 0) for j in range(k)] for i, m in enumerate(mats)]
+    dimension = 0
     out = []
-    for r in reduced:
-        if all(x == 0 for x in r[:width]):
-            den = 1
-            for x in r[width:]:
-                den = den * x.denominator // gcd(den, x.denominator)
-            ints = [int(x * den) for x in r[width:]]
-            g = 0
-            for v in ints:
-                g = gcd(g, v)
-            ints = [v // g for v in ints]
-            lead = next(v for v in ints if v)
-            if lead < 0:
-                ints = [-v for v in ints]
-            out.append(tuple(ints))
-    return out
-
-
-def _row_reduce(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    rows = [list(r) for r in rows]
-    out = []
-    pivots: list[int] = []
-    for row in rows:
-        r = list(row)
-        for col, pv in zip(pivots, out):
-            if r[col]:
-                f = r[col]
-                r = [x - f * y for x, y in zip(r, pv)]
-        lead = next((j for j, x in enumerate(r) if x), None)
-        if lead is None:
+    for pivot, r in _row_reduce(rows):
+        if pivot < width:
+            dimension += 1
             continue
-        out.append([x / r[lead] for x in r])
-        pivots.append(lead)
+        den = 1
+        for x in r[width:]:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in r[width:]]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        ints = [v // g for v in ints]
+        lead = next(v for v in ints if v)
+        if lead < 0:
+            ints = [-v for v in ints]
+        out.append(tuple(ints))
+    return dimension, out
+
+
+def _flatten(Z: CouplingMatrix) -> list[Fraction]:
+    return [Fraction(v) for row in Z.Z for v in row]
+
+
+def _residual(row: list[Fraction], echelon: list[tuple[int, list[Fraction]]]) -> list[Fraction]:
+    """What is left of row after eliminating every pivot of the echelon rows."""
+    r = row
+    for col, pv in echelon:
+        if r[col]:
+            f = r[col]
+            r = [x - f * y for x, y in zip(r, pv)]
+    return r
+
+
+def _row_reduce(rows: list[list[Fraction]]) -> list[tuple[int, list[Fraction]]]:
+    """Echelon form as (pivot column, row scaled to 1 at the pivot) pairs, one
+    per row independent of the rows before it."""
+    out: list[tuple[int, list[Fraction]]] = []
+    for row in rows:
+        r = _residual(row, out)
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is not None:
+            out.append((lead, [x / r[lead] for x in r]))
     return out
 
 
@@ -472,35 +520,42 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
     a block factorization), permutation (non-identity permutation matrix
     realizing a block automorphism of its parents), type II (coinciding
     parents with an automorphism), unresolved.
+
+    Each invariant is factorized once, and its global indices and the
+    extended data of each of its factorizations are computed at most once.
+    Parents are looked up by vacuum column in a map built from those
+    factorizations, and a parent's extended data is shared between its own
+    classification and the automorphism check of its children.
     """
-    facts = [factorize_type_one(md, Z) for Z in pool]
+    data = _PoolData(md, pool)
     out = []
     for i, Z in enumerate(pool):
         _, _, sym = vacuum_profile(Z)
-        idx = global_indices(md, Z)
+        idx = data.indices(i)
         cls = Classification(
             index=i, Z=Z, kind="unresolved", vacuum_symmetric=sym, indices=idx
         )
         bad = idx.check()
         if bad:
             cls.notes.extend(bad)
-        cls.factorizations = facts[i]
-        cls.parent_plus, cls.parent_minus = find_parents(md, Z, pool)
-        _attach_bijection(md, cls, pool, facts)
+        facts = data.facts[i]
+        cls.factorizations = facts
+        cls.parent_plus, cls.parent_minus = _parents(data.type_one_by_column, Z)
+        _attach_bijection(data, cls)
         if Z.is_identity():
             cls.kind = "diagonal"
         elif not sym:
             cls.kind = "heterotic"
-        elif facts[i]:
+        elif facts:
             cls.kind = "type_I"
         elif cls.automorphism is not None:
             cls.kind = "permutation" if Z.is_permutation() else "type_II"
-        if facts[i]:
+        if facts:
             try:
-                cls.extended = extended_modular_data(md, facts[i][0], idx)
+                cls.extended = data.extended(i, 0)
             except RankDeficientBranching as exc:
                 cls.extended_error = str(exc)
-                cls.branching_failures = branching_checks(md, facts[i][0], idx)
+                cls.branching_failures = branching_checks(md, facts[0], idx)
                 cls.notes.append(
                     "extended Y not determined by the branching (dependent rows); "
                     "Gram-free identities checked instead"
@@ -509,17 +564,51 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
     return out
 
 
-def _attach_bijection(
-    md: ModularData,
-    cls: Classification,
-    pool: Sequence[CouplingMatrix],
-    facts: list[list[BranchingData]],
-) -> None:
+class _PoolData:
+    """The exact data of one `classify_all` call, each piece computed at most
+    once per pool index. A parent can come later in the pool than the
+    invariant that needs it, so global indices and extended data are filled
+    in lazily. Keys are pool indices, never cyclotomic values."""
+
+    def __init__(self, md: ModularData, pool: Sequence[CouplingMatrix]):
+        self.md = md
+        self.pool = pool
+        self.facts = [factorize_type_one(md, Z) for Z in pool]
+        self.type_one_by_column = _type_one_by_column(pool, self.facts)
+        self._indices: dict[int, GlobalIndices] = {}
+        # (pool index, factorization index) -> extended data or the
+        # RankDeficientBranching it raised.
+        self._extended: dict[tuple[int, int], Union[ExtendedModularData, RankDeficientBranching]] = {}
+
+    def indices(self, i: int) -> GlobalIndices:
+        if i not in self._indices:
+            self._indices[i] = global_indices(self.md, self.pool[i])
+        return self._indices[i]
+
+    def extended(self, i: int, k: int) -> ExtendedModularData:
+        """Extended data of factorization k of pool[i]; raises the
+        RankDeficientBranching of that factorization every time it is asked."""
+        key = (i, k)
+        if key not in self._extended:
+            try:
+                self._extended[key] = extended_modular_data(
+                    self.md, self.facts[i][k], self.indices(i)
+                )
+            except RankDeficientBranching as exc:
+                self._extended[key] = exc
+        result = self._extended[key]
+        if isinstance(result, RankDeficientBranching):
+            raise result
+        return result
+
+
+def _attach_bijection(data: _PoolData, cls: Classification) -> None:
     """Find a block bijection between some factorization of a plus parent and
     one of a minus parent; record the automorphism when the parents coincide."""
+    facts = data.facts
     for ip in cls.parent_plus:
         for im in cls.parent_minus:
-            for bp in facts[ip]:
+            for kp, bp in enumerate(facts[ip]):
                 for bm in facts[im]:
                     res = find_block_bijection(bp, bm, cls.Z)
                     if res is None:
@@ -529,11 +618,9 @@ def _attach_bijection(
                     cls.bijection_count = count
                     if ip == im:
                         cls.automorphism = theta
-                        idx_parent = global_indices(md, pool[ip])
                         try:
-                            ext = extended_modular_data(md, bp, idx_parent)
                             cls.automorphism_preserves_extended = _permutation_preserves(
-                                ext, bp, theta
+                                data.extended(ip, kp), bp, theta
                             )
                         except RankDeficientBranching:
                             # Yext is not determined; twist and dim matching

@@ -381,10 +381,6 @@ def root_of_unity(h: Union[Fraction, int]) -> Cyclotomic:
     return Cyclotomic.zeta(h.denominator, h.numerator)
 
 
-def embed_complex(x: Cyclotomic, precision: int = 53) -> complex:
-    return x.embed(precision)
-
-
 def divide(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
     """Exact quotient a / b in the common cyclotomic field.
 

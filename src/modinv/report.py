@@ -12,12 +12,7 @@ import json
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .classify import (
-    Classification,
-    in_rational_span,
-    rational_span_dimension,
-    span_relations,
-)
+from .classify import Classification, RationalSpan, span_dimension_and_relations
 from .commutant import CouplingMatrix
 from .cyclo import Cyclotomic
 from .modular import ModularData, display_charge
@@ -69,17 +64,18 @@ def invariant_summary(Z: CouplingMatrix) -> dict:
 def span_summary(pool: Sequence[CouplingMatrix]) -> dict:
     """Rational span of the invariant list: dimension, the integer relation
     basis, and for each asymmetric invariant whether it lies in the span of
-    the symmetric ones."""
-    sym = [Z for Z in pool if Z.vacuum_symmetric]
-    asym = {
-        i: in_rational_span(Z, sym)
-        for i, Z in enumerate(pool)
-        if not Z.vacuum_symmetric
-    }
+    the symmetric ones.
+
+    The symmetric invariants are reduced once and every asymmetric one is
+    tested against that reduction; the dimension and the relations come from
+    one reduction of the whole list."""
+    sym_span = RationalSpan([Z for Z in pool if Z.vacuum_symmetric])
+    asym = {i: Z in sym_span for i, Z in enumerate(pool) if not Z.vacuum_symmetric}
+    dimension, relations = span_dimension_and_relations(pool)
     return {
         "count": len(pool),
-        "span_dimension": rational_span_dimension(pool) if pool else 0,
-        "relations": [list(r) for r in span_relations(pool)] if pool else [],
+        "span_dimension": dimension,
+        "relations": [list(r) for r in relations],
         "asymmetric_in_symmetric_span": {str(k): v for k, v in sorted(asym.items())},
     }
 

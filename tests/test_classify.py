@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+import modinv.classify
 from modinv.cyclo import Cyclotomic, csum, divide
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.modular import compute_modular_data
 from modinv.commutant import commutant_basis, enumerate_invariants, twist_sparsity, verify_invariant
 from modinv.classify import (
+    BranchingData,
     RankDeficientBranching,
     branching_checks,
     classify_all,
@@ -41,6 +43,14 @@ def su2_16():
     md = compute_modular_data(ring)
     pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
     return md, pool, classify_all(md, pool)
+
+
+@pytest.fixture(scope="module")
+def cyclic4_zero():
+    ring = builtin_cyclic(4, [Fraction(0)] * 4)
+    md = compute_modular_data(ring)
+    pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
+    return md, pool
 
 
 def by_matrix(pool, classifications, matrix):
@@ -194,6 +204,60 @@ def test_extended_data_identity_reproduces_Y(so16):
     assert ext.z0 == md.z
 
 
+@pytest.mark.parametrize(
+    "B, expected",
+    [
+        (
+            ((1, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 0)),
+            [
+                "Yext not symmetric at (0,1)",
+                "Yext not symmetric at (1,2)",
+                "z0 != (w_plus/w) z",
+                "(Yext Yext^dagger)[0,0] != w_zero",
+                "Yext Yext^dagger not diagonal at (0,2)",
+                "(Yext Yext^dagger)[1,1] != w_zero",
+                "Yext Yext^dagger not diagonal at (2,0)",
+                "(Yext Yext^dagger)[2,2] != w_zero",
+            ],
+        ),
+        (
+            ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 1)),
+            [f"intertwining fails at block {a}, label {m}" for a in (1, 2) for m in (0, 2, 3)]
+            + [f"Yext not symmetric at ({a},{b})" for a, b in ((0, 1), (0, 2), (1, 2))]
+            + [
+                "twist intertwining fails at block 1, label 1",
+                "twist intertwining fails at block 2, label 2",
+                "twist intertwining fails at block 2, label 3",
+                "z0 != (w_plus/w) z",
+                "Yext Yext^dagger not diagonal at (0,1)",
+                "Yext Yext^dagger not diagonal at (0,2)",
+                "Yext Yext^dagger not diagonal at (1,0)",
+                "(Yext Yext^dagger)[1,1] != w_zero",
+                "Yext Yext^dagger not diagonal at (1,2)",
+                "Yext Yext^dagger not diagonal at (2,0)",
+                "Yext Yext^dagger not diagonal at (2,1)",
+                "(Yext Yext^dagger)[2,2] != w_zero",
+            ],
+        ),
+    ],
+)
+def test_extended_data_failures_on_a_false_branching(so16, B, expected):
+    # Rows that factorize no invariant: every exact check must report, in
+    # order, including both off-diagonal entries of Yext Yext^dagger.
+    md, pool, cls = so16
+    _, ident = by_matrix(pool, cls, IDENTITY4)
+    one = Cyclotomic.from_rational(1)
+    branching = BranchingData(
+        block_count=3,
+        B=B,
+        block_twists=(Fraction(0), Fraction(0), Fraction(1, 2)),
+        block_dims=(one, one * 2, one),
+    )
+    ext = extended_modular_data(md, branching, ident.indices)
+    assert not ext.consistent
+    assert ext.failures == expected
+
+
 def test_su2_16_taxonomy(su2_16):
     md, pool, cls = su2_16
     assert len(pool) == 3
@@ -288,3 +352,48 @@ def test_classify_degenerate_type_one():
     assert all_ones.kind == "type_I"
     assert all_ones.extended is not None and all_ones.extended.consistent
     assert all_ones.extended.z0.rational_value() == 1
+
+
+def record_calls(monkeypatch, name):
+    """Replace modinv.classify.<name> by a wrapper that logs each call's args."""
+    calls = []
+    original = getattr(modinv.classify, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(modinv.classify, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("ring", ["cyclic4_zero", "su2_16"])
+def test_classify_all_does_exact_work_once(ring, request, monkeypatch):
+    md, pool = request.getfixturevalue(ring)[:2]
+    factorized = record_calls(monkeypatch, "factorize_type_one")
+    indexed = record_calls(monkeypatch, "global_indices")
+    extended = record_calls(monkeypatch, "extended_modular_data")
+    cls = classify_all(md, pool)
+    assert len(factorized) == len(pool)
+    assert len(indexed) == len(pool)
+    # Extended data is needed for the first factorization of each type I
+    # invariant and for the factorizations of coinciding parents; each such
+    # (pool index, factorization) pair is computed at most once.
+    needed = {id(c.factorizations[0]) for c in cls if c.factorizations}
+    needed |= {
+        id(b)
+        for c in cls
+        if c.automorphism is not None
+        for b in cls[c.parent_plus[0]].factorizations
+    }
+    used = [id(args[1]) for args in extended]
+    assert len(used) == len(set(used))
+    assert set(used) <= needed
+
+
+def test_classify_all_parents_match_find_parents(cyclic4_zero):
+    md, pool = cyclic4_zero
+    cls = classify_all(md, pool)
+    assert any(c.parent_plus != c.parent_minus for c in cls)
+    for Z, c in zip(pool, cls):
+        assert (c.parent_plus, c.parent_minus) == find_parents(md, Z, pool)
