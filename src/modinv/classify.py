@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence, Union
 
 from .cyclo import Cyclotomic, csum, divide, root_of_unity
 from .commutant import CouplingMatrix
+from .linalg import Echelon, SingularMatrix, inverse
 from .modular import ModularData
 
 
@@ -301,10 +301,12 @@ def extended_modular_data(
     n = md.size
     B = branching.B
     gram = [[sum(B[a][l] * B[b][l] for l in range(n)) for b in range(t)] for a in range(t)]
-    ginv = _invert_rational(gram)
-    if ginv is None:
-        dep = _dependent_rows(gram)
-        raise RankDeficientBranching(f"branching rows linearly dependent: rows {dep}")
+    try:
+        ginv = inverse(gram)
+    except SingularMatrix as exc:
+        raise RankDeficientBranching(
+            f"branching rows linearly dependent: rows {exc.dependent}"
+        ) from None
     BY = [
         [csum(md.Y[l][m] * B[a][l] for l in range(n) if B[a][l]) for m in range(n)]
         for a in range(t)
@@ -391,55 +393,24 @@ def branching_checks(
     return failures
 
 
-def _invert_rational(M: list[list[int]]) -> Optional[list[list[Fraction]]]:
-    t = len(M)
-    A = [[Fraction(M[i][j]) for j in range(t)] + [Fraction(1 if j == i else 0) for j in range(t)] for i in range(t)]
-    for col in range(t):
-        piv = next((r for r in range(col, t) if A[r][col]), None)
-        if piv is None:
-            return None
-        A[col], A[piv] = A[piv], A[col]
-        p = A[col][col]
-        A[col] = [x / p for x in A[col]]
-        for r in range(t):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[t:] for row in A]
-
-
-def _dependent_rows(M: list[list[int]]) -> list[int]:
-    t = len(M)
-    rows = [[Fraction(x) for x in row] for row in M]
-    dep = []
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for i, row in enumerate(rows):
-        r = list(row)
-        for col, pv in pivots:
-            if r[col]:
-                f = r[col]
-                r = [x - f * y for x, y in zip(r, pv)]
-        lead = next((j for j, x in enumerate(r) if x), None)
-        if lead is None:
-            dep.append(i)
-        else:
-            pivots.append((lead, [x / r[lead] for x in r]))
-    return dep
-
-
 class RationalSpan:
     """Rational span of a list of coupling matrices, reduced to echelon form
     once; the dimension and every membership test read that one reduction."""
 
     def __init__(self, mats: Sequence[CouplingMatrix]):
-        self._echelon = _row_reduce([_flatten(m) for m in mats])
+        self._echelon = Echelon(len(mats[0].Z) ** 2 if mats else 0)
+        for m in mats:
+            self._echelon.insert(_flatten(m))
 
     @property
     def dimension(self) -> int:
-        return len(self._echelon)
+        return self._echelon.rank
 
     def __contains__(self, target: CouplingMatrix) -> bool:
-        return not any(_residual(_flatten(target), self._echelon))
+        if not self.dimension:
+            # The span of no matrices holds only zero and has no width yet.
+            return not _flatten(target)
+        return not any(self._echelon.residual(_flatten(target)))
 
 
 def rational_span_dimension(mats: Sequence[CouplingMatrix]) -> int:
@@ -464,53 +435,17 @@ def span_dimension_and_relations(
     carry the relations."""
     k = len(mats)
     width = len(mats[0].Z) ** 2 if mats else 0
-    # Kernel of the k x width coefficient matrix (rows = flattened matrices).
-    rows = [_flatten(m) + [Fraction(1 if j == i else 0) for j in range(k)] for i, m in enumerate(mats)]
-    dimension = 0
-    out = []
-    for pivot, r in _row_reduce(rows):
-        if pivot < width:
-            dimension += 1
-            continue
-        den = 1
-        for x in r[width:]:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in r[width:]]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v)
-        if lead < 0:
-            ints = [-v for v in ints]
-        out.append(tuple(ints))
-    return dimension, out
+    echelon = Echelon(width + k)
+    pivots = [echelon.insert({**_flatten(m), width + i: 1}) for i, m in enumerate(mats)]
+    # Where the matrix part cancelled, the rest of the row is a primitive relation.
+    relations = [tuple(echelon.rows[p][width:]) for p in pivots if p >= width]
+    return k - len(relations), relations
 
 
-def _flatten(Z: CouplingMatrix) -> list[Fraction]:
-    return [Fraction(v) for row in Z.Z for v in row]
-
-
-def _residual(row: list[Fraction], echelon: list[tuple[int, list[Fraction]]]) -> list[Fraction]:
-    """What is left of row after eliminating every pivot of the echelon rows."""
-    r = row
-    for col, pv in echelon:
-        if r[col]:
-            f = r[col]
-            r = [x - f * y for x, y in zip(r, pv)]
-    return r
-
-
-def _row_reduce(rows: list[list[Fraction]]) -> list[tuple[int, list[Fraction]]]:
-    """Echelon form as (pivot column, row scaled to 1 at the pivot) pairs, one
-    per row independent of the rows before it."""
-    out: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
-        r = _residual(row, out)
-        lead = next((j for j, x in enumerate(r) if x), None)
-        if lead is not None:
-            out.append((lead, [x / r[lead] for x in r]))
-    return out
+def _flatten(Z: CouplingMatrix) -> dict[int, int]:
+    """Nonzero entries of Z by row-major position."""
+    flat = (v for row in Z.Z for v in row)
+    return {j: v for j, v in enumerate(flat) if v}
 
 
 def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classification]:
@@ -576,9 +511,10 @@ class _PoolData:
         self.facts = [factorize_type_one(md, Z) for Z in pool]
         self.type_one_by_column = _type_one_by_column(pool, self.facts)
         self._indices: dict[int, GlobalIndices] = {}
-        # (pool index, factorization index) -> extended data or the
-        # RankDeficientBranching it raised.
-        self._extended: dict[tuple[int, int], Union[ExtendedModularData, RankDeficientBranching]] = {}
+        # (pool index, factorization index) -> extended data or the message of
+        # the RankDeficientBranching it raised. A stored exception would keep
+        # its traceback, and through it this object, in a reference cycle.
+        self._extended: dict[tuple[int, int], Union[ExtendedModularData, str]] = {}
 
     def indices(self, i: int) -> GlobalIndices:
         if i not in self._indices:
@@ -586,8 +522,8 @@ class _PoolData:
         return self._indices[i]
 
     def extended(self, i: int, k: int) -> ExtendedModularData:
-        """Extended data of factorization k of pool[i]; raises the
-        RankDeficientBranching of that factorization every time it is asked."""
+        """Extended data of factorization k of pool[i]; raises that
+        factorization's RankDeficientBranching every time it is asked."""
         key = (i, k)
         if key not in self._extended:
             try:
@@ -595,10 +531,10 @@ class _PoolData:
                     self.md, self.facts[i][k], self.indices(i)
                 )
             except RankDeficientBranching as exc:
-                self._extended[key] = exc
+                self._extended[key] = str(exc)
         result = self._extended[key]
-        if isinstance(result, RankDeficientBranching):
-            raise result
+        if isinstance(result, str):
+            raise RankDeficientBranching(result)
         return result
 
 

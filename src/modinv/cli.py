@@ -41,12 +41,16 @@ EXIT_BUDGET = 3
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
+class UsageError(ValueError):
+    """A file named on the command line cannot be read or parsed."""
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RingFileError as exc:
+    except (RingFileError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantRejected as exc:
@@ -118,7 +122,6 @@ def _search_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         default=int(os.environ.get("MODINV_NODE_BUDGET", DEFAULT_NODE_BUDGET)),
     )
-    p.add_argument("--workers", type=int, default=1)
 
 
 def cmd_builtin(args) -> int:
@@ -207,11 +210,7 @@ def _enumerate(args, md):
     basis = commutant_basis(md, twist_sparsity(md.ring))
     try:
         pool = enumerate_invariants(
-            md,
-            basis,
-            bound_scale=args.bound_scale,
-            node_budget=args.node_budget,
-            workers=args.workers,
+            md, basis, bound_scale=args.bound_scale, node_budget=args.node_budget
         )
         return pool, False
     except SearchBudgetExceeded as exc:
@@ -249,9 +248,12 @@ def _resolve_invariant(spec: str, md, pool) -> Optional[int]:
             print(f"error: invariant index {i} out of range", file=sys.stderr)
             return None
         return i
-    with open(spec) as fh:
-        mat = json.load(fh)
-    Z = verify_invariant(md, [[int(v) for v in row] for row in mat])
+    try:
+        with open(spec) as fh:
+            mat = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{spec}: cannot read the invariant: {exc}") from None
+    Z = verify_invariant(md, mat)
     for i, W in enumerate(pool):
         if W.Z == Z.Z:
             return i

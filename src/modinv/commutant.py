@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cyclo import csum, phi
+from .cyclo import csum
 from .fusion import FusionRing, dims_numeric
+from .linalg import Echelon, Rational, nullspace
 from .modular import ModularData, TOL
 
 
@@ -135,12 +135,11 @@ def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis
         return _commutant_basis_numeric(md, positions)
 
     M = md.ring.conductor
-    deg = phi(M)
     Ycoords: list[list[dict[int, Fraction]]] = [
         [md.Y[l][m].to_conductor(M).coeffs for m in range(n)] for l in range(n)
     ]
 
-    elim = _IntRowEliminator(len(positions))
+    constraints = Echelon(len(positions))
     for l in range(n):
         for m in range(n):
             # (YZ - ZY)_{l,m} = sum_{(a,b)} (Y[l,a] delta_{b,m} - delta_{a,l} Y[b,m]) Z_{a,b}
@@ -157,19 +156,23 @@ def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis
                         per_coord.setdefault(e, {})
                         per_coord[e][j] = per_coord[e].get(j, Fraction(0)) - c
             for row in per_coord.values():
-                elim.add_sparse(row)
+                constraints.insert(row)
 
-    kernel = elim.kernel_rref()
-    basis = [list(v) for v in kernel]
-    pivot_indices = [_leading_index(v) for v in basis]
+    kernel = nullspace(constraints)
+    pivot_indices = [col for col, _ in kernel]
     cb = CommutantBasis(
         positions=positions,
-        basis=basis,
+        basis=[row for _, row in kernel],
         pivot_positions=[positions[i] for i in pivot_indices],
         pivot_indices=pivot_indices,
         exact=True,
     )
-    _reverify_basis(md, cb)
+    for i in range(cb.dimension):
+        if (failure := _commutator_failure(md, cb.matrix(i, n))) is not None:
+            l, m = failure
+            raise AssertionError(
+                f"internal error: commutant basis element {i} fails YZ=ZY at ({l},{m})"
+            )
     return cb
 
 
@@ -180,117 +183,19 @@ def _leading_index(v: Sequence[Fraction]) -> int:
     raise AssertionError("zero kernel basis vector")
 
 
-def _reverify_basis(md: ModularData, cb: CommutantBasis) -> None:
+def _commutator_failure(
+    md: ModularData, Z: Sequence[Sequence[Rational]]
+) -> Optional[tuple[int, int]]:
+    """First entry (l, m) where YZ and ZY differ in exact arithmetic, or None
+    when YZ = ZY."""
     n = md.size
-    for i in range(cb.dimension):
-        B = cb.matrix(i, n)
-        for l in range(n):
-            for m in range(n):
-                lhs = csum(md.Y[l][a] * B[a][m] for a in range(n) if B[a][m])
-                rhs = csum(md.Y[a][m] * B[l][a] for a in range(n) if B[l][a])
-                if lhs != rhs:
-                    raise AssertionError(
-                        f"internal error: commutant basis element {i} fails YZ=ZY at ({l},{m})"
-                    )
-
-
-class _IntRowEliminator:
-    """Incremental fraction-free row reduction over the integers.
-
-    Maintains a row-echelon set of integer rows (gcd-normalized, positive
-    leading entry); the rational kernel is extracted at the end.
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: dict[int, list[int]] = {}  # pivot column -> row
-
-    def add_sparse(self, entries: dict[int, Fraction]) -> None:
-        if not entries:
-            return
-        den = 1
-        for c in entries.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        row = [0] * self.width
-        for j, c in entries.items():
-            row[j] = int(c * den)
-        self.add(row)
-
-    def add(self, row: list[int]) -> None:
-        for col in range(self.width):
-            a = row[col]
-            if a == 0:
-                continue
-            piv = self.rows.get(col)
-            if piv is None:
-                g = 0
-                for v in row:
-                    g = gcd(g, v)
-                row = [v // g for v in row]
-                if row[col] < 0:
-                    row = [-v for v in row]
-                self.rows[col] = row
-                return
-            p = piv[col]
-            g = gcd(a, p)
-            fa, fp = p // g, a // g
-            row = [fa * rv - fp * pv for rv, pv in zip(row, piv)]
-
-    def kernel_rref(self) -> list[list[Fraction]]:
-        """Reduced-echelon basis of the kernel, pivots strictly increasing."""
-        # Back-substitute the echelon rows into RREF over Q.
-        cols = sorted(self.rows)
-        rref: dict[int, list[Fraction]] = {}
-        for col in sorted(cols, reverse=True):
-            row = [Fraction(v) for v in self.rows[col]]
-            for c2 in cols:
-                if c2 > col and row[c2]:
-                    f = row[c2]
-                    row = [v - f * rv for v, rv in zip(row, rref[c2])]
-            p = row[col]
-            rref[col] = [v / p for v in row]
-        free = [j for j in range(self.width) if j not in rref]
-        kernel = []
-        for f in free:
-            v = [Fraction(0)] * self.width
-            v[f] = Fraction(1)
-            for col, row in rref.items():
-                v[col] = -row[f]
-            kernel.append(v)
-        return _rref_rows(kernel)
-
-
-def _rref_rows(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    rows = [list(r) for r in rows]
-    width = len(rows[0]) if rows else 0
-    out: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for col in range(width):
-        sel = None
-        for i, r in enumerate(rows):
-            if r[col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        row = rows.pop(sel)
-        row = [v / row[col] for v in row]
-        for r in rows:
-            if r[col]:
-                f = r[col]
-                for j in range(width):
-                    r[j] -= f * row[j]
-        for r in out:
-            if r[col]:
-                f = r[col]
-                for j in range(width):
-                    r[j] -= f * row[j]
-        out.append(row)
-        pivots.append(col)
-        if not rows:
-            break
-    order = sorted(range(len(out)), key=lambda i: pivots[i])
-    return [out[i] for i in order]
+    for l in range(n):
+        for m in range(n):
+            lhs = csum(md.Y[l][a] * Z[a][m] for a in range(n) if Z[a][m])
+            rhs = csum(md.Y[a][m] * Z[l][a] for a in range(n) if Z[l][a])
+            if lhs != rhs:
+                return l, m
+    return None
 
 
 def _commutant_basis_numeric(md: ModularData, positions: list[tuple[int, int]]) -> CommutantBasis:
@@ -352,7 +257,6 @@ def enumerate_invariants(
     basis: CommutantBasis,
     bound_scale: Union[Fraction, float, int] = 1,
     node_budget: Optional[int] = None,
-    workers: int = 1,
 ) -> list[CouplingMatrix]:
     """All non-negative integer matrices in the commutant with Z[0,0] = 1.
 
@@ -403,7 +307,6 @@ def enumerate_invariants(
         acc: list[Fraction],
         col_sum: list[float],
         targets: Optional[list[float]],
-        depth1_filter: Optional[frozenset[int]],
     ):
         nonlocal nodes, budget_hit
         if budget_hit:
@@ -411,8 +314,6 @@ def enumerate_invariants(
         lo, hi = (1, 1) if i == 0 else (0, bounds[pivots[i]])
         vec = bvecs[i]
         for v in range(lo, hi + 1):
-            if i == 1 and depth1_filter is not None and v not in depth1_filter:
-                continue
             nodes += 1
             if nodes > node_budget:
                 budget_hit = True
@@ -448,24 +349,14 @@ def enumerate_invariants(
             if not ok:
                 continue
             if i + 1 < k:
-                dfs(i + 1, new_acc, new_cols, new_targets, depth1_filter)
+                dfs(i + 1, new_acc, new_cols, new_targets)
             else:
                 Z = [[0] * n for _ in range(n)]
                 for j, (l, m) in enumerate(positions):
                     Z[l][m] = int(new_acc[j])
                 results.append(tuple(tuple(row) for row in Z))
 
-    # Deterministic worker split at the first unfixed pivot: partition its
-    # value range round-robin; the merged output is canonically sorted, so
-    # the report is byte-identical for any worker count.
-    if workers <= 1 or k < 2:
-        dfs(0, [Fraction(0)] * npos, [0.0] * n, None, None)
-    else:
-        hi1 = bounds[pivots[1]]
-        for wk in range(workers):
-            part = frozenset(v for v in range(0, hi1 + 1) if v % workers == wk)
-            if part:
-                dfs(0, [Fraction(0)] * npos, [0.0] * n, None, part)
+    dfs(0, [Fraction(0)] * npos, [0.0] * n, None)
 
     unique = sorted(set(results))
     out = [verify_invariant(md, Z) for Z in unique]
@@ -478,12 +369,13 @@ def verify_invariant(md: ModularData, Z: Sequence[Sequence[int]]) -> CouplingMat
     """Exactly verify a candidate coupling matrix; raises InvariantRejected
     naming the first failing constraint."""
     n = md.size
-    if len(Z) != n or any(len(row) != n for row in Z):
+    rows_ok = isinstance(Z, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in Z)
+    if not rows_ok or len(Z) != n or any(len(row) != n for row in Z):
         raise InvariantRejected(f"expected a {n}x{n} matrix")
     for l in range(n):
         for m in range(n):
             v = Z[l][m]
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:  # bool is an int subclass
                 raise InvariantRejected(f"entry Z[{l},{m}] = {v} is not a non-negative integer")
     if Z[0][0] != 1:
         raise InvariantRejected(f"Z[0,0] = {Z[0][0]}, must be 1")
@@ -496,12 +388,9 @@ def verify_invariant(md: ModularData, Z: Sequence[Sequence[int]]) -> CouplingMat
                 )
     frozen = tuple(tuple(int(v) for v in row) for row in Z)
     if md.exact:
-        for l in range(n):
-            for m in range(n):
-                lhs = csum(md.Y[l][a] * frozen[a][m] for a in range(n) if frozen[a][m])
-                rhs = csum(md.Y[a][m] * frozen[l][a] for a in range(n) if frozen[l][a])
-                if lhs != rhs:
-                    raise InvariantRejected(f"YZ != ZY at ({l},{m})")
+        if (failure := _commutator_failure(md, frozen)) is not None:
+            l, m = failure
+            raise InvariantRejected(f"YZ != ZY at ({l},{m})")
         return CouplingMatrix(Z=frozen, verified=True, exact=True)
     Zf = np.array(frozen, dtype=float)
     if np.max(np.abs(md.Y_numeric @ Zf - Zf @ md.Y_numeric)) > TOL * max(

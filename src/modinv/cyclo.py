@@ -20,6 +20,8 @@ from typing import Iterable, Optional, Union
 
 import mpmath
 
+from .linalg import solve
+
 Scalar = Union[int, Fraction]
 
 
@@ -396,52 +398,18 @@ def divide(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
     ap = a.to_conductor(m)
     bp = b.to_conductor(m)
     deg = phi(m)
-    # Column j holds the coordinates of b * zeta^j.
-    cols = []
+    # Row i, column j holds coordinate i of b * zeta^j.
+    rows: list[dict[int, Fraction]] = [{} for _ in range(deg)]
     for j in range(deg):
-        prod = bp * Cyclotomic.zeta(m, j)
-        cols.append([prod.coeffs.get(i, Fraction(0)) for i in range(deg)])
-    rhs = [ap.coeffs.get(i, Fraction(0)) for i in range(deg)]
-    sol = _solve_square(cols, rhs)
+        for i, c in (bp * Cyclotomic.zeta(m, j)).coeffs.items():
+            rows[i][j] = c
+    sol = solve(rows, [ap.coeffs.get(i, 0) for i in range(deg)], deg)
     if sol is None:
         raise ArithmeticError("quotient does not lie in the field (inconsistent system)")
     q = Cyclotomic(m, {j: c for j, c in enumerate(sol) if c}, _reduced=True)
     if q * b != a:
         raise ArithmeticError("division verification failed")
     return q
-
-
-def _solve_square(cols: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve sum_j x_j cols[j] = rhs by Gaussian elimination over Q."""
-    n = len(cols)
-    aug = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
-    piv_of_col: list[Optional[int]] = [None] * n
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, n):
-            if aug[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        p = aug[row][col]
-        aug[row] = [v / p for v in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * pv for v, pv in zip(aug[r], aug[row])]
-        piv_of_col[col] = row
-        row += 1
-    for r in range(row, n):
-        if aug[r][n]:
-            return None
-    sol = [Fraction(0)] * n
-    for col, pr in enumerate(piv_of_col):
-        if pr is not None:
-            sol[col] = aug[pr][n]
-    return sol
 
 
 def csum(items: Iterable[Cyclotomic]) -> Cyclotomic:

@@ -111,17 +111,6 @@ def test_classify_report_so16(tmp_path, capsys):
     assert report["span"]["asymmetric_in_symmetric_span"] == {"3": False, "4": False}
 
 
-def test_reports_identical_across_workers(tmp_path, capsys):
-    path = tmp_path / "su2_6.json"
-    path.write_text(dump_ring(builtin_su2(6)))
-    outputs = []
-    for workers in ["1", "3"]:
-        code, out, _ = run(capsys, "classify", str(path), "--workers", workers)
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-
-
 def test_markdown_format(tmp_path, capsys):
     path = tmp_path / "so16.json"
     path.write_text(dump_ring(builtin_so_level1(16)))
@@ -159,11 +148,22 @@ def test_classify_single_invariant_by_file(tmp_path, capsys):
 def test_classify_rejects_bad_invariant_file(tmp_path, capsys):
     ring_path = tmp_path / "so16.json"
     ring_path.write_text(dump_ring(builtin_so_level1(16)))
-    bad = tmp_path / "bad.json"
-    bad.write_text("[[2,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]")
-    code, _, err = run(capsys, "classify", str(ring_path), "--invariant", str(bad))
-    assert code == 1
-    assert "rejected" in err
+    cases = [
+        ("[[2,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]", 1, "rejected:"),
+        # Non-integer entries are rejected, not truncated to the identity.
+        ("[[1.9,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]", 1, "rejected:"),
+        ("[[1,0,0,0],[0,true,0,0],[0,0,1,0],[0,0,0,1]]", 1, "rejected:"),
+        ('[[1,0,0,0],[0,"1",0,0],[0,0,1,0],[0,0,0,1]]', 1, "rejected:"),
+        ("5", 1, "rejected:"),  # not a matrix
+        ("[[1,0,0,0],[0,1", 2, "error:"),
+        (None, 2, "error:"),  # missing file
+    ]
+    for i, (text, code, prefix) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.json"
+        if text is not None:
+            bad.write_text(text)
+        got, _, err = run(capsys, "classify", str(ring_path), "--invariant", str(bad))
+        assert (got, err.split(" ")[0]) == (code, prefix), text
 
 
 def test_numeric_flag_required_for_auto_dims(tmp_path, capsys):

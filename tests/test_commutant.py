@@ -163,14 +163,6 @@ def test_degenerate_braiding_admits_solutions_beyond_the_unit_bound():
     assert verify_invariant(md, [list(r) for r in extra]).verified
 
 
-def test_workers_give_identical_output():
-    ring = builtin_su2(6)
-    _, _, serial = pipeline(ring)
-    for workers in [2, 3, 5]:
-        _, _, parallel = pipeline(ring, workers=workers)
-        assert [Z.Z for Z in parallel] == [Z.Z for Z in serial]
-
-
 def test_node_budget_raises_with_partial_results():
     ring = builtin_su2(6)
     md = compute_modular_data(ring)

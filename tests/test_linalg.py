@@ -1,0 +1,166 @@
+"""The exact elimination kernel against sympy's DomainMatrix over QQ, which
+serves as an independent oracle for rank, dependent rows, RREF, kernel,
+solve and inverse."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from modinv.linalg import Echelon, SingularMatrix, inverse, nullspace, solve
+
+pytest.importorskip("sympy")
+from sympy import QQ  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError  # noqa: E402
+
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@st.composite
+def matrices(draw, rows=st.integers(1, 6), cols=st.integers(1, 5)):
+    """Small rational matrices; the draw of a row from earlier rows makes
+    singular matrices and dependent rows common."""
+    r, c = draw(rows), draw(cols)
+    out: list[list[int | Fraction]] = []
+    for _ in range(r):
+        if out and draw(st.booleans()):
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            s = draw(entries)
+            out.append([x + s * y for x, y in zip(a, b)])
+        else:
+            out.append([draw(entries) for _ in range(c)])
+    return out
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return draw(matrices(rows=st.just(n), cols=st.just(n)))
+
+
+ZERO = [[Fraction(0)] * 3 for _ in range(4)]
+TALL = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(1)],
+        [Fraction(1), Fraction(3)]]
+
+
+def oracle(M: list[list[Fraction]], width: int) -> DomainMatrix:
+    rows = [[QQ(x.numerator, x.denominator) for x in row] for row in M]
+    return DomainMatrix(rows, (len(rows), width), QQ)
+
+
+def fractions(dm: DomainMatrix) -> list[list[Fraction]]:
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in dm.to_list()]
+
+
+def sparse(row: list[Fraction]) -> dict[int, Fraction]:
+    return dict(enumerate(row))
+
+
+def oracle_dependent_rows(M: list[list[Fraction]], width: int) -> list[int]:
+    """Rows that do not raise the rank of the rows before them."""
+    return [i for i in range(len(M))
+            if oracle(M[: i + 1], width).rank() == oracle(M[:i], width).rank()]
+
+
+def echelon_of(M: list[list[Fraction]]) -> tuple[Echelon, list[int]]:
+    ech = Echelon(len(M[0]))
+    dependent = [i for i, row in enumerate(M) if ech.insert(sparse(row)) is None]
+    return ech, dependent
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example(ZERO)
+@example(TALL)
+def test_rank_and_dependent_rows(M):
+    width = len(M[0])
+    ech, dependent = echelon_of(M)
+    assert ech.rank == oracle(M, width).rank()
+    assert dependent == oracle_dependent_rows(M, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example(ZERO)
+@example(TALL)
+def test_rref(M):
+    width = len(M[0])
+    ref, pivots = oracle(M, width).rref()
+    got = Echelon(width)
+    for row in M:
+        got.insert(sparse(row))
+    assert [col for col, _ in got.rref()] == list(pivots)
+    assert [row for _, row in got.rref()] == fractions(ref)[: len(pivots)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.lists(entries, min_size=5, max_size=5))
+@example(ZERO, [0, 1, 0, 0, 0])
+@example(TALL, [2, 5, 0, 0, 0])
+def test_residual_is_zero_exactly_on_the_span(M, target):
+    width = len(M[0])
+    target = [Fraction(x) for x in target[:width]]
+    ech, _ = echelon_of(M)
+    residual = ech.residual(sparse(target))
+    in_span = oracle(M + [target], width).rank() == oracle(M, width).rank()
+    assert (not any(residual)) == in_span
+    assert all(residual[col] == 0 for col in ech.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example(ZERO)
+@example(TALL)
+def test_nullspace(M):
+    width = len(M[0])
+    ech, _ = echelon_of(M)
+    basis = oracle(M, width).nullspace()
+    ref, pivots = basis.rref()
+    got = nullspace(ech)
+    assert [col for col, _ in got] == list(pivots)
+    assert [row for _, row in got] == fractions(ref)[: len(pivots)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.lists(entries, min_size=6, max_size=6))
+@example(ZERO, [0, 0, 0, 0, 0, 0])
+@example(ZERO, [0, 1, 0, 0, 0, 0])
+@example(TALL, [1, 2, 0, 1, 0, 0])
+@example(TALL, [1, 2, 0, 2, 0, 0])
+def test_solve(M, rhs):
+    width = len(M[0])
+    rhs = [Fraction(x) for x in rhs[: len(M)]]
+    augmented = [row + [b] for row, b in zip(M, rhs)]
+    ref, pivots = oracle(augmented, width + 1).rref()
+    x = solve([sparse(row) for row in M], rhs, width)
+    if width in pivots:
+        assert x is None
+        return
+    # The oracle's solution with every free unknown 0.
+    expected = [Fraction(0)] * width
+    for row, col in zip(fractions(ref), pivots):
+        expected[col] = row[width]
+    assert x == expected
+    assert [sum(a * v for a, v in zip(row, x)) for row in M] == rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+@example([[Fraction(0)] * 3 for _ in range(3)])
+@example([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+def test_inverse(M):
+    n = len(M)
+    try:
+        expected = fractions(oracle(M, n).inv())
+    except DMNonInvertibleMatrixError:
+        with pytest.raises(SingularMatrix) as exc:
+            inverse(M)
+        assert exc.value.dependent == oracle_dependent_rows(M, n)
+        return
+    assert inverse(M) == expected
+

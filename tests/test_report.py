@@ -37,6 +37,10 @@ RINGS = {
         lambda: builtin_cyclic(6, [Fraction(a * a, 4) for a in range(6)]),
         "6074bf0ce05c496e0b99a17af35dde2481d9e9996616cd806dbfdc9fc0f67ac2",
     ),
+    "cyclic8_a2over8": (
+        lambda: builtin_cyclic(8, [Fraction(a * a, 8) for a in range(8)]),
+        "b0ec87d05a7c05df98a1bf9a2334bde6c73040fee6b6eeb3d5a62bac35a9eb5c",
+    ),
 }
 
 
