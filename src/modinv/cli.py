@@ -227,10 +227,14 @@ def cmd_invariants(args) -> int:
 
 def cmd_classify(args) -> int:
     md = _load_and_compute(args)
+    spec = args.invariant
+    # A matrix file is read and verified before the search, so a bad path or
+    # matrix fails fast; an index can only be checked against the pool.
+    Z = None if spec is None or spec.isdigit() else _read_invariant(spec, md)
     pool, exhausted = _enumerate(args, md)
     classifications = classify_all(md, pool)
-    if args.invariant is not None:
-        target = _resolve_invariant(args.invariant, md, pool)
+    if spec is not None:
+        target = _pool_index(spec, Z, pool)
         if target is None:
             return EXIT_FAIL
         classifications = [c for c in classifications if c.index == target]
@@ -239,21 +243,25 @@ def cmd_classify(args) -> int:
     return EXIT_BUDGET if exhausted else EXIT_OK
 
 
-def _resolve_invariant(spec: str, md, pool) -> Optional[int]:
-    """Pool index from an index string or a JSON matrix file; the matrix is
-    exactly verified first and must occur in the enumeration."""
-    if spec.isdigit():
+def _read_invariant(path: str, md):
+    """The matrix in a JSON file, exactly verified as a modular invariant."""
+    try:
+        with open(path) as fh:
+            mat = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{path}: cannot read the invariant: {exc}") from None
+    return verify_invariant(md, mat)
+
+
+def _pool_index(spec: str, Z, pool) -> Optional[int]:
+    """Pool index named by an index string, or the index of the verified
+    matrix Z, which must occur in the enumeration."""
+    if Z is None:
         i = int(spec)
         if not 0 <= i < len(pool):
             print(f"error: invariant index {i} out of range", file=sys.stderr)
             return None
         return i
-    try:
-        with open(spec) as fh:
-            mat = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"{spec}: cannot read the invariant: {exc}") from None
-    Z = verify_invariant(md, mat)
     for i, W in enumerate(pool):
         if W.Z == Z.Z:
             return i

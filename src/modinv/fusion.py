@@ -76,6 +76,27 @@ def make_ring(
     return ring
 
 
+def _fusion_shape(fusion) -> tuple:
+    """(planes, rows, columns) of the nested fusion tuple; a ragged level
+    reads as the sorted tuple of the lengths found there."""
+    rows = sorted({len(plane) for plane in fusion})
+    cols = sorted({len(row) for plane in fusion for row in plane})
+    return (
+        len(fusion),
+        rows[0] if len(rows) == 1 else tuple(rows),
+        cols[0] if len(cols) == 1 else tuple(cols),
+    )
+
+
+def _fusion_tensor(fusion) -> np.ndarray:
+    """The fusion tensor as an (n, n, n) integer array, int64 when every
+    associativity sum (n terms of at most max|N|^2) fits, Python ints
+    otherwise, so that no product or sum can wrap."""
+    n = len(fusion)
+    big = max(abs(x) for plane in fusion for row in plane for x in row)
+    return np.array(fusion, dtype=np.int64 if n * big * big < 2**63 else object)
+
+
 def validate(ring: FusionRing) -> list[str]:
     """Check every ring axiom exactly; returns the list of violations."""
     n = ring.size
@@ -86,37 +107,39 @@ def validate(ring: FusionRing) -> list[str]:
     if len(ring.twists) != n:
         report.append(f"expected {n} twists, got {len(ring.twists)}")
         return report
-    for l in range(n):
-        for m in range(n):
-            if ring.N(0, l, m) != (1 if l == m else 0):
-                report.append(f"unit row: N[0,{l}]^{m} != delta")
-            if ring.N(l, 0, m) != (1 if l == m else 0):
-                report.append(f"unit column: N[{l},0]^{m} != delta")
+    shape = _fusion_shape(ring.fusion)
+    if shape != (n, n, n):
+        report.append(f"fusion tensor has shape {shape}, expected ({n}, {n}, {n})")
+        return report
+    N = _fusion_tensor(ring.fusion)
+    lbar = np.array(ring.dual)
+    eye = np.eye(n, dtype=int)
+    # Unit row and column, interleaved per (l, m).
+    unit = np.stack([N[0] != eye, N[:, 0] != eye], axis=-1)
+    for l, m, column in np.argwhere(unit):
+        if column:
+            report.append(f"unit column: N[{l},0]^{m} != delta")
+        else:
+            report.append(f"unit row: N[0,{l}]^{m} != delta")
     if any(ring.dual[ring.dual[l]] != l for l in range(n)):
         report.append("dual is not involutive")
     if ring.dual[0] != 0:
         report.append("dual(0) != 0")
+    for l, m in np.argwhere(N[:, :, 0] != eye[lbar]):
+        report.append(f"duality: N[{l},{m}]^0 != delta(m, dual({l}))")
+    # Associativity: sum_r N_lm^r N_r nu^s = sum_r N_m nu^r N_lr^s, as two
+    # (n, n*n) matrix products per l, indexed (m, nu, s).
+    right = N.reshape(n, n * n)
+    left = N.reshape(n * n, n)
     for l in range(n):
-        for m in range(n):
-            if ring.N(l, m, 0) != (1 if m == ring.dual[l] else 0):
-                report.append(f"duality: N[{l},{m}]^0 != delta(m, dual({l}))")
-    # Associativity.
-    for l in range(n):
-        for m in range(n):
-            for nu in range(n):
-                for s in range(n):
-                    lhs = sum(ring.N(l, m, r) * ring.N(r, nu, s) for r in range(n))
-                    rhs = sum(ring.N(m, nu, r) * ring.N(l, r, s) for r in range(n))
-                    if lhs != rhs:
-                        report.append(f"associativity fails at ({l},{m},{nu},{s})")
-    # Frobenius symmetry.
-    lbar = ring.dual
-    for l in range(n):
-        for m in range(n):
-            for nu in range(n):
-                N = ring.N(l, m, nu)
-                if N != ring.N(lbar[l], nu, m) or N != ring.N(nu, lbar[m], l):
-                    report.append(f"Frobenius symmetry fails at ({l},{m},{nu})")
+        lhs = (N[l] @ right).reshape(n, n, n)
+        rhs = (left @ N[l]).reshape(n, n, n)
+        for m, nu, s in np.argwhere(lhs != rhs):
+            report.append(f"associativity fails at ({l},{m},{nu},{s})")
+    # Frobenius symmetry: N_lm^nu = N_{lbar nu}^m = N_{nu mbar}^l.
+    frobenius = (N != N[lbar].transpose(0, 2, 1)) | (N != N[:, lbar].transpose(2, 1, 0))
+    for l, m, nu in np.argwhere(frobenius):
+        report.append(f"Frobenius symmetry fails at ({l},{m},{nu})")
     # Twists.
     if ring.twists[0] != 0:
         report.append("twist of the unit is not 0")

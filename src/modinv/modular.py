@@ -247,20 +247,14 @@ def verlinde_check(md: ModularData) -> dict:
             "Verlinde reconstruction requires a non-degenerate braiding"
         )
     S = md.S_numeric
-    n = md.size
-    ring = md.ring
-    max_dev = 0.0
-    mismatches = []
-    for l in range(n):
-        for m in range(n):
-            for nu in range(n):
-                val = np.sum(S[l, :] * S[m, :] * np.conj(S[nu, :]) / S[0, :])
-                nearest = round(val.real)
-                max_dev = max(max_dev, abs(val - nearest))
-                if nearest != ring.N(l, m, nu):
-                    mismatches.append((l, m, nu, val))
+    val = np.einsum("lk,mk,nk->lmn", S, S, np.conj(S) / S[0])
+    nearest = np.round(val.real)
+    mismatches = [
+        (int(l), int(m), int(nu), val[l, m, nu])
+        for l, m, nu in np.argwhere(nearest != np.array(md.ring.fusion))
+    ]
     return {
         "ok": not mismatches,
-        "max_deviation": max_dev,
+        "max_deviation": float(np.max(np.abs(val - nearest))),
         "mismatches": mismatches,
     }

@@ -97,11 +97,15 @@ def ring_from_json(data: dict) -> FusionRing:
 def load_ring(path: str, check_axioms: bool = True) -> FusionRing:
     """Load and parse a ring file; with check_axioms, reject rings that fail
     validation, quoting the report."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise RingFileError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+    except json.JSONDecodeError as exc:
+        raise RingFileError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+    except UnicodeDecodeError as exc:
+        raise RingFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise RingFileError(f"{path}: cannot read the ring file: {exc.strerror or exc}") from None
     ring = ring_from_json(data)
     if check_axioms:
         report = validate(ring)

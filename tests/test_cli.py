@@ -43,6 +43,9 @@ def test_load_ring_rejects_invalid_json(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(RingFileError, match="line"):
         load_ring(str(path))
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(RingFileError, match="not UTF-8"):
+        load_ring(str(path))
 
 
 def run(capsys, *argv):
@@ -179,3 +182,25 @@ def test_numeric_flag_required_for_auto_dims(tmp_path, capsys):
     report = json.loads(out)
     assert len(report["invariants"]) == 6
     assert all(not inv["verified"] for inv in report["invariants"])
+
+
+@pytest.mark.parametrize("command", ["check", "modular", "classify"])
+def test_missing_ring_file_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "does_not_exist.json"
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: cannot read the ring file:")
+
+
+def test_classify_reads_invariant_file_before_the_search(tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran before the invariant file was read")
+
+    monkeypatch.setattr("modinv.cli.enumerate_invariants", no_search)
+    ring_path = tmp_path / "so16.json"
+    ring_path.write_text(dump_ring(builtin_so_level1(16)))
+    rejected = tmp_path / "rejected.json"
+    rejected.write_text("[[2,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]")
+    for path, code, prefix in [(tmp_path / "nope.json", 2, "error:"), (rejected, 1, "rejected:")]:
+        got, _, err = run(capsys, "classify", str(ring_path), "--invariant", str(path))
+        assert (got, err.split(" ")[0]) == (code, prefix)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modinv.cyclo import ONE, Cyclotomic
+from modinv.cyclo import ONE, Cyclotomic, csum
 from modinv.fusion import (
     builtin_cyclic,
     builtin_so_level1,
@@ -124,3 +124,154 @@ def test_twists_normalized_mod_one():
 @settings(max_examples=30, deadline=None)
 def test_quadratic_twists_always_validate(n, q):
     assert validate(builtin_cyclic(n, quadratic_twists(n, q))) == []
+
+
+def _loop_validate(ring):
+    """Reference: the ring-axiom checks as plain loops over ring.N."""
+    n = ring.size
+    report = []
+    if len(ring.dual) != n or sorted(ring.dual) != list(range(n)):
+        report.append("dual is not a permutation of the labels")
+        return report
+    if len(ring.twists) != n:
+        report.append(f"expected {n} twists, got {len(ring.twists)}")
+        return report
+    for l in range(n):
+        for m in range(n):
+            if ring.N(0, l, m) != (1 if l == m else 0):
+                report.append(f"unit row: N[0,{l}]^{m} != delta")
+            if ring.N(l, 0, m) != (1 if l == m else 0):
+                report.append(f"unit column: N[{l},0]^{m} != delta")
+    if any(ring.dual[ring.dual[l]] != l for l in range(n)):
+        report.append("dual is not involutive")
+    if ring.dual[0] != 0:
+        report.append("dual(0) != 0")
+    for l in range(n):
+        for m in range(n):
+            if ring.N(l, m, 0) != (1 if m == ring.dual[l] else 0):
+                report.append(f"duality: N[{l},{m}]^0 != delta(m, dual({l}))")
+    for l in range(n):
+        for m in range(n):
+            for nu in range(n):
+                for s in range(n):
+                    lhs = sum(ring.N(l, m, r) * ring.N(r, nu, s) for r in range(n))
+                    rhs = sum(ring.N(m, nu, r) * ring.N(l, r, s) for r in range(n))
+                    if lhs != rhs:
+                        report.append(f"associativity fails at ({l},{m},{nu},{s})")
+    lbar = ring.dual
+    for l in range(n):
+        for m in range(n):
+            for nu in range(n):
+                N = ring.N(l, m, nu)
+                if N != ring.N(lbar[l], nu, m) or N != ring.N(nu, lbar[m], l):
+                    report.append(f"Frobenius symmetry fails at ({l},{m},{nu})")
+    if ring.twists[0] != 0:
+        report.append("twist of the unit is not 0")
+    for l in range(n):
+        if ring.twists[l] != ring.twists[lbar[l]]:
+            report.append(f"twist symmetry: h[{l}] != h[dual({l})]")
+    if ring.dims is not None:
+        d = ring.dims
+        if d[0] != ONE:
+            report.append("d[0] != 1")
+        for l in range(n):
+            if d[l] != d[lbar[l]]:
+                report.append(f"dims: d[{l}] != d[dual({l})]")
+            if not d[l].is_real():
+                report.append(f"dims: d[{l}] is not real")
+            if d[l].embed().real < 1 - 1e-9:
+                report.append(f"dims: d[{l}] < 1 numerically")
+        for l in range(n):
+            for m in range(n):
+                prod = d[l] * d[m]
+                s = csum(d[nu] * ring.N(l, m, nu) for nu in range(n) if ring.N(l, m, nu))
+                if prod != s:
+                    report.append(f"dims: d[{l}]*d[{m}] != sum N*d")
+    return report
+
+
+def _with_entry(ring, l, m, nu, value, dims=None):
+    fusion = [[list(row) for row in plane] for plane in ring.fusion]
+    fusion[l][m][nu] = value
+    return make_ring(ring.names, fusion, ring.dual, ring.twists, dims)
+
+
+def test_validation_catches_broken_associativity():
+    # psi x psi = 1 + psi in SU(2) level 2 keeps every unit, duality and
+    # Frobenius relation, so associativity alone fails.
+    bad = _with_entry(builtin_su2(2), 2, 2, 2, 1)
+    assert validate(bad) == [
+        "associativity fails at (1,1,2,2)",
+        "associativity fails at (1,2,2,1)",
+        "associativity fails at (2,1,1,2)",
+        "associativity fails at (2,2,1,1)",
+    ]
+
+
+def test_validation_catches_broken_frobenius_symmetry():
+    # N_11^1 = 1 in Z_3 breaks the Frobenius orbit of (1,1,1) under dual 1 <-> 2.
+    bad = _with_entry(builtin_cyclic(3, [0] * 3), 1, 1, 1, 1)
+    frobenius = [msg for msg in validate(bad) if msg.startswith("Frobenius")]
+    assert frobenius == [
+        "Frobenius symmetry fails at (1,1,1)",
+        "Frobenius symmetry fails at (1,2,1)",
+        "Frobenius symmetry fails at (2,1,1)",
+    ]
+
+
+def test_validation_is_exact_beyond_int64():
+    a = 2**40
+    fib = [[[1, 0], [0, 1]], [[0, 1], [1, a]]]  # tau x tau = 1 + a tau
+    ring = make_ring(["1", "tau"], fib, [0, 1], [0, 0])
+    assert validate(ring) == []
+    # N_10^1 = 1 + 2**24 breaks associativity at (1,0,1,1) by (c - 1) a =
+    # 2**64, which int64 arithmetic would wrap to 0.
+    c = 1 + 2**24
+    bad = _with_entry(ring, 1, 0, 1, c)
+    assert (c - 1) * a == 2**64
+    report = validate(bad)
+    assert "associativity fails at (1,0,1,1)" in report
+    assert report == _loop_validate(bad)
+
+
+@pytest.mark.parametrize("planes", [2, 4])
+def test_validation_rejects_fusion_tensor_of_wrong_shape(planes):
+    ring = builtin_cyclic(3, [0] * 3)
+    fusion = [list(plane) for plane in ring.fusion][:planes]
+    fusion += [ring.fusion[0]] * (planes - len(fusion))
+    bad = make_ring(ring.names, fusion, ring.dual, ring.twists, ring.dims)
+    assert validate(bad) == [f"fusion tensor has shape ({planes}, 3, 3), expected (3, 3, 3)"]
+
+
+DIFFERENTIAL_RINGS = (
+    [builtin_su2(k) for k in range(7)]
+    + [builtin_so_level1(16)]
+    + [builtin_cyclic(n, quadratic_twists(n, 1)) for n in range(1, 7)]
+)
+
+
+@st.composite
+def perturbed_rings(draw):
+    """A ring of DIFFERENTIAL_RINGS with one or two entries of its fusion,
+    dual or twists changed; two let unit row and column failures interleave."""
+    ring = draw(st.sampled_from(DIFFERENTIAL_RINGS))
+    n = ring.size
+    index = st.integers(0, n - 1)
+    fusion = [[list(row) for row in plane] for plane in ring.fusion]
+    dual, twists = list(ring.dual), list(ring.twists)
+    fields = st.lists(st.sampled_from(["fusion", "dual", "twists"]), min_size=1, max_size=2)
+    for field in draw(fields):
+        if field == "fusion":
+            value = draw(st.integers(-1, 3) | st.just(2**40))
+            fusion[draw(index)][draw(index)][draw(index)] = value
+        elif field == "dual":
+            dual[draw(index)] = draw(index)
+        else:
+            twists[draw(index)] = draw(st.fractions(0, 1, max_denominator=12))
+    return make_ring(ring.names, fusion, dual, twists, ring.dims)
+
+
+@given(perturbed_rings())
+@settings(max_examples=200, deadline=None)
+def test_validate_matches_loop_reference(ring):
+    assert validate(ring) == _loop_validate(ring)

@@ -86,6 +86,18 @@ def test_verlinde_reconstruction(k):
     assert result["max_deviation"] < 1e-9
 
 
+def test_verlinde_reports_mismatched_fusion_entries():
+    md = compute_modular_data(builtin_su2(2))
+    fusion = [[list(row) for row in plane] for plane in md.ring.fusion]
+    fusion[1][1][0] = 2
+    fusion[2][0][2] = 5
+    md.ring = make_ring(md.ring.names, fusion, md.ring.dual, md.ring.twists)
+    result = verlinde_check(md)
+    assert not result["ok"]
+    assert [t[:3] for t in result["mismatches"]] == [(1, 1, 0), (2, 0, 2)]
+    assert abs(result["mismatches"][1][3] - 1) < 1e-9  # Verlinde gives N_20^2 = 1
+
+
 def test_corrupted_Y_violates_dichotomy():
     md = compute_modular_data(builtin_su2(2))
     md.Y[0][1] = md.Y[0][1] + Cyclotomic.from_rational(1)
