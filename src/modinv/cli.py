@@ -16,6 +16,7 @@ from typing import Optional
 
 from .classify import classify_all
 from .commutant import (
+    DEFAULT_NODE_BUDGET,
     InvariantRejected,
     SearchBudgetExceeded,
     commutant_basis,
@@ -23,7 +24,13 @@ from .commutant import (
     twist_sparsity,
     verify_invariant,
 )
-from .fusion import builtin_cyclic, builtin_so_level1, builtin_su2, validate
+from .fusion import (
+    DimsReconstructionError,
+    builtin_cyclic,
+    builtin_so_level1,
+    builtin_su2,
+    validate,
+)
 from .modular import (
     DataIntegrityError,
     compute_modular_data,
@@ -37,8 +44,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class UsageError(ValueError):
@@ -55,6 +60,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except InvariantRejected as exc:
         print(f"rejected: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except (DataIntegrityError, DimsReconstructionError) as exc:
+        print(f"invalid ring data: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 
@@ -83,18 +91,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modular", help="report the modular data of a ring")
     p.add_argument("ringfile")
-    _common_flags(p)
+    p.add_argument("--format", choices=["json", "markdown"], default="json")
     p.set_defaults(func=cmd_modular)
 
     p = sub.add_parser("invariants", help="enumerate modular invariant coupling matrices")
     p.add_argument("ringfile")
-    _common_flags(p)
+    p.add_argument("--format", choices=["json", "markdown"], default="json")
     _search_flags(p)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("classify", help="enumerate and classify all invariants")
     p.add_argument("ringfile")
-    _common_flags(p)
+    p.add_argument("--format", choices=["json", "markdown"], default="json")
     _search_flags(p)
     p.add_argument(
         "--invariant",
@@ -104,15 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_classify)
     return parser
-
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["json", "markdown"], default="json")
-    p.add_argument(
-        "--numeric",
-        action="store_true",
-        help="permit rings without exact dims (results flagged exact-unverified)",
-    )
 
 
 def _search_flags(p: argparse.ArgumentParser) -> None:
@@ -182,13 +181,7 @@ def cmd_check(args) -> int:
 
 
 def _load_and_compute(args):
-    ring = load_ring(args.ringfile, check_axioms=True)
-    if ring.dims is None and not args.numeric:
-        raise RingFileError(
-            f"{args.ringfile}: ring has no exact dims; pass --numeric to use the "
-            "unverified numeric path"
-        )
-    return compute_modular_data(ring)
+    return compute_modular_data(load_ring(args.ringfile, check_axioms=True))
 
 
 def _emit(args, report: dict) -> None:

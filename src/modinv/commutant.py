@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .cyclo import csum
-from .fusion import FusionRing, dims_numeric
+from .fusion import FusionRing
 from .linalg import Echelon, Rational, nullspace
-from .modular import ModularData, TOL
+from .modular import ModularData
+
+DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -52,7 +52,6 @@ class CommutantBasis:
     basis: list[list[Fraction]]  # reduced echelon rows over the positions
     pivot_positions: list[tuple[int, int]]
     pivot_indices: list[int]  # indices into positions
-    exact: bool
 
     @property
     def dimension(self) -> int:
@@ -67,9 +66,9 @@ class CommutantBasis:
 
 @dataclass(frozen=True)
 class CouplingMatrix:
+    """A coupling matrix as :func:`verify_invariant` returns it, exactly verified."""
+
     Z: tuple[tuple[int, ...], ...]
-    verified: bool
-    exact: bool
 
     @property
     def size(self) -> int:
@@ -104,14 +103,6 @@ class CouplingMatrix:
             sum(self.Z[l][m] for l in range(n)) == 1 for m in range(n)
         )
 
-    def transpose(self) -> "CouplingMatrix":
-        n = self.size
-        return CouplingMatrix(
-            Z=tuple(tuple(self.Z[l][m] for l in range(n)) for m in range(n)),
-            verified=self.verified,
-            exact=self.exact,
-        )
-
 
 def twist_sparsity(ring: FusionRing) -> SparsityPattern:
     """Allowed entries (l, m) with h_l = h_m mod 1 (T-commutation)."""
@@ -131,9 +122,6 @@ def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis
     n = md.size
     positions = sorted(pattern.allowed)
     index = {p: j for j, p in enumerate(positions)}
-    if not md.exact:
-        return _commutant_basis_numeric(md, positions)
-
     M = md.ring.conductor
     Ycoords: list[list[dict[int, Fraction]]] = [
         [md.Y[l][m].to_conductor(M).coeffs for m in range(n)] for l in range(n)
@@ -165,7 +153,6 @@ def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis
         basis=[row for _, row in kernel],
         pivot_positions=[positions[i] for i in pivot_indices],
         pivot_indices=pivot_indices,
-        exact=True,
     )
     for i in range(cb.dimension):
         if (failure := _commutator_failure(md, cb.matrix(i, n))) is not None:
@@ -174,13 +161,6 @@ def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis
                 f"internal error: commutant basis element {i} fails YZ=ZY at ({l},{m})"
             )
     return cb
-
-
-def _leading_index(v: Sequence[Fraction]) -> int:
-    for i, x in enumerate(v):
-        if x:
-            return i
-    raise AssertionError("zero kernel basis vector")
 
 
 def _commutator_failure(
@@ -198,57 +178,6 @@ def _commutator_failure(
     return None
 
 
-def _commutant_basis_numeric(md: ModularData, positions: list[tuple[int, int]]) -> CommutantBasis:
-    """Float kernel with rational reconstruction; flagged exact-unverified."""
-    n = md.size
-    rows = []
-    for l in range(n):
-        for m in range(n):
-            row = np.zeros(len(positions), dtype=complex)
-            for j, (a, b) in enumerate(positions):
-                if b == m:
-                    row[j] += md.Y_numeric[l][a]
-                if a == l:
-                    row[j] -= md.Y_numeric[b][m]
-            rows.append(row)
-    A = np.array(rows)
-    _, s, vh = np.linalg.svd(A)
-    rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)))
-    ns = vh[rank:].conj()
-    # Numeric RREF over the row-major position order, then rationalize.
-    basis_f = _numeric_rref(ns.real if np.allclose(ns.imag, 0, atol=1e-9) else ns)
-    basis = [[Fraction(float(x.real)).limit_denominator(10**6) for x in row] for row in basis_f]
-    pivot_indices = [_leading_index(row) for row in basis]
-    return CommutantBasis(
-        positions=positions,
-        basis=basis,
-        pivot_positions=[positions[i] for i in pivot_indices],
-        pivot_indices=pivot_indices,
-        exact=False,
-    )
-
-
-def _numeric_rref(rows: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    rows = np.array(rows, dtype=complex)
-    nr, nc = rows.shape
-    r = 0
-    for col in range(nc):
-        if r >= nr:
-            break
-        sel = r + int(np.argmax(np.abs(rows[r:, col])))
-        if abs(rows[sel, col]) < tol:
-            rows[:, col][np.abs(rows[:, col]) < tol] = 0
-            continue
-        rows[[r, sel]] = rows[[sel, r]]
-        rows[r] = rows[r] / rows[r, col]
-        for i in range(nr):
-            if i != r and abs(rows[i, col]) > 0:
-                rows[i] = rows[i] - rows[i, col] * rows[r]
-        r += 1
-    rows[np.abs(rows) < tol] = 0
-    return rows[:r]
-
-
 # -- enumeration -------------------------------------------------------------
 
 
@@ -256,7 +185,7 @@ def enumerate_invariants(
     md: ModularData,
     basis: CommutantBasis,
     bound_scale: Union[Fraction, float, int] = 1,
-    node_budget: Optional[int] = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[CouplingMatrix]:
     """All non-negative integer matrices in the commutant with Z[0,0] = 1.
 
@@ -268,15 +197,13 @@ def enumerate_invariants(
     applied to the vacuum row). Output is canonically sorted and exactly
     re-verified.
     """
-    if node_budget is None:
-        node_budget = 10_000_000
     n = md.size
     if basis.dimension == 0 or basis.positions[0] != (0, 0):
         return []
     if basis.pivot_indices[0] != 0:
         return []  # every kernel element vanishes at (0,0); Z[0,0]=1 unreachable
 
-    d = dims_numeric(md.ring)
+    d = [x.embed().real for x in md.ring.dims]
     positions = basis.positions
     npos = len(positions)
     scale = float(bound_scale)
@@ -387,14 +314,7 @@ def verify_invariant(md: ModularData, Z: Sequence[Sequence[int]]) -> CouplingMat
                     f"Omega Z != Z Omega: Z[{l},{m}] != 0 but h[{l}] != h[{m}]"
                 )
     frozen = tuple(tuple(int(v) for v in row) for row in Z)
-    if md.exact:
-        if (failure := _commutator_failure(md, frozen)) is not None:
-            l, m = failure
-            raise InvariantRejected(f"YZ != ZY at ({l},{m})")
-        return CouplingMatrix(Z=frozen, verified=True, exact=True)
-    Zf = np.array(frozen, dtype=float)
-    if np.max(np.abs(md.Y_numeric @ Zf - Zf @ md.Y_numeric)) > TOL * max(
-        1.0, float(np.max(np.abs(md.Y_numeric)))
-    ):
-        raise InvariantRejected("YZ != ZY (numeric)")
-    return CouplingMatrix(Z=frozen, verified=False, exact=False)
+    if (failure := _commutator_failure(md, frozen)) is not None:
+        l, m = failure
+        raise InvariantRejected(f"YZ != ZY at ({l},{m})")
+    return CouplingMatrix(Z=frozen)

@@ -2,20 +2,23 @@
 
 A :class:`FusionRing` holds labels, the fusion tensor, the duality
 permutation, rational twists (mod 1) and, optionally, exact quantum
-dimensions as cyclotomic numbers. Rings without exact dimensions run in
-numeric-only mode downstream.
+dimensions as cyclotomic numbers. Rings given without dimensions get exact
+ones from :func:`reconstruct_dims`, or are rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import lcm
 from typing import Optional, Sequence
 
+import mpmath
 import numpy as np
 
-from .cyclo import ONE, Cyclotomic, csum
+from .cyclo import ONE, Cyclotomic, csum, phi
 
 
 @dataclass(frozen=True)
@@ -34,10 +37,6 @@ class FusionRing:
 
     def N(self, l: int, m: int, n: int) -> int:
         return self.fusion[l][m][n]
-
-    def fusion_matrix(self, l: int) -> list[list[int]]:
-        """The matrix (N_l)_m^n acting by left fusion with l."""
-        return [list(self.fusion[l][m]) for m in range(self.size)]
 
     @property
     def conductor(self) -> int:
@@ -167,49 +166,105 @@ def validate(ring: FusionRing) -> list[str]:
     return report
 
 
-class PowerIterationError(RuntimeError):
-    """Raised when the numeric dimension computation fails to converge."""
+# PSLQ looks for coordinates below PSLQ_MAX_COEFF within PSLQ_MAX_STEPS
+# iterations, over real subfields of degree at most PSLQ_MAX_DEGREE, so that
+# a failing search stays short; SU(2) level 32 (degree 32) takes about 1100.
+PSLQ_MAX_COEFF = 1000
+PSLQ_MAX_DEGREE = 32
+PSLQ_MAX_STEPS = 2000
 
 
-def pf_dims_numeric(ring: FusionRing, max_iter: int = 10000, tol: float = 1e-13) -> list[float]:
-    """Perron-Frobenius dimensions from the fusion matrices.
+class DimsReconstructionError(ValueError):
+    """No exact dims in Q(zeta_M) were found for a ring given without them."""
 
-    d_l is the largest eigenvalue of N_l; computed by power iteration on the
-    (irreducible, non-negative) total fusion matrix, then read off via the
-    eigenvector. Falls back per-matrix to the spectral radius for reducible
-    rings.
+
+def reconstruct_dims(ring: FusionRing) -> FusionRing:
+    """The ring completed with exact dims in Q(zeta_M), M the conductor of
+    the twists (the order of T; Ng-Schauenburg put the dims of a modular
+    category there).
+
+    The Perron-Frobenius vector x of sum_l N_l is refined at mpmath
+    precision. Exact dims spread from d_0 = 1 through the fusion rules; where
+    that stalls, the smallest unknown d_l is read off x_l by PSLQ, first over
+    Q, then over the integral basis {1, 2cos(2 pi j/M) : 1 <= j < phi(M)/2}
+    of the real subfield. validate() then checks the product rule, reality
+    and d >= 1 exactly, and a positive character is the Perron-Frobenius one.
+    Raises DimsReconstructionError on any failure.
     """
+    n, M = ring.size, ring.conductor
+    k = max(1, phi(M) // 2)
+    field = f"Q(zeta_{M})"
+    basis = [ONE] + [Cyclotomic.zeta(M, j) + Cyclotomic.zeta(M, -j) for j in range(1, k)]
+    d = {0: ONE}
+    with mpmath.workdps(30 + 3 * min(k, PSLQ_MAX_DEGREE)):
+        x = _pf_vector(ring)
+        reals = [1] + [2 * mpmath.cos(2 * mpmath.pi * j / M) for j in range(1, k)]
+        pslq = partial(mpmath.pslq, maxcoeff=PSLQ_MAX_COEFF, maxsteps=PSLQ_MAX_STEPS)
+        while _propagate(ring, d):
+            l = min(set(range(n)) - d.keys())
+            rel = pslq([x[l], 1])  # rationals first: pointed rings need no large search
+            if rel is None and k > 1:
+                if k > PSLQ_MAX_DEGREE:
+                    raise DimsReconstructionError(
+                        f"d[{l}] is not rational and the real subfield of {field} has "
+                        f"degree {k}, above {PSLQ_MAX_DEGREE}; give the dims exactly"
+                    )
+                rel = pslq([x[l]] + reals)
+            if rel is None or rel[0] == 0:
+                raise DimsReconstructionError(f"d[{l}] not found in {field} by PSLQ")
+            d[l] = csum(b * Fraction(-c, rel[0]) for c, b in zip(rel[1:], basis) if c)
+    out = replace(ring, dims=tuple(d[l].to_conductor(M) for l in range(n)))
+    failures = validate(out)
+    if failures:
+        raise DimsReconstructionError(
+            f"the ring with dims found in {field} fails validation: {failures[0]}"
+        )
+    return out
+
+
+def _pf_vector(ring: FusionRing) -> list:
+    """Perron-Frobenius eigenvector x of A = sum_l N_l with x_0 = 1 at the
+    working mpmath precision: numpy's estimate, then Newton steps on
+    F(x, lam) = ((A - lam) x, x_0 - 1) = 0."""
     n = ring.size
-    mats = [np.array(ring.fusion_matrix(l), dtype=float) for l in range(n)]
-    total = sum(mats[1:], mats[0])
-    v = np.ones(n)
-    lam = 0.0
-    for it in range(max_iter):
-        w = total @ v
-        new_lam = float(np.linalg.norm(w))
-        if new_lam == 0.0:
-            raise PowerIterationError(f"zero vector after {it} iterations")
-        w = w / new_lam
-        if np.linalg.norm(w - v) < tol:
-            v = w
-            lam = new_lam
+    A = np.array(ring.fusion).sum(axis=0)
+    vals, vecs = np.linalg.eig(A.astype(float))
+    top = int(np.argmax(vals.real))
+    v = vecs[:, top].real / vecs[0, top].real
+    if not np.all(v > 0):
+        raise DimsReconstructionError("sum_l N_l has no positive Perron-Frobenius vector")
+    J = mpmath.matrix(np.pad(A, (0, 1)).tolist())  # the Jacobian [[A - lam, -x], [e_0, 0]]
+    J[n, 0] = 1
+    z = mpmath.matrix(v.tolist() + [vals[top].real])
+    for _ in range(20):
+        for i in range(n):
+            J[i, i] = int(A[i, i]) - z[n]
+            J[i, n] = -z[i]
+        F = J * mpmath.matrix(list(z)[:n] + [0])  # ((A - lam) x, x_0)
+        F[n] -= 1
+        step = mpmath.lu_solve(J, F)
+        z -= step
+        if mpmath.norm(step, mpmath.inf) < mpmath.mpf(10) ** (5 - mpmath.mp.dps):
             break
-        v = w
-        lam = new_lam
-    else:
-        raise PowerIterationError(f"no convergence after {max_iter} iterations")
-    # d_l = eigenvalue of N_l on the common PF eigenvector.
-    ref = int(np.argmax(v))
-    dims = [float((mats[l] @ v)[ref] / v[ref]) for l in range(n)]
-    dims[0] = 1.0
-    return dims
+    return list(z)[:n]
 
 
-def dims_numeric(ring: FusionRing) -> list[float]:
-    """Embedded exact dims when present, PF dims otherwise."""
-    if ring.dims is not None:
-        return [d.embed().real for d in ring.dims]
-    return pf_dims_numeric(ring)
+def _propagate(ring: FusionRing, d: dict) -> bool:
+    """Extend the exact dims d in place: while some l x m with d_l, d_m known
+    has one unknown channel nu, solve d_l d_m = sum_r N_lm^r d_r for d_nu.
+    True while some dim is still unknown."""
+    grown = True
+    while grown:
+        grown = False
+        for l, m in product(list(d), repeat=2):
+            row = ring.fusion[l][m]
+            unknown = [nu for nu, c in enumerate(row) if c and nu not in d]
+            if len(unknown) == 1:
+                (nu,) = unknown
+                rest = csum(d[r] * c for r, c in enumerate(row) if c and r != nu)
+                d[nu] = (d[l] * d[m] - rest) / row[nu]
+                grown = True
+    return len(d) < ring.size
 
 
 # -- built-in generators ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Statistics data of a fusion ring: monodromy matrix Y, Omega, Gauss sum z,
 central charge, degeneracy detection, and consistency checks.
 
+A ring given without dims first gets exact ones from reconstruct_dims.
 All structural identities are verified in exact cyclotomic arithmetic; the
 S- and T-matrices themselves are kept numeric only, since |z| involves a
 square root that need not have a representation in the chosen power basis.
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .cyclo import Cyclotomic, csum, root_of_unity
-from .fusion import FusionRing, dims_numeric
+from .fusion import FusionRing, reconstruct_dims
 
 TOL = 1e-9
 
@@ -35,31 +36,28 @@ class DegenerateBraidingError(RuntimeError):
 @dataclass
 class ModularData:
     ring: FusionRing
-    Y: Optional[list[list[Cyclotomic]]]
-    omega: Optional[list[Cyclotomic]]
-    z: Optional[Cyclotomic]
-    w: Optional[Cyclotomic]
-    c: Optional[Fraction]
-    degenerates: frozenset[int]
-    nondegenerate: bool
-    exact: bool
+    Y: list[list[Cyclotomic]]
+    omega: list[Cyclotomic]
+    z: Cyclotomic
+    w: Cyclotomic
     Y_numeric: np.ndarray
-    S_numeric: Optional[np.ndarray]
-    T_numeric: Optional[np.ndarray]
+    c: Optional[Fraction] = None
+    degenerates: frozenset[int] = frozenset()
+    nondegenerate: bool = False
+    S_numeric: Optional[np.ndarray] = None
+    T_numeric: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
         return self.ring.size
 
 
-def compute_modular_data(ring: FusionRing, max_denominator: Optional[int] = None) -> ModularData:
-    """Assemble Y, Omega, z, w, c and numeric S/T for a validated ring.
-
-    Rings without exact dims fall back to a numeric-only ModularData with the
-    exactness flag cleared.
-    """
+def compute_modular_data(ring: FusionRing) -> ModularData:
+    """Assemble Y, Omega, z, w, c and numeric S/T for a validated ring. A
+    ring without dims is completed by reconstruct_dims first (md.ring is the
+    completed ring), which raises DimsReconstructionError on failure."""
     if ring.dims is None:
-        return _numeric_modular_data(ring)
+        ring = reconstruct_dims(ring)
     n = ring.size
     d = list(ring.dims)
     omega = [root_of_unity(h) for h in ring.twists]
@@ -75,23 +73,11 @@ def compute_modular_data(ring: FusionRing, max_denominator: Optional[int] = None
             Y[m][l] = val
     z = csum(d[r] * d[r] * omega[r] for r in range(n))
     w = csum(d[r] * d[r] for r in range(n))
-    md = ModularData(
-        ring=ring,
-        Y=Y,
-        omega=omega,
-        z=z,
-        w=w,
-        c=None,
-        degenerates=frozenset(),
-        nondegenerate=False,
-        exact=True,
-        Y_numeric=np.array([[Y[l][m].embed() for m in range(n)] for l in range(n)]),
-        S_numeric=None,
-        T_numeric=None,
-    )
+    Y_numeric = np.array([[Y[l][m].embed() for m in range(n)] for l in range(n)])
+    md = ModularData(ring=ring, Y=Y, omega=omega, z=z, w=w, Y_numeric=Y_numeric)
     md.degenerates = detect_degenerates(md)
     md.nondegenerate = md.degenerates == frozenset({0})
-    md.c = compute_central_charge(md, max_denominator)
+    md.c = compute_central_charge(md)
     _attach_numeric_ST(md)
     return md
 
@@ -103,12 +89,7 @@ def _attach_numeric_ST(md: ModularData) -> None:
     c_display = display_charge(md)
     if c_display is not None:
         phase = cmath.exp(-1j * cmath.pi * float(c_display) / 12)
-        om = (
-            [o.embed() for o in md.omega]
-            if md.omega is not None
-            else [cmath.exp(2j * cmath.pi * float(h)) for h in md.ring.twists]
-        )
-        md.T_numeric = phase * np.diag(om)
+        md.T_numeric = phase * np.diag([o.embed() for o in md.omega])
 
 
 def display_charge(md: ModularData) -> Optional[Fraction]:
@@ -121,50 +102,12 @@ def display_charge(md: ModularData) -> Optional[Fraction]:
     return md.c
 
 
-def _numeric_modular_data(ring: FusionRing) -> ModularData:
-    n = ring.size
-    d = dims_numeric(ring)
-    om = [cmath.exp(2j * cmath.pi * float(h)) for h in ring.twists]
-    Y = np.zeros((n, n), dtype=complex)
-    for l in range(n):
-        for m in range(n):
-            Y[l, m] = om[l] * om[m] * sum(
-                ring.N(l, m, r) * d[r] / om[r] for r in range(n) if ring.N(l, m, r)
-            )
-    z = sum(d[r] ** 2 * om[r] for r in range(n))
-    w = sum(d[r] ** 2 for r in range(n))
-    deg = frozenset(
-        l for l in range(n) if abs(sum(Y[l, m] * d[m] for m in range(n)) - w * d[l]) < TOL * w
-    )
-    md = ModularData(
-        ring=ring,
-        Y=None,
-        omega=None,
-        z=None,
-        w=None,
-        c=None,
-        degenerates=deg,
-        nondegenerate=deg == frozenset({0}),
-        exact=False,
-        Y_numeric=Y,
-        S_numeric=Y / abs(z) if abs(z) > TOL else None,
-        T_numeric=None,
-    )
-    if abs(z) > TOL:
-        c = Fraction(4 * cmath.phase(z) / math.pi).limit_denominator(10**6) % 8
-        md.c = c
-        md.T_numeric = cmath.exp(-1j * cmath.pi * float(c) / 12) * np.diag(om)
-    return md
-
-
 def detect_degenerates(md: ModularData) -> frozenset[int]:
     """Labels l with sum_m Y_{l,m} Y_{m,0} = w d_l (Rehren dichotomy).
 
     Every other label must give exactly 0; anything else signals corrupt
     input data and raises DataIntegrityError.
     """
-    if not md.exact:
-        return md.degenerates
     n = md.size
     d = md.ring.dims
     out = set()
@@ -180,18 +123,14 @@ def detect_degenerates(md: ModularData) -> frozenset[int]:
     return frozenset(out)
 
 
-def compute_central_charge(
-    md: ModularData, max_denominator: Optional[int] = None
-) -> Optional[Fraction]:
-    """c = 4 arg(z)/pi mod 8, recognized as a rational with bounded
-    denominator and verified against z numerically; None when z = 0 or when
-    verification fails."""
-    if md.z is None or md.z.is_zero():
+def compute_central_charge(md: ModularData) -> Optional[Fraction]:
+    """c = 4 arg(z)/pi mod 8, recognized as a rational with denominator at
+    most 24 M (M the conductor) and verified against z numerically; None
+    when z = 0 or when verification fails."""
+    if md.z.is_zero():
         return None
-    if max_denominator is None:
-        max_denominator = 24 * md.ring.conductor
     zc = md.z.embed()
-    c = Fraction(4 * cmath.phase(zc) / math.pi).limit_denominator(max_denominator) % 8
+    c = Fraction(4 * cmath.phase(zc) / math.pi).limit_denominator(24 * md.ring.conductor) % 8
     predicted = abs(zc) * cmath.exp(1j * math.pi * float(c) / 4)
     if abs(predicted - zc) > TOL * max(1.0, abs(zc)):
         return None
@@ -202,8 +141,6 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
     """Exact checks: Y symmetry, Y_{dual(l),m} = conj(Y_{l,m}), Y_{l,0} = d_l,
     Omega Y Omega Y Omega = z Y. Numeric checks (tol 1e-9) when the braiding
     is non-degenerate: TSTST = S and S^2 = charge conjugation."""
-    if not md.exact:
-        return ["exact verification unavailable (numeric-only modular data)"]
     n = md.size
     ring = md.ring
     Y, omega = md.Y, md.omega

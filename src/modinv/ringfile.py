@@ -9,10 +9,18 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .cyclo import Cyclotomic
 from .fusion import FusionRing, make_ring, validate
+
+
+# Checked before the n**3 fusion tensor and the (M+1)-entry cyclotomic
+# polynomial of the global conductor M are allocated; the benchmark ladder
+# reaches 33 labels and conductor 136.
+MAX_LABELS = 100
+MAX_CONDUCTOR = 1000
 
 
 class RingFileError(ValueError):
@@ -51,6 +59,8 @@ def ring_from_json(data: dict) -> FusionRing:
     n = len(labels)
     if n == 0:
         raise RingFileError("'labels' is empty")
+    if n > MAX_LABELS:
+        raise RingFileError(f"{n} labels, above the limit of {MAX_LABELS}")
     fusion = [[[0] * n for _ in range(n)] for _ in range(n)]
     for q, quad in enumerate(data.get("fusion", [])):
         if not (isinstance(quad, (list, tuple)) and len(quad) == 4):
@@ -70,16 +80,19 @@ def ring_from_json(data: dict) -> FusionRing:
         raise RingFileError(f"'twists' must be a list of {n} rational strings")
     twists = [_parse_fraction(s, f"twists[{i}]") for i, s in enumerate(twists_raw)]
     dims_raw = data.get("dims", "auto")
-    dims: Optional[list[Cyclotomic]]
-    if dims_raw == "auto":
-        dims = None
-    elif isinstance(dims_raw, list) and len(dims_raw) == n:
+    conductor = lcm(*(h.denominator for h in twists))
+    dims: Optional[list[Cyclotomic]] = None
+    if dims_raw != "auto":
+        if not (isinstance(dims_raw, list) and len(dims_raw) == n):
+            raise RingFileError(f"'dims' must be \"auto\" or a list of {n} cyclotomic values")
         try:
-            dims = [Cyclotomic.from_json(d) for d in dims_raw]
+            conductor = lcm(conductor, *(int(d["conductor"]) for d in dims_raw))
+            if conductor <= MAX_CONDUCTOR:
+                dims = [Cyclotomic.from_json(d) for d in dims_raw]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise RingFileError(f"malformed 'dims': {exc}")
-    else:
-        raise RingFileError(f"'dims' must be \"auto\" or a list of {n} cyclotomic values")
+    if conductor > MAX_CONDUCTOR:
+        raise RingFileError(f"global conductor {conductor}, above the limit of {MAX_CONDUCTOR}")
     hint = None
     if "central_charge" in data:
         hint = _parse_fraction(data["central_charge"], "central_charge")

@@ -8,7 +8,15 @@ import pytest
 
 from modinv.cli import main
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
-from modinv.ringfile import RingFileError, dump_ring, load_ring, ring_from_json, ring_to_json
+from modinv.ringfile import (
+    MAX_CONDUCTOR,
+    MAX_LABELS,
+    RingFileError,
+    dump_ring,
+    load_ring,
+    ring_from_json,
+    ring_to_json,
+)
 
 
 @pytest.mark.parametrize(
@@ -170,18 +178,95 @@ def test_classify_rejects_bad_invariant_file(tmp_path, capsys):
 
 
 def test_numeric_flag_required_for_auto_dims(tmp_path, capsys):
+    # There is no --numeric any more: "auto" dims take the exact path.
     data = ring_to_json(builtin_so_level1(16))
     data["dims"] = "auto"
     path = tmp_path / "auto.json"
     path.write_text(json.dumps(data))
-    code, _, err = run(capsys, "invariants", str(path))
-    assert code == 2
-    assert "--numeric" in err
-    code, out, _ = run(capsys, "invariants", str(path), "--numeric")
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", str(path), "--numeric"])
+    assert exc.value.code == 2
+    assert "--numeric" in capsys.readouterr().err
+    code, out, _ = run(capsys, "invariants", str(path))
     assert code == 0
     report = json.loads(out)
+    assert report["ring"]["exact_dims"] and report["modular"]["exact"]
     assert len(report["invariants"]) == 6
-    assert all(not inv["verified"] for inv in report["invariants"])
+    assert all(inv["verified"] and inv["exact"] for inv in report["invariants"])
+
+
+@pytest.mark.parametrize("command", ["check", "modular", "invariants", "classify"])
+@pytest.mark.parametrize("ring", [builtin_so_level1(16), builtin_su2(4)], ids=["so16", "su2_4"])
+def test_auto_dims_match_the_exact_file(tmp_path, capsys, ring, command):
+    # The reconstructed dims live at the conductor of the twists, which here
+    # is the conductor of the exact file, so every output is byte-identical.
+    data = ring_to_json(ring)
+    exact = tmp_path / "exact.json"
+    exact.write_text(json.dumps(data))
+    data["dims"] = "auto"
+    auto = tmp_path / "auto.json"
+    auto.write_text(json.dumps(data))
+    got = run(capsys, command, str(auto))
+    assert got[0] == 0
+    assert got == run(capsys, command, str(exact))
+
+
+@pytest.mark.parametrize("command", ["check", "modular", "invariants", "classify"])
+def test_auto_dims_outside_the_field_exit_1(tmp_path, capsys, command):
+    # Fibonacci fusion with zero twists: the golden ratio is not in Q(zeta_1).
+    data = {
+        "labels": ["1", "tau"],
+        "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1]],
+        "dual": [0, 1],
+        "twists": ["0", "0"],
+        "dims": "auto",
+    }
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert err.startswith("invalid ring data: d[1] not found in Q(zeta_1)")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["modular", "invariants", "classify"])
+def test_integrity_error_is_one_line(tmp_path, capsys, command):
+    # SO(16) with twist 1/3 on v passes the ring axioms but breaks the
+    # degeneracy dichotomy.
+    data = ring_to_json(builtin_so_level1(16))
+    data["twists"][1] = "1/3"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "invalid ring data: degeneracy dichotomy violated at label 1: "
+        "sum_m Y[l,m] d_m is neither w*d_l nor 0\n"
+    )
+
+
+def test_oversized_ring_files_fail_fast(tmp_path, capsys):
+    # One past each cap is refused before the fusion tensor or a cyclotomic
+    # polynomial is allocated; the caps themselves parse.
+    labels = [str(i) for i in range(MAX_LABELS + 1)]
+    with pytest.raises(RingFileError, match=f"{MAX_LABELS + 1} labels"):
+        ring_from_json({"labels": labels})
+    base = {"labels": ["0", "1"], "fusion": [], "dual": [0, 1], "dims": "auto"}
+    at_cap = ring_from_json({**base, "twists": ["0", f"1/{MAX_CONDUCTOR}"]})
+    assert at_cap.conductor == MAX_CONDUCTOR
+    dims = [{"conductor": 1, "coeffs": [[0, "1"]]}, {"conductor": 10**9, "coeffs": [[0, "1"]]}]
+    for bad in [
+        {**base, "twists": ["0", f"1/{MAX_CONDUCTOR + 1}"]},
+        {**base, "twists": ["0", "1/1000000007"]},
+        {**base, "twists": ["0", "1/8"], "dims": dims},
+    ]:
+        with pytest.raises(RingFileError, match="global conductor"):
+            ring_from_json(bad)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: global conductor")
 
 
 @pytest.mark.parametrize("command", ["check", "modular", "classify"])

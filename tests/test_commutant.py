@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modinv.cyclo import csum
-from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2, make_ring
+from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.modular import compute_modular_data
 from modinv.commutant import (
     InvariantRejected,
@@ -24,7 +24,7 @@ from modinv.commutant import (
     verify_invariant,
 )
 
-from test_fusion import quadratic_twists
+from test_fusion import quadratic_twists, strip_dims
 
 # The six coupling matrices of the two-spinor rank-4 ring: identity, the
 # spinor swap W, the two local extensions X_s and X_c, and the asymmetric
@@ -85,7 +85,6 @@ def test_so16_commutant_basis():
     ring = builtin_so_level1(16)
     md = compute_modular_data(ring)
     basis = commutant_basis(md, twist_sparsity(ring))
-    assert basis.exact
     # Six invariants with exactly one linear relation span dimension 5.
     assert basis.dimension == 5
     assert basis.positions[0] == (0, 0) and basis.pivot_indices[0] == 0
@@ -95,7 +94,7 @@ def test_so16_enumeration_matches_brute_force():
     md, _, invs = pipeline(builtin_so_level1(16))
     assert {Z.Z for Z in invs} == SO16_EXPECTED
     assert brute_force_invariants(md) == SO16_EXPECTED
-    assert all(Z.verified and Z.exact for Z in invs)
+    assert invs == [verify_invariant(md, Z.Z) for Z in invs]
 
 
 def test_cyclic2_enumeration_matches_brute_force():
@@ -160,7 +159,7 @@ def test_degenerate_braiding_admits_solutions_beyond_the_unit_bound():
     md, _, invs2 = pipeline(ring, bound_scale=2)
     extra = ((1, 2), (2, 1))
     assert extra in {Z.Z for Z in invs2}
-    assert verify_invariant(md, [list(r) for r in extra]).verified
+    assert verify_invariant(md, [list(r) for r in extra]).Z == extra
 
 
 def test_node_budget_raises_with_partial_results():
@@ -176,7 +175,7 @@ def test_node_budget_raises_with_partial_results():
 def test_verify_accepts_the_asymmetric_invariant():
     md = compute_modular_data(builtin_so_level1(16))
     Z = verify_invariant(md, [list(r) for r in Q])
-    assert Z.verified and Z.trace == 1
+    assert Z.trace == 1
     assert not Z.vacuum_symmetric
 
 
@@ -212,14 +211,16 @@ def test_verify_rejects_commutation_failure():
 
 
 def test_numeric_fallback_finds_the_same_invariants():
+    # Without dims, SO(16) takes the exact path: the same kernel basis and
+    # the same exactly verified invariants as with its builtin dims.
     ring = builtin_so_level1(16)
-    stripped = make_ring(ring.names, ring.fusion, ring.dual, ring.twists, dims=None)
-    md = compute_modular_data(stripped)
-    basis = commutant_basis(md, twist_sparsity(stripped))
-    assert not basis.exact
+    md = compute_modular_data(strip_dims(ring))
+    exact_md = compute_modular_data(ring)
+    basis = commutant_basis(md, twist_sparsity(md.ring))
+    assert basis == commutant_basis(exact_md, twist_sparsity(ring))
     invs = enumerate_invariants(md, basis)
+    assert invs == enumerate_invariants(exact_md, basis)
     assert {Z.Z for Z in invs} == SO16_EXPECTED
-    assert all(not Z.verified for Z in invs)
 
 
 @given(

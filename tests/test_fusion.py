@@ -1,19 +1,23 @@
-"""Fusion-ring data model: axiom validation, builtins, numeric dims."""
+"""Fusion-ring data model: axiom validation, builtins, exact dims
+reconstructed for rings given without them."""
 
+from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modinv.cyclo import ONE, Cyclotomic, csum
 from modinv.fusion import (
+    DimsReconstructionError,
+    _pf_vector,
     builtin_cyclic,
     builtin_so_level1,
     builtin_su2,
-    dims_numeric,
     make_ring,
-    pf_dims_numeric,
+    reconstruct_dims,
     validate,
 )
 
@@ -64,21 +68,78 @@ def test_su2_dims_match_sine_values():
         assert abs(ring.dims[l].embed().real - expected) < 1e-12
 
 
+def strip_dims(ring, name=None):
+    """The ring as a file with "dims": "auto" gives it."""
+    return make_ring(
+        ring.names,
+        ring.fusion,
+        ring.dual,
+        ring.twists,
+        dims=None,
+        name=ring.name if name is None else name,
+        central_charge_hint=ring.central_charge_hint,
+    )
+
+
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_pf_dims_agree_with_exact(k):
+    # The refined Perron-Frobenius vector carries the working precision:
+    # d_l = sin((l+1) pi/(k+2)) / sin(pi/(k+2)) to 60 digits.
     ring = builtin_su2(k)
-    exact = [d.embed().real for d in ring.dims]
-    numeric = pf_dims_numeric(ring)
-    assert max(abs(a - b) for a, b in zip(exact, numeric)) < 1e-9
+    with mpmath.workdps(60):
+        x = _pf_vector(ring)
+        s = mpmath.sin(mpmath.pi / (k + 2))
+        for l in range(k + 1):
+            d = mpmath.sin((l + 1) * mpmath.pi / (k + 2)) / s
+            assert abs(x[l] - d) < mpmath.mpf(10) ** -55
 
 
 def test_dims_numeric_uses_pf_without_exact_dims():
+    # The reconstructed ring is the builtin one, dims at the same conductor.
     ring = builtin_su2(4)
-    stripped = make_ring(
-        ring.names, ring.fusion, ring.dual, ring.twists, dims=None, name="stripped"
-    )
-    exact = [d.embed().real for d in ring.dims]
-    assert max(abs(a - b) for a, b in zip(exact, dims_numeric(stripped))) < 1e-9
+    assert reconstruct_dims(strip_dims(ring, name="stripped")) == replace(ring, name="stripped")
+
+
+LADDER = (
+    [(f"su2_{k}", builtin_su2(k)) for k in range(17)]
+    + [(f"so{n}", builtin_so_level1(n)) for n in (16, 32)]
+    + [
+        (f"z{n}_{kind}", builtin_cyclic(n, quadratic_twists(n, q)))
+        for n in range(1, 9)
+        for q, kind in ((0, "zero"), (1, "quadratic"))
+    ]
+)
+
+
+@pytest.mark.parametrize("ring", [r for _, r in LADDER], ids=[i for i, _ in LADDER])
+def test_reconstructed_dims_equal_builtin(ring):
+    assert reconstruct_dims(strip_dims(ring)).dims == ring.dims
+
+
+FIBONACCI_FUSION = [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
+
+
+def test_reconstruction_rejects_dims_outside_the_field():
+    # The golden ratio is not rational, so zero twists (M = 1) cannot hold it.
+    fib = make_ring(["1", "tau"], FIBONACCI_FUSION, [0, 1], [0, 0])
+    with pytest.raises(DimsReconstructionError, match=r"d\[1\] not found in Q\(zeta_1\)"):
+        reconstruct_dims(fib)
+    # With twist 2/5 it lies in Q(zeta_5): d = 1 - zeta^2 - zeta^3.
+    fib = make_ring(["1", "tau"], FIBONACCI_FUSION, [0, 1], [0, Fraction(2, 5)])
+    d = reconstruct_dims(fib).dims[1]
+    assert d * d == d + 1 and d.embed().real > 1
+
+
+def test_reconstruction_degree_cap():
+    # Q(zeta_111) has a real subfield of degree 36: an irrational dim is not
+    # searched there, while a rational one is found first.
+    su2 = builtin_su2(4)
+    twists = [Fraction(l % 2, 111) for l in range(5)]
+    bad = make_ring(su2.names, su2.fusion, su2.dual, twists)
+    with pytest.raises(DimsReconstructionError, match=r"d\[1\] is not rational .* degree 36"):
+        reconstruct_dims(bad)
+    z2 = make_ring(["0", "1"], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [0, 1], [0, Fraction(1, 111)])
+    assert reconstruct_dims(z2).dims == (ONE, ONE)
 
 
 def test_validation_catches_broken_unit():

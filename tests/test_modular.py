@@ -18,7 +18,7 @@ from modinv.modular import (
     verlinde_check,
 )
 
-from test_fusion import quadratic_twists
+from test_fusion import quadratic_twists, strip_dims
 
 
 def test_so16_modular_data():
@@ -122,13 +122,20 @@ def test_corrupted_twist_fails_axioms():
 
 
 def test_numeric_only_path():
+    # A ring without dims takes the exact path: its dims are reconstructed
+    # and every exact quantity equals the one from the builtin dims.
     ring = builtin_su2(3)
-    stripped = make_ring(ring.names, ring.fusion, ring.dual, ring.twists, dims=None)
-    md = compute_modular_data(stripped)
-    assert not md.exact
+    md = compute_modular_data(strip_dims(ring))
     exact_md = compute_modular_data(ring)
-    assert np.max(np.abs(md.Y_numeric - exact_md.Y_numeric)) < 1e-9
-    assert md.nondegenerate
+    assert md.ring == ring
+    assert (md.Y, md.omega, md.z, md.w, md.c) == (
+        exact_md.Y,
+        exact_md.omega,
+        exact_md.z,
+        exact_md.w,
+        exact_md.c,
+    )
+    assert md.nondegenerate and verify_statistics_axioms(md) == []
 
 
 def test_gauss_sum_magnitude_is_sqrt_w():
