@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -116,11 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound-scale", type=Fraction, default=Fraction(1))
-    p.add_argument(
-        "--node-budget",
-        type=int,
-        default=int(os.environ.get("MODINV_NODE_BUDGET", DEFAULT_NODE_BUDGET)),
-    )
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
 
 
 def cmd_builtin(args) -> int:

@@ -1,7 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-Elements are stored in the reduced power basis {zeta^0, ..., zeta^(phi(m)-1)}
-with coefficients in Q, fully reduced modulo the m-th cyclotomic polynomial.
+An element is stored in the reduced power basis {zeta^0, ..., zeta^(phi(m)-1)}
+as integer coordinates over one positive denominator with no common factor,
+so every operation stays in integers and equality at a common conductor is
+equality of coordinates. Fractions cross only the boundary: the public
+constructor, :meth:`Cyclotomic.from_rational` and :meth:`Cyclotomic.from_json`
+take rationals, and the read-only :attr:`Cyclotomic.coeffs` gives them back.
 Equality across conductors goes through promotion to the lcm conductor.
 
 No general field inversion is exposed; the few divisions by non-rational
@@ -16,9 +20,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
-
-import mpmath
+from typing import Iterable, Mapping, Optional, Union
 
 from .linalg import solve
 
@@ -64,22 +66,17 @@ def phi(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(m: int) -> tuple[tuple[int, ...], ...]:
-    """Integer coordinates of zeta_m^e in the reduced basis, for phi(m) <= e < m."""
+def _reduction_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each exponent 0 <= e < m, the nonzero integer coordinates (i, t)
+    of zeta_m^e in the reduced basis."""
     deg = phi(m)
     poly = _cyclotomic_poly(m)
-    table = []
-    cur = [-poly[i] for i in range(deg)]  # zeta^deg
-    table.append(tuple(cur))
-    for _ in range(deg + 1, m):
-        top = cur[deg - 1]
-        cur = [0] + cur[: deg - 1]
-        if top:
-            base = table[0]
-            for i in range(deg):
-                cur[i] += top * base[i]
-        table.append(tuple(cur))
-    return tuple(table)
+    dense = [[int(i == e) for i in range(deg)] for e in range(deg)]
+    for _ in range(deg, m):
+        prev = dense[-1]
+        # zeta^(e+1) = zeta * zeta^e, with zeta^deg = -sum_i poly[i] zeta^i.
+        dense.append([(prev[i - 1] if i else 0) - prev[deg - 1] * poly[i] for i in range(deg)])
+    return tuple(tuple((i, t) for i, t in enumerate(row) if t) for row in dense)
 
 
 @lru_cache(maxsize=None)
@@ -87,44 +84,53 @@ def _embedded_roots(m: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * e / m) for e in range(m))
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _parts(x: Scalar) -> tuple[int, int]:
+    """Numerator and positive denominator of an int or a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class Cyclotomic:
-    """An exact element of Q(zeta_m), canonically reduced.
+    """An exact element num / den of Q(zeta_m), canonically reduced: ``num``
+    maps exponents below phi(m) to nonzero integers, ``den`` is positive, and
+    den and the entries of ``num`` have no common factor.
 
     Construct via :meth:`from_rational`, :meth:`zeta` or :func:`root_of_unity`
     rather than directly.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
-    def __init__(self, conductor: int, coeffs: dict[int, Fraction], *, _reduced: bool = False):
+    def __init__(self, conductor: int, coeffs: Mapping[int, Scalar]):
+        """The element sum_e coeffs[e] * zeta_conductor^e, for rational
+        coefficients at any integer exponent."""
         if conductor < 1:
             raise ValueError(f"conductor must be positive, got {conductor}")
-        self.conductor = conductor
-        if _reduced:
-            self.coeffs = coeffs
-        else:
-            self.coeffs = _reduce(conductor, coeffs)
+        terms = [(e % conductor, *_parts(c)) for e, c in coeffs.items()]
+        den = lcm(*(q for _, _, q in terms))
+        num = _reduce(conductor, [(e, p * (den // q)) for e, p, q in terms])
+        x = _make(conductor, num, den)
+        self.conductor, self.num, self.den = conductor, x.num, x.den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value: Scalar, conductor: int = 1) -> "Cyclotomic":
-        v = _as_fraction(value)
-        coeffs = {0: v} if v else {}
-        return cls(conductor, coeffs, _reduced=True)
+        if conductor < 1:
+            raise ValueError(f"conductor must be positive, got {conductor}")
+        p, q = _parts(value)
+        return _make(conductor, {0: p}, q)
 
     @classmethod
     def zeta(cls, m: int, e: int = 1) -> "Cyclotomic":
         """The primitive root zeta_m raised to the power e."""
-        return cls(m, {e % m: Fraction(1)})
+        return _make(m, _reduce(m, [(e % m, 1)]))
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """The rational coordinates, in the order of ``num``; a fresh dict."""
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
 
     # -- ring structure ----------------------------------------------------
 
@@ -142,7 +148,7 @@ class Cyclotomic:
         if m % self.conductor != 0:
             raise ValueError(f"cannot promote conductor {self.conductor} to {m}")
         k = m // self.conductor
-        return Cyclotomic(m, {(e * k) % m: c for e, c in self.coeffs.items()})
+        return _make(m, _reduce(m, [(e * k, c) for e, c in self.num.items()]), self.den)
 
     def _common(self, other: "Cyclotomic") -> tuple["Cyclotomic", "Cyclotomic"]:
         m = lcm(self.conductor, other.conductor)
@@ -153,19 +159,21 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         a, b = self._common(o)
-        coeffs = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            s = coeffs.get(e, Fraction(0)) + c
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        num = dict(a.num) if sa == 1 else {e: c * sa for e, c in a.num.items()}
+        for e, c in b.num.items():
+            s = num.get(e, 0) + c * sb
             if s:
-                coeffs[e] = s
+                num[e] = s
             else:
-                coeffs.pop(e, None)
-        return Cyclotomic(a.conductor, coeffs, _reduced=True)
+                del num[e]
+        return _make(a.conductor, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, {e: -c for e, c in self.coeffs.items()}, _reduced=True)
+        return _make(self.conductor, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -181,52 +189,32 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Cyclotomic(self.conductor, {}, _reduced=True)
-            f = _as_fraction(other)
-            return Cyclotomic(
-                self.conductor, {e: c * f for e, c in self.coeffs.items()}, _reduced=True
-            )
+            p, q = other.numerator, other.denominator
+            return _make(self.conductor, {e: c * p for e, c in self.num.items()}, self.den * q)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = self._common(other)
-        if not a.coeffs or not b.coeffs:
-            return Cyclotomic(a.conductor, {}, _reduced=True)
         m = a.conductor
-        # Integer convolution with a single rational rescale at the end.
-        da = 1
-        for c in a.coeffs.values():
-            da = da * c.denominator // gcd(da, c.denominator)
-        db = 1
-        for c in b.coeffs.values():
-            db = db * c.denominator // gcd(db, c.denominator)
-        ai = [(e, int(c * da)) for e, c in a.coeffs.items()]
-        bi = [(e, int(c * db)) for e, c in b.coeffs.items()]
         raw: dict[int, int] = {}
-        for ea, ca in ai:
-            for eb, cb in bi:
+        for ea, ca in a.num.items():
+            for eb, cb in b.num.items():
                 e = ea + eb
                 if e >= m:
                     e -= m
                 raw[e] = raw.get(e, 0) + ca * cb
-        red = _reduce_int(m, raw)
-        scale = da * db
-        coeffs = {}
-        for e, c in red.items():
-            f = Fraction(c, scale)
-            if f:
-                coeffs[e] = f
-        return Cyclotomic(m, coeffs, _reduced=True)
+        return _make(m, _reduce(m, raw.items(), keep_cancelled=True), a.den * b.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         """Division by a rational scalar only; see :func:`divide` for the rest."""
         if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            if f == 0:
+            p, q = other.numerator, other.denominator
+            if not p:
                 raise ZeroDivisionError("division by zero")
-            return self * (1 / f)
+            if p < 0:
+                p, q = -p, -q
+            return _make(self.conductor, {e: c * q for e, c in self.num.items()}, self.den * p)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -246,22 +234,20 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^-1."""
         m = self.conductor
-        return Cyclotomic(m, {(-e) % m: c for e, c in self.coeffs.items()})
+        return _make(m, _reduce(m, [((-e) % m, c) for e, c in self.num.items()]), self.den)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_real(self) -> bool:
         return self == self.conjugate()
 
     def rational_value(self) -> Optional[Fraction]:
         """The element as a rational number, or None if it is irrational."""
-        if not self.coeffs:
-            return Fraction(0)
-        if set(self.coeffs) == {0}:
-            return self.coeffs[0]
+        if self.num.keys() <= {0}:
+            return Fraction(self.num.get(0, 0), self.den)
         return None
 
     def __eq__(self, other):
@@ -269,36 +255,23 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         a, b = self._common(o)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
         r = self.rational_value()
         if r is not None:
             return hash(r)
         # Equal elements may live at different conductors with different
-        # coefficient dicts, so only rationals get a discriminating hash.
+        # coordinates, so only rationals get a discriminating hash.
         return 0x5CE1F
 
     # -- numerics and display ---------------------------------------------
 
-    def embed(self, precision: int = 53) -> complex:
-        """Numerical value at zeta_m = e^(2 pi i / m).
-
-        precision is in bits (>= 53); higher precisions evaluate through
-        mpmath before rounding to a double.
-        """
-        if precision < 53:
-            raise ValueError("precision must be at least 53 bits")
-        if precision == 53:
-            roots = _embedded_roots(self.conductor)
-            return sum((complex(c) * roots[e] for e, c in self.coeffs.items()), 0j)
-        with mpmath.workprec(precision + 10):
-            acc = mpmath.mpc(0)
-            for e, c in self.coeffs.items():
-                acc += mpmath.mpf(c.numerator) / c.denominator * mpmath.expjpi(
-                    mpmath.mpf(2 * e) / self.conductor
-                )
-            return complex(acc)
+    def embed(self) -> complex:
+        """Numerical value at zeta_m = e^(2 pi i / m), summed in coordinate order."""
+        roots = _embedded_roots(self.conductor)
+        den = self.den
+        return sum((complex(c / den) * roots[e] for e, c in self.num.items()), 0j)
 
     def to_json(self) -> dict:
         return {
@@ -312,7 +285,7 @@ class Cyclotomic:
         return cls(int(data["conductor"]), coeffs)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "Cyclotomic(0)"
         m = self.conductor
         parts = []
@@ -326,50 +299,44 @@ class Cyclotomic:
         return " + ".join(parts)
 
 
-def _reduce(m: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
-    deg = phi(m)
-    out: dict[int, Fraction] = {}
-    table = None
-    for e, c in coeffs.items():
-        if not c:
-            continue
-        e %= m
-        if e < deg:
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        else:
-            if table is None:
-                table = _reduction_table(m)
-            row = table[e - deg]
-            for i, t in enumerate(row):
-                if t:
-                    s = out.get(i, Fraction(0)) + c * t
-                    if s:
-                        out[i] = s
-                    else:
-                        out.pop(i, None)
-    return out
+def _make(m: int, num: Mapping[int, int], den: int = 1) -> Cyclotomic:
+    """The element num / den of Q(zeta_m) in canonical form: zero entries
+    dropped and the common factor of den and the entries divided out. num
+    must already be reduced (exponents below phi(m)) and den positive."""
+    num = {e: c for e, c in num.items() if c}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    x = object.__new__(Cyclotomic)
+    x.conductor, x.num, x.den = m, num, den
+    return x
 
 
-def _reduce_int(m: int, coeffs: dict[int, int]) -> dict[int, int]:
-    deg = phi(m)
+def _reduce(
+    m: int, terms: Iterable[tuple[int, int]], *, keep_cancelled: bool = False
+) -> dict[int, int]:
+    """Integer coordinates of sum c * zeta_m^e over the terms (e, c), 0 <= e < m.
+
+    A coordinate takes its slot when it first becomes nonzero. An entry that
+    cancels to zero is dropped, and re-inserted at the end if it becomes
+    nonzero again; with keep_cancelled it keeps its slot (as 0) instead. The
+    slot order is the summation order of :meth:`Cyclotomic.embed`, whose
+    numeric shadows in reports are pinned: they were recorded with products
+    keeping cancelled slots and every other path dropping them.
+    """
+    rows = _reduction_rows(m)
     out: dict[int, int] = {}
-    table = None
-    for e, c in coeffs.items():
+    for e, c in terms:
         if not c:
             continue
-        if e < deg:
-            out[e] = out.get(e, 0) + c
-        else:
-            if table is None:
-                table = _reduction_table(m)
-            row = table[e - deg]
-            for i, t in enumerate(row):
-                if t:
-                    out[i] = out.get(i, 0) + c * t
+        for i, t in rows[e]:
+            s = out.get(i, 0) + c * t
+            if s or keep_cancelled:
+                out[i] = s
+            else:
+                del out[i]
     return out
 
 
@@ -379,8 +346,8 @@ ONE = Cyclotomic.from_rational(1)
 
 def root_of_unity(h: Union[Fraction, int]) -> Cyclotomic:
     """e^(2 pi i h) for rational h, interpreted mod 1."""
-    h = _as_fraction(h) % 1
-    return Cyclotomic.zeta(h.denominator, h.numerator)
+    q = h.denominator
+    return Cyclotomic.zeta(q, h.numerator % q)
 
 
 def divide(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
@@ -403,10 +370,11 @@ def divide(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
     for j in range(deg):
         for i, c in (bp * Cyclotomic.zeta(m, j)).coeffs.items():
             rows[i][j] = c
-    sol = solve(rows, [ap.coeffs.get(i, 0) for i in range(deg)], deg)
+    rhs = ap.coeffs
+    sol = solve(rows, [rhs.get(i, 0) for i in range(deg)], deg)
     if sol is None:
         raise ArithmeticError("quotient does not lie in the field (inconsistent system)")
-    q = Cyclotomic(m, {j: c for j, c in enumerate(sol) if c}, _reduced=True)
+    q = Cyclotomic(m, {j: c for j, c in enumerate(sol) if c})
     if q * b != a:
         raise ArithmeticError("division verification failed")
     return q

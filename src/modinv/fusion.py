@@ -291,10 +291,10 @@ def builtin_su2(k: int) -> FusionRing:
     dims = []
     for l in range(n):
         # [l+1]_q = sum_{j=0..l} zeta_q^{2(l-2j)}
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int] = {}
         for j in range(l + 1):
             e = (2 * (l - 2 * j)) % q
-            coeffs[e] = coeffs.get(e, Fraction(0)) + 1
+            coeffs[e] = coeffs.get(e, 0) + 1
         dims.append(Cyclotomic(q, coeffs))
     c_hint = Fraction(3 * k, k + 2)
     return make_ring(

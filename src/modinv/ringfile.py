@@ -61,19 +61,22 @@ def ring_from_json(data: dict) -> FusionRing:
         raise RingFileError("'labels' is empty")
     if n > MAX_LABELS:
         raise RingFileError(f"{n} labels, above the limit of {MAX_LABELS}")
+    quads = data.get("fusion", [])
+    if not isinstance(quads, list):
+        raise RingFileError("'fusion' must be a list of [l, m, n, multiplicity] quadruples")
     fusion = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for q, quad in enumerate(data.get("fusion", [])):
+    for q, quad in enumerate(quads):
         if not (isinstance(quad, (list, tuple)) and len(quad) == 4):
             raise RingFileError(f"fusion entry {q} is not a quadruple")
         l, m, nu, mult = quad
         for v, nm in ((l, "l"), (m, "m"), (nu, "n")):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise RingFileError(f"fusion entry {q}: index {nm}={v} out of range")
-        if not isinstance(mult, int) or mult < 0:
-            raise RingFileError(f"fusion entry {q}: multiplicity {mult} invalid")
+            if not _is_int(v) or not 0 <= v < n:
+                raise RingFileError(f"fusion entry {q}: index {nm}={v!r} out of range")
+        if not _is_int(mult) or mult < 0:
+            raise RingFileError(f"fusion entry {q}: multiplicity {mult!r} invalid")
         fusion[l][m][nu] = mult
     dual = data.get("dual")
-    if not (isinstance(dual, list) and len(dual) == n and all(isinstance(x, int) for x in dual)):
+    if not (isinstance(dual, list) and len(dual) == n and all(map(_is_int, dual))):
         raise RingFileError(f"'dual' must be a list of {n} integers")
     twists_raw = data.get("twists")
     if not (isinstance(twists_raw, list) and len(twists_raw) == n):
@@ -135,8 +138,13 @@ def _format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+def _is_int(v) -> bool:
+    """An integer in JSON's sense: bool is an int subclass in Python, not here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_fraction(s: Union[str, int], where: str) -> Fraction:
-    if isinstance(s, int):
+    if _is_int(s):
         return Fraction(s)
     if not isinstance(s, str):
         raise RingFileError(f"{where}: expected a rational string, got {s!r}")

@@ -34,7 +34,7 @@ def test_ring_file_round_trip(ring):
     assert reloaded == ring
 
 
-def test_ring_file_rejects_bad_fields():
+def test_ring_file_rejects_bad_fields(tmp_path, capsys):
     data = ring_to_json(builtin_so_level1(16))
     bad = dict(data)
     bad["twists"] = ["0", "1/2", "1", "not-a-number"]
@@ -44,6 +44,25 @@ def test_ring_file_rejects_bad_fields():
     bad["fusion"] = [[0, 0, 9, 1]]
     with pytest.raises(RingFileError, match="out of range"):
         ring_from_json(bad)
+    # A fusion field that is no list, and JSON true where an integer belongs,
+    # are refused, and `modinv check` exits 2 on them.
+    for field, value, match in [
+        ("fusion", 5, "'fusion' must be a list"),
+        ("fusion", None, "'fusion' must be a list"),
+        ("fusion", [[0, True, 1, 1]], "index m=True out of range"),
+        ("fusion", [[0, 0, 0, True]], "multiplicity True invalid"),
+        ("dual", [0, True, 2, 3], "'dual' must be a list"),
+        ("twists", ["0", "1/2", True, "1/2"], r"twists\[2\]"),
+    ]:
+        bad = dict(data)
+        bad[field] = value
+        with pytest.raises(RingFileError, match=match):
+            ring_from_json(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 def test_load_ring_rejects_invalid_json(tmp_path):

@@ -1,14 +1,25 @@
 """Exact cyclotomic arithmetic: field axioms, conjugation, embedding,
-serialization and division."""
+serialization and division, and a differential check of the integer
+representation against a dict-of-Fraction reference."""
 
 import cmath
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modinv.cyclo import ONE, ZERO, Cyclotomic, csum, divide, phi, root_of_unity
+from modinv.cyclo import (
+    ONE,
+    ZERO,
+    Cyclotomic,
+    _cyclotomic_poly,
+    csum,
+    divide,
+    phi,
+    root_of_unity,
+)
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 18, 24, 72]
 
@@ -131,13 +142,180 @@ def test_csum_empty_is_zero():
     assert csum([]) == ZERO
 
 
-def test_high_precision_embed():
-    z = Cyclotomic.zeta(7)
-    assert abs(z.embed(200) - z.embed()) < 1e-12
-
-
 def test_scalar_operations():
     z = Cyclotomic.zeta(8)
     assert 2 * z == z + z
     assert z / 2 + z / 2 == z
     assert z - 1 == z + (-1)
+
+
+# -- reference: coordinates as a dict of Fractions ------------------------------
+#
+# The representation every Cyclotomic used before the integer one: rational
+# coordinates in a dict whose insertion order is the summation order of
+# embed(). The report's numeric shadows are pinned with that order, so the
+# integer type must reproduce it. An element is a pair (m, {e: Fraction}).
+
+
+def _ref_table(m):
+    deg = phi(m)
+    poly = _cyclotomic_poly(m)
+    cur = [-poly[i] for i in range(deg)]
+    table = [tuple(cur)]
+    for _ in range(deg + 1, m):
+        top = cur[deg - 1]
+        cur = [0] + cur[: deg - 1]
+        for i in range(deg):
+            cur[i] += top * table[0][i]
+        table.append(tuple(cur))
+    return table
+
+
+def _ref_reduce(m, coeffs, keep_cancelled=False):
+    """Fold the exponents of coeffs below phi(m). Without keep_cancelled an
+    entry that cancels is popped (and re-inserted at the end); with it, it
+    keeps its slot until the end."""
+    deg = phi(m)
+    out = {}
+    for e, c in coeffs.items():
+        if not c:
+            continue
+        e %= m
+        for i, t in [(e, 1)] if e < deg else enumerate(_ref_table(m)[e - deg]):
+            if t:
+                s = out.get(i, Fraction(0)) + c * t
+                if s or keep_cancelled:
+                    out[i] = s
+                else:
+                    out.pop(i)
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_promote(x, m):
+    k = m // x[0]
+    return x if k == 1 else (m, _ref_reduce(m, {(e * k) % m: c for e, c in x[1].items()}))
+
+
+def _ref_common(x, y):
+    m = lcm(x[0], y[0])
+    return _ref_promote(x, m), _ref_promote(y, m)
+
+
+def _ref_add(x, y):
+    a, b = _ref_common(x, y)
+    out = dict(a[1])
+    for e, c in b[1].items():
+        s = out.get(e, Fraction(0)) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return a[0], out
+
+
+def _ref_neg(x):
+    return x[0], {e: -c for e, c in x[1].items()}
+
+
+def _ref_scale(x, f):
+    return x[0], {e: c * f for e, c in x[1].items()} if f else {}
+
+
+def _ref_mul(x, y):
+    (m, a), (_, b) = _ref_common(x, y)
+    raw = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = (ea + eb) % m
+            raw[e] = raw.get(e, 0) + ca * cb
+    return m, _ref_reduce(m, raw, keep_cancelled=True)
+
+
+def _ref_conjugate(x):
+    m = x[0]
+    return m, _ref_reduce(m, {(-e) % m: c for e, c in x[1].items()})
+
+
+def _ref_embed(x):
+    m, coeffs = x
+    roots = [cmath.exp(2j * cmath.pi * e / m) for e in range(m)]
+    return sum((complex(c) * roots[e] for e, c in coeffs.items()), 0j)
+
+
+def _ref_json(x):
+    return {
+        "conductor": x[0],
+        "coeffs": [[e, f"{c.numerator}/{c.denominator}"] for e, c in sorted(x[1].items())],
+    }
+
+
+def _ref_repr(x):
+    m, coeffs = x
+    parts = [
+        str(c) if e == 0 else f"z{m}^{e}" if c == 1 else f"{c}*z{m}^{e}"
+        for e, c in sorted(coeffs.items())
+    ]
+    return " + ".join(parts) if parts else "Cyclotomic(0)"
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _assert_matches(got, ref):
+    """got is canonical and agrees with the reference coordinate by
+    coordinate, in slot order, in embed() bit for bit and in its output."""
+    m, coeffs = ref
+    assert got.conductor == m
+    assert got.den > 0 and gcd(got.den, *got.num.values()) == 1
+    assert all(got.num.values()) and all(0 <= e < phi(m) for e in got.num)
+    assert list(got.coeffs.items()) == list(coeffs.items())
+    assert _bits(got.embed()) == _bits(_ref_embed(ref))
+    assert got.to_json() == _ref_json(ref)
+    assert repr(got) == _ref_repr(ref)
+
+
+# Few distinct values and exponents up to 2m, so that the folds of
+# exponents >= phi(m) and the sums cancel often.
+_ref_coeffs = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)])
+
+
+@st.composite
+def raw_elements(draw, conductors=CONDUCTORS):
+    m = draw(st.sampled_from(conductors))
+    return m, draw(st.dictionaries(st.integers(0, 2 * m), _ref_coeffs, max_size=8))
+
+
+def _both(raw):
+    m, coeffs = raw
+    return Cyclotomic(m, coeffs), (m, _ref_reduce(m, coeffs))
+
+
+@given(
+    raw_elements(),
+    raw_elements([m for m in CONDUCTORS if m <= 24]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from([1, 2, 3, 5]),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_representation_matches_fraction_reference(ra, rb, f, k):
+    (a, ref_a), (b, ref_b) = _both(ra), _both(rb)
+    _assert_matches(a, ref_a)
+    _assert_matches(b, ref_b)
+    # Sums of a with a part of itself cancel whole coordinates.
+    half, ref_half = _both((ra[0], dict(list(ra[1].items())[::2])))
+    _assert_matches(a - half, _ref_add(ref_a, _ref_neg(ref_half)))
+    _assert_matches(half - a, _ref_add(ref_half, _ref_neg(ref_a)))
+    _assert_matches(a + b, _ref_add(ref_a, ref_b))
+    _assert_matches(a - b, _ref_add(ref_a, _ref_neg(ref_b)))
+    _assert_matches(a * b, _ref_mul(ref_a, ref_b))
+    _assert_matches(a * (b - a), _ref_mul(ref_a, _ref_add(ref_b, _ref_neg(ref_a))))
+    _assert_matches(a * f, _ref_scale(ref_a, f))
+    _assert_matches(f * a, _ref_scale(ref_a, f))
+    _assert_matches(a + f, _ref_add(ref_a, (1, {0: f} if f else {})))
+    _assert_matches(a.conjugate(), _ref_conjugate(ref_a))
+    _assert_matches(a.to_conductor(k * ra[0]), _ref_promote(ref_a, k * ra[0]))
+    _assert_matches(Cyclotomic.from_json(a.to_json()), (ra[0], dict(sorted(ref_a[1].items()))))
+    ref_eq = _ref_common(ref_a, ref_b)
+    assert (a == b) == (ref_eq[0][1] == ref_eq[1][1])
+    assert a == half + (a - half)
