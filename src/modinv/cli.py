@@ -114,8 +114,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bound-scale", type=Fraction, default=Fraction(1))
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--bound-scale", type=_positive(Fraction), default=Fraction(1))
+    p.add_argument("--node-budget", type=_positive(int), default=DEFAULT_NODE_BUDGET)
+
+
+def _positive(parse):
+    """An argparse type: `parse`, accepting only values above 0 (else exit 2)."""
+
+    def convert(text: str):
+        try:
+            if (value := parse(text)) > 0:
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+
+    return convert
 
 
 def cmd_builtin(args) -> int:

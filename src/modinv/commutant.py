@@ -2,11 +2,11 @@
 enumeration of its non-negative integer points with Z[0,0] = 1.
 
 The T-commutation constraint is imposed structurally as a sparsity pattern
-(entries vanish off equal twists); the Y-commutation constraint is expanded
-coordinate-wise in the cyclotomic power basis, giving an integer homogeneous
-linear system whose kernel is computed by fraction-free elimination. The
-integer points are then enumerated by depth-first search over the kernel's
-pivot entries.
+(entries vanish off equal twists). YZ = ZY is linear in the rational Z over
+the integer coordinates of Y in the power basis (ModularData.Y_coords), on
+which both the kernel (by fraction-free elimination) and every commutation
+check are computed. The integer points are then enumerated, in integers, by
+depth-first search over the kernel's pivot entries.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .cyclo import csum
-from .fusion import FusionRing
+import numpy as np
+
+from .fusion import FusionRing, int_dtype
 from .linalg import Echelon, Rational, nullspace
 from .modular import ModularData
 
@@ -50,18 +51,11 @@ class SparsityPattern:
 class CommutantBasis:
     positions: list[tuple[int, int]]  # allowed entries, row-major
     basis: list[list[Fraction]]  # reduced echelon rows over the positions
-    pivot_positions: list[tuple[int, int]]
     pivot_indices: list[int]  # indices into positions
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def matrix(self, i: int, n: int) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for (l, m), v in zip(self.positions, self.basis[i]):
-            out[l][m] = v
-        return out
 
 
 @dataclass(frozen=True)
@@ -121,41 +115,27 @@ def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis
     as a reduced-echelon basis with respect to row-major entry order."""
     n = md.size
     positions = sorted(pattern.allowed)
-    index = {p: j for j, p in enumerate(positions)}
-    M = md.ring.conductor
-    Ycoords: list[list[dict[int, Fraction]]] = [
-        [md.Y[l][m].to_conductor(M).coeffs for m in range(n)] for l in range(n)
-    ]
-
-    constraints = Echelon(len(positions))
+    P = len(positions)
+    a, b = np.array(positions, dtype=np.intp).reshape(P, 2).T
+    Y = md.Y_coords
+    constraints = Echelon(P)
     for l in range(n):
-        for m in range(n):
-            # (YZ - ZY)_{l,m} = sum_{(a,b)} (Y[l,a] delta_{b,m} - delta_{a,l} Y[b,m]) Z_{a,b}
-            per_coord: dict[int, dict[int, Fraction]] = {}
-            for a in range(n):
-                j = index.get((a, m))
-                if j is not None:
-                    for e, c in Ycoords[l][a].items():
-                        per_coord.setdefault(e, {})
-                        per_coord[e][j] = per_coord[e].get(j, Fraction(0)) + c
-                j = index.get((l, a))
-                if j is not None:
-                    for e, c in Ycoords[a][m].items():
-                        per_coord.setdefault(e, {})
-                        per_coord[e][j] = per_coord[e].get(j, Fraction(0)) - c
-            for row in per_coord.values():
-                constraints.insert(row)
+        # Rows (e, m): (YZ - ZY)_lm = sum_ab (Y[l,a] delta_bm - delta_al Y[b,m]) Z_ab.
+        rows = np.zeros((Y.shape[0], n, P), dtype=Y.dtype)
+        rows[:, b, np.arange(P)] = Y[:, l, a]
+        own = a == l
+        rows[:, :, own] -= Y[:, b[own], :].transpose(0, 2, 1)
+        for row in rows.reshape(-1, P):
+            (nonzero,) = row.nonzero()
+            if len(nonzero):
+                constraints.insert(dict(zip(nonzero.tolist(), row[nonzero].tolist())))
 
     kernel = nullspace(constraints)
-    pivot_indices = [col for col, _ in kernel]
-    cb = CommutantBasis(
-        positions=positions,
-        basis=[row for _, row in kernel],
-        pivot_positions=[positions[i] for i in pivot_indices],
-        pivot_indices=pivot_indices,
-    )
-    for i in range(cb.dimension):
-        if (failure := _commutator_failure(md, cb.matrix(i, n))) is not None:
+    cb = CommutantBasis(positions, [row for _, row in kernel], [col for col, _ in kernel])
+    for i, vec in enumerate(cb.basis):
+        Z = np.zeros((n, n), dtype=object)
+        Z[a, b] = vec
+        if (failure := _commutator_failure(md, Z)) is not None:
             l, m = failure
             raise AssertionError(
                 f"internal error: commutant basis element {i} fails YZ=ZY at ({l},{m})"
@@ -166,16 +146,16 @@ def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis
 def _commutator_failure(
     md: ModularData, Z: Sequence[Sequence[Rational]]
 ) -> Optional[tuple[int, int]]:
-    """First entry (l, m) where YZ and ZY differ in exact arithmetic, or None
-    when YZ = ZY."""
-    n = md.size
-    for l in range(n):
-        for m in range(n):
-            lhs = csum(md.Y[l][a] * Z[a][m] for a in range(n) if Z[a][m])
-            rhs = csum(md.Y[a][m] * Z[l][a] for a in range(n) if Z[l][a])
-            if lhs != rhs:
-                return l, m
-    return None
+    """First entry (l, m), in row-major order, where YZ and ZY differ, or None
+    when YZ = ZY; compares the integer coordinates of Y (L Z) and (L Z) Y, L
+    the lcm of the denominators of the rational matrix Z."""
+    L = math.lcm(*(x.denominator for row in Z for x in row))
+    LZ = [[x.numerator * (L // x.denominator) for x in row] for row in Z]
+    # A product entry sums n terms below max|Y| max|LZ|; Y takes LZ's dtype in @.
+    bound = md.size * int(abs(md.Y_coords).max()) * max(abs(x) for row in LZ for x in row)
+    LZ = np.array(LZ, dtype=int_dtype(bound))
+    failures = np.argwhere(((md.Y_coords @ LZ) != (LZ @ md.Y_coords)).any(axis=0))
+    return tuple(failures[0].tolist()) if len(failures) else None
 
 
 # -- enumeration -------------------------------------------------------------
@@ -209,7 +189,9 @@ def enumerate_invariants(
     scale = float(bound_scale)
     bounds = [max(0, math.ceil(scale * d[l] * d[m] - 1e-9)) for (l, m) in positions]
     pivots = basis.pivot_indices
-    bvecs = basis.basis
+    # Kernel rows times their common denominator L: the search accumulates L * Z.
+    L = math.lcm(*(x.denominator for row in basis.basis for x in row))
+    bvecs = [[x.numerator * (L // x.denominator) for x in row] for row in basis.basis]
     k = len(pivots)
     seg_end = [pivots[i + 1] if i + 1 < k else npos for i in range(k)]
     r0_len = sum(1 for (l, _m) in positions if l == 0)
@@ -219,19 +201,19 @@ def enumerate_invariants(
     nodes = 0
     budget_hit = False
 
-    def targets_from_row0(acc: list[Fraction]) -> Optional[list[float]]:
-        row0 = {positions[j][1]: float(acc[j]) for j in range(r0_len)}
+    def targets_from_row0(acc: list[int]) -> Optional[list[float]]:
+        row0 = {positions[j][1]: float(acc[j] // L) for j in range(r0_len)}
         t = []
         for m in range(n):
             val = sum(z * Ynum[a][m] for a, z in row0.items() if z)
             if abs(val.imag) > 1e-6:
                 return None
-            t.append(val.real)
+            t.append(val.real + 1e-6 * (1 + abs(val.real)))  # relative slack
         return t
 
     def dfs(
         i: int,
-        acc: list[Fraction],
+        acc: list[int],
         col_sum: list[float],
         targets: Optional[list[float]],
     ):
@@ -248,42 +230,29 @@ def enumerate_invariants(
             new_acc = [a + v * b for a, b in zip(acc, vec)] if v else list(acc)
             new_cols = list(col_sum)
             new_targets = targets
-            ok = True
             for j in range(pivots[i], seg_end[i]):
-                x = new_acc[j]
-                if x < 0 or x.denominator != 1 or x > bounds[j]:
-                    ok = False
+                x, r = divmod(new_acc[j], L)
+                if x < 0 or r or x > bounds[j]:
                     break
                 l, m = positions[j]
                 if x:
                     new_cols[m] += d[l] * float(x)
-                if new_targets is not None and new_cols[m] > new_targets[m] + 1e-6 * (
-                    1 + abs(new_targets[m])
-                ):
-                    ok = False
+                if new_targets is not None and new_cols[m] > new_targets[m]:
                     break
                 if j == r0_len - 1:
                     new_targets = targets_from_row0(new_acc)
-                    if new_targets is None:
-                        ok = False
+                    if new_targets is None or any(c > t for c, t in zip(new_cols, new_targets)):
                         break
-                    if any(
-                        new_cols[mm] > new_targets[mm] + 1e-6 * (1 + abs(new_targets[mm]))
-                        for mm in range(n)
-                    ):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            if i + 1 < k:
-                dfs(i + 1, new_acc, new_cols, new_targets)
-            else:
-                Z = [[0] * n for _ in range(n)]
-                for j, (l, m) in enumerate(positions):
-                    Z[l][m] = int(new_acc[j])
-                results.append(tuple(tuple(row) for row in Z))
+            else:  # every entry of the segment passed
+                if i + 1 < k:
+                    dfs(i + 1, new_acc, new_cols, new_targets)
+                else:
+                    Z = [[0] * n for _ in range(n)]
+                    for j, (l, m) in enumerate(positions):
+                        Z[l][m] = new_acc[j] // L
+                    results.append(tuple(tuple(row) for row in Z))
 
-    dfs(0, [Fraction(0)] * npos, [0.0] * n, None)
+    dfs(0, [0] * npos, [0.0] * n, None)
 
     unique = sorted(set(results))
     out = [verify_invariant(md, Z) for Z in unique]

@@ -365,13 +365,13 @@ def divide(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
     ap = a.to_conductor(m)
     bp = b.to_conductor(m)
     deg = phi(m)
-    # Row i, column j holds coordinate i of b * zeta^j.
-    rows: list[dict[int, Fraction]] = [{} for _ in range(deg)]
+    # Row i, column j holds coordinate i of den(b) * b * zeta^j: b's integer
+    # coordinates shifted by j and reduced. The right-hand side is den(b) * a.
+    rows: list[dict[int, int]] = [{} for _ in range(deg)]
     for j in range(deg):
-        for i, c in (bp * Cyclotomic.zeta(m, j)).coeffs.items():
+        for i, c in _reduce(m, [((e + j) % m, c) for e, c in bp.num.items()]).items():
             rows[i][j] = c
-    rhs = ap.coeffs
-    sol = solve(rows, [rhs.get(i, 0) for i in range(deg)], deg)
+    sol = solve(rows, [Fraction(ap.num.get(i, 0) * bp.den, ap.den) for i in range(deg)], deg)
     if sol is None:
         raise ArithmeticError("quotient does not lie in the field (inconsistent system)")
     q = Cyclotomic(m, {j: c for j, c in enumerate(sol) if c})

@@ -87,13 +87,10 @@ def _fusion_shape(fusion) -> tuple:
     )
 
 
-def _fusion_tensor(fusion) -> np.ndarray:
-    """The fusion tensor as an (n, n, n) integer array, int64 when every
-    associativity sum (n terms of at most max|N|^2) fits, Python ints
-    otherwise, so that no product or sum can wrap."""
-    n = len(fusion)
-    big = max(abs(x) for plane in fusion for row in plane for x in row)
-    return np.array(fusion, dtype=np.int64 if n * big * big < 2**63 else object)
+def int_dtype(bound: int):
+    """int64 when every entry, product and sum an integer array forms stays
+    below `bound` in absolute value, else Python ints (object): none wraps."""
+    return np.int64 if bound < 2**63 else object
 
 
 def validate(ring: FusionRing) -> list[str]:
@@ -110,7 +107,8 @@ def validate(ring: FusionRing) -> list[str]:
     if shape != (n, n, n):
         report.append(f"fusion tensor has shape {shape}, expected ({n}, {n}, {n})")
         return report
-    N = _fusion_tensor(ring.fusion)
+    big = max(abs(x) for plane in ring.fusion for row in plane for x in row)
+    N = np.array(ring.fusion, dtype=int_dtype(n * big * big))  # n products per sum
     lbar = np.array(ring.dual)
     eye = np.eye(n, dtype=int)
     # Unit row and column, interleaved per (l, m).

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cyclo import Cyclotomic, csum, root_of_unity
-from .fusion import FusionRing, reconstruct_dims
+from .cyclo import Cyclotomic, csum, phi, root_of_unity
+from .fusion import FusionRing, int_dtype, reconstruct_dims
 
 TOL = 1e-9
 
@@ -41,6 +41,7 @@ class ModularData:
     z: Cyclotomic
     w: Cyclotomic
     Y_numeric: np.ndarray
+    Y_coords: np.ndarray  # integer coordinates of a positive multiple of Y, [e, l, m]
     c: Optional[Fraction] = None
     degenerates: frozenset[int] = frozenset()
     nondegenerate: bool = False
@@ -74,12 +75,28 @@ def compute_modular_data(ring: FusionRing) -> ModularData:
     z = csum(d[r] * d[r] * omega[r] for r in range(n))
     w = csum(d[r] * d[r] for r in range(n))
     Y_numeric = np.array([[Y[l][m].embed() for m in range(n)] for l in range(n)])
-    md = ModularData(ring=ring, Y=Y, omega=omega, z=z, w=w, Y_numeric=Y_numeric)
+    Y_coords = _coordinate_tensor(Y, ring.conductor)
+    md = ModularData(ring=ring, Y=Y, omega=omega, z=z, w=w, Y_numeric=Y_numeric, Y_coords=Y_coords)
     md.degenerates = detect_degenerates(md)
     md.nondegenerate = md.degenerates == frozenset({0})
     md.c = compute_central_charge(md)
     _attach_numeric_ST(md)
     return md
+
+
+def _coordinate_tensor(Y: list[list[Cyclotomic]], M: int) -> np.ndarray:
+    """The integer coordinates of D*Y in the power basis of Q(zeta_M), D the
+    lcm of the entries' denominators, as a (phi(M), n, n) array filled in
+    place; its dtype leaves room for the difference of two entries."""
+    Y = [[y.to_conductor(M) for y in row] for row in Y]
+    D = math.lcm(*(y.den for row in Y for y in row))
+    big = max((abs(c) * D for row in Y for y in row for c in y.num.values()), default=0)
+    out = np.zeros((phi(M), len(Y), len(Y)), dtype=int_dtype(2 * big))
+    for l, row in enumerate(Y):
+        for m, y in enumerate(row):
+            for e, c in y.num.items():
+                out[e, l, m] = c * (D // y.den)
+    return out
 
 
 def _attach_numeric_ST(md: ModularData) -> None:

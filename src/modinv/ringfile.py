@@ -76,8 +76,9 @@ def ring_from_json(data: dict) -> FusionRing:
             raise RingFileError(f"fusion entry {q}: multiplicity {mult!r} invalid")
         fusion[l][m][nu] = mult
     dual = data.get("dual")
-    if not (isinstance(dual, list) and len(dual) == n and all(map(_is_int, dual))):
-        raise RingFileError(f"'dual' must be a list of {n} integers")
+    labels_ok = isinstance(dual, list) and all(_is_int(v) and 0 <= v < n for v in dual)
+    if not (labels_ok and len(dual) == n):
+        raise RingFileError(f"'dual' must be a list of {n} integers in [0, {n})")
     twists_raw = data.get("twists")
     if not (isinstance(twists_raw, list) and len(twists_raw) == n):
         raise RingFileError(f"'twists' must be a list of {n} rational strings")

@@ -44,14 +44,17 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
     bad["fusion"] = [[0, 0, 9, 1]]
     with pytest.raises(RingFileError, match="out of range"):
         ring_from_json(bad)
-    # A fusion field that is no list, and JSON true where an integer belongs,
-    # are refused, and `modinv check` exits 2 on them.
+    # A fusion field that is no list, JSON true where an integer belongs, and
+    # a dual label outside [0, n) (which would index past Y, or wrap round to
+    # its last row) are refused, and `modinv check` exits 2 on them.
     for field, value, match in [
         ("fusion", 5, "'fusion' must be a list"),
         ("fusion", None, "'fusion' must be a list"),
         ("fusion", [[0, True, 1, 1]], "index m=True out of range"),
         ("fusion", [[0, 0, 0, True]], "multiplicity True invalid"),
         ("dual", [0, True, 2, 3], "'dual' must be a list"),
+        ("dual", [0, 1, 2, 5], r"'dual' must be a list of 4 integers in \[0, 4\)"),
+        ("dual", [-1, 1, 2, 3], r"'dual' must be a list of 4 integers in \[0, 4\)"),
         ("twists", ["0", "1/2", True, "1/2"], r"twists\[2\]"),
     ]:
         bad = dict(data)
@@ -63,6 +66,30 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
         code, out, err = run(capsys, "check", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--bound-scale", "1/0"),
+        ("--bound-scale", "abc"),
+        ("--bound-scale", "0"),
+        ("--bound-scale", "-1"),
+        ("--node-budget", "0"),
+        ("--node-budget", "-1"),
+        ("--node-budget", "1.5"),
+    ],
+)
+def test_search_flags_reject_unparsable_and_non_positive_values(tmp_path, capsys, flag, value):
+    path = tmp_path / "z2.json"
+    path.write_text(dump_ring(builtin_cyclic(2, [Fraction(0)] * 2)))
+    for command in ("invariants", "classify"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path), flag, value])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument {flag}:" in out.err
 
 
 def test_load_ring_rejects_invalid_json(tmp_path):

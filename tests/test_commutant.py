@@ -7,6 +7,7 @@ every bounded integer matrix is tested against YZ = ZY in exact arithmetic.
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from modinv.modular import compute_modular_data
 from modinv.commutant import (
     InvariantRejected,
     SearchBudgetExceeded,
+    _commutator_failure,
     commutant_basis,
     enumerate_invariants,
     twist_sparsity,
@@ -240,3 +242,82 @@ def test_random_cyclic_rings_properties(n, q):
             for m in range(n):
                 if Z.Z[l][m]:
                     assert ring.twists[l] == ring.twists[m]
+
+
+def _scalar_commutator_failure(md, Z):
+    """Reference: the scalar check the integer coordinate tensor replaced,
+    one cyclotomic sum per side and entry, in row-major order."""
+    n = md.size
+    for l in range(n):
+        for m in range(n):
+            lhs = csum(md.Y[l][a] * Z[a][m] for a in range(n) if Z[a][m])
+            rhs = csum(md.Y[a][m] * Z[l][a] for a in range(n) if Z[l][a])
+            if lhs != rhs:
+                return l, m
+    return None
+
+
+def _commutation_rings():
+    rings = [builtin_su2(k) for k in range(7)] + [builtin_so_level1(16)]
+    for n in range(1, 7):
+        rings += [builtin_cyclic(n, [Fraction(0)] * n), builtin_cyclic(n, quadratic_twists(n, 1))]
+    return rings
+
+
+@lru_cache(maxsize=None)
+def _commutation_case(i):
+    ring = _commutation_rings()[i]
+    md = compute_modular_data(ring)
+    return md, commutant_basis(md, twist_sparsity(ring))
+
+
+_big_or_small = st.one_of(st.integers(0, 3), st.integers(0, 2**70))
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def commutation_inputs(draw):
+    """A ring and a matrix: random non-negative integers (some up to 2**70),
+    random rationals, a kernel element (rational or huge integer
+    coefficients), optionally perturbed in one entry, or, on rings with
+    rational dims, a matrix whose commutator with Y vanishes on row 0 (a zero
+    row 0 and dimension-weighted column sums 0), so that a first failure can
+    lie below row 0."""
+    md, basis = _commutation_case(draw(st.integers(0, len(_commutation_rings()) - 1)))
+    n = md.size
+    dims = [d.rational_value() for d in md.ring.dims]
+    kinds = ["integers", "rationals", "kernel"]
+    if n > 2 and None not in dims:
+        kinds.append("row0")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "row0":
+        Z = [[Fraction(0)] * n] + [[draw(_rationals) for _ in range(n)] for _ in range(n - 2)]
+        Z.append([-sum(dims[a] * Z[a][m] for a in range(n - 1)) / dims[-1] for m in range(n)])
+        return md, Z
+    if kind == "kernel":
+        coeff = draw(st.sampled_from([_rationals, st.integers(-(2**70), 2**70)]))
+        Z = [[Fraction(0)] * n for _ in range(n)]
+        for vec in basis.basis:
+            c = draw(coeff)
+            for (l, m), v in zip(basis.positions, vec):
+                Z[l][m] += c * v
+        if draw(st.booleans()):
+            Z[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += 1
+        return md, Z
+    entries = _big_or_small if kind == "integers" else _rationals
+    return md, [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+@given(commutation_inputs())
+@settings(max_examples=150, deadline=None)
+def test_commutator_failure_matches_scalar_reference(case):
+    md, Z = case
+    assert _commutator_failure(md, Z) == _scalar_commutator_failure(md, Z)
+
+
+def test_commutation_checks_beyond_int64():
+    md = compute_modular_data(builtin_cyclic(2, [Fraction(0)] * 2))
+    big = 2**64
+    assert verify_invariant(md, [[1, big], [big, 1]]).Z == ((1, big), (big, 1))
+    with pytest.raises(InvariantRejected, match=r"YZ != ZY at \(0,0\)"):
+        verify_invariant(md, [[1, big], [0, 1]])
