@@ -13,7 +13,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .cyclo import Cyclotomic, csum, divide, root_of_unity
+import numpy as np
+
+from .cyclo import (
+    Cyclotomic,
+    conjugate,
+    coordinates,
+    csum,
+    differs,
+    divide,
+    field_matmul,
+    field_mul,
+    int_matmul,
+    root_of_unity,
+)
 from .commutant import CouplingMatrix
 from .linalg import Echelon, SingularMatrix, inverse
 from .modular import ModularData
@@ -321,16 +334,18 @@ def extended_modular_data(
         for a in range(t)
     ]
     failures: list[str] = []
-    # (w/w_plus) Yext B = B Y, i.e. Yext B = ratio * (B Y).
-    for a in range(t):
-        for m in range(n):
-            lhs = csum(Yext[a][b] * B[b][m] for b in range(t) if B[b][m])
-            if lhs != ratio * BY[a][m]:
-                failures.append(f"intertwining fails at block {a}, label {m}")
-    for a in range(t):
-        for b in range(a + 1, t):
-            if Yext[a][b] != Yext[b][a]:
-                failures.append(f"Yext not symmetric at ({a},{b})")
+    # (w/w_plus) Yext B = B Y, i.e. Yext B = ratio * (B Y), on the
+    # coordinates of md.Y, Yext and ratio.
+    M = md.ring.conductor
+    Bm = np.array(B, dtype=object)
+    Y, DY = coordinates(md.Y, M)
+    X, DX = coordinates(Yext, M)
+    r, Dr = coordinates(ratio, M)
+    rhs = field_mul(r[:, None, None], int_matmul(Bm, Y), M)
+    for a, m in np.argwhere(differs(int_matmul(X, Bm), DX, rhs, Dr * DY)):
+        failures.append(f"intertwining fails at block {a}, label {m}")
+    for a, b in np.argwhere(np.triu((X != X.transpose(0, 2, 1)).any(axis=0))):
+        failures.append(f"Yext not symmetric at ({a},{b})")
     for a in range(t):
         h_a = branching.block_twists[a]
         for l in range(n):
@@ -341,20 +356,17 @@ def extended_modular_data(
     if z0 != ratio * md.z:
         failures.append("z0 != (w_plus/w) z")
     if md.nondegenerate:
-        Yext_bar = [[v.conjugate() for v in row] for row in Yext]
-        gram_ext: dict[tuple[int, int], Cyclotomic] = {}
-        for a in range(t):
-            for b in range(t):
-                if a <= b:
-                    gram_ext[a, b] = csum(Yext[a][k] * Yext_bar[b][k] for k in range(t))
-                # Yext Yext^dagger is Hermitian: entry (b, a) is the conjugate
-                # of entry (a, b), so it is zero exactly when that one is.
-                s = gram_ext[min(a, b), max(a, b)]
-                if a != b:
-                    if not s.is_zero():
-                        failures.append(f"Yext Yext^dagger not diagonal at ({a},{b})")
-                elif s != indices.w_zero:
-                    failures.append(f"(Yext Yext^dagger)[{a},{a}] != w_zero")
+        # Yext Yext^dagger must be w_zero times the identity.
+        YYdag = field_matmul(X, conjugate(X, M).transpose(0, 2, 1), M)
+        w0, D0 = coordinates(indices.w_zero, M)
+        bad = YYdag.any(axis=0)
+        diagonal = np.diagonal(YYdag, axis1=1, axis2=2)
+        np.fill_diagonal(bad, differs(diagonal, DX * DX, w0[:, None], D0))
+        for a, b in np.argwhere(bad):
+            if a != b:
+                failures.append(f"Yext Yext^dagger not diagonal at ({a},{b})")
+            else:
+                failures.append(f"(Yext Yext^dagger)[{a},{a}] != w_zero")
     return ExtendedModularData(
         Yext=Yext,
         Text_twists=branching.block_twists,

@@ -37,7 +37,7 @@ from .modular import (
     verlinde_check,
 )
 from .report import build_report, render_json, render_markdown
-from .ringfile import RingFileError, dump_ring, load_ring
+from .ringfile import MAX_CONDUCTOR, MAX_LABELS, RingFileError, dump_ring, load_ring
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -137,6 +137,7 @@ def cmd_builtin(args) -> int:
         if args.family == "su2":
             if args.level is None:
                 raise ValueError("su2 requires --level")
+            _check_size(args.level + 1)
             ring = builtin_su2(args.level)
         elif args.family == "so-level1":
             if args.n is None:
@@ -145,16 +146,28 @@ def cmd_builtin(args) -> int:
         else:
             if args.n is None:
                 raise ValueError("cyclic requires --n")
+            _check_size(args.n)
             if args.twists is None:
                 twists = [Fraction(0)] * args.n
             else:
                 twists = [Fraction(t.strip()) for t in args.twists.split(",")]
             ring = builtin_cyclic(args.n, twists)
+        if ring.conductor > MAX_CONDUCTOR:
+            raise ValueError(
+                f"global conductor {ring.conductor}, above the limit of {MAX_CONDUCTOR}"
+            )
     except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(dump_ring(ring))
     return EXIT_OK
+
+
+def _check_size(labels: int) -> None:
+    """Refuse, before building it, a ring with more labels than any ring-file
+    subcommand accepts."""
+    if labels > MAX_LABELS:
+        raise ValueError(f"{labels} labels, above the limit of {MAX_LABELS}")
 
 
 def cmd_check(args) -> int:
@@ -232,7 +245,7 @@ def cmd_classify(args) -> int:
     spec = args.invariant
     # A matrix file is read and verified before the search, so a bad path or
     # matrix fails fast; an index can only be checked against the pool.
-    Z = None if spec is None or spec.isdigit() else _read_invariant(spec, md)
+    Z = None if spec is None or _is_index(spec) else _read_invariant(spec, md)
     pool, exhausted = _enumerate(args, md)
     classifications = classify_all(md, pool)
     if spec is not None:
@@ -243,6 +256,12 @@ def cmd_classify(args) -> int:
     report = build_report(md, pool, classifications, budget_exhausted=exhausted)
     _emit(args, report)
     return EXIT_BUDGET if exhausted else EXIT_OK
+
+
+def _is_index(spec: str) -> bool:
+    """An ASCII decimal string names a pool index; anything else is a path
+    (str.isdigit alone would also take superscripts, which int() rejects)."""
+    return spec.isascii() and spec.isdecimal()
 
 
 def _read_invariant(path: str, md):

@@ -18,7 +18,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .fusion import FusionRing, int_dtype
+from .cyclo import int_dtype
+from .fusion import FusionRing
 from .linalg import Echelon, Rational, nullspace
 from .modular import ModularData
 
@@ -42,9 +43,6 @@ class InvariantRejected(ValueError):
 @dataclass(frozen=True)
 class SparsityPattern:
     allowed: frozenset[tuple[int, int]]
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.allowed
 
 
 @dataclass

@@ -12,6 +12,13 @@ No general field inversion is exposed; the few divisions by non-rational
 elements needed downstream go through :func:`divide`, which solves a linear
 system over Q in basis coordinates and verifies the quotient by
 multiplication.
+
+Exact identity checks over whole matrices run on integer coordinate tensors
+instead (:func:`coordinates`, :func:`field_matmul`, :func:`field_mul`,
+:func:`conjugate`, :func:`times_root`): an array of field elements is held as
+its integer coordinates, the power-basis axis first, over one positive
+denominator. They are int64 only where an explicit bound shows that no
+product or sum can wrap, and Python ints (object dtype) otherwise.
 """
 
 from __future__ import annotations
@@ -19,8 +26,10 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Optional, Union
+
+import numpy as np
 
 from .linalg import solve
 
@@ -386,3 +395,130 @@ def csum(items: Iterable[Cyclotomic]) -> Cyclotomic:
     for x in items:
         acc = acc + x
     return acc
+
+
+# -- integer coordinate tensors ----------------------------------------------
+
+
+def int_dtype(bound: int):
+    """int64 when every entry, product and sum an integer array forms stays
+    below `bound` in absolute value, else Python ints (object): none wraps."""
+    return np.int64 if bound < 2**63 else object
+
+
+def _max_abs(X: np.ndarray) -> int:
+    return int(abs(X).max()) if X.size else 0
+
+
+def _product_dtype(terms: int, *factors: np.ndarray):
+    """int_dtype for sums of `terms` products of one entry from each factor,
+    bounding the factors' own entries too."""
+    bounds = [_max_abs(x) for x in factors]
+    return int_dtype(max(terms * prod(bounds), *bounds))
+
+
+@lru_cache(maxsize=None)
+def _root_coordinates(m: int) -> np.ndarray:
+    """The (m, phi(m)) integer matrix whose row e holds the coordinates of
+    zeta_m^e; read-only."""
+    R = [[0] * phi(m) for _ in range(m)]
+    for e, row in enumerate(_reduction_rows(m)):
+        for i, t in row:
+            R[e][i] = t
+    R = np.array(R, dtype=int_dtype(max(abs(t) for row in R for t in row)))
+    R.flags.writeable = False
+    return R
+
+
+def coordinates(entries, m: int) -> tuple[np.ndarray, int]:
+    """Integer coordinates X, of shape (phi(m),) + the shape of `entries`,
+    and the positive integer D with X = D * entries in the power basis of
+    Q(zeta_m). Entries are Cyclotomic elements at conductors dividing m; D
+    is the lcm of their denominators, and X's dtype leaves room for the
+    difference of two entries."""
+    arr = np.array(entries, dtype=object)
+    flat = [x.to_conductor(m) for x in arr.flat]
+    D = lcm(*(x.den for x in flat))
+    big = max((abs(c) * (D // x.den) for x in flat for c in x.num.values()), default=0)
+    X = np.zeros((phi(m), len(flat)), dtype=int_dtype(2 * big))
+    for k, x in enumerate(flat):
+        s = D // x.den
+        for e, c in x.num.items():
+            X[e, k] = c * s
+    return X.reshape((phi(m),) + arr.shape), D
+
+
+def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for integer arrays, in int64 only where no sum can wrap."""
+    dtype = _product_dtype(A.shape[-1], A, B)
+    return A.astype(dtype, copy=False) @ B.astype(dtype, copy=False)
+
+
+def _field_product(A: np.ndarray, B: np.ndarray, m: int, op, terms: int) -> np.ndarray:
+    """Coordinates of op(A, B) in Q(zeta_m) for the coordinate tensors A and
+    B, op bilinear with `terms` products per entry: op(A[i], B) lands in
+    slots i..i+phi-1 of a (2 phi - 1)-slot buffer of powers of zeta_m, which
+    is reduced once by the coordinates of those powers."""
+    f = phi(m)
+    R = _root_coordinates(m)[np.arange(2 * f - 1) % m]
+    dtype = _product_dtype((2 * f - 1) * f * terms, R, A, B)
+    A, B, R = (x.astype(dtype, copy=False) for x in (A, B, R))
+    first = op(A[0], B)
+    buf = np.zeros((2 * f - 1,) + first.shape[1:], dtype=dtype)
+    buf[:f] = first
+    for i in range(1, f):
+        buf[i : i + f] += op(A[i], B)
+    return np.tensordot(R, buf, axes=(0, 0))
+
+
+def field_matmul(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
+    """Coordinates of the matrix product of the field matrices with
+    coordinates A, shape (phi(m), p, q), and B, shape (phi(m), q, r); the
+    denominators multiply."""
+    return _field_product(A, B, m, np.matmul, A.shape[-1])
+
+
+def field_mul(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
+    """Coordinates of the entrywise (broadcast) product of the field arrays
+    with coordinates A and B; the denominators multiply."""
+    return _field_product(A, B, m, np.multiply, 1)
+
+
+def _substitute(X: np.ndarray, rows, R: np.ndarray) -> np.ndarray:
+    """sum_i X[i, ...] R[rows(i), :], the last axis moved to the front: the
+    coordinates of the elements X once each zeta^i is replaced by the root
+    whose exponent rows(i) gives (broadcast against X's entries). One
+    coordinate at a time, so no (phi, ..., phi) gather is ever formed."""
+    dtype = _product_dtype(len(X), X, R)
+    X, R = X.astype(dtype, copy=False), R.astype(dtype, copy=False)
+    return np.moveaxis(sum(X[i, ..., None] * R[rows(i)] for i in range(len(X))), -1, 0)
+
+
+@lru_cache(maxsize=None)
+def _conjugation_matrix(m: int) -> np.ndarray:
+    """Row i: the coordinates of zeta_m^-i, for i < phi(m); read-only."""
+    C = _root_coordinates(m)[-np.arange(phi(m)) % m]
+    C.flags.writeable = False
+    return C
+
+
+def conjugate(X: np.ndarray, m: int) -> np.ndarray:
+    """Coordinates of the complex conjugates of the elements with coordinates
+    X in Q(zeta_m); the denominator is unchanged."""
+    return _substitute(X, lambda i: i, _conjugation_matrix(m))
+
+
+def times_root(X: np.ndarray, s, m: int) -> np.ndarray:
+    """Coordinates of zeta_m^s times the elements with coordinates X, for an
+    integer array s broadcast against X's entries; the denominator is
+    unchanged."""
+    return _substitute(X, lambda i: (i + s) % m, _root_coordinates(m))
+
+
+def differs(X: np.ndarray, D: int, Y: np.ndarray, E: int) -> np.ndarray:
+    """Boolean mask over the (broadcast) entries where X / D != Y / E, for
+    coordinate tensors X and Y over the denominators D and E."""
+    g = gcd(D, E)
+    a, b = E // g, D // g
+    dtype = int_dtype(max(_max_abs(X) * a, _max_abs(Y) * b))
+    return (X.astype(dtype, copy=False) * a != Y.astype(dtype, copy=False) * b).any(axis=0)

@@ -18,7 +18,17 @@ from typing import Optional, Sequence
 import mpmath
 import numpy as np
 
-from .cyclo import ONE, Cyclotomic, csum, phi
+from .cyclo import (
+    ONE,
+    Cyclotomic,
+    coordinates,
+    csum,
+    differs,
+    field_mul,
+    int_dtype,
+    int_matmul,
+    phi,
+)
 
 
 @dataclass(frozen=True)
@@ -87,12 +97,6 @@ def _fusion_shape(fusion) -> tuple:
     )
 
 
-def int_dtype(bound: int):
-    """int64 when every entry, product and sum an integer array forms stays
-    below `bound` in absolute value, else Python ints (object): none wraps."""
-    return np.int64 if bound < 2**63 else object
-
-
 def validate(ring: FusionRing) -> list[str]:
     """Check every ring axiom exactly; returns the list of violations."""
     n = ring.size
@@ -155,12 +159,14 @@ def validate(ring: FusionRing) -> list[str]:
                 report.append(f"dims: d[{l}] is not real")
             if d[l].embed().real < 1 - 1e-9:
                 report.append(f"dims: d[{l}] < 1 numerically")
-        for l in range(n):
-            for m in range(n):
-                prod = d[l] * d[m]
-                s = csum(d[nu] * ring.N(l, m, nu) for nu in range(n) if ring.N(l, m, nu))
-                if prod != s:
-                    report.append(f"dims: d[{l}]*d[{m}] != sum N*d")
+        # d_l d_m = sum_nu N_lm^nu d_nu: an outer product of the coordinates
+        # of d against their integer contraction with N.
+        M = ring.conductor
+        X, D = coordinates(d, M)
+        prod = field_mul(X[:, :, None], X[:, None, :], M)
+        Nd = int_matmul(N.reshape(n * n, n), X.T).T.reshape(-1, n, n)
+        for l, m in np.argwhere(differs(prod, D * D, Nd, D)):
+            report.append(f"dims: d[{l}]*d[{m}] != sum N*d")
     return report
 
 

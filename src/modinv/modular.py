@@ -2,7 +2,8 @@
 central charge, degeneracy detection, and consistency checks.
 
 A ring given without dims first gets exact ones from reconstruct_dims.
-All structural identities are verified in exact cyclotomic arithmetic; the
+All structural identities are verified in exact cyclotomic arithmetic, on
+the integer coordinate tensors of the values they check; the
 S- and T-matrices themselves are kept numeric only, since |z| involves a
 square root that need not have a representation in the chosen power basis.
 Commutation with S is equivalent to commutation with Y (they differ by the
@@ -19,8 +20,18 @@ from typing import Optional
 
 import numpy as np
 
-from .cyclo import Cyclotomic, csum, phi, root_of_unity
-from .fusion import FusionRing, int_dtype, reconstruct_dims
+from .cyclo import (
+    Cyclotomic,
+    conjugate,
+    coordinates,
+    csum,
+    differs,
+    field_matmul,
+    field_mul,
+    root_of_unity,
+    times_root,
+)
+from .fusion import FusionRing, reconstruct_dims
 
 TOL = 1e-9
 
@@ -75,28 +86,13 @@ def compute_modular_data(ring: FusionRing) -> ModularData:
     z = csum(d[r] * d[r] * omega[r] for r in range(n))
     w = csum(d[r] * d[r] for r in range(n))
     Y_numeric = np.array([[Y[l][m].embed() for m in range(n)] for l in range(n)])
-    Y_coords = _coordinate_tensor(Y, ring.conductor)
+    Y_coords, _ = coordinates(Y, ring.conductor)
     md = ModularData(ring=ring, Y=Y, omega=omega, z=z, w=w, Y_numeric=Y_numeric, Y_coords=Y_coords)
     md.degenerates = detect_degenerates(md)
     md.nondegenerate = md.degenerates == frozenset({0})
     md.c = compute_central_charge(md)
     _attach_numeric_ST(md)
     return md
-
-
-def _coordinate_tensor(Y: list[list[Cyclotomic]], M: int) -> np.ndarray:
-    """The integer coordinates of D*Y in the power basis of Q(zeta_M), D the
-    lcm of the entries' denominators, as a (phi(M), n, n) array filled in
-    place; its dtype leaves room for the difference of two entries."""
-    Y = [[y.to_conductor(M) for y in row] for row in Y]
-    D = math.lcm(*(y.den for row in Y for y in row))
-    big = max((abs(c) * D for row in Y for y in row for c in y.num.values()), default=0)
-    out = np.zeros((phi(M), len(Y), len(Y)), dtype=int_dtype(2 * big))
-    for l, row in enumerate(Y):
-        for m, y in enumerate(row):
-            for e, c in y.num.items():
-                out[e, l, m] = c * (D // y.den)
-    return out
 
 
 def _attach_numeric_ST(md: ModularData) -> None:
@@ -125,14 +121,18 @@ def detect_degenerates(md: ModularData) -> frozenset[int]:
     Every other label must give exactly 0; anything else signals corrupt
     input data and raises DataIntegrityError.
     """
-    n = md.size
-    d = md.ring.dims
+    M = md.ring.conductor
+    Y, DY = coordinates(md.Y, M)
+    d, Dd = coordinates(md.ring.dims, M)
+    w, Dw = coordinates(md.w, M)
+    s = field_matmul(Y, d[:, :, None], M)[:, :, 0]
+    is_wd = ~differs(s, DY * Dd, field_mul(w[:, None], d, M), Dw * Dd)
+    is_zero = ~s.any(axis=0)
     out = set()
-    for l in range(n):
-        s = csum(md.Y[l][m] * d[m] for m in range(n))
-        if s == md.w * d[l]:
+    for l in range(md.size):
+        if is_wd[l]:
             out.add(l)
-        elif not s.is_zero():
+        elif not is_zero[l]:
             raise DataIntegrityError(
                 f"degeneracy dichotomy violated at label {l}: "
                 f"sum_m Y[l,m] d_m is neither w*d_l nor 0"
@@ -160,26 +160,24 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
     is non-degenerate: TSTST = S and S^2 = charge conjugation."""
     n = md.size
     ring = md.ring
-    Y, omega = md.Y, md.omega
+    M = ring.conductor
+    Y, D = coordinates(md.Y, M)
     report: list[str] = []
-    for l in range(n):
-        for m in range(l, n):
-            if Y[l][m] != Y[m][l]:
-                report.append(f"Y not symmetric at ({l},{m})")
-    for l in range(n):
-        for m in range(n):
-            if Y[ring.dual[l]][m] != Y[l][m].conjugate():
-                report.append(f"Y[dual({l}),{m}] != conj(Y[{l},{m}])")
-    for l in range(n):
-        if Y[l][0] != ring.dims[l]:
-            report.append(f"Y[{l},0] != d[{l}]")
-    # Omega Y Omega Y Omega = z Y, via B = Y (Omega Y) and diagonal scalings.
-    A = [[omega[r] * Y[r][m] for m in range(n)] for r in range(n)]
-    for l in range(n):
-        for m in range(l, n):
-            b = csum(Y[l][r] * A[r][m] for r in range(n))
-            if omega[l] * omega[m] * b != md.z * Y[l][m]:
-                report.append(f"OmegaYOmegaYOmega != zY at ({l},{m})")
+    for l, m in np.argwhere(np.triu((Y != Y.transpose(0, 2, 1)).any(axis=0))):
+        report.append(f"Y not symmetric at ({l},{m})")
+    for l, m in np.argwhere((Y[:, list(ring.dual)] != conjugate(Y, M)).any(axis=0)):
+        report.append(f"Y[dual({l}),{m}] != conj(Y[{l},{m}])")
+    d, Dd = coordinates(ring.dims, M)
+    for (l,) in np.argwhere(differs(Y[:, :, 0], D, d, Dd)):
+        report.append(f"Y[{l},0] != d[{l}]")
+    # Omega Y Omega Y Omega = z Y: omega_l = zeta_M^s_l, so entry (l, m) of
+    # the left side is zeta_M^(s_l + s_m) (Y (Omega Y))_lm.
+    s = np.array([h.numerator * (M // h.denominator) for h in ring.twists])
+    lhs = times_root(field_matmul(Y, times_root(Y, s[:, None], M), M), s[:, None] + s, M)
+    z, Dz = coordinates(md.z, M)
+    rhs = field_mul(z[:, None, None], Y, M)
+    for l, m in np.argwhere(np.triu(differs(lhs, D * D, rhs, Dz * D))):
+        report.append(f"OmegaYOmegaYOmega != zY at ({l},{m})")
     if md.nondegenerate and md.S_numeric is not None and md.T_numeric is not None:
         S, T = md.S_numeric, md.T_numeric
         lhs = T @ S @ T @ S @ T

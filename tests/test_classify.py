@@ -1,17 +1,29 @@
 """Classification: factorizations, parents, bijections, extended modular
 data and global indices."""
 
+import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modinv.classify
-from modinv.cyclo import Cyclotomic, csum, divide
+from modinv.cyclo import Cyclotomic, csum, divide, root_of_unity
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
+from modinv.linalg import SingularMatrix, inverse
 from modinv.modular import compute_modular_data
-from modinv.commutant import commutant_basis, enumerate_invariants, twist_sparsity, verify_invariant
+from modinv.commutant import (
+    CouplingMatrix,
+    commutant_basis,
+    enumerate_invariants,
+    twist_sparsity,
+    verify_invariant,
+)
 from modinv.classify import (
     BranchingData,
+    ExtendedModularData,
     RankDeficientBranching,
     branching_checks,
     classify_all,
@@ -27,6 +39,7 @@ from modinv.classify import (
 )
 
 from test_commutant import IDENTITY4, Q, Q_T, SO16_EXPECTED, W, X_C, X_S
+from test_fusion import quadratic_twists
 
 
 @pytest.fixture(scope="module")
@@ -397,3 +410,127 @@ def test_classify_all_parents_match_find_parents(cyclic4_zero):
     assert any(c.parent_plus != c.parent_minus for c in cls)
     for Z, c in zip(pool, cls):
         assert (c.parent_plus, c.parent_minus) == find_parents(md, Z, pool)
+
+
+def _scalar_extended_modular_data(md, branching, indices):
+    """Reference: extended_modular_data with every check as an entry-by-entry
+    Cyclotomic loop."""
+    t = branching.block_count
+    n = md.size
+    B = branching.B
+    gram = [[sum(B[a][l] * B[b][l] for l in range(n)) for b in range(t)] for a in range(t)]
+    try:
+        ginv = inverse(gram)
+    except SingularMatrix as exc:
+        raise RankDeficientBranching(
+            f"branching rows linearly dependent: rows {exc.dependent}"
+        ) from None
+    BY = [
+        [csum(md.Y[l][m] * B[a][l] for l in range(n) if B[a][l]) for m in range(n)]
+        for a in range(t)
+    ]
+    BYBt = [
+        [csum(BY[a][l] * B[b][l] for l in range(n) if B[b][l]) for b in range(t)]
+        for a in range(t)
+    ]
+    ratio = divide(indices.w_plus, md.w)
+    Yext = [
+        [ratio * csum(BYBt[a][k] * ginv[k][b] for k in range(t)) for b in range(t)]
+        for a in range(t)
+    ]
+    failures = []
+    for a in range(t):
+        for m in range(n):
+            lhs = csum(Yext[a][b] * B[b][m] for b in range(t) if B[b][m])
+            if lhs != ratio * BY[a][m]:
+                failures.append(f"intertwining fails at block {a}, label {m}")
+    for a in range(t):
+        for b in range(a + 1, t):
+            if Yext[a][b] != Yext[b][a]:
+                failures.append(f"Yext not symmetric at ({a},{b})")
+    for a in range(t):
+        h_a = branching.block_twists[a]
+        for l in range(n):
+            if B[a][l] and md.ring.twists[l] != h_a:
+                failures.append(f"twist intertwining fails at block {a}, label {l}")
+    om = [root_of_unity(h) for h in branching.block_twists]
+    z0 = csum(branching.block_dims[a] * branching.block_dims[a] * om[a] for a in range(t))
+    if z0 != ratio * md.z:
+        failures.append("z0 != (w_plus/w) z")
+    if md.nondegenerate:
+        Yext_bar = [[v.conjugate() for v in row] for row in Yext]
+        for a in range(t):
+            for b in range(t):
+                s = csum(Yext[a][k] * Yext_bar[b][k] for k in range(t))
+                if a != b:
+                    if not s.is_zero():
+                        failures.append(f"Yext Yext^dagger not diagonal at ({a},{b})")
+                elif s != indices.w_zero:
+                    failures.append(f"(Yext Yext^dagger)[{a},{a}] != w_zero")
+    return ExtendedModularData(
+        Yext=Yext,
+        Text_twists=branching.block_twists,
+        z0=z0,
+        consistent=not failures,
+        failures=failures,
+    )
+
+
+EXTENDED_RINGS = [
+    builtin_so_level1(16),
+    builtin_su2(4),
+    builtin_cyclic(4, quadratic_twists(4, 1)),
+    builtin_cyclic(4, [Fraction(0)] * 4),  # degenerate: no Yext Yext^dagger check
+]
+
+
+@cache
+def _data_and_identity_indices(i):
+    md = compute_modular_data(EXTENDED_RINGS[i])
+    n = md.size
+    identity = CouplingMatrix(tuple(tuple(int(l == m) for m in range(n)) for l in range(n)))
+    return md, global_indices(md, identity)
+
+
+@st.composite
+def branchings(draw):
+    """Branching rows for the identity's indices: the identity's own rows with
+    one or two entries changed or a row dropped, or random rows; block twists
+    and dims either read off each row's first label or drawn at random."""
+    md, indices = _data_and_identity_indices(draw(st.integers(0, len(EXTENDED_RINGS) - 1)))
+    n, ring = md.size, md.ring
+    index = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        B = [[int(l == m) for m in range(n)] for l in range(n)]
+        for _ in range(draw(st.integers(0, 2))):
+            B[draw(index)][draw(index)] = draw(st.integers(0, 2))
+        if draw(st.booleans()):
+            del B[draw(st.integers(0, n - 1))]
+    else:
+        row = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+        B = draw(st.lists(row, min_size=1, max_size=n))
+    B = [b for b in B if any(b)] or [[1] + [0] * (n - 1)]
+    twists, dims = [], []
+    for b in B:
+        first = next(l for l in range(n) if b[l])
+        if draw(st.booleans()):
+            twists.append(ring.twists[first])
+            dims.append(csum(ring.dims[l] * b[l] for l in range(n) if b[l]))
+        else:
+            twists.append(draw(st.sampled_from(sorted(set(ring.twists)))))
+            dims.append(Cyclotomic.from_rational(draw(st.integers(1, 3))))
+    branching = BranchingData(len(B), tuple(map(tuple, B)), tuple(twists), tuple(dims))
+    return md, branching, indices
+
+
+@given(branchings())
+@settings(max_examples=120, deadline=None)
+def test_extended_checks_match_scalar_reference(case):
+    md, branching, indices = case
+    try:
+        expected = _scalar_extended_modular_data(md, branching, indices)
+    except RankDeficientBranching as exc:
+        with pytest.raises(RankDeficientBranching, match=re.escape(str(exc))):
+            extended_modular_data(md, branching, indices)
+        return
+    assert extended_modular_data(md, branching, indices) == expected

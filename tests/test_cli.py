@@ -125,6 +125,25 @@ def test_builtin_usage_error(capsys):
     assert "--level" in err
 
 
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (["su2", "--level", "100"], f"101 labels, above the limit of {MAX_LABELS}"),
+        (["cyclic", "--n", "101"], f"101 labels, above the limit of {MAX_LABELS}"),
+        (
+            ["cyclic", "--n", "2", "--twists", "0,1/2002"],
+            f"global conductor 2002, above the limit of {MAX_CONDUCTOR}",
+        ),
+    ],
+    ids=["su2_100", "cyclic_101", "conductor_2002"],
+)
+def test_builtin_refuses_rings_the_ring_file_limits_reject(capsys, argv, limit):
+    # Labels are checked before the ring is built: its fusion tensor grows as n**3.
+    code, out, err = run(capsys, "builtin", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {limit}\n"
+
+
 def test_check_corrupted_twist(tmp_path, capsys):
     data = ring_to_json(builtin_so_level1(16))
     data["twists"][1] = "1/3"
@@ -332,6 +351,11 @@ def test_classify_reads_invariant_file_before_the_search(tmp_path, capsys, monke
     ring_path.write_text(dump_ring(builtin_so_level1(16)))
     rejected = tmp_path / "rejected.json"
     rejected.write_text("[[2,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]")
-    for path, code, prefix in [(tmp_path / "nope.json", 2, "error:"), (rejected, 1, "rejected:")]:
+    # str.isdigit accepts a superscript two and an Arabic-Indic three; only
+    # ASCII decimal strings are pool indices, so these are (missing) paths.
+    monkeypatch.chdir(tmp_path)
+    cases = [(tmp_path / "nope.json", 2, "error:"), (rejected, 1, "rejected:")]
+    cases += [("\u00b2", 2, "error:"), ("\u0663", 2, "error:")]
+    for path, code, prefix in cases:
         got, _, err = run(capsys, "classify", str(ring_path), "--invariant", str(path))
         assert (got, err.split(" ")[0]) == (code, prefix)

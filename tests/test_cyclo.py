@@ -1,11 +1,13 @@
 """Exact cyclotomic arithmetic: field axioms, conjugation, embedding,
-serialization and division, and a differential check of the integer
-representation against a dict-of-Fraction reference."""
+serialization and division, a differential check of the integer
+representation against a dict-of-Fraction reference, and of the integer
+coordinate tensors against scalar arithmetic."""
 
 import cmath
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +17,16 @@ from modinv.cyclo import (
     ZERO,
     Cyclotomic,
     _cyclotomic_poly,
+    conjugate,
+    coordinates,
     csum,
+    differs,
     divide,
+    field_matmul,
+    field_mul,
     phi,
     root_of_unity,
+    times_root,
 )
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 18, 24, 72]
@@ -322,3 +330,75 @@ def test_integer_representation_matches_fraction_reference(ra, rb, f, k):
     ref_eq = _ref_common(ref_a, ref_b)
     assert (a == b) == (ref_eq[0][1] == ref_eq[1][1])
     assert a == half + (a - half)
+
+
+# -- integer coordinate tensors ----------------------------------------------
+
+# 105 is the first conductor whose cyclotomic polynomial has a coefficient -2.
+TENSOR_CONDUCTORS = CONDUCTORS + [105]
+
+# Numerators above 2**62 push the coordinates past the int64 bound, so the
+# Python-int path runs as well.
+_tensor_coeffs = (
+    st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    | st.integers(2**62, 2**66).map(Fraction)
+    | st.integers(-(2**66), -(2**62)).map(Fraction)
+)
+
+
+def _matrix(m, rows, cols):
+    entry = st.dictionaries(st.integers(0, m - 1), _tensor_coeffs, max_size=3)
+    return st.lists(
+        st.lists(entry.map(lambda c: Cyclotomic(m, c)), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    )
+
+
+@st.composite
+def _matrix_pairs(draw):
+    m = draw(st.sampled_from(TENSOR_CONDUCTORS))
+    p, q, r = (draw(st.integers(1, 3)) for _ in range(3))
+    return m, draw(_matrix(m, p, q)), draw(_matrix(m, q, r))
+
+
+def _elements(X, D, m):
+    """The matrix of field elements with coordinates X over the denominator D."""
+    def element(coords):
+        return Cyclotomic(m, {e: Fraction(int(c), D) for e, c in enumerate(coords)})
+
+    return [[element(X[:, l, k]) for k in range(X.shape[2])] for l in range(X.shape[1])]
+
+
+@given(_matrix_pairs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_coordinate_tensors_match_scalar_arithmetic(case, data):
+    m, A, B = case
+    p, q, r = len(A), len(B), len(B[0])
+    XA, DA = coordinates(A, m)
+    XB, DB = coordinates(B, m)
+    assert XA.shape == (phi(m), p, q) and DA > 0
+    assert _elements(XA, DA, m) == A
+    product = [[csum(A[l][j] * B[j][k] for j in range(q)) for k in range(r)] for l in range(p)]
+    assert _elements(field_matmul(XA, XB, m), DA * DB, m) == product
+    x = B[0][0]
+    Xx, Dx = coordinates(x, m)
+    scaled = [[x * a for a in row] for row in A]
+    assert _elements(field_mul(Xx[:, None, None], XA, m), Dx * DA, m) == scaled
+    assert _elements(conjugate(XA, m), DA, m) == [[a.conjugate() for a in row] for row in A]
+    s = np.array(data.draw(st.lists(st.integers(-2 * m, 2 * m), min_size=q, max_size=q)))
+    rotated = [[a * Cyclotomic.zeta(m, int(e)) for a, e in zip(row, s)] for row in A]
+    assert _elements(times_root(XA, s, m), DA, m) == rotated
+    C = [[a * 2 if (l + k) % 2 else a for k, a in enumerate(row)] for l, row in enumerate(A)]
+    XC, DC = coordinates(C, m)
+    expected = [[a != c for a, c in zip(ra, rc)] for ra, rc in zip(A, C)]
+    assert differs(XA, DA, XC, DC).tolist() == expected
+
+
+def test_coordinate_tensors_fall_back_to_python_ints():
+    # (2**62 + 2**62 zeta_4)^2 = 2**125 zeta_4: past int64 in every slot.
+    a = Cyclotomic(4, {0: 2**62, 1: 2**62})
+    X, D = coordinates([[a]], 4)
+    assert X.dtype == object and D == 1
+    assert _elements(field_matmul(X, X, 4), 1, 4) == [[a * a]]
+    assert field_matmul(X, X, 4)[1, 0, 0] == 2**125

@@ -314,22 +314,31 @@ DIFFERENTIAL_RINGS = (
 @st.composite
 def perturbed_rings(draw):
     """A ring of DIFFERENTIAL_RINGS with one or two entries of its fusion,
-    dual or twists changed; two let unit row and column failures interleave."""
+    dual, twists or dims changed; two let unit row and column failures
+    interleave. A dim is shifted by a rational or a root of unity, of a new
+    conductor too."""
     ring = draw(st.sampled_from(DIFFERENTIAL_RINGS))
-    n = ring.size
+    n, M = ring.size, ring.conductor
     index = st.integers(0, n - 1)
     fusion = [[list(row) for row in plane] for plane in ring.fusion]
-    dual, twists = list(ring.dual), list(ring.twists)
-    fields = st.lists(st.sampled_from(["fusion", "dual", "twists"]), min_size=1, max_size=2)
+    dual, twists, dims = list(ring.dual), list(ring.twists), list(ring.dims)
+    root = st.tuples(st.sampled_from([M, 2 * M, 7]), st.integers(0, 2 * M))
+    shift = st.sampled_from([1, -1, Fraction(1, 2)]).map(Cyclotomic.from_rational) | root.map(
+        lambda c: Cyclotomic.zeta(*c)
+    )
+    fields = st.lists(st.sampled_from(["fusion", "dual", "twists", "dims"]), min_size=1, max_size=2)
     for field in draw(fields):
         if field == "fusion":
             value = draw(st.integers(-1, 3) | st.just(2**40))
             fusion[draw(index)][draw(index)][draw(index)] = value
         elif field == "dual":
             dual[draw(index)] = draw(index)
-        else:
+        elif field == "twists":
             twists[draw(index)] = draw(st.fractions(0, 1, max_denominator=12))
-    return make_ring(ring.names, fusion, dual, twists, ring.dims)
+        else:
+            l = draw(index)
+            dims[l] = dims[l] + draw(shift)
+    return make_ring(ring.names, fusion, dual, twists, dims)
 
 
 @given(perturbed_rings())

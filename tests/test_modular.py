@@ -2,14 +2,19 @@
 statistics axioms."""
 
 import cmath
+import dataclasses
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modinv.cyclo import Cyclotomic
+from modinv.cyclo import Cyclotomic, csum, root_of_unity
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2, make_ring
 from modinv.modular import (
+    TOL,
     DataIntegrityError,
     DegenerateBraidingError,
     compute_modular_data,
@@ -144,3 +149,114 @@ def test_gauss_sum_magnitude_is_sqrt_w():
         md = compute_modular_data(ring)
         z, w = md.z.embed(), md.w.embed().real
         assert abs(abs(z) ** 2 - w) < 1e-9
+
+
+# -- scalar references --------------------------------------------------------
+#
+# The checks as entry-by-entry Cyclotomic loops, which the coordinate-tensor
+# checks must reproduce message for message on corrupted data.
+
+
+def _scalar_detect_degenerates(md):
+    n = md.size
+    d = md.ring.dims
+    out = set()
+    for l in range(n):
+        s = csum(md.Y[l][m] * d[m] for m in range(n))
+        if s == md.w * d[l]:
+            out.add(l)
+        elif not s.is_zero():
+            raise DataIntegrityError(
+                f"degeneracy dichotomy violated at label {l}: "
+                f"sum_m Y[l,m] d_m is neither w*d_l nor 0"
+            )
+    return frozenset(out)
+
+
+def _scalar_verify_statistics_axioms(md):
+    n = md.size
+    ring = md.ring
+    Y, omega = md.Y, md.omega
+    report = []
+    for l in range(n):
+        for m in range(l, n):
+            if Y[l][m] != Y[m][l]:
+                report.append(f"Y not symmetric at ({l},{m})")
+    for l in range(n):
+        for m in range(n):
+            if Y[ring.dual[l]][m] != Y[l][m].conjugate():
+                report.append(f"Y[dual({l}),{m}] != conj(Y[{l},{m}])")
+    for l in range(n):
+        if Y[l][0] != ring.dims[l]:
+            report.append(f"Y[{l},0] != d[{l}]")
+    A = [[omega[r] * Y[r][m] for m in range(n)] for r in range(n)]
+    for l in range(n):
+        for m in range(l, n):
+            b = csum(Y[l][r] * A[r][m] for r in range(n))
+            if omega[l] * omega[m] * b != md.z * Y[l][m]:
+                report.append(f"OmegaYOmegaYOmega != zY at ({l},{m})")
+    if md.nondegenerate and md.S_numeric is not None and md.T_numeric is not None:
+        S, T = md.S_numeric, md.T_numeric
+        lhs = T @ S @ T @ S @ T
+        if np.max(np.abs(lhs - S)) > TOL:
+            report.append(f"TSTST != S numerically (max dev {np.max(np.abs(lhs - S)):.3e})")
+        C = np.zeros((n, n))
+        for l in range(n):
+            C[l, ring.dual[l]] = 1.0
+        if np.max(np.abs(S @ S - C)) > TOL:
+            report.append("S^2 != charge conjugation numerically")
+    return report
+
+
+STATISTICS_RINGS = (
+    [builtin_su2(k) for k in range(6)]
+    + [builtin_so_level1(16)]
+    + [builtin_cyclic(n, quadratic_twists(n, 1)) for n in (3, 4, 5)]
+    + [builtin_cyclic(n, [0] * n) for n in (2, 3)]
+)
+
+
+@cache
+def _clean_modular_data(i):
+    return compute_modular_data(STATISTICS_RINGS[i])
+
+
+@st.composite
+def corrupted_modular_data(draw):
+    """Modular data of a STATISTICS_RINGS entry with one or two of its Y
+    entries, twists or dims changed; Omega follows the twists."""
+    clean = _clean_modular_data(draw(st.integers(0, len(STATISTICS_RINGS) - 1)))
+    md = dataclasses.replace(clean, Y=[list(row) for row in clean.Y])
+    ring = md.ring
+    n, M = ring.size, ring.conductor
+    index = st.integers(0, n - 1)
+    delta = st.sampled_from([1, -1, Fraction(1, 2)]).map(Cyclotomic.from_rational) | st.integers(
+        0, M - 1
+    ).map(lambda e: Cyclotomic.zeta(M, e))
+    twists, dims = list(ring.twists), list(ring.dims)
+    for field in draw(st.lists(st.sampled_from(["Y", "twist", "dim"]), min_size=1, max_size=2)):
+        if field == "Y":
+            l, m = draw(index), draw(index)
+            md.Y[l][m] = md.Y[l][m] + draw(delta)
+        elif field == "twist":
+            twists[draw(index)] = draw(st.fractions(0, 1, max_denominator=12))
+        else:
+            l = draw(index)
+            dims[l] = dims[l] + draw(delta)
+    md.ring = make_ring(ring.names, ring.fusion, ring.dual, twists, dims, ring.name)
+    md.omega = [root_of_unity(h) for h in md.ring.twists]
+    return md
+
+
+def _outcome(check, md):
+    try:
+        return check(md)
+    except DataIntegrityError as exc:
+        return str(exc)
+
+
+@given(corrupted_modular_data())
+@settings(max_examples=150, deadline=None)
+def test_statistics_checks_match_scalar_reference(md):
+    assert verify_statistics_axioms(md) == _scalar_verify_statistics_axioms(md)
+    assert _outcome(detect_degenerates, md) == _outcome(_scalar_detect_degenerates, md)
