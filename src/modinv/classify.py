@@ -43,9 +43,6 @@ class BranchingData:
     block_twists: tuple[Fraction, ...]
     block_dims: tuple[Cyclotomic, ...]
 
-    def row(self, tau: int) -> tuple[int, ...]:
-        return self.B[tau]
-
 
 @dataclass
 class GlobalIndices:
@@ -478,7 +475,7 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
     out = []
     for i, Z in enumerate(pool):
         _, _, sym = vacuum_profile(Z)
-        idx = data.indices(i)
+        idx = data.indices[i]
         cls = Classification(
             index=i, Z=Z, kind="unresolved", vacuum_symmetric=sym, indices=idx
         )
@@ -513,25 +510,20 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
 
 class _PoolData:
     """The exact data of one `classify_all` call, each piece computed at most
-    once per pool index. A parent can come later in the pool than the
-    invariant that needs it, so global indices and extended data are filled
-    in lazily. Keys are pool indices, never cyclotomic values."""
+    once per pool index. Every invariant needs its factorizations and global
+    indices, so those are computed up front; a parent can come later in the
+    pool than the invariant that needs it, so extended data is filled in
+    lazily. Keys are pool indices, never cyclotomic values."""
 
     def __init__(self, md: ModularData, pool: Sequence[CouplingMatrix]):
         self.md = md
-        self.pool = pool
         self.facts = [factorize_type_one(md, Z) for Z in pool]
         self.type_one_by_column = _type_one_by_column(pool, self.facts)
-        self._indices: dict[int, GlobalIndices] = {}
+        self.indices = [global_indices(md, Z) for Z in pool]
         # (pool index, factorization index) -> extended data or the message of
         # the RankDeficientBranching it raised. A stored exception would keep
         # its traceback, and through it this object, in a reference cycle.
         self._extended: dict[tuple[int, int], Union[ExtendedModularData, str]] = {}
-
-    def indices(self, i: int) -> GlobalIndices:
-        if i not in self._indices:
-            self._indices[i] = global_indices(self.md, self.pool[i])
-        return self._indices[i]
 
     def extended(self, i: int, k: int) -> ExtendedModularData:
         """Extended data of factorization k of pool[i]; raises that
@@ -540,7 +532,7 @@ class _PoolData:
         if key not in self._extended:
             try:
                 self._extended[key] = extended_modular_data(
-                    self.md, self.facts[i][k], self.indices(i)
+                    self.md, self.facts[i][k], self.indices[i]
                 )
             except RankDeficientBranching as exc:
                 self._extended[key] = str(exc)

@@ -36,7 +36,7 @@ from .modular import (
     verify_statistics_axioms,
     verlinde_check,
 )
-from .report import build_report, render_json, render_markdown
+from .report import build_report, modular_summary, render_json, render_markdown, ring_summary
 from .ringfile import MAX_CONDUCTOR, MAX_LABELS, RingFileError, dump_ring, load_ring
 
 EXIT_OK = 0
@@ -215,9 +215,7 @@ def _emit(args, report: dict) -> None:
 
 def cmd_modular(args) -> int:
     md = _load_and_compute(args)
-    report = build_report(md, pool=[])
-    del report["invariants"], report["span"], report["budget_exhausted"]
-    _emit(args, report)
+    _emit(args, {"ring": ring_summary(md), "modular": modular_summary(md)})
     return EXIT_OK
 
 

@@ -6,7 +6,9 @@ The T-commutation constraint is imposed structurally as a sparsity pattern
 the integer coordinates of Y in the power basis (ModularData.Y_coords), on
 which both the kernel (by fraction-free elimination) and every commutation
 check are computed. The integer points are then enumerated, in integers, by
-depth-first search over the kernel's pivot entries.
+depth-first search over the kernel's pivot entries. The search reads only
+the embedded dims as floats: in the entry bounds and in the column sums it
+prunes on, whose targets are read off its own integer accumulator.
 """
 
 from __future__ import annotations
@@ -170,10 +172,10 @@ def enumerate_invariants(
     Depth-first search over the kernel's pivot entries; every entry (pivot or
     completed) is bounded by ceil(bound_scale * d_l * d_m). Entries finalized
     along the way must be non-negative integers within their bound, and
-    partial dimension-weighted column sums
-    are pruned against the targets fixed by row 0 (a consequence of YZ = ZY
-    applied to the vacuum row). Output is canonically sorted and exactly
-    re-verified.
+    partial dimension-weighted column sums are pruned against their final
+    values, which YZ = ZY fixes once row 0 is: the accumulator lies in the
+    commutant, so its own column sums give them. Output is canonically
+    sorted and exactly re-verified.
     """
     n = md.size
     if basis.dimension == 0 or basis.positions[0] != (0, 0):
@@ -193,21 +195,17 @@ def enumerate_invariants(
     k = len(pivots)
     seg_end = [pivots[i + 1] if i + 1 < k else npos for i in range(k)]
     r0_len = sum(1 for (l, _m) in positions if l == 0)
-    Ynum = md.Y_numeric
 
     results: list[tuple[tuple[int, ...], ...]] = []
     nodes = 0
     budget_hit = False
 
-    def targets_from_row0(acc: list[int]) -> Optional[list[float]]:
-        row0 = {positions[j][1]: float(acc[j] // L) for j in range(r0_len)}
-        t = []
-        for m in range(n):
-            val = sum(z * Ynum[a][m] for a, z in row0.items() if z)
-            if abs(val.imag) > 1e-6:
-                return None
-            t.append(val.real + 1e-6 * (1 + abs(val.real)))  # relative slack
-        return t
+    def column_targets(acc: list[int]) -> list[float]:
+        # Y_0l = d_l, so (ZY)_0m = (YZ)_0m = sum_l d_l Z_lm for Z = acc / L.
+        sums = [0.0] * n
+        for j, (l, m) in enumerate(positions):
+            sums[m] += d[l] * acc[j]
+        return [s / L + 1e-6 * (1 + abs(s / L)) for s in sums]  # relative slack
 
     def dfs(
         i: int,
@@ -238,8 +236,8 @@ def enumerate_invariants(
                 if new_targets is not None and new_cols[m] > new_targets[m]:
                     break
                 if j == r0_len - 1:
-                    new_targets = targets_from_row0(new_acc)
-                    if new_targets is None or any(c > t for c, t in zip(new_cols, new_targets)):
+                    new_targets = column_targets(new_acc)
+                    if any(c > t for c, t in zip(new_cols, new_targets)):
                         break
             else:  # every entry of the segment passed
                 if i + 1 < k:

@@ -3,9 +3,10 @@ central charge, degeneracy detection, and consistency checks.
 
 A ring given without dims first gets exact ones from reconstruct_dims.
 All structural identities are verified in exact cyclotomic arithmetic, on
-the integer coordinate tensors of the values they check; the
-S- and T-matrices themselves are kept numeric only, since |z| involves a
-square root that need not have a representation in the chosen power basis.
+the integer coordinate tensors of the values they check, and c by an exact
+identity; floats decide only the numeric TSTST = S and S^2 = C checks. The
+S- and T-matrices are kept numeric only, since |z| involves a square root
+that need not have a representation in the chosen power basis.
 Commutation with S is equivalent to commutation with Y (they differ by the
 nonzero scalar |z|), so nothing exact is lost.
 """
@@ -51,7 +52,6 @@ class ModularData:
     omega: list[Cyclotomic]
     z: Cyclotomic
     w: Cyclotomic
-    Y_numeric: np.ndarray
     Y_coords: np.ndarray  # integer coordinates of a positive multiple of Y, [e, l, m]
     c: Optional[Fraction] = None
     degenerates: frozenset[int] = frozenset()
@@ -85,9 +85,8 @@ def compute_modular_data(ring: FusionRing) -> ModularData:
             Y[m][l] = val
     z = csum(d[r] * d[r] * omega[r] for r in range(n))
     w = csum(d[r] * d[r] for r in range(n))
-    Y_numeric = np.array([[Y[l][m].embed() for m in range(n)] for l in range(n)])
     Y_coords, _ = coordinates(Y, ring.conductor)
-    md = ModularData(ring=ring, Y=Y, omega=omega, z=z, w=w, Y_numeric=Y_numeric, Y_coords=Y_coords)
+    md = ModularData(ring=ring, Y=Y, omega=omega, z=z, w=w, Y_coords=Y_coords)
     md.degenerates = detect_degenerates(md)
     md.nondegenerate = md.degenerates == frozenset({0})
     md.c = compute_central_charge(md)
@@ -96,9 +95,8 @@ def compute_modular_data(ring: FusionRing) -> ModularData:
 
 
 def _attach_numeric_ST(md: ModularData) -> None:
-    zc = md.z.embed()
-    if abs(zc) > TOL:
-        md.S_numeric = md.Y_numeric / abs(zc)
+    if not md.z.is_zero():
+        md.S_numeric = np.array([[y.embed() for y in row] for row in md.Y]) / abs(md.z.embed())
     c_display = display_charge(md)
     if c_display is not None:
         phase = cmath.exp(-1j * cmath.pi * float(c_display) / 12)
@@ -141,15 +139,17 @@ def detect_degenerates(md: ModularData) -> frozenset[int]:
 
 
 def compute_central_charge(md: ModularData) -> Optional[Fraction]:
-    """c = 4 arg(z)/pi mod 8, recognized as a rational with denominator at
-    most 24 M (M the conductor) and verified against z numerically; None
-    when z = 0 or when verification fails."""
-    if md.z.is_zero():
+    """c = 4 arg(z)/pi mod 8 with denominator at most 24 M (M the conductor).
+    The float phase of z proposes c; z^2 = z conj(z) e^(i pi c/2) accepts it
+    exactly, which fixes c mod 4 (the phase tells c from c + 4). z/conj(z)
+    is a root of unity in Q(zeta_M), of order dividing 2M, so no other order
+    is tried. None when z = 0 or when the proposal fails."""
+    z, M = md.z, md.ring.conductor
+    if z.is_zero():
         return None
-    zc = md.z.embed()
-    c = Fraction(4 * cmath.phase(zc) / math.pi).limit_denominator(24 * md.ring.conductor) % 8
-    predicted = abs(zc) * cmath.exp(1j * math.pi * float(c) / 4)
-    if abs(predicted - zc) > TOL * max(1.0, abs(zc)):
+    c = Fraction(4 * cmath.phase(z.embed()) / math.pi).limit_denominator(24 * M) % 8
+    h = c / 4  # e^(i pi c/2) = e^(2 pi i h)
+    if (2 * M) % h.denominator or z * z != z * z.conjugate() * root_of_unity(h):
         return None
     return c
 

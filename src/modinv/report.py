@@ -32,6 +32,17 @@ def _exact_entry(v: Cyclotomic) -> dict:
     return {"exact": v.to_json(), "text": repr(v), "numeric": fmt_complex(v.embed())}
 
 
+def ring_summary(md: ModularData) -> dict:
+    ring = md.ring
+    return {
+        "name": ring.name,
+        "size": ring.size,
+        "labels": list(ring.names),
+        "conductor": ring.conductor,
+        "exact_dims": True,
+    }
+
+
 def modular_summary(md: ModularData) -> dict:
     out = {
         "exact": True,
@@ -131,15 +142,8 @@ def build_report(
     classifications: Optional[Sequence[Classification]] = None,
     budget_exhausted: bool = False,
 ) -> dict:
-    ring = md.ring
     report = {
-        "ring": {
-            "name": ring.name,
-            "size": ring.size,
-            "labels": list(ring.names),
-            "conductor": ring.conductor,
-            "exact_dims": True,
-        },
+        "ring": ring_summary(md),
         "modular": modular_summary(md),
         "invariants": [invariant_summary(Z) for Z in pool],
         "span": span_summary(pool),
@@ -172,9 +176,10 @@ def render_markdown(report: dict) -> str:
     if report.get("warning"):
         lines.append("")
         lines.append(f"**WARNING: {report['warning']}**")
-    lines.append("")
-    lines.append(f"## Invariants ({len(report['invariants'])})")
-    for i, inv in enumerate(report["invariants"]):
+    if "invariants" in report:
+        lines.append("")
+        lines.append(f"## Invariants ({len(report['invariants'])})")
+    for i, inv in enumerate(report.get("invariants", [])):
         lines.append("")
         lines.append(f"### Invariant {i} (trace {inv['trace']})")
         lines.append("")
@@ -186,15 +191,16 @@ def render_markdown(report: dict) -> str:
             f"symmetric: {inv['vacuum_symmetric']}"
         )
         lines.append(f"- exactly verified: {inv['verified']}")
-    sp = report["span"]
-    lines.append("")
-    lines.append("## Rational span")
-    lines.append("")
-    lines.append(f"- span dimension: {sp['span_dimension']} over {sp['count']} invariants")
-    for rel in sp["relations"]:
-        lines.append(f"- relation: {rel} (coefficients over the invariant list)")
-    for k, v in sp["asymmetric_in_symmetric_span"].items():
-        lines.append(f"- invariant {k} in rational span of symmetric invariants: {v}")
+    if "span" in report:
+        sp = report["span"]
+        lines.append("")
+        lines.append("## Rational span")
+        lines.append("")
+        lines.append(f"- span dimension: {sp['span_dimension']} over {sp['count']} invariants")
+        for rel in sp["relations"]:
+            lines.append(f"- relation: {rel} (coefficients over the invariant list)")
+        for k, v in sp["asymmetric_in_symmetric_span"].items():
+            lines.append(f"- invariant {k} in rational span of symmetric invariants: {v}")
     for cls in report.get("classifications", []):
         lines.append("")
         lines.append(f"## Classification of invariant {cls['index']}: {cls['kind']}")

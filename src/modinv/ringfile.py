@@ -52,10 +52,11 @@ def ring_to_json(ring: FusionRing) -> dict:
 def ring_from_json(data: dict) -> FusionRing:
     """Parse a ring file dict; structural errors raise RingFileError naming
     the offending field. Axioms are not checked here (see load_ring)."""
-    try:
-        labels = [str(s) for s in data["labels"]]
-    except (KeyError, TypeError) as exc:
-        raise RingFileError(f"missing or malformed 'labels': {exc}")
+    if not isinstance(data, dict):
+        raise RingFileError("a ring file must hold a JSON object")
+    if not isinstance(data.get("labels"), list):
+        raise RingFileError("'labels' must be a list")
+    labels = [str(s) for s in data["labels"]]
     n = len(labels)
     if n == 0:
         raise RingFileError("'labels' is empty")
@@ -90,7 +91,10 @@ def ring_from_json(data: dict) -> FusionRing:
         if not (isinstance(dims_raw, list) and len(dims_raw) == n):
             raise RingFileError(f"'dims' must be \"auto\" or a list of {n} cyclotomic values")
         try:
-            conductor = lcm(conductor, *(int(d["conductor"]) for d in dims_raw))
+            ints = [v for d in dims_raw for v in (d["conductor"], *(e for e, _ in d["coeffs"]))]
+            if not all(_is_int(v) for v in ints):
+                raise ValueError("conductors and exponents must be integers")
+            conductor = lcm(conductor, *(d["conductor"] for d in dims_raw))
             if conductor <= MAX_CONDUCTOR:
                 dims = [Cyclotomic.from_json(d) for d in dims_raw]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

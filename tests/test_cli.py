@@ -1,6 +1,7 @@
 """Command-line interface: ring-file round trips, exit codes, report
 determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -56,6 +57,14 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
         ("dual", [0, 1, 2, 5], r"'dual' must be a list of 4 integers in \[0, 4\)"),
         ("dual", [-1, 1, 2, 3], r"'dual' must be a list of 4 integers in \[0, 4\)"),
         ("twists", ["0", "1/2", True, "1/2"], r"twists\[2\]"),
+        # Labels that are no list would be read as the characters of a
+        # string or the keys of an object.
+        ("labels", "abcd", "'labels' must be a list"),
+        ("labels", {"0": 1, "v": 2, "s": 3, "c": 4}, "'labels' must be a list"),
+        # Non-integer conductors and exponents in the dims would be truncated.
+        ("dims", [{"conductor": 16.9, "coeffs": [[0, "1"]]}] * 4, "must be integers"),
+        ("dims", [{"conductor": True, "coeffs": [[0, "1"]]}] * 4, "must be integers"),
+        ("dims", [{"conductor": 1, "coeffs": [[0.7, "1"]]}] * 4, "must be integers"),
     ]:
         bad = dict(data)
         bad[field] = value
@@ -159,10 +168,21 @@ def test_modular_report(tmp_path, capsys):
     path.write_text(dump_ring(builtin_so_level1(16)))
     code, out, _ = run(capsys, "modular", str(path))
     assert code == 0
+    # The ring and modular sections only, byte for byte as when they were cut
+    # out of a full report.
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3424911d4e32771612dfdc88cdc44bc9cbb17894fcf83e4872eb5e64e640bccb"
+    )
     report = json.loads(out)
+    assert sorted(report) == ["modular", "ring"]
     assert report["ring"]["conductor"] == 2
     assert report["modular"]["nondegenerate"] is True
     assert report["modular"]["central_charge"] == "8"
+    code, out, err = run(capsys, "modular", str(path), "--format", "markdown")
+    assert (code, err) == (0, "")
+    assert "- central charge (mod 8 rep or hint): 8" in out
+    assert "- Gauss sum z = 2 = 2+0j" in out
+    assert "## Invariants" not in out and "## Rational span" not in out
 
 
 def test_invariants_trivial_ring(tmp_path, capsys):

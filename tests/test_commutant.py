@@ -174,6 +174,27 @@ def test_node_budget_raises_with_partial_results():
     assert isinstance(exc.value.partial, list)
 
 
+@pytest.mark.parametrize(
+    "ring, scale, nodes",
+    [
+        (builtin_cyclic(4, [Fraction(0)] * 4), 1, 513),
+        (builtin_cyclic(4, [Fraction(0)] * 4), 2, 12_760),
+        (builtin_su2(16), 1, 23),
+        (builtin_cyclic(8, [Fraction(a * a, 8) for a in range(8)]), 1, 131),
+        (builtin_cyclic(5, [Fraction(0)] * 5), 1, 24_889),
+    ],
+    ids=["z4_zero", "z4_zero_scale2", "su2_16", "z8_quadratic", "z5_zero"],
+)
+def test_search_visits_a_pinned_number_of_nodes(ring, scale, nodes):
+    # The exact number of nodes the full search visits: any change to its
+    # entry bounds or column-sum pruning moves it.
+    md = compute_modular_data(ring)
+    basis = commutant_basis(md, twist_sparsity(ring))
+    enumerate_invariants(md, basis, bound_scale=scale, node_budget=nodes)
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_invariants(md, basis, bound_scale=scale, node_budget=nodes - 1)
+
+
 def test_verify_accepts_the_asymmetric_invariant():
     md = compute_modular_data(builtin_so_level1(16))
     Z = verify_invariant(md, [list(r) for r in Q])

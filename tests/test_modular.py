@@ -17,6 +17,7 @@ from modinv.modular import (
     TOL,
     DataIntegrityError,
     DegenerateBraidingError,
+    compute_central_charge,
     compute_modular_data,
     detect_degenerates,
     verify_statistics_axioms,
@@ -53,6 +54,21 @@ def test_su2_central_charge(k, expected_c):
     md = compute_modular_data(builtin_su2(k))
     assert md.c is not None
     assert (md.c - expected_c) % 8 == 0
+
+
+def test_central_charge_is_decided_exactly():
+    md = compute_modular_data(builtin_su2(2))  # conductor 16
+    assert md.c == Fraction(3, 2)
+    # 1 + 2i: the phase proposes some c, and z^2 = |z|^2 e^(i pi c/2) refuses it.
+    md.z = Cyclotomic(4, {0: 1, 1: 2})
+    assert compute_central_charge(md) is None
+    # zeta_64 gives c = 1/8, and e^(i pi c/2) = zeta_32 has order dividing 2 * 16.
+    md.z = Cyclotomic.zeta(64)
+    assert compute_central_charge(md) == Fraction(1, 8)
+    # zeta_128 satisfies the identity with c = 1/16, but e^(i pi c/2) = zeta_64
+    # is no root of unity of Q(zeta_16), so its order alone refuses it.
+    md.z = Cyclotomic.zeta(128)
+    assert compute_central_charge(md) is None
 
 
 @pytest.mark.parametrize("k", range(1, 9))
