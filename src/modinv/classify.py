@@ -326,8 +326,12 @@ def extended_modular_data(
         for a in range(t)
     ]
     ratio = divide(indices.w_plus, md.w)
+    # Zero Gram-inverse entries are skipped: an exact zero leaves a sum's
+    # coordinate slots and denominator as they are, and every column of the
+    # invertible ginv has a nonzero entry.
+    support = [[k for k in range(t) if ginv[k][b]] for b in range(t)]
     Yext = [
-        [ratio * csum(BYBt[a][k] * ginv[k][b] for k in range(t)) for b in range(t)]
+        [ratio * csum(BYBt[a][k] * ginv[k][b] for k in support[b]) for b in range(t)]
         for a in range(t)
     ]
     failures: list[str] = []

@@ -4,11 +4,14 @@ enumeration of its non-negative integer points with Z[0,0] = 1.
 The T-commutation constraint is imposed structurally as a sparsity pattern
 (entries vanish off equal twists). YZ = ZY is linear in the rational Z over
 the integer coordinates of Y in the power basis (ModularData.Y_coords), on
-which both the kernel (by fraction-free elimination) and every commutation
-check are computed. The integer points are then enumerated, in integers, by
-depth-first search over the kernel's pivot entries. The search reads only
-the embedded dims as floats: in the entry bounds and in the column sums it
-prunes on, whose targets are read off its own integer accumulator.
+which both the kernel and every commutation check are computed. The kernel
+is that of the P x P integer Gram matrix of the constraints (P the allowed
+entries), found by fraction-free elimination. The integer points are then
+enumerated, in integers, by depth-first search over the kernel's pivot
+entries, and the whole pool is verified in stacked integer arrays. The
+search reads only the embedded dims as floats: in the entry bounds and in
+the column sums it prunes on, whose targets are read off its own integer
+accumulator.
 """
 
 from __future__ import annotations
@@ -112,25 +115,24 @@ def twist_sparsity(ring: FusionRing) -> SparsityPattern:
 
 def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis:
     """Rational kernel of Z -> YZ - ZY restricted to the sparsity pattern,
-    as a reduced-echelon basis with respect to row-major entry order."""
+    as a reduced-echelon basis with respect to row-major entry order.
+
+    It is computed as the kernel of the P x P Gram matrix G = A^T A of the
+    integer constraint matrix A (rows: coordinate e and entry (l, m) of
+    YZ - ZY; columns: the P allowed positions). A is rational, so
+    x^T G x = |Ax|^2 and G has the kernel of A, whose reduced-echelon basis
+    is unique."""
     n = md.size
     positions = sorted(pattern.allowed)
     P = len(positions)
-    a, b = np.array(positions, dtype=np.intp).reshape(P, 2).T
-    Y = md.Y_coords
     constraints = Echelon(P)
-    for l in range(n):
-        # Rows (e, m): (YZ - ZY)_lm = sum_ab (Y[l,a] delta_bm - delta_al Y[b,m]) Z_ab.
-        rows = np.zeros((Y.shape[0], n, P), dtype=Y.dtype)
-        rows[:, b, np.arange(P)] = Y[:, l, a]
-        own = a == l
-        rows[:, :, own] -= Y[:, b[own], :].transpose(0, 2, 1)
-        for row in rows.reshape(-1, P):
-            (nonzero,) = row.nonzero()
-            if len(nonzero):
-                constraints.insert(dict(zip(nonzero.tolist(), row[nonzero].tolist())))
+    for row in _gram(md.Y_coords, positions):
+        (nonzero,) = row.nonzero()
+        if len(nonzero):
+            constraints.insert(dict(zip(nonzero.tolist(), row[nonzero].tolist())))
 
     kernel = nullspace(constraints)
+    a, b = np.array(positions, dtype=np.intp).reshape(P, 2).T
     cb = CommutantBasis(positions, [row for _, row in kernel], [col for col, _ in kernel])
     for i, vec in enumerate(cb.basis):
         Z = np.zeros((n, n), dtype=object)
@@ -141,6 +143,26 @@ def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis
                 f"internal error: commutant basis element {i} fails YZ=ZY at ({l},{m})"
             )
     return cb
+
+
+def _gram(Y: np.ndarray, positions: list[tuple[int, int]]) -> np.ndarray:
+    """G = A^T A for the constraint matrix of YZ = ZY over the positions
+    p = (a_p, b_p), A[(e, l, m), p] = Y_e[l, a_p] [b_p = m] - [a_p = l] Y_e[b_p, m],
+    for the integer coordinates Y[e] of a matrix that need not be symmetric:
+    G_pq = [b_p = b_q] K1[a_p, a_q] + [a_p = a_q] K2[b_p, b_q] - T_pq - T_qp
+    with K1 = sum_e Y_e^T Y_e, K2 = sum_e Y_e Y_e^T and
+    T_pq = sum_e Y_e[a_p, a_q] Y_e[b_p, b_q]. Only (P, P) arrays are formed."""
+    f, n, _ = Y.shape
+    P = len(positions)
+    a, b = np.array(positions, dtype=np.intp).reshape(P, 2).T
+    # K1 and K2 entries sum f n products of two entries of Y, T entries f.
+    Y = Y.astype(int_dtype(4 * f * n * int(abs(Y).max()) ** 2), copy=False)
+    K1 = np.tensordot(Y, Y, axes=([0, 1], [0, 1]))
+    K2 = np.tensordot(Y, Y, axes=([0, 2], [0, 2]))
+    T = sum(Ye[np.ix_(a, a)] * Ye[np.ix_(b, b)] for Ye in Y)
+    G = np.where(b[:, None] == b, K1[np.ix_(a, a)], 0)
+    G += np.where(a[:, None] == a, K2[np.ix_(b, b)], 0)
+    return G - T - T.T
 
 
 def _commutator_failure(
@@ -251,10 +273,38 @@ def enumerate_invariants(
     dfs(0, [0] * npos, [0.0] * n, None)
 
     unique = sorted(set(results))
-    out = [verify_invariant(md, Z) for Z in unique]
+    out = _verify_pool(md, unique)
     if budget_hit:
         raise SearchBudgetExceeded(node_budget, out)
     return out
+
+
+def _verify_pool(
+    md: ModularData, pool: list[tuple[tuple[int, ...], ...]]
+) -> list[CouplingMatrix]:
+    """Exactly verify the sorted search results as stacks of (chunk, n, n)
+    integer arrays, one array expression per constraint of
+    :func:`verify_invariant`, which then names the first failure."""
+    n = md.size
+    Y = md.Y_coords
+    h = md.ring.twists
+    forbidden = np.array([[hl != hm for hm in h] for hl in h])
+    chunk = max(1, 2**12 // (len(Y) * n * n))  # bounds the (phi, chunk, n, n) products
+    for start in range(0, len(pool), chunk):
+        Z = np.array(pool[start : start + chunk])
+        # A product entry sums n terms below max|Y| max|Z|.
+        Z = Z.astype(int_dtype(n * int(abs(Y).max()) * int(abs(Z).max())), copy=False)
+        YZ, ZY = Y[:, None] @ Z, Z @ Y[:, None]
+        ok = (
+            (Z >= 0).all(axis=(1, 2))
+            & (Z[:, 0, 0] == 1)
+            & ~Z[:, forbidden].any(axis=1)
+            & ~(YZ != ZY).any(axis=(0, 2, 3))
+        )
+        if not ok.all():
+            verify_invariant(md, pool[start + int(np.argmin(ok))])
+            raise AssertionError("internal error: pool check and verify_invariant disagree")
+    return [CouplingMatrix(Z=Z) for Z in pool]
 
 
 def verify_invariant(md: ModularData, Z: Sequence[Sequence[int]]) -> CouplingMatrix:

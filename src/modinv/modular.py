@@ -3,12 +3,12 @@ central charge, degeneracy detection, and consistency checks.
 
 A ring given without dims first gets exact ones from reconstruct_dims.
 All structural identities are verified in exact cyclotomic arithmetic, on
-the integer coordinate tensors of the values they check, and c by an exact
-identity; floats decide only the numeric TSTST = S and S^2 = C checks. The
-S- and T-matrices are kept numeric only, since |z| involves a square root
-that need not have a representation in the chosen power basis.
-Commutation with S is equivalent to commutation with Y (they differ by the
-nonzero scalar |z|), so nothing exact is lost.
+the integer coordinate tensors of the values they check (S^2 = C as
+Y Y = z conj(z) C), and c by an exact identity; floats decide only the
+numeric TSTST = S check. The S- and T-matrices are kept numeric only,
+since |z| involves a square root that need not have a representation in
+the chosen power basis. Commutation with S is equivalent to commutation
+with Y (they differ by the nonzero scalar |z|), so nothing exact is lost.
 """
 
 from __future__ import annotations
@@ -156,8 +156,9 @@ def compute_central_charge(md: ModularData) -> Optional[Fraction]:
 
 def verify_statistics_axioms(md: ModularData) -> list[str]:
     """Exact checks: Y symmetry, Y_{dual(l),m} = conj(Y_{l,m}), Y_{l,0} = d_l,
-    Omega Y Omega Y Omega = z Y. Numeric checks (tol 1e-9) when the braiding
-    is non-degenerate: TSTST = S and S^2 = charge conjugation."""
+    Omega Y Omega Y Omega = z Y. When the braiding is non-degenerate, also
+    S^2 = charge conjugation, exactly as Y Y = z conj(z) C, and TSTST = S
+    numerically (tol 1e-9)."""
     n = md.size
     ring = md.ring
     M = ring.conductor
@@ -183,10 +184,11 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
         lhs = T @ S @ T @ S @ T
         if np.max(np.abs(lhs - S)) > TOL:
             report.append(f"TSTST != S numerically (max dev {np.max(np.abs(lhs - S)):.3e})")
-        C = np.zeros((n, n))
-        for l in range(n):
-            C[l, ring.dual[l]] = 1.0
-        if np.max(np.abs(S @ S - C)) > TOL:
+        # S = Y / |z|, so S^2 = C is Y Y = z conj(z) C.
+        zz = field_mul(z, conjugate(z, M), M)
+        C = np.zeros((len(zz), n, n), dtype=zz.dtype)
+        C[:, np.arange(n), list(ring.dual)] = zz[:, None]
+        if differs(field_matmul(Y, Y, M), D * D, C, Dz * Dz).any():
             report.append("S^2 != charge conjugation numerically")
     return report
 

@@ -96,7 +96,13 @@ def ring_from_json(data: dict) -> FusionRing:
                 raise ValueError("conductors and exponents must be integers")
             conductor = lcm(conductor, *(d["conductor"] for d in dims_raw))
             if conductor <= MAX_CONDUCTOR:
-                dims = [Cyclotomic.from_json(d) for d in dims_raw]
+                dims = [
+                    Cyclotomic(
+                        d["conductor"],
+                        {e: _parse_fraction(c, f"dims[{i}]") for e, c in d["coeffs"]},
+                    )
+                    for i, d in enumerate(dims_raw)
+                ]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise RingFileError(f"malformed 'dims': {exc}")
     if conductor > MAX_CONDUCTOR:

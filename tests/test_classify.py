@@ -414,7 +414,8 @@ def test_classify_all_parents_match_find_parents(cyclic4_zero):
 
 def _scalar_extended_modular_data(md, branching, indices):
     """Reference: extended_modular_data with every check as an entry-by-entry
-    Cyclotomic loop."""
+    Cyclotomic loop, and Yext summed over every k, zero Gram-inverse entries
+    included."""
     t = branching.block_count
     n = md.size
     B = branching.B
@@ -534,3 +535,42 @@ def test_extended_checks_match_scalar_reference(case):
             extended_modular_data(md, branching, indices)
         return
     assert extended_modular_data(md, branching, indices) == expected
+
+
+def _cyclotomic_form(x):
+    """What the report reads of an element: its coordinates in slot order
+    (the summation order of embed()), denominator and conductor."""
+    return list(x.num.items()), x.den, x.conductor
+
+
+SLOT_ORDER_RINGS = (
+    [(f"su2_{k}", builtin_su2, (k,)) for k in range(1, 17)]
+    + [(f"so{n}", builtin_so_level1, (n,)) for n in (16, 32)]
+    + [(f"z{n}_quadratic", builtin_cyclic, (n, quadratic_twists(n, 1))) for n in range(2, 13)]
+)
+
+
+@pytest.mark.parametrize(
+    "build, args", [r[1:] for r in SLOT_ORDER_RINGS], ids=[r[0] for r in SLOT_ORDER_RINGS]
+)
+def test_yext_keeps_the_slot_order_of_the_full_sum(build, args):
+    # Skipping zero Gram-inverse entries must leave every Yext entry with the
+    # coordinates, slot order, denominator and conductor of the sum over all
+    # k, on every factorization of every invariant.
+    ring = build(*args)
+    md = compute_modular_data(ring)
+    pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
+    checked = 0
+    for Z in pool:
+        indices = global_indices(md, Z)
+        for branching in factorize_type_one(md, Z):
+            try:
+                got = extended_modular_data(md, branching, indices).Yext
+            except RankDeficientBranching:
+                continue
+            expected = _scalar_extended_modular_data(md, branching, indices).Yext
+            assert [list(map(_cyclotomic_form, row)) for row in got] == [
+                list(map(_cyclotomic_form, row)) for row in expected
+            ]
+            checked += 1
+    assert checked

@@ -65,6 +65,9 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
         ("dims", [{"conductor": 16.9, "coeffs": [[0, "1"]]}] * 4, "must be integers"),
         ("dims", [{"conductor": True, "coeffs": [[0, "1"]]}] * 4, "must be integers"),
         ("dims", [{"conductor": 1, "coeffs": [[0.7, "1"]]}] * 4, "must be integers"),
+        # A float coefficient would be read as its binary fraction, true as 1.
+        ("dims", [{"conductor": 1, "coeffs": [[0, 0.1]]}] * 4, r"dims\[0\]: expected a rational"),
+        ("dims", [{"conductor": 1, "coeffs": [[0, True]]}] * 4, r"dims\[0\]: expected a rational"),
     ]:
         bad = dict(data)
         bad[field] = value

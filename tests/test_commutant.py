@@ -9,17 +9,21 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modinv.cyclo import csum
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
+from modinv.linalg import Echelon, nullspace
 from modinv.modular import compute_modular_data
 from modinv.commutant import (
     InvariantRejected,
     SearchBudgetExceeded,
     _commutator_failure,
+    _gram,
+    _verify_pool,
     commutant_basis,
     enumerate_invariants,
     twist_sparsity,
@@ -342,3 +346,143 @@ def test_commutation_checks_beyond_int64():
     assert verify_invariant(md, [[1, big], [big, 1]]).Z == ((1, big), (big, 1))
     with pytest.raises(InvariantRejected, match=r"YZ != ZY at \(0,0\)"):
         verify_invariant(md, [[1, big], [0, 1]])
+
+
+def _constraint_rows(Y, positions):
+    """Reference: the explicit constraint matrix of YZ = ZY over the
+    positions, assembled per row label l as the kernel once was (rows (e, m):
+    (YZ - ZY)_lm = sum_ab (Y[l,a] delta_bm - delta_al Y[b,m]) Z_ab), in
+    Python ints."""
+    n = Y.shape[1]
+    P = len(positions)
+    a, b = np.array(positions, dtype=np.intp).reshape(P, 2).T
+    Y = Y.astype(object)
+    blocks = []
+    for l in range(n):
+        rows = np.zeros((Y.shape[0], n, P), dtype=object)
+        rows[:, b, np.arange(P)] = Y[:, l, a]
+        own = a == l
+        rows[:, :, own] -= Y[:, b[own], :].transpose(0, 2, 1)
+        blocks.append(rows.reshape(-1, P))
+    return np.concatenate(blocks)
+
+
+def _echelon_kernel(rows, width):
+    """Reduced-echelon kernel basis and pivots of an integer matrix, given as
+    rows of Python ints."""
+    constraints = Echelon(width)
+    for row in rows:
+        nonzero = {j: x for j, x in enumerate(row) if x}
+        if nonzero:
+            constraints.insert(nonzero)
+    kernel = nullspace(constraints)
+    return [row for _, row in kernel], [col for col, _ in kernel]
+
+
+def _kernel_rings():
+    rings = [builtin_su2(k) for k in range(13)] + [builtin_so_level1(16)]
+    for n in range(1, 9):
+        rings += [builtin_cyclic(n, [Fraction(0)] * n), builtin_cyclic(n, quadratic_twists(n, 1))]
+    return rings
+
+
+@lru_cache(maxsize=None)
+def _kernel_case(i):
+    ring = _kernel_rings()[i]
+    return compute_modular_data(ring), sorted(twist_sparsity(ring).allowed)
+
+
+@given(st.integers(0, len(_kernel_rings()) - 1))
+@settings(max_examples=40, deadline=None)
+def test_commutant_kernel_matches_explicit_constraint_rows(i):
+    md, positions = _kernel_case(i)
+    A = _constraint_rows(md.Y_coords, positions)
+    assert (_gram(md.Y_coords, positions) == A.T @ A).all()
+    basis = commutant_basis(md, twist_sparsity(md.ring))
+    assert basis.positions == positions
+    assert (basis.basis, basis.pivot_indices) == _echelon_kernel(A.tolist(), len(positions))
+
+
+@st.composite
+def coordinate_tensors(draw):
+    """Integer tensors (phi, n, n) with no symmetry, entries small or large
+    enough that G needs Python ints, over a random set of positions."""
+    phi, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = draw(st.sampled_from([st.integers(-3, 3), st.integers(-(2**31), 2**31)]))
+    Y = np.array(draw(st.lists(entries, min_size=phi * n * n, max_size=phi * n * n)), dtype=object)
+    cells = [(l, m) for l in range(n) for m in range(n)]
+    positions = sorted(draw(st.sets(st.sampled_from(cells), min_size=1)))
+    return Y.reshape(phi, n, n), positions
+
+
+@given(coordinate_tensors())
+@settings(max_examples=100, deadline=None)
+def test_gram_of_an_asymmetric_tensor(case):
+    Y, positions = case
+    A = _constraint_rows(Y, positions)
+    # Python ints exactly where some entry of G could pass 2**63.
+    bound = 4 * Y.shape[0] * Y.shape[1] * int(abs(Y).max()) ** 2
+    G = _gram(Y.astype(np.int64), positions)
+    assert G.dtype == (np.int64 if bound < 2**63 else object)
+    assert (G == A.T @ A).all()
+    assert _echelon_kernel(G.tolist(), len(G)) == _echelon_kernel(A.tolist(), len(G))
+
+
+def _first_rejection(md, pool):
+    for Z in pool:
+        try:
+            verify_invariant(md, Z)
+        except InvariantRejected as exc:
+            return str(exc)
+    return None
+
+
+POOL_RINGS = (
+    [builtin_su2(k) for k in range(7)]
+    + [builtin_so_level1(16)]
+    + [builtin_cyclic(n, [Fraction(0)] * n) for n in range(1, 5)]
+    + [builtin_cyclic(n, quadratic_twists(n, 1)) for n in range(1, 7)]
+)
+
+
+@lru_cache(maxsize=None)
+def _pool_case(i):
+    md, _, invs = pipeline(POOL_RINGS[i])
+    return md, [Z.Z for Z in invs]
+
+
+@st.composite
+def search_pools(draw):
+    """A ring's sorted pool of invariants with up to three changed copies
+    (an entry moved by -1..2, possibly off the twist pattern), re-sorted."""
+    md, pool = _pool_case(draw(st.integers(0, len(POOL_RINGS) - 1)))
+    pool = list(pool)
+    n = md.size
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        Z = [list(row) for row in draw(st.sampled_from(pool))]
+        Z[draw(index)][draw(index)] += draw(st.integers(-1, 2))
+        pool.append(tuple(map(tuple, Z)))
+    return md, sorted(set(pool))
+
+
+@given(search_pools())
+@settings(max_examples=100, deadline=None)
+def test_pool_check_matches_verify_invariant(case):
+    md, pool = case
+    message = _first_rejection(md, pool)
+    if message is None:
+        assert _verify_pool(md, pool) == [verify_invariant(md, Z) for Z in pool]
+    else:
+        with pytest.raises(InvariantRejected) as exc:
+            _verify_pool(md, pool)
+        assert str(exc.value) == message
+
+
+def test_pool_check_rejects_a_commuting_matrix_off_the_twist_pattern():
+    # A transparent fermion makes Y all ones, so the all-ones matrix commutes
+    # with Y and only the twist pattern rejects it.
+    md = compute_modular_data(builtin_cyclic(2, [Fraction(0), Fraction(1, 2)]))
+    assert _commutator_failure(md, [[1, 1], [1, 1]]) is None
+    with pytest.raises(InvariantRejected, match=r"^Omega Z != Z Omega: Z\[0,1\] != 0"):
+        _verify_pool(md, [((1, 0), (0, 1)), ((1, 1), (1, 1))])

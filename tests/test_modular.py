@@ -216,10 +216,13 @@ def _scalar_verify_statistics_axioms(md):
         lhs = T @ S @ T @ S @ T
         if np.max(np.abs(lhs - S)) > TOL:
             report.append(f"TSTST != S numerically (max dev {np.max(np.abs(lhs - S)):.3e})")
-        C = np.zeros((n, n))
-        for l in range(n):
-            C[l, ring.dual[l]] = 1.0
-        if np.max(np.abs(S @ S - C)) > TOL:
+        # S^2 = C, decided exactly as Y Y = z conj(z) C.
+        zz = md.z * md.z.conjugate()
+        if any(
+            csum(Y[l][r] * Y[r][m] for r in range(n)) != (zz if m == ring.dual[l] else 0)
+            for l in range(n)
+            for m in range(n)
+        ):
             report.append("S^2 != charge conjugation numerically")
     return report
 
