@@ -14,8 +14,10 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from mpmath.ctx_iv import MPIntervalContext
 
 from .cyclo import (
+    ONE,
     Cyclotomic,
     conjugate,
     coordinates,
@@ -52,6 +54,11 @@ class GlobalIndices:
     w_zero: Cyclotomic
 
     def check(self) -> list[str]:
+        """Notes for the report: w_zero w_alpha = w_plus^2, exactly, and the
+        chain 1 <= w_zero <= w_plus <= w_alpha <= w on float embeddings. The
+        float chain is what pinned reports record: it reads "violated" on
+        SU(2) levels 9 and 21, where equal indices embed a few ulps apart.
+        `chain_holds` decides the chain exactly."""
         report = []
         if self.w_zero * self.w_alpha != self.w_plus * self.w_plus:
             report.append("w_zero * w_alpha != w_plus^2")
@@ -66,6 +73,41 @@ class GlobalIndices:
         if not (1 - 1e-9 <= nums[0] <= nums[1] <= nums[2] <= nums[3] + 1e-9):
             report.append("index chain 1 <= w_zero <= w_plus <= w_alpha <= w violated")
         return report
+
+    def chain_holds(self) -> bool:
+        """1 <= w_zero <= w_plus <= w_alpha <= w with every index real, each
+        link decided exactly."""
+        chain = [ONE, self.w_zero, self.w_plus, self.w_alpha, self.w]
+        return all(v.is_real() for v in chain) and all(
+            _at_most(a, b) for a, b in zip(chain, chain[1:])
+        )
+
+
+def _at_most(a: Cyclotomic, b: Cyclotomic) -> bool:
+    """a <= b for real cyclotomic a and b: the sign of b - a, read off the
+    Fraction when b - a is rational (zero included) and from interval bounds
+    on its embedding otherwise."""
+    diff = b - a
+    r = diff.rational_value()
+    return r >= 0 if r is not None else _real_sign(diff) > 0
+
+
+def _real_sign(x: Cyclotomic) -> int:
+    """Sign of a nonzero real element: its embedding sum_e c_e cos(2 pi e/m)
+    (over a positive denominator) in mpmath interval arithmetic, at doubling
+    precision until the interval excludes 0. A nonzero real element has a
+    nonzero embedding, so the loop ends. A private interval context leaves
+    mpmath's shared `iv` precision alone."""
+    m = x.conductor
+    ctx = MPIntervalContext()
+    ctx.prec = 53
+    while True:
+        v = sum(c * ctx.cos(2 * ctx.pi * e / m) for e, c in x.num.items())
+        if v > 0:
+            return 1
+        if v < 0:
+            return -1
+        ctx.prec *= 2
 
 
 @dataclass
@@ -469,11 +511,12 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
     realizing a block automorphism of its parents), type II (coinciding
     parents with an automorphism), unresolved.
 
-    Each invariant is factorized once, and its global indices and the
-    extended data of each of its factorizations are computed at most once.
-    Parents are looked up by vacuum column in a map built from those
-    factorizations, and a parent's extended data is shared between its own
-    classification and the automorphism check of its children.
+    Each invariant is factorized once, and the extended data of each of its
+    factorizations is computed at most once. Global indices and their check
+    are computed once per distinct vacuum key (see `_PoolData`), not once per
+    invariant. Parents are looked up by vacuum column in a map built from
+    those factorizations, and a parent's extended data is shared between its
+    own classification and the automorphism check of its children.
     """
     data = _PoolData(md, pool)
     out = []
@@ -483,9 +526,7 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
         cls = Classification(
             index=i, Z=Z, kind="unresolved", vacuum_symmetric=sym, indices=idx
         )
-        bad = idx.check()
-        if bad:
-            cls.notes.extend(bad)
+        cls.notes.extend(data.index_notes[i])
         facts = data.facts[i]
         cls.factorizations = facts
         cls.parent_plus, cls.parent_minus = _parents(data.type_one_by_column, Z)
@@ -514,16 +555,32 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
 
 class _PoolData:
     """The exact data of one `classify_all` call, each piece computed at most
-    once per pool index. Every invariant needs its factorizations and global
-    indices, so those are computed up front; a parent can come later in the
-    pool than the invariant that needs it, so extended data is filled in
-    lazily. Keys are pool indices, never cyclotomic values."""
+    once. Every invariant needs its factorizations and global indices, so
+    those are computed up front; a parent can come later in the pool than the
+    invariant that needs it, so extended data is filled in lazily.
+
+    `global_indices` reads Z only through its vacuum column and the entries
+    of its vacuum row at degenerate labels, so invariants that agree there
+    share one `GlobalIndices` and the notes of one `check()`; equal inputs to
+    the same exact code give the same values and slot orders. Keys are
+    integer tuples and pool indices, never cyclotomic values."""
 
     def __init__(self, md: ModularData, pool: Sequence[CouplingMatrix]):
         self.md = md
         self.facts = [factorize_type_one(md, Z) for Z in pool]
         self.type_one_by_column = _type_one_by_column(pool, self.facts)
-        self.indices = [global_indices(md, Z) for Z in pool]
+        degenerates = sorted(md.degenerates)
+        by_key: dict[tuple, tuple[GlobalIndices, list[str]]] = {}
+        self.indices: list[GlobalIndices] = []
+        self.index_notes: list[list[str]] = []  # check() of each invariant's indices
+        for Z in pool:
+            key = (Z.vacuum_column, tuple(Z.Z[0][l] for l in degenerates))
+            if key not in by_key:
+                idx = global_indices(md, Z)
+                by_key[key] = idx, idx.check()
+            idx, notes = by_key[key]
+            self.indices.append(idx)
+            self.index_notes.append(notes)
         # (pool index, factorization index) -> extended data or the message of
         # the RankDeficientBranching it raised. A stored exception would keep
         # its traceback, and through it this object, in a reference cycle.

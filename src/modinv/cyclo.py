@@ -18,7 +18,8 @@ instead (:func:`coordinates`, :func:`field_matmul`, :func:`field_mul`,
 :func:`conjugate`, :func:`times_root`): an array of field elements is held as
 its integer coordinates, the power-basis axis first, over one positive
 denominator. They are int64 only where an explicit bound shows that no
-product or sum can wrap, and Python ints (object dtype) otherwise.
+product or sum can wrap, and Python ints (object dtype) otherwise; field
+products run in float64 where the same bound stays below 2**53.
 """
 
 from __future__ import annotations
@@ -410,11 +411,16 @@ def _max_abs(X: np.ndarray) -> int:
     return int(abs(X).max()) if X.size else 0
 
 
-def _product_dtype(terms: int, *factors: np.ndarray):
-    """int_dtype for sums of `terms` products of one entry from each factor,
-    bounding the factors' own entries too."""
+def _product_bound(terms: int, *factors: np.ndarray) -> int:
+    """Bound on sums of `terms` products of one entry from each factor, and
+    on the factors' own entries."""
     bounds = [_max_abs(x) for x in factors]
-    return int_dtype(max(terms * prod(bounds), *bounds))
+    return max(terms * prod(bounds), *bounds)
+
+
+def _product_dtype(terms: int, *factors: np.ndarray):
+    """int_dtype for sums of `terms` products of one entry from each factor."""
+    return int_dtype(_product_bound(terms, *factors))
 
 
 @lru_cache(maxsize=None)
@@ -458,17 +464,23 @@ def _field_product(A: np.ndarray, B: np.ndarray, m: int, op, terms: int) -> np.n
     """Coordinates of op(A, B) in Q(zeta_m) for the coordinate tensors A and
     B, op bilinear with `terms` products per entry: op(A[i], B) lands in
     slots i..i+phi-1 of a (2 phi - 1)-slot buffer of powers of zeta_m, which
-    is reduced once by the coordinates of those powers."""
+    is reduced once by the coordinates of those powers.
+
+    Below 2**53 the bound covers every partial sum, each an integer that
+    float64 holds exactly, so the products run in float64 (BLAS) and come
+    back as int64."""
     f = phi(m)
     R = _root_coordinates(m)[np.arange(2 * f - 1) % m]
-    dtype = _product_dtype((2 * f - 1) * f * terms, R, A, B)
+    bound = _product_bound((2 * f - 1) * f * terms, R, A, B)
+    dtype = np.float64 if bound < 2**53 else int_dtype(bound)
     A, B, R = (x.astype(dtype, copy=False) for x in (A, B, R))
     first = op(A[0], B)
     buf = np.zeros((2 * f - 1,) + first.shape[1:], dtype=dtype)
     buf[:f] = first
     for i in range(1, f):
         buf[i : i + f] += op(A[i], B)
-    return np.tensordot(R, buf, axes=(0, 0))
+    out = np.tensordot(R, buf, axes=(0, 0))
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def field_matmul(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:

@@ -157,8 +157,8 @@ def compute_central_charge(md: ModularData) -> Optional[Fraction]:
 def verify_statistics_axioms(md: ModularData) -> list[str]:
     """Exact checks: Y symmetry, Y_{dual(l),m} = conj(Y_{l,m}), Y_{l,0} = d_l,
     Omega Y Omega Y Omega = z Y. When the braiding is non-degenerate, also
-    S^2 = charge conjugation, exactly as Y Y = z conj(z) C, and TSTST = S
-    numerically (tol 1e-9)."""
+    S^2 = charge conjugation, exactly as Y Y = z conj(z) C. The one numeric
+    check is TSTST = S, to tolerance 1e-9."""
     n = md.size
     ring = md.ring
     M = ring.conductor
@@ -189,7 +189,7 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
         C = np.zeros((len(zz), n, n), dtype=zz.dtype)
         C[:, np.arange(n), list(ring.dual)] = zz[:, None]
         if differs(field_matmul(Y, Y, M), D * D, C, Dz * Dz).any():
-            report.append("S^2 != charge conjugation numerically")
+            report.append("S^2 != charge conjugation (Y Y != z conj(z) C)")
     return report
 
 

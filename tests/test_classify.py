@@ -2,6 +2,7 @@
 data and global indices."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -24,6 +25,7 @@ from modinv.commutant import (
 from modinv.classify import (
     BranchingData,
     ExtendedModularData,
+    GlobalIndices,
     RankDeficientBranching,
     branching_checks,
     classify_all,
@@ -380,6 +382,12 @@ def record_calls(monkeypatch, name):
     return calls
 
 
+def _vacuum_key(md, Z):
+    """All that global_indices reads of Z: the vacuum column and the vacuum
+    row at the degenerate labels."""
+    return Z.vacuum_column, tuple(Z.Z[0][l] for l in sorted(md.degenerates))
+
+
 @pytest.mark.parametrize("ring", ["cyclic4_zero", "su2_16"])
 def test_classify_all_does_exact_work_once(ring, request, monkeypatch):
     md, pool = request.getfixturevalue(ring)[:2]
@@ -388,7 +396,9 @@ def test_classify_all_does_exact_work_once(ring, request, monkeypatch):
     extended = record_calls(monkeypatch, "extended_modular_data")
     cls = classify_all(md, pool)
     assert len(factorized) == len(pool)
-    assert len(indexed) == len(pool)
+    # Global indices read Z only through its vacuum key: once per distinct key.
+    keys = [_vacuum_key(md, args[1]) for args in indexed]
+    assert sorted(keys) == sorted({_vacuum_key(md, Z) for Z in pool})
     # Extended data is needed for the first factorization of each type I
     # invariant and for the factorizations of coinciding parents; each such
     # (pool index, factorization) pair is computed at most once.
@@ -402,6 +412,73 @@ def test_classify_all_does_exact_work_once(ring, request, monkeypatch):
     used = [id(args[1]) for args in extended]
     assert len(used) == len(set(used))
     assert set(used) <= needed
+
+
+def test_z5_zero_twists_classification():
+    # The README library sequence on Z_5 with zero twists: 2161 invariants
+    # sharing 70 vacuum keys. Shared indices must read exactly as fresh ones.
+    ring = builtin_cyclic(5, [Fraction(0)] * 5)
+    md = compute_modular_data(ring)
+    pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
+    cls = classify_all(md, pool)
+    assert len(cls) == 2161
+    assert Counter(c.kind for c in cls) == {
+        "heterotic": 1704,
+        "unresolved": 432,
+        "permutation": 23,
+        "diagonal": 1,
+        "type_I": 1,
+    }
+    assert len({_vacuum_key(md, Z) for Z in pool}) == 70
+    fields = ("w", "w_plus", "w_alpha", "w_zero")
+    for Z, c in zip(pool, cls):
+        fresh = global_indices(md, Z)
+        for name in fields:
+            assert _cyclotomic_form(getattr(c.indices, name)) == _cyclotomic_form(
+                getattr(fresh, name)
+            )
+        notes = fresh.check()
+        assert c.notes[: len(notes)] == notes
+        assert fresh.chain_holds()
+
+
+def _sqrt2_power(k):
+    """(sqrt 2 - 1)^k = (1 + sqrt 2)^-k in Q(zeta_8), with sqrt 2 = zeta_8 +
+    zeta_8^-1: positive and about 5e-16 for k = 40, with coordinates near
+    1e15, so its float embedding is mostly rounding error."""
+    return (Cyclotomic(8, {1: 1, 7: 1}) - 1) ** k
+
+
+@pytest.mark.parametrize(
+    "w_zero, w_plus, w_alpha, w, holds",
+    [
+        (1, 2, 4, 4, True),
+        (Fraction(1, 2), 1, 2, 4, False),  # 1 <= w_zero fails, rationally
+        (1, 2, 3, Fraction(5, 2), False),  # w_alpha <= w fails, rationally
+        (2, 2 + _sqrt2_power(40), 3, 4, True),
+        (2, 2 - _sqrt2_power(40), 3, 4, False),  # floats cannot see this
+        (1, 1, 1, Cyclotomic(4, {1: 1}), False),  # w = i is not real
+    ],
+)
+def test_index_chain_is_decided_exactly(w_zero, w_plus, w_alpha, w, holds):
+    def field(x):
+        return x if isinstance(x, Cyclotomic) else Cyclotomic.from_rational(x)
+
+    gi = GlobalIndices(*map(field, (w, w_plus, w_alpha, w_zero)))
+    assert gi.chain_holds() is holds
+
+
+@pytest.mark.parametrize("k", [9, 21])
+def test_equal_indices_hold_the_chain_exactly(k):
+    # The identity's four indices are all equal to w. Their float embeddings
+    # differ in the last digits, so the pinned float note reads "violated";
+    # the exact chain holds.
+    ring = builtin_su2(k)
+    md = compute_modular_data(ring)
+    identity = [[int(l == m) for m in range(md.size)] for l in range(md.size)]
+    gi = global_indices(md, verify_invariant(md, identity))
+    assert gi.w_zero == gi.w_plus == gi.w_alpha == gi.w
+    assert gi.chain_holds()
 
 
 def test_classify_all_parents_match_find_parents(cyclic4_zero):

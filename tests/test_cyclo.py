@@ -337,17 +337,22 @@ def test_integer_representation_matches_fraction_reference(ra, rb, f, k):
 # 105 is the first conductor whose cyclotomic polynomial has a coefficient -2.
 TENSOR_CONDUCTORS = CONDUCTORS + [105]
 
-# Numerators above 2**62 push the coordinates past the int64 bound, so the
-# Python-int path runs as well.
-_tensor_coeffs = (
-    st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# Each case draws its entries from one band. Small entries keep field
+# products under 2**53, where they run in float64; integers up to 2**28 put
+# products on both sides of 2**53, in float64 or int64; numerators above 2**62 push the
+# coordinates past the int64 bound, so the Python-int path runs as well.
+_small_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_tensor_coeff_bands = [
+    _small_coeffs,
+    st.integers(-(2**28), 2**28).map(Fraction),
+    _small_coeffs
     | st.integers(2**62, 2**66).map(Fraction)
-    | st.integers(-(2**66), -(2**62)).map(Fraction)
-)
+    | st.integers(-(2**66), -(2**62)).map(Fraction),
+]
 
 
-def _matrix(m, rows, cols):
-    entry = st.dictionaries(st.integers(0, m - 1), _tensor_coeffs, max_size=3)
+def _matrix(m, rows, cols, coeffs):
+    entry = st.dictionaries(st.integers(0, m - 1), coeffs, max_size=3)
     return st.lists(
         st.lists(entry.map(lambda c: Cyclotomic(m, c)), min_size=cols, max_size=cols),
         min_size=rows,
@@ -359,7 +364,8 @@ def _matrix(m, rows, cols):
 def _matrix_pairs(draw):
     m = draw(st.sampled_from(TENSOR_CONDUCTORS))
     p, q, r = (draw(st.integers(1, 3)) for _ in range(3))
-    return m, draw(_matrix(m, p, q)), draw(_matrix(m, q, r))
+    coeffs = draw(st.sampled_from(_tensor_coeff_bands))
+    return m, draw(_matrix(m, p, q, coeffs)), draw(_matrix(m, q, r, coeffs))
 
 
 def _elements(X, D, m):
@@ -402,3 +408,18 @@ def test_coordinate_tensors_fall_back_to_python_ints():
     assert X.dtype == object and D == 1
     assert _elements(field_matmul(X, X, 4), 1, 4) == [[a * a]]
     assert field_matmul(X, X, 4)[1, 0, 0] == 2**125
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (6361 * 69431, 20394401),  # a * b = 2**53 - 1: float64 holds it exactly
+        (3 * 107, 28059810762433),  # a * b = 2**53 + 1: a float64 product rounds
+    ],
+)
+def test_field_products_stay_exact_at_the_float_bound(a, b):
+    X, _ = coordinates([[Cyclotomic.from_rational(a)]], 1)
+    Y, _ = coordinates([[Cyclotomic.from_rational(b)]], 1)
+    for product in (field_matmul(X, Y, 1), field_mul(X, Y, 1)):
+        assert product.dtype == np.int64
+        assert int(product[0, 0, 0]) == a * b

@@ -223,7 +223,7 @@ def _scalar_verify_statistics_axioms(md):
             for l in range(n)
             for m in range(n)
         ):
-            report.append("S^2 != charge conjugation numerically")
+            report.append("S^2 != charge conjugation (Y Y != z conj(z) C)")
     return report
 
 
