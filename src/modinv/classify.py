@@ -26,6 +26,7 @@ from .cyclo import (
     divide,
     field_matmul,
     field_mul,
+    int_array,
     int_matmul,
     root_of_unity,
 )
@@ -297,30 +298,30 @@ def find_block_bijection(
     Z_{l,m} = sum_tau bplus_{tau,l} bminus_{theta(tau),m}, plus the count of
     all solutions; None when block counts differ or no bijection exists.
 
-    Candidates are pruned by matching block twists and exact block dims.
+    Candidates are pruned by matching block twists and exact block dims, and
+    by the entries: B is non-negative, so each term bplus_tau bminus_s^T of
+    the sum is at most Z entrywise.
     """
     t = plus.block_count
     if minus.block_count != t:
         return None
     n = len(Z.Z)
+    Bp, Bm = int_array(plus.B).reshape(t, n), int_array(minus.B).reshape(t, n)
+    target = int_array(Z.Z)
     compatible = [
         [
             s
             for s in range(t)
             if plus.block_twists[tau] == minus.block_twists[s]
             and plus.block_dims[tau] == minus.block_dims[s]
+            and (int_matmul(Bp[tau, :, None], Bm[s, None]) <= target).all()
         ]
         for tau in range(t)
     ]
     found: list[tuple[int, ...]] = []
 
     def matches(theta: tuple[int, ...]) -> bool:
-        for l in range(n):
-            for m in range(n):
-                s = sum(plus.B[tau][l] * minus.B[theta[tau]][m] for tau in range(t))
-                if s != Z.Z[l][m]:
-                    return False
-        return True
+        return bool((int_matmul(Bp.T, Bm[list(theta)]) == target).all())
 
     def assign(tau: int, theta: list[int], used: set[int]):
         if tau == t:
@@ -485,15 +486,45 @@ def span_relations(mats: Sequence[CouplingMatrix]) -> list[tuple[int, ...]]:
 def span_dimension_and_relations(
     mats: Sequence[CouplingMatrix],
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """Span dimension and `span_relations` from one reduction of [Z | I]: the
-    rows whose pivot lies in the matrix part count the dimension, the rest
-    carry the relations."""
+    """Span dimension and `span_relations` from one pass over the matrices.
+
+    Relation i is the unique primitive relation among mats[:i+1], positive at
+    its lead (its first nonzero coefficient), that vanishes at the leads of
+    the relations before it. The rows kept are [Z | c] with Z the sum of
+    c_s times the basis member in slot s, the basis being the matrices that
+    are not the lead of a relation so far; at most n^2 + 1 slots are in use.
+    When the matrix part of a residual cancels, its slots hold the next
+    relation, the member at the relation's lead leaves, and every row is
+    rewritten through the relation to the member that takes its place.
+    """
     k = len(mats)
     width = len(mats[0].Z) ** 2 if mats else 0
-    echelon = Echelon(width + k)
-    pivots = [echelon.insert({**_flatten(m), width + i: 1}) for i, m in enumerate(mats)]
-    # Where the matrix part cancelled, the rest of the row is a primitive relation.
-    relations = [tuple(echelon.rows[p][width:]) for p in pivots if p >= width]
+    echelon = Echelon(2 * width + 1)
+    member: dict[int, int] = {}  # slot -> index into mats
+    relations: list[tuple[int, ...]] = []
+    free = 0  # the slot of the matrix being reduced
+    for i, Z in enumerate(mats):
+        entries = {**_flatten(Z), width + free: 1}
+        r = echelon.residual(entries)
+        if any(r[:width]):
+            echelon.insert(entries)
+            member[free] = i
+            free = next(s for s in range(width + 1) if s not in member)
+            continue
+        coeffs = {j: r[width + s] for s, j in member.items() if r[width + s]}
+        coeffs[i] = r[width + free]
+        lead = min(coeffs)
+        g = math.gcd(*coeffs.values()) if coeffs[lead] > 0 else -math.gcd(*coeffs.values())
+        relation = [0] * k
+        for j, c in coeffs.items():
+            relation[j] = c // g
+        relations.append(tuple(relation))
+        if lead != i:  # i is the lead only of a zero matrix, which joins no basis
+            (leaving,) = (s for s, j in member.items() if j == lead)
+            echelon.rewrite(r, width + leaving)
+            member[free] = i
+            del member[leaving]
+            free = leaving
     return k - len(relations), relations
 
 

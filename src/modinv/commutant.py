@@ -8,10 +8,14 @@ which both the kernel and every commutation check are computed. The kernel
 is that of the P x P integer Gram matrix of the constraints (P the allowed
 entries), found by fraction-free elimination. The integer points are then
 enumerated, in integers, by depth-first search over the kernel's pivot
-entries, and the whole pool is verified in stacked integer arrays. The
-search reads only the embedded dims as floats: in the entry bounds and in
-the column sums it prunes on, whose targets are read off its own integer
-accumulator.
+entries. The search reads only the embedded dims as floats: in the entry
+bounds and in the column sums it prunes on, whose targets are read off its
+own integer accumulator.
+
+Each constraint on a coupling matrix has one implementation, a mask over a
+(k, n, n) stack of integer matrices: `_verify_pool` checks the search's whole
+pool and, as a stack of one, the matrix `verify_invariant` was given, and
+`_noncommuting` decides YZ = ZY for both and for the kernel's own basis.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cyclo import int_dtype
+from .cyclo import int_array, int_dtype, int_matmul
 from .fusion import FusionRing
-from .linalg import Echelon, Rational, nullspace
+from .linalg import Echelon, nullspace
 from .modular import ModularData
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -132,16 +136,19 @@ def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis
             constraints.insert(dict(zip(nonzero.tolist(), row[nonzero].tolist())))
 
     kernel = nullspace(constraints)
-    a, b = np.array(positions, dtype=np.intp).reshape(P, 2).T
     cb = CommutantBasis(positions, [row for _, row in kernel], [col for col, _ in kernel])
+    # Each basis row times the lcm of its denominators, as one integer stack.
+    a, b = np.array(positions, dtype=np.intp).reshape(P, 2).T
+    stack = np.zeros((cb.dimension, n, n), dtype=object)
     for i, vec in enumerate(cb.basis):
-        Z = np.zeros((n, n), dtype=object)
-        Z[a, b] = vec
-        if (failure := _commutator_failure(md, Z)) is not None:
-            l, m = failure
-            raise AssertionError(
-                f"internal error: commutant basis element {i} fails YZ=ZY at ({l},{m})"
-            )
+        L = math.lcm(*(x.denominator for x in vec))
+        stack[i, a, b] = [x.numerator * (L // x.denominator) for x in vec]
+    failures = np.argwhere(_noncommuting(md, stack))
+    if len(failures):
+        i, l, m = failures[0].tolist()
+        raise AssertionError(
+            f"internal error: commutant basis element {i} fails YZ=ZY at ({l},{m})"
+        )
     return cb
 
 
@@ -165,19 +172,16 @@ def _gram(Y: np.ndarray, positions: list[tuple[int, int]]) -> np.ndarray:
     return G - T - T.T
 
 
-def _commutator_failure(
-    md: ModularData, Z: Sequence[Sequence[Rational]]
-) -> Optional[tuple[int, int]]:
-    """First entry (l, m), in row-major order, where YZ and ZY differ, or None
-    when YZ = ZY; compares the integer coordinates of Y (L Z) and (L Z) Y, L
-    the lcm of the denominators of the rational matrix Z."""
-    L = math.lcm(*(x.denominator for row in Z for x in row))
-    LZ = [[x.numerator * (L // x.denominator) for x in row] for row in Z]
-    # A product entry sums n terms below max|Y| max|LZ|; Y takes LZ's dtype in @.
-    bound = md.size * int(abs(md.Y_coords).max()) * max(abs(x) for row in LZ for x in row)
-    LZ = np.array(LZ, dtype=int_dtype(bound))
-    failures = np.argwhere(((md.Y_coords @ LZ) != (LZ @ md.Y_coords)).any(axis=0))
-    return tuple(failures[0].tolist()) if len(failures) else None
+def _noncommuting(md: ModularData, Z: np.ndarray) -> np.ndarray:
+    """Mask of the entries where YZ and ZY differ, for a (k, n, n) stack of
+    integer matrices, compared on the integer coordinates of Y in chunks."""
+    Y = md.Y_coords[:, None]
+    out = np.zeros(Z.shape, dtype=bool)
+    chunk = max(1, 2**12 // md.Y_coords.size)  # bounds the (phi, chunk, n, n) products
+    for start in range(0, len(Z), chunk):
+        part = Z[start : start + chunk]
+        out[start : start + chunk] = (int_matmul(Y, part) != int_matmul(part, Y)).any(axis=0)
+    return out
 
 
 # -- enumeration -------------------------------------------------------------
@@ -280,31 +284,32 @@ def enumerate_invariants(
 
 
 def _verify_pool(
-    md: ModularData, pool: list[tuple[tuple[int, ...], ...]]
+    md: ModularData, pool: Sequence[Sequence[Sequence[int]]]
 ) -> list[CouplingMatrix]:
-    """Exactly verify the sorted search results as stacks of (chunk, n, n)
-    integer arrays, one array expression per constraint of
-    :func:`verify_invariant`, which then names the first failure."""
+    """Exactly verify n x n integer matrices as one (k, n, n) stack, with one
+    mask per constraint; raises InvariantRejected for the first failing
+    matrix, naming its first failing constraint and, in row-major order,
+    entry."""
     n = md.size
-    Y = md.Y_coords
+    Z = int_array(pool).reshape(-1, n, n)
     h = md.ring.twists
-    forbidden = np.array([[hl != hm for hm in h] for hl in h])
-    chunk = max(1, 2**12 // (len(Y) * n * n))  # bounds the (phi, chunk, n, n) products
-    for start in range(0, len(pool), chunk):
-        Z = np.array(pool[start : start + chunk])
-        # A product entry sums n terms below max|Y| max|Z|.
-        Z = Z.astype(int_dtype(n * int(abs(Y).max()) * int(abs(Z).max())), copy=False)
-        YZ, ZY = Y[:, None] @ Z, Z @ Y[:, None]
-        ok = (
-            (Z >= 0).all(axis=(1, 2))
-            & (Z[:, 0, 0] == 1)
-            & ~Z[:, forbidden].any(axis=1)
-            & ~(YZ != ZY).any(axis=(0, 2, 3))
-        )
-        if not ok.all():
-            verify_invariant(md, pool[start + int(np.argmin(ok))])
-            raise AssertionError("internal error: pool check and verify_invariant disagree")
-    return [CouplingMatrix(Z=Z) for Z in pool]
+    vacuum = np.zeros((n, n), dtype=bool)
+    vacuum[0, 0] = True
+    masks = {
+        "entry Z[{l},{m}] = {v} is not a non-negative integer": Z < 0,
+        "Z[0,0] = {v}, must be 1": vacuum & (Z != 1),
+        "Omega Z != Z Omega: Z[{l},{m}] != 0 but h[{l}] != h[{m}]": (
+            np.array([[hl != hm for hm in h] for hl in h]) & (Z != 0)
+        ),
+        "YZ != ZY at ({l},{m})": _noncommuting(md, Z),
+    }
+    failing = np.logical_or.reduce(list(masks.values())).any(axis=(1, 2))
+    if failing.any():
+        i = int(np.argmax(failing))
+        message, mask = next((msg, mask[i]) for msg, mask in masks.items() if mask[i].any())
+        l, m = np.argwhere(mask)[0].tolist()
+        raise InvariantRejected(message.format(l=l, m=m, v=pool[i][l][m]))
+    return [CouplingMatrix(Z=tuple(map(tuple, matrix))) for matrix in pool]
 
 
 def verify_invariant(md: ModularData, Z: Sequence[Sequence[int]]) -> CouplingMatrix:
@@ -319,17 +324,4 @@ def verify_invariant(md: ModularData, Z: Sequence[Sequence[int]]) -> CouplingMat
             v = Z[l][m]
             if type(v) is not int or v < 0:  # bool is an int subclass
                 raise InvariantRejected(f"entry Z[{l},{m}] = {v} is not a non-negative integer")
-    if Z[0][0] != 1:
-        raise InvariantRejected(f"Z[0,0] = {Z[0][0]}, must be 1")
-    h = md.ring.twists
-    for l in range(n):
-        for m in range(n):
-            if Z[l][m] and h[l] != h[m]:
-                raise InvariantRejected(
-                    f"Omega Z != Z Omega: Z[{l},{m}] != 0 but h[{l}] != h[{m}]"
-                )
-    frozen = tuple(tuple(int(v) for v in row) for row in Z)
-    if (failure := _commutator_failure(md, frozen)) is not None:
-        l, m = failure
-        raise InvariantRejected(f"YZ != ZY at ({l},{m})")
-    return CouplingMatrix(Z=frozen)
+    return _verify_pool(md, [Z])[0]

@@ -407,6 +407,15 @@ def int_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
+def int_array(rows) -> np.ndarray:
+    """Nested lists of ints as an int64 array, or as Python ints (object)
+    where some entry does not fit in int64."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
 def _max_abs(X: np.ndarray) -> int:
     return int(abs(X).max()) if X.size else 0
 

@@ -59,6 +59,15 @@ class Echelon:
                 r = _eliminate(r, row, col)
         return r
 
+    def rewrite(self, row: Sequence[int], col: int) -> None:
+        """Clear column col of every stored row with an integer row that is
+        zero on every pivot: each stored row becomes the primitive
+        combination of itself and `row` that vanishes at col, positive at its
+        pivot as before."""
+        for pivot, r in self.rows.items():
+            if r[col]:
+                self.rows[pivot] = _primitive(_eliminate(r, row, col), pivot)
+
     def rref(self) -> list[tuple[int, list[Fraction]]]:
         """Reduced row echelon form over Q as (pivot column, row) pairs in
         increasing pivot order."""

@@ -9,23 +9,19 @@ forms carry the complete result.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .classify import Classification, RationalSpan, span_dimension_and_relations
 from .commutant import CouplingMatrix
 from .cyclo import Cyclotomic
 from .modular import ModularData, display_charge
+from .ringfile import fmt_fraction
 
 NUMERIC_DIGITS = 12
 
 
 def fmt_complex(x: complex) -> str:
     return f"{x.real:.{NUMERIC_DIGITS}g}{x.imag:+.{NUMERIC_DIGITS}g}j"
-
-
-def fmt_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def _exact_entry(v: Cyclotomic) -> dict:

@@ -41,11 +41,11 @@ def ring_to_json(ring: FusionRing) -> dict:
         "labels": list(ring.names),
         "fusion": quads,
         "dual": list(ring.dual),
-        "twists": [_format_fraction(h) for h in ring.twists],
+        "twists": [fmt_fraction(h) for h in ring.twists],
         "dims": [d.to_json() for d in ring.dims] if ring.dims is not None else "auto",
     }
     if ring.central_charge_hint is not None:
-        data["central_charge"] = _format_fraction(ring.central_charge_hint)
+        data["central_charge"] = fmt_fraction(ring.central_charge_hint)
     return data
 
 
@@ -145,7 +145,9 @@ def dump_ring(ring: FusionRing) -> str:
     return json.dumps(ring_to_json(ring), indent=2, sort_keys=True)
 
 
-def _format_fraction(x: Fraction) -> str:
+def fmt_fraction(x: Fraction) -> str:
+    """A rational as ring files and reports write it: "p/q", or "p" for an
+    integer."""
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import modinv.classify
 from modinv.cyclo import Cyclotomic, csum, divide, root_of_unity
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
-from modinv.linalg import SingularMatrix, inverse
+from modinv.linalg import Echelon, SingularMatrix, inverse
 from modinv.modular import compute_modular_data
 from modinv.commutant import (
     CouplingMatrix,
@@ -36,6 +36,7 @@ from modinv.classify import (
     global_indices,
     in_rational_span,
     rational_span_dimension,
+    span_dimension_and_relations,
     span_relations,
     vacuum_profile,
 )
@@ -335,6 +336,65 @@ def test_span_analysis(so16):
     q = next(Z for Z in pool if Z.Z == Q)
     assert not in_rational_span(q, symmetric)
     assert in_rational_span(next(Z for Z in pool if Z.Z == W), symmetric)
+
+
+def _reference_span_dimension_and_relations(mats):
+    """Reference: span dimension and relations from one reduction of [Z | I],
+    rows as wide as the list; where the matrix part of a row cancels, the
+    rest of the row is a primitive relation with positive lead."""
+    k = len(mats)
+    width = len(mats[0].Z) ** 2 if mats else 0
+    echelon = Echelon(width + k)
+    pivots = []
+    for i, Z in enumerate(mats):
+        flat = {j: v for j, v in enumerate(v for row in Z.Z for v in row) if v}
+        pivots.append(echelon.insert({**flat, width + i: 1}))
+    relations = [tuple(echelon.rows[p][width:]) for p in pivots if p >= width]
+    return k - len(relations), relations
+
+
+_ZERO3 = [Fraction(0)] * 3
+
+# (ring, bound scale, how many invariants of the pool), by name.
+SPAN_POOLS = {
+    "cyclic3_zero": (lambda: builtin_cyclic(3, _ZERO3), 1, None),
+    "cyclic3_zero_scale2": (lambda: builtin_cyclic(3, _ZERO3), 2, None),
+    "cyclic3_zero_scale3": (lambda: builtin_cyclic(3, _ZERO3), 3, None),
+    "cyclic4_zero": (lambda: builtin_cyclic(4, [Fraction(0)] * 4), 1, None),
+    "cyclic6_a2over4": (lambda: builtin_cyclic(6, [Fraction(a * a, 4) for a in range(6)]), 1, None),
+    "cyclic8_a2over8": (lambda: builtin_cyclic(8, [Fraction(a * a, 8) for a in range(8)]), 1, None),
+    "su2_level16": (lambda: builtin_su2(16), 1, None),
+    "so16_level1": (lambda: builtin_so_level1(16), 1, None),
+    "cyclic5_zero_first400": (lambda: builtin_cyclic(5, [Fraction(0)] * 5), 1, 400),
+    "empty": (lambda: builtin_so_level1(16), 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_POOLS))
+def test_span_relations_match_the_full_reduction(name):
+    build, scale, count = SPAN_POOLS[name]
+    ring = build()
+    md = compute_modular_data(ring)
+    pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)), bound_scale=scale)
+    pool = pool[:count]
+    assert span_dimension_and_relations(pool) == _reference_span_dimension_and_relations(pool)
+
+
+@st.composite
+def integer_matrix_lists(draw):
+    """Lists of small integer matrices, zero matrices and repeats included."""
+    n = draw(st.integers(1, 3))
+    matrix = st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n).map(
+        lambda flat: CouplingMatrix(Z=tuple(tuple(flat[l * n : (l + 1) * n]) for l in range(n)))
+    )
+    distinct = draw(st.lists(matrix, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(distinct), max_size=14))
+
+
+@given(integer_matrix_lists())
+@settings(max_examples=150, deadline=None)
+def test_span_relations_match_the_full_reduction_on_integer_matrices(mats):
+    assert span_dimension_and_relations(mats) == _reference_span_dimension_and_relations(mats)
 
 
 def test_block_dim_identity(su2_16):

@@ -14,15 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modinv import commutant
 from modinv.cyclo import csum
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.linalg import Echelon, nullspace
 from modinv.modular import compute_modular_data
 from modinv.commutant import (
+    CouplingMatrix,
     InvariantRejected,
     SearchBudgetExceeded,
-    _commutator_failure,
     _gram,
+    _noncommuting,
     _verify_pool,
     commutant_basis,
     enumerate_invariants,
@@ -237,6 +239,83 @@ def test_verify_rejects_commutation_failure():
         verify_invariant(md, bad)
 
 
+_CYCLIC2 = builtin_cyclic(2, [Fraction(0)] * 2)
+_SO16 = builtin_so_level1(16)
+
+
+def _changed(Z, *changes):
+    out = [list(row) for row in Z]
+    for l, m, v in changes:
+        out[l][m] = v
+    return out
+
+
+# One rejection per constraint, in the order they are checked; the first
+# failing entry is named in row-major order.
+REJECTIONS = [
+    (_SO16, [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "expected a 4x4 matrix"),
+    (_SO16, "not a matrix", "expected a 4x4 matrix"),
+    (_CYCLIC2, [[1, 0], [0, 1], [0, 0]], "expected a 2x2 matrix"),
+    (_CYCLIC2, [[True, 0], [0, 1]], "entry Z[0,0] = True is not a non-negative integer"),
+    (
+        _SO16,
+        _changed(IDENTITY4, (1, 2, -1), (3, 3, True)),
+        "entry Z[1,2] = -1 is not a non-negative integer",
+    ),
+    (_CYCLIC2, [[1, Fraction(1, 2)], [0, 1]], "entry Z[0,1] = 1/2 is not a non-negative integer"),
+    (
+        _CYCLIC2,
+        [[1, -(2**64)], [0, 1]],
+        "entry Z[0,1] = -18446744073709551616 is not a non-negative integer",
+    ),
+    (_SO16, _changed(IDENTITY4, (0, 0, 0)), "Z[0,0] = 0, must be 1"),
+    (_CYCLIC2, [[2**64, 0], [0, 1]], "Z[0,0] = 18446744073709551616, must be 1"),
+    (
+        _SO16,
+        _changed(IDENTITY4, (0, 1, 1), (2, 2, 5)),
+        "Omega Z != Z Omega: Z[0,1] != 0 but h[0] != h[1]",
+    ),
+    (_SO16, _changed(IDENTITY4, (1, 1, 2)), "YZ != ZY at (0,1)"),
+    (_CYCLIC2, [[1, 2**64], [0, 1]], "YZ != ZY at (0,0)"),
+]
+
+
+@pytest.mark.parametrize("ring, Z, message", REJECTIONS)
+def test_each_constraint_rejects_with_its_message(ring, Z, message):
+    md = compute_modular_data(ring)
+    assert _reference_verify_invariant(md, Z) == message
+    with pytest.raises(InvariantRejected) as exc:
+        verify_invariant(md, Z)
+    assert str(exc.value) == message
+    # The pool check names the same failure, here behind a valid matrix, on
+    # every input it takes: n x n matrices of ints.
+    n = md.size
+    square = isinstance(Z, list) and len(Z) == n and all(len(row) == n for row in Z)
+    if square and all(type(v) is int for row in Z for v in row):
+        identity = [[int(l == m) for m in range(n)] for l in range(n)]
+        with pytest.raises(InvariantRejected) as exc:
+            _verify_pool(md, [identity, Z])
+        assert str(exc.value) == message
+
+
+def test_kernel_self_check_catches_a_corrupted_basis_vector(monkeypatch):
+    md = compute_modular_data(_SO16)
+
+    def corrupted(echelon):
+        # E_00 does not commute with Y, so basis element 3 plus E_00 fails.
+        kernel = nullspace(echelon)
+        col, row = kernel[3]
+        kernel[3] = (col, [row[0] + 1] + row[1:])
+        return kernel
+
+    monkeypatch.setattr(commutant, "nullspace", corrupted)
+    with pytest.raises(AssertionError) as exc:
+        commutant_basis(md, twist_sparsity(md.ring))
+    assert str(exc.value).startswith(
+        "internal error: commutant basis element 3 fails YZ=ZY at ("
+    )
+
+
 def test_numeric_fallback_finds_the_same_invariants():
     # Without dims, SO(16) takes the exact path: the same kernel basis and
     # the same exactly verified invariants as with its builtin dims.
@@ -280,6 +359,48 @@ def _scalar_commutator_failure(md, Z):
             if lhs != rhs:
                 return l, m
     return None
+
+
+def _commutator_failure(md, Z):
+    """First entry (l, m), in row-major order, where YZ and ZY differ for a
+    rational matrix Z, or None: `_noncommuting` on L Z as a stack of one, L
+    the lcm of Z's denominators."""
+    L = math.lcm(*(Fraction(x).denominator for row in Z for x in row))
+    LZ = np.array([[int(x * L) for x in row] for row in Z], dtype=object)
+    failures = np.argwhere(_noncommuting(md, LZ[None])[0])
+    return tuple(failures[0].tolist()) if len(failures) else None
+
+
+def _reference_verify_invariant(md, Z):
+    """Reference: verify_invariant as it was before every constraint became a
+    mask over an integer stack, one scalar loop per constraint and
+    `_scalar_commutator_failure`; a CouplingMatrix or the rejection text."""
+    n = md.size
+    rows_ok = isinstance(Z, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in Z)
+    if not rows_ok or len(Z) != n or any(len(row) != n for row in Z):
+        return f"expected a {n}x{n} matrix"
+    for l in range(n):
+        for m in range(n):
+            v = Z[l][m]
+            if type(v) is not int or v < 0:
+                return f"entry Z[{l},{m}] = {v} is not a non-negative integer"
+    if Z[0][0] != 1:
+        return f"Z[0,0] = {Z[0][0]}, must be 1"
+    h = md.ring.twists
+    for l in range(n):
+        for m in range(n):
+            if Z[l][m] and h[l] != h[m]:
+                return f"Omega Z != Z Omega: Z[{l},{m}] != 0 but h[{l}] != h[{m}]"
+    if (failure := _scalar_commutator_failure(md, Z)) is not None:
+        return "YZ != ZY at ({},{})".format(*failure)
+    return CouplingMatrix(Z=tuple(map(tuple, Z)))
+
+
+def _outcome(verify, md, Z):
+    try:
+        return verify(md, Z)
+    except InvariantRejected as exc:
+        return str(exc)
 
 
 def _commutation_rings():
@@ -338,6 +459,19 @@ def commutation_inputs(draw):
 def test_commutator_failure_matches_scalar_reference(case):
     md, Z = case
     assert _commutator_failure(md, Z) == _scalar_commutator_failure(md, Z)
+
+
+@given(commutation_inputs())
+@settings(max_examples=150, deadline=None)
+def test_verify_invariant_matches_reference(case):
+    md, Z = case
+    # Integer-valued entries become ints, so that every constraint is reached.
+    Z = [[int(x) if x == int(x) else x for x in row] for row in Z]
+    expected = _reference_verify_invariant(md, Z)
+    assert _outcome(verify_invariant, md, Z) == expected
+    if all(type(x) is int for row in Z for x in row):
+        pooled = [expected] if isinstance(expected, CouplingMatrix) else expected
+        assert _outcome(_verify_pool, md, [Z]) == pooled
 
 
 def test_commutation_checks_beyond_int64():
@@ -430,10 +564,8 @@ def test_gram_of_an_asymmetric_tensor(case):
 
 def _first_rejection(md, pool):
     for Z in pool:
-        try:
-            verify_invariant(md, Z)
-        except InvariantRejected as exc:
-            return str(exc)
+        if isinstance(message := _reference_verify_invariant(md, Z), str):
+            return message
     return None
 
 
@@ -470,6 +602,9 @@ def search_pools(draw):
 @settings(max_examples=100, deadline=None)
 def test_pool_check_matches_verify_invariant(case):
     md, pool = case
+    assert [_outcome(verify_invariant, md, Z) for Z in pool] == [
+        _reference_verify_invariant(md, Z) for Z in pool
+    ]
     message = _first_rejection(md, pool)
     if message is None:
         assert _verify_pool(md, pool) == [verify_invariant(md, Z) for Z in pool]

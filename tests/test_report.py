@@ -2,6 +2,7 @@
 against the public span functions it replaces."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,22 @@ def test_span_summary_matches_public_span_functions(ring_run):
         for i, Z in enumerate(pool)
         if not Z.vacuum_symmetric
     }
+
+
+def test_degenerate_z5_report_bytes_pinned():
+    # Z_5 with zero twists: 2161 invariants and 2144 span relations. The
+    # digest is that of `modinv classify` on `modinv builtin cyclic --n 5`.
+    ring = builtin_cyclic(5, [Fraction(0)] * 5)
+    md = compute_modular_data(ring)
+    pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
+    report = build_report(md, pool, classify_all(md, pool))
+    # The bytes of render_json, hashed as json.dumps produces them: the
+    # report is 57 MB, and joining it into one string takes over 400 MB.
+    digest = hashlib.sha256()
+    for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(report):
+        digest.update(chunk.encode())
+    digest.update(b"\n")
+    assert digest.hexdigest() == "74a53ba897a5b247a5e62f9f99e14ceb477b2ba8bd33ae940aa8c02f19c0c7f9"
 
 
 def test_span_summary_of_empty_list():
