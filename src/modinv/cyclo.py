@@ -283,11 +283,13 @@ class Cyclotomic:
         den = self.den
         return sum((complex(c / den) * roots[e] for e, c in self.num.items()), 0j)
 
+    def _terms(self) -> list[tuple[int, int, int]]:
+        """(e, p, q) with num[e] / den = p / q in lowest terms, by exponent."""
+        den = self.den
+        return [(e, c // (g := gcd(c, den)), den // g) for e, c in sorted(self.num.items())]
+
     def to_json(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "coeffs": [[e, f"{c.numerator}/{c.denominator}"] for e, c in sorted(self.coeffs.items())],
-        }
+        return {"conductor": self.conductor, "coeffs": [[e, f"{p}/{q}"] for e, p, q in self._terms()]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Cyclotomic":
@@ -299,10 +301,11 @@ class Cyclotomic:
             return "Cyclotomic(0)"
         m = self.conductor
         parts = []
-        for e, c in sorted(self.coeffs.items()):
+        for e, p, q in self._terms():
+            c = f"{p}/{q}" if q != 1 else str(p)
             if e == 0:
-                parts.append(str(c))
-            elif c == 1:
+                parts.append(c)
+            elif c == "1":
                 parts.append(f"z{m}^{e}")
             else:
                 parts.append(f"{c}*z{m}^{e}")

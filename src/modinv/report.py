@@ -1,21 +1,21 @@
 """Deterministic report assembly for the invariants and classify pipelines.
 
-The machine format is a plain JSON-able dict; the human rendering is
-markdown built from the same dict. Exact values appear in full (cyclotomic
+The machine format is a plain JSON-able dict, written as indent-2 JSON
+with sorted keys by :func:`modinv.ringfile.json_text`; the human rendering
+is markdown built from the same dict. Exact values appear in full (cyclotomic
 serializations, "p/q" rationals) alongside 12-digit numeric shadows, so both
 forms carry the complete result.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional, Sequence
 
 from .classify import Classification, RationalSpan, span_dimension_and_relations
 from .commutant import CouplingMatrix
 from .cyclo import Cyclotomic
 from .modular import ModularData, display_charge
-from .ringfile import fmt_fraction
+from .ringfile import fmt_fraction, json_text
 
 NUMERIC_DIGITS = 12
 
@@ -120,8 +120,18 @@ def classification_summary(cls: Classification) -> dict:
         "notes": list(cls.notes),
     }
     if cls.extended is not None:
+        # Equal Yext entries share one entry dict. The key keeps the slot
+        # order of num, which fixes the embed() sum and so the shadow.
+        entries: dict[tuple, dict] = {}
+
+        def entry(v: Cyclotomic) -> dict:
+            key = (v.conductor, v.den, tuple(v.num.items()))
+            if key not in entries:
+                entries[key] = _exact_entry(v)
+            return entries[key]
+
         out["extended"] = {
-            "Yext": [[_exact_entry(v) for v in row] for row in cls.extended.Yext],
+            "Yext": [[entry(v) for v in row] for row in cls.extended.Yext],
             "twists": [fmt_fraction(h) for h in cls.extended.Text_twists],
             "z0": _exact_entry(cls.extended.z0),
             "consistent": cls.extended.consistent,
@@ -153,7 +163,7 @@ def build_report(
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json_text(report) + "\n"
 
 
 def render_markdown(report: dict) -> str:

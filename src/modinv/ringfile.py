@@ -3,12 +3,14 @@
 Exact fields cross the boundary as strings ("p/q" rationals) or structured
 cyclotomic serializations; no decimals are accepted for exact data. The
 fusion tensor is stored sparsely as [l, m, n, multiplicity] quadruples.
+Ring files and reports are written by one renderer, :func:`json_text`.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from math import lcm
 from typing import Optional, Union
 
@@ -142,7 +144,53 @@ def load_ring(path: str, check_axioms: bool = True) -> FusionRing:
 
 
 def dump_ring(ring: FusionRing) -> str:
-    return json.dumps(ring_to_json(ring), indent=2, sort_keys=True)
+    return json_text(ring_to_json(ring))
+
+
+# Scalar encoders by exact type: bool and None are not ints here, and an int
+# subclass, a float or a numpy integer has no entry.
+_JSON_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def json_text(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for a tree of dicts with
+    string keys, lists, strings, ints, bools and None; any other type, such
+    as a float, a tuple or a numpy integer, raises TypeError. The standard
+    library encodes with indentation in pure Python, one generator per
+    container; this joins each container's encoded items once and maps one
+    encoder over a list of same-type scalars. ``newline`` is a newline plus
+    the indentation of obj's own line."""
+    t = type(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [_json_str(k) + ": " + json_text(obj[k], inner) for k in sorted(obj)]
+    elif t is list:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, obj))
+        if len(kinds) == 1 and (kind := kinds.pop()) in _JSON_SCALARS:
+            items = list(map(_JSON_SCALARS[kind], obj))
+        else:
+            items = [json_text(v, inner) for v in obj]
+    else:
+        encode = _JSON_SCALARS.get(t)
+        if encode is None:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        return encode(obj)
+    # The brackets go onto the first and last items, so the container's text
+    # is copied once, by the join.
+    open_, close = "{}" if t is dict else "[]"
+    items[0] = open_ + inner + items[0]
+    items[-1] += newline + close
+    return ("," + inner).join(items)
 
 
 def fmt_fraction(x: Fraction) -> str:

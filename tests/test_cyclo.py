@@ -269,6 +269,26 @@ def _ref_repr(x):
     return " + ".join(parts) if parts else "Cyclotomic(0)"
 
 
+# The display reads the integer coordinates; _ref_json and _ref_repr are the
+# Fraction-based bodies it replaced. Coefficients cover den 1, +-1, negative
+# numerators and denominators that cancel in some coordinates only.
+_DISPLAY_COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(-5, 6), Fraction(2, 3)]
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_display_matches_fraction_reference(m):
+    top = phi(m) - 1
+    values = [ZERO, Cyclotomic(m, {})]
+    for c in _DISPLAY_COEFFS:
+        values += [Cyclotomic(m, {0: c}), Cyclotomic(m, {top: c}), Cyclotomic(m, {m - 1: c})]
+        values += [Cyclotomic(m, {e: c * (-1) ** e for e in range(phi(m))})]
+        values += [Cyclotomic(m, {0: c, top: d}) for d in _DISPLAY_COEFFS]
+    for x in values:
+        ref = (x.conductor, x.coeffs)
+        assert x.to_json() == _ref_json(ref)
+        assert repr(x) == _ref_repr(ref)
+
+
 def _bits(z):
     return z.real.hex(), z.imag.hex()
 

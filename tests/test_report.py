@@ -1,11 +1,16 @@
-"""Reports: byte-identical JSON on the ladder rings, and the span summary
-against the public span functions it replaces."""
+"""Reports: byte-identical JSON on the ladder rings, the JSON renderer
+against json.dumps, the Yext entry memo against plain entries, and the span
+summary against the public span functions it replaces."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modinv.classify import (
     classify_all,
@@ -14,9 +19,19 @@ from modinv.classify import (
     span_relations,
 )
 from modinv.commutant import commutant_basis, enumerate_invariants, twist_sparsity
+from modinv.cyclo import Cyclotomic, _make
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.modular import compute_modular_data
-from modinv.report import build_report, render_json, span_summary
+from modinv.report import (
+    _exact_entry,
+    build_report,
+    classification_summary,
+    render_json,
+    span_summary,
+)
+from modinv.ringfile import json_text
+
+from test_fusion import quadratic_twists
 
 # sha256 of render_json(build_report(md, pool, classify_all(md, pool))) in the
 # builtin labelling. Reports on these rings must stay byte-identical unless a
@@ -81,13 +96,11 @@ def test_degenerate_z5_report_bytes_pinned():
     md = compute_modular_data(ring)
     pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
     report = build_report(md, pool, classify_all(md, pool))
-    # The bytes of render_json, hashed as json.dumps produces them: the
-    # report is 57 MB, and joining it into one string takes over 400 MB.
-    digest = hashlib.sha256()
-    for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(report):
-        digest.update(chunk.encode())
-    digest.update(b"\n")
-    assert digest.hexdigest() == "74a53ba897a5b247a5e62f9f99e14ceb477b2ba8bd33ae940aa8c02f19c0c7f9"
+    # The report is 57 MB of JSON; `modinv classify` on this ring peaks at
+    # 229 MB RSS (ru_maxrss), against 526 MB when json.dumps rendered it.
+    text = render_json(report)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "74a53ba897a5b247a5e62f9f99e14ceb477b2ba8bd33ae940aa8c02f19c0c7f9"
 
 
 def test_span_summary_of_empty_list():
@@ -97,3 +110,81 @@ def test_span_summary_of_empty_list():
         "relations": [],
         "asymmetric_in_symmetric_span": {},
     }
+
+
+# -- the JSON renderer against json.dumps ---------------------------------------
+
+_json_strings = st.text(max_size=6) | st.sampled_from(
+    ["", "é", "\u2603", "\U0001f600", "\x00\x1f\x7f", '"', "\\", 'a"b\\c\n\t', "\ud800"]
+)
+_json_ints = st.integers() | st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**64) - 1, 3**90])
+_json_scalars = st.none() | st.booleans() | _json_ints | _json_strings
+_json_trees = st.recursive(
+    _json_scalars | st.lists(_json_ints | st.booleans() | st.none(), max_size=6),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_json_strings, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(_json_trees)
+@example({"a": [], "b": {}, "c": [[]], "d": [{}], "e": {"f": {"g": []}}})
+@example([1, [2, {"x": None}], "s", {}, [True, None, 3], []])
+@example({"k\u00e9": [2**70, -(2**70), True, False, None]})
+@settings(max_examples=150, deadline=None)
+def test_json_text_equals_json_dumps(tree):
+    assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [1.5, np.int64(3), (1, 2)], ids=["float", "int64", "tuple"])
+def test_json_text_rejects_what_reports_never_hold(bad):
+    for tree in (bad, [bad], [1, bad], {"a": [bad]}, {"a": {"b": bad}}):
+        with pytest.raises(TypeError):
+            json_text(tree)
+
+
+# -- the Yext entry memo against plain entries --------------------------------
+
+MEMO_RINGS = (
+    [(f"su2_{k}", builtin_su2, (k,)) for k in range(1, 25)]
+    + [(f"so{n}", builtin_so_level1, (n,)) for n in (16, 32)]
+    + [(f"z{n}_quadratic", builtin_cyclic, (n, quadratic_twists(n, 1))) for n in range(2, 13)]
+)
+
+
+@pytest.mark.parametrize(
+    "build, args", [r[1:] for r in MEMO_RINGS], ids=[r[0] for r in MEMO_RINGS]
+)
+def test_classification_summary_equals_one_without_the_yext_memo(build, args):
+    # Equal Yext entries share one entry dict, and the summary equals the
+    # one with an entry built per Yext entry.
+    ring = build(*args)
+    md = compute_modular_data(ring)
+    pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
+    for cls in classify_all(md, pool):
+        summary = classification_summary(cls)
+        if cls.extended is None:
+            assert summary["extended"] is None
+            continue
+        Yext = cls.extended.Yext
+        plain = [[_exact_entry(v) for v in row] for row in Yext]
+        assert summary == {**summary, "extended": {**summary["extended"], "Yext": plain}}
+        distinct = {(v.conductor, v.den, tuple(v.num.items())) for row in Yext for v in row}
+        shared = {id(e) for row in summary["extended"]["Yext"] for e in row}
+        assert len(shared) == len(distinct)
+
+
+def test_yext_memo_keeps_denominators_and_slot_orders_apart():
+    # x and x/2 share coordinates but not the denominator; x and y are equal
+    # with the slot order reversed, which changes the embed() sum.
+    ring = builtin_so_level1(16)
+    md = compute_modular_data(ring)
+    pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
+    cls = next(c for c in classify_all(md, pool) if c.extended is not None)
+    x = Cyclotomic(8, {0: 1, 1: 3})
+    y = _make(8, dict(reversed(x.num.items())))
+    Yext = [[x, x / 2], [y, x]]
+    extended = dataclasses.replace(cls.extended, Yext=Yext)
+    got = classification_summary(dataclasses.replace(cls, extended=extended))["extended"]["Yext"]
+    assert got == [[_exact_entry(v) for v in row] for row in Yext]
+    assert got[0][0] is got[1][1]
+    assert len({id(e) for row in got for e in row}) == 3
