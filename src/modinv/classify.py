@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from mpmath.ctx_iv import MPIntervalContext
 
 from .cyclo import (
     ONE,
@@ -28,6 +27,7 @@ from .cyclo import (
     field_mul,
     int_array,
     int_matmul,
+    real_bounds,
     root_of_unity,
 )
 from .commutant import CouplingMatrix
@@ -94,21 +94,17 @@ def _at_most(a: Cyclotomic, b: Cyclotomic) -> bool:
 
 
 def _real_sign(x: Cyclotomic) -> int:
-    """Sign of a nonzero real element: its embedding sum_e c_e cos(2 pi e/m)
-    (over a positive denominator) in mpmath interval arithmetic, at doubling
-    precision until the interval excludes 0. A nonzero real element has a
-    nonzero embedding, so the loop ends. A private interval context leaves
-    mpmath's shared `iv` precision alone."""
-    m = x.conductor
-    ctx = MPIntervalContext()
-    ctx.prec = 53
+    """Sign of a nonzero real element: its embedding bracketed at doubling
+    precision until the bracket excludes 0. A nonzero real element has a
+    nonzero embedding, so the loop ends."""
+    bits = 53
     while True:
-        v = sum(c * ctx.cos(2 * ctx.pi * e / m) for e, c in x.num.items())
-        if v > 0:
+        ((lo, hi),) = real_bounds([x], bits)
+        if lo > 0:
             return 1
-        if v < 0:
+        if hi < 0:
             return -1
-        ctx.prec *= 2
+        bits *= 2
 
 
 @dataclass

@@ -7,10 +7,11 @@ the integer coordinates of Y in the power basis (ModularData.Y_coords), on
 which both the kernel and every commutation check are computed. The kernel
 is that of the P x P integer Gram matrix of the constraints (P the allowed
 entries), found by fraction-free elimination. The integer points are then
-enumerated, in integers, by depth-first search over the kernel's pivot
-entries. The search reads only the embedded dims as floats: in the entry
-bounds and in the column sums it prunes on, whose targets are read off its
-own integer accumulator.
+enumerated, in integers, by a search over the kernel's pivot entries that
+expands whole batches of sibling nodes as integer arrays. Its entry bounds
+ceil(scale * d_l * d_m) are exact; it reads the embedded dims as floats only
+in the column sums it prunes on, whose targets are read off its own integer
+accumulator.
 
 Each constraint on a coupling matrix has one implementation, a mask over a
 (k, n, n) stack of integer matrices: `_verify_pool` checks the search's whole
@@ -21,28 +22,40 @@ pool and, as a stack of one, the matrix `verify_invariant` was given, and
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .cyclo import int_array, int_dtype, int_matmul
+from .cyclo import Cyclotomic, int_array, int_dtype, int_matmul, real_bounds
 from .fusion import FusionRing
 from .linalg import Echelon, nullspace
 from .modular import ModularData
 
 DEFAULT_NODE_BUDGET = 10_000_000
+SEARCH_CHUNK = 2**16  # caps the accumulator entries of one batch on the search's stack
 
 
 class SearchBudgetExceeded(RuntimeError):
-    def __init__(self, budget: int, partial: list["CouplingMatrix"]):
+    """The search stopped at its node budget: `nodes` nodes visited, the
+    deepest at pivot level `depth` of `levels`, and the verified invariants
+    reached by then in `partial`."""
+
+    def __init__(
+        self, budget: int, partial: list["CouplingMatrix"], nodes: int, depth: int, levels: int
+    ):
         super().__init__(
-            f"enumeration exceeded the node budget of {budget}; "
+            f"enumeration exceeded the node budget of {budget} after {nodes} nodes, "
+            f"reaching pivot level {depth} of {levels}; "
             f"{len(partial)} invariants found before the cutoff"
         )
         self.budget = budget
         self.partial = partial
+        self.nodes = nodes
+        self.depth = depth
+        self.levels = levels
 
 
 class InvariantRejected(ValueError):
@@ -195,13 +208,22 @@ def enumerate_invariants(
 ) -> list[CouplingMatrix]:
     """All non-negative integer matrices in the commutant with Z[0,0] = 1.
 
-    Depth-first search over the kernel's pivot entries; every entry (pivot or
-    completed) is bounded by ceil(bound_scale * d_l * d_m). Entries finalized
-    along the way must be non-negative integers within their bound, and
-    partial dimension-weighted column sums are pruned against their final
-    values, which YZ = ZY fixes once row 0 is: the accumulator lies in the
-    commutant, so its own column sums give them. Output is canonically
-    sorted and exactly re-verified.
+    Search over the kernel's pivot entries, level i choosing the coefficient
+    of basis row i; every entry (pivot or completed) is bounded by the exact
+    ceil(bound_scale * d_l * d_m). Entries finalized along the way must be
+    non-negative integers within their bound, and the dimension-weighted
+    column sums are pruned against their final values, which YZ = ZY fixes
+    once row 0 is: the accumulator lies in the commutant, so its own column
+    sums give them. Siblings are expanded together: the stack holds batches
+    of nodes of one level, as integer arrays of L * Z on the allowed
+    positions (L the kernel's common denominator), and each batch's children
+    are checked as masks. A node is one choice of one coefficient, and the
+    node count of a complete search does not depend on the order of
+    expansion. A batch is expanded only as far as its parents' children fit
+    in `node_budget`; when not one parent fits, the search raises
+    SearchBudgetExceeded with the invariants reached so far: verified, but
+    not the subset a one-node-at-a-time depth-first search would have
+    reached. Output is canonically sorted and exactly re-verified.
     """
     n = md.size
     if basis.dimension == 0 or basis.positions[0] != (0, 0):
@@ -211,87 +233,129 @@ def enumerate_invariants(
 
     d = [x.embed().real for x in md.ring.dims]
     positions = basis.positions
-    npos = len(positions)
-    scale = float(bound_scale)
-    bounds = [max(0, math.ceil(scale * d[l] * d[m] - 1e-9)) for (l, m) in positions]
+    P = len(positions)
+    bounds = np.array(_entry_bounds(md.ring.dims, positions, Fraction(bound_scale)))
     pivots = basis.pivot_indices
+    k = len(pivots)
     # Kernel rows times their common denominator L: the search accumulates L * Z.
     L = math.lcm(*(x.denominator for row in basis.basis for x in row))
     bvecs = [[x.numerator * (L // x.denominator) for x in row] for row in basis.basis]
-    k = len(pivots)
-    seg_end = [pivots[i + 1] if i + 1 < k else npos for i in range(k)]
-    r0_len = sum(1 for (l, _m) in positions if l == 0)
+    # Every accumulator entry, sum and product is at most sum_i bound * max|row_i|
+    # (row 0 takes the coefficient 1).
+    dtype = int_dtype(sum(max(int(bounds[p]), 1) * max(map(abs, b)) for p, b in zip(pivots, bvecs)))
+    B = np.array(bvecs, dtype=dtype)
+    # The leaves' entries lie in 0..max(bounds): the smallest signed dtype that holds them.
+    entry_dtype = np.min_scalar_type(-int(bounds.max()) - 1)
+    # Level i finalizes the entries from its pivot to the next one.
+    segments = [slice(p, q) for p, q in zip(pivots, pivots[1:] + [P])]
+    flat = np.array([l * n + m for l, m in positions], dtype=np.intp)
+    # The level whose segment completes row 0 (positions (0, m) come first).
+    row0_level = bisect_right(pivots, sum(1 for l, _m in positions if l == 0) - 1) - 1
 
-    results: list[tuple[tuple[int, ...], ...]] = []
-    nodes = 0
-    budget_hit = False
+    leaves = []
+    nodes = depth = 0
+    # Batches (level, acc, column sums, targets); the targets are infinite
+    # until row 0 is complete.
+    stack = [(0, np.zeros((1, P), dtype=dtype), np.zeros((1, n)), np.full((1, n), np.inf))]
+    while stack:
+        i, acc, cols, targets = stack.pop()
+        values = np.arange(1, 2) if i == 0 else np.arange(bounds[pivots[i]] + 1)
+        fit = (node_budget - nodes) // len(values)
+        if fit == 0:
+            partial = _verify_pool(md, _sorted_stack(leaves, flat, n))
+            raise SearchBudgetExceeded(node_budget, partial, nodes, depth, k)
+        if fit < len(acc):  # expand the parents that fit; the rest wait below their children
+            stack.append((i, acc[fit:], cols[fit:], targets[fit:]))
+            acc, cols, targets = acc[:fit], cols[:fit], targets[:fit]
+        nodes += len(acc) * len(values)
+        depth = max(depth, i + 1)
+        seg = segments[i]
+        # The segment's entries of child (parent p, coefficient v) in row
+        # p * len(values) + v - values[0]; the rest of acc is unchanged or,
+        # beyond the segment, not final yet.
+        entries = acc[:, None, seg] + values[:, None] * B[i, seg]
+        entries = entries.reshape(-1, entries.shape[2])
+        x = entries // L
+        ok = ((x * L == entries) & (x >= 0) & (x <= bounds[seg])).all(axis=1)
+        (alive,) = ok.nonzero()
+        parent, v = np.divmod(alive, len(values))
+        x = x[alive]
+        cols = cols[parent]
+        for s, (l, m) in enumerate(positions[seg]):
+            cols[:, m] += d[l] * x[:, s].astype(float)
+        acc = acc[parent] + values[v][:, None] * B[i]
+        if i == row0_level:
+            # Y_0l = d_l, so (ZY)_0m = (YZ)_0m = sum_l d_l Z_lm for Z = acc / L.
+            sums = np.zeros((len(acc), n))
+            for j, (l, m) in enumerate(positions):
+                sums[:, m] += d[l] * acc[:, j].astype(float)
+            sums /= L
+            targets = sums + 1e-6 * (1 + abs(sums))  # relative slack
+        else:
+            targets = targets[parent]
+        # Column sums only grow, so a sum over its target at any entry of the
+        # segment is still over it at the segment's end.
+        keep = (cols <= targets).all(axis=1)
+        acc, cols, targets = acc[keep], cols[keep], targets[keep]
+        if i + 1 == k:
+            leaves.append((acc // L).astype(entry_dtype))
+            continue
+        rows = max(1, SEARCH_CHUNK // P)
+        for start in reversed(range(0, len(acc), rows)):
+            part = slice(start, start + rows)
+            stack.append((i + 1, acc[part], cols[part], targets[part]))
 
-    def column_targets(acc: list[int]) -> list[float]:
-        # Y_0l = d_l, so (ZY)_0m = (YZ)_0m = sum_l d_l Z_lm for Z = acc / L.
-        sums = [0.0] * n
-        for j, (l, m) in enumerate(positions):
-            sums[m] += d[l] * acc[j]
-        return [s / L + 1e-6 * (1 + abs(s / L)) for s in sums]  # relative slack
+    return _verify_pool(md, _sorted_stack(leaves, flat, n))
 
-    def dfs(
-        i: int,
-        acc: list[int],
-        col_sum: list[float],
-        targets: Optional[list[float]],
-    ):
-        nonlocal nodes, budget_hit
-        if budget_hit:
-            return
-        lo, hi = (1, 1) if i == 0 else (0, bounds[pivots[i]])
-        vec = bvecs[i]
-        for v in range(lo, hi + 1):
-            nodes += 1
-            if nodes > node_budget:
-                budget_hit = True
-                return
-            new_acc = [a + v * b for a, b in zip(acc, vec)] if v else list(acc)
-            new_cols = list(col_sum)
-            new_targets = targets
-            for j in range(pivots[i], seg_end[i]):
-                x, r = divmod(new_acc[j], L)
-                if x < 0 or r or x > bounds[j]:
-                    break
-                l, m = positions[j]
-                if x:
-                    new_cols[m] += d[l] * float(x)
-                if new_targets is not None and new_cols[m] > new_targets[m]:
-                    break
-                if j == r0_len - 1:
-                    new_targets = column_targets(new_acc)
-                    if any(c > t for c, t in zip(new_cols, new_targets)):
-                        break
-            else:  # every entry of the segment passed
-                if i + 1 < k:
-                    dfs(i + 1, new_acc, new_cols, new_targets)
-                else:
-                    Z = [[0] * n for _ in range(n)]
-                    for j, (l, m) in enumerate(positions):
-                        Z[l][m] = new_acc[j] // L
-                    results.append(tuple(tuple(row) for row in Z))
 
-    dfs(0, [0] * npos, [0.0] * n, None)
+def _sorted_stack(leaves: list[np.ndarray], flat: np.ndarray, n: int) -> np.ndarray:
+    """The leaves, (k, P) arrays of the entries at the row-major flat indices
+    `flat`, as one (k, n, n) stack in lexicographic (row-major) order; every
+    other entry is 0, so the order of the P entries is that of the matrices.
+    Empties the list, so that no leaf is held twice."""
+    entries = np.concatenate(leaves) if leaves else np.zeros((0, len(flat)), dtype=np.int64)
+    leaves.clear()
+    entries = entries[np.lexsort(entries.T[::-1])]
+    Z = np.zeros((len(entries), n * n), dtype=entries.dtype)
+    Z[:, flat] = entries
+    return Z.reshape(-1, n, n)
 
-    unique = sorted(set(results))
-    out = _verify_pool(md, unique)
-    if budget_hit:
-        raise SearchBudgetExceeded(node_budget, out)
-    return out
+
+def _entry_bounds(
+    dims: Sequence[Cyclotomic], positions: list[tuple[int, int]], scale: Fraction
+) -> list[int]:
+    """max(0, ceil(scale * d_l * d_m)) for each position, exactly and once per
+    unordered pair: the product is bracketed from brackets of the dims
+    (`real_bounds`) at doubling precision until the bracket has a single
+    ceiling k, or holds k and the product equals k in the field."""
+    pending = {(min(l, m), max(l, m)) for l, m in positions}
+    ceilings = {}
+    bits = 64
+    while pending:
+        labels = sorted({l for pair in pending for l in pair})
+        bracket = dict(zip(labels, real_bounds([dims[l] for l in labels], bits)))
+        den = scale.denominator << 2 * bits
+        for l, m in sorted(pending):
+            # scale * d_l * d_m lies between the least and the greatest of
+            # these, over den; lo and hi are the ceilings of the two ends.
+            ends = [a * b * scale.numerator for a in bracket[l] for b in bracket[m]]
+            lo, hi = (-(-v // den) for v in (min(ends), max(ends)))
+            if lo == hi or dims[l] * dims[m] * scale == lo:
+                ceilings[l, m] = max(0, lo)
+                pending.discard((l, m))
+        bits *= 2
+    return [ceilings[min(l, m), max(l, m)] for l, m in positions]
 
 
 def _verify_pool(
-    md: ModularData, pool: Sequence[Sequence[Sequence[int]]]
+    md: ModularData, pool: Union[np.ndarray, Sequence[Sequence[Sequence[int]]]]
 ) -> list[CouplingMatrix]:
-    """Exactly verify n x n integer matrices as one (k, n, n) stack, with one
-    mask per constraint; raises InvariantRejected for the first failing
-    matrix, naming its first failing constraint and, in row-major order,
-    entry."""
+    """Exactly verify n x n integer matrices, given as a (k, n, n) integer
+    stack or as nested sequences of ints, with one mask per constraint;
+    raises InvariantRejected for the first failing matrix, naming its first
+    failing constraint and, in row-major order, entry."""
     n = md.size
-    Z = int_array(pool).reshape(-1, n, n)
+    Z = (pool if isinstance(pool, np.ndarray) else int_array(pool)).reshape(-1, n, n)
     h = md.ring.twists
     vacuum = np.zeros((n, n), dtype=bool)
     vacuum[0, 0] = True
@@ -308,8 +372,13 @@ def _verify_pool(
         i = int(np.argmax(failing))
         message, mask = next((msg, mask[i]) for msg, mask in masks.items() if mask[i].any())
         l, m = np.argwhere(mask)[0].tolist()
-        raise InvariantRejected(message.format(l=l, m=m, v=pool[i][l][m]))
-    return [CouplingMatrix(Z=tuple(map(tuple, matrix))) for matrix in pool]
+        raise InvariantRejected(message.format(l=l, m=m, v=Z[i, l, m]))
+    step = 2**12  # matrices per list conversion: the lists are not all held at once
+    return [
+        CouplingMatrix(Z=tuple(map(tuple, matrix)))
+        for start in range(0, len(Z), step)
+        for matrix in Z[start : start + step].tolist()
+    ]
 
 
 def verify_invariant(md: ModularData, Z: Sequence[Sequence[int]]) -> CouplingMatrix:

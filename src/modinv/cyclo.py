@@ -31,6 +31,17 @@ from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
+from mpmath.libmp import (
+    from_int,
+    mpf_pi,
+    mpf_shift,
+    mpi_cos,
+    mpi_div,
+    mpi_mul,
+    round_ceiling,
+    round_floor,
+    to_int,
+)
 
 from .linalg import solve
 
@@ -399,6 +410,40 @@ def csum(items: Iterable[Cyclotomic]) -> Cyclotomic:
     for x in items:
         acc = acc + x
     return acc
+
+
+@lru_cache(maxsize=None)
+def _cos_bracket(m: int, e: int, bits: int) -> tuple[int, int]:
+    """Integers a <= 2**bits * cos(2 pi e / m) <= b: the angle is reduced to
+    [0, pi/2] (cos(-x) = cos x, cos(pi - x) = -cos x), bracketed with pi by
+    mpmath's interval arithmetic at bits + 8 bits, and its cosine is scaled
+    exactly and rounded outward."""
+    e = min(e % m, -e % m)
+    if e == 0:
+        return 2**bits, 2**bits
+    if 4 * e > m and m % 2 == 0:
+        a, b = _cos_bracket(m, m // 2 - e, bits)
+        return -b, -a
+    prec = bits + 8
+    pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
+    angle = mpi_div(mpi_mul(pi, (from_int(2 * e),) * 2, prec), (from_int(m),) * 2, prec)
+    a, b = mpi_cos(angle, prec)
+    return to_int(mpf_shift(a, bits), "f"), to_int(mpf_shift(b, bits), "c")
+
+
+def real_bounds(xs: Iterable[Cyclotomic], bits: int) -> list[tuple[int, int]]:
+    """Integers lo <= 2**bits * Re(x) <= hi for each x, where
+    Re(x) = sum_e num_e cos(2 pi e / m) / den: exact integer sums over
+    brackets of the cosines."""
+    out = []
+    for x in xs:
+        lo = hi = 0
+        for e, c in x.num.items():
+            a, b = _cos_bracket(x.conductor, e, bits)
+            lo += c * a if c > 0 else c * b
+            hi += c * b if c > 0 else c * a
+        out.append((lo // x.den, -(-hi // x.den)))
+    return out
 
 
 # -- integer coordinate tensors ----------------------------------------------

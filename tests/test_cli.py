@@ -9,6 +9,8 @@ import pytest
 
 from modinv.cli import main
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
+from modinv.modular import compute_modular_data
+from modinv.report import build_report, render_json
 from modinv.ringfile import (
     MAX_CONDUCTOR,
     MAX_LABELS,
@@ -228,6 +230,22 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
     assert "budget" in err
     report = json.loads(out)
     assert report["budget_exhausted"] is True
+
+
+def test_budget_exhaustion_says_how_far_the_search_got(tmp_path, capsys):
+    ring = builtin_cyclic(4, [Fraction(0)] * 4)
+    path = tmp_path / "z4.json"
+    path.write_text(dump_ring(ring))
+    argv = ("invariants", str(path), "--bound-scale", "2", "--node-budget", "1000")
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err == (
+        "warning: enumeration exceeded the node budget of 1000 after 1000 nodes, "
+        "reaching pivot level 7 of 10; 0 invariants found before the cutoff\n"
+    )
+    # The progress goes to stderr only: stdout is the report of the partial pool.
+    md = compute_modular_data(ring)
+    assert out == render_json(build_report(md, [], budget_exhausted=True))
 
 
 def test_classify_single_invariant_by_file(tmp_path, capsys):

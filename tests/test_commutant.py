@@ -9,9 +9,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modinv import commutant
@@ -54,7 +55,8 @@ def pipeline(ring, **kwargs):
 
 def brute_force_invariants(md, bound_scale=1):
     """Oracle: all matrices with 0 <= Z_lm <= ceil(bound_scale d_l d_m),
-    Z_00 = 1, checked against YZ = ZY and the twist constraint exactly."""
+    Z_00 = 1 and Z_lm = 0 off equal twists, tested against YZ = ZY all at once
+    by its own einsum over the integer coordinates of Y (md.Y_coords)."""
     n = md.size
     d = [x.embed().real for x in md.ring.dims]
     h = md.ring.twists
@@ -67,18 +69,71 @@ def brute_force_invariants(md, bound_scale=1):
                 ranges.append([0])
             else:
                 ranges.append(range(0, math.ceil(bound_scale * d[l] * d[m] - 1e-9) + 1))
-    found = set()
-    for flat in itertools.product(*ranges):
-        Z = [flat[l * n : (l + 1) * n] for l in range(n)]
-        ok = all(
-            csum(md.Y[l][a] * Z[a][m] for a in range(n))
-            == csum(md.Y[a][m] * Z[l][a] for a in range(n))
-            for l in range(n)
-            for m in range(n)
-        )
-        if ok:
-            found.add(tuple(Z))
-    return found
+    Z = np.array(list(itertools.product(*ranges)), dtype=np.int64).reshape(-1, n, n)
+    Y = md.Y_coords
+    commutes = np.einsum("eab,kbc->keac", Y, Z) == np.einsum("kab,ebc->keac", Z, Y)
+    return {tuple(map(tuple, M)) for M in Z[commutes.all(axis=(1, 2, 3))].tolist()}
+
+
+def _reference_enumerate(md, basis, bound_scale=1):
+    """Reference: the search as it was before siblings were expanded as
+    batches, a recursive depth-first search one node at a time with float
+    entry bounds; its sorted pool (unverified) and its node count."""
+    n = md.size
+    if basis.dimension == 0 or basis.positions[0] != (0, 0) or basis.pivot_indices[0] != 0:
+        return [], 0
+    d = [x.embed().real for x in md.ring.dims]
+    positions = basis.positions
+    npos = len(positions)
+    scale = float(bound_scale)
+    bounds = [max(0, math.ceil(scale * d[l] * d[m] - 1e-9)) for (l, m) in positions]
+    pivots = basis.pivot_indices
+    L = math.lcm(*(x.denominator for row in basis.basis for x in row))
+    bvecs = [[x.numerator * (L // x.denominator) for x in row] for row in basis.basis]
+    k = len(pivots)
+    seg_end = [pivots[i + 1] if i + 1 < k else npos for i in range(k)]
+    r0_len = sum(1 for (l, _m) in positions if l == 0)
+    results = []
+    nodes = 0
+
+    def column_targets(acc):
+        sums = [0.0] * n
+        for j, (l, m) in enumerate(positions):
+            sums[m] += d[l] * acc[j]
+        return [s / L + 1e-6 * (1 + abs(s / L)) for s in sums]
+
+    def dfs(i, acc, col_sum, targets):
+        nonlocal nodes
+        lo, hi = (1, 1) if i == 0 else (0, bounds[pivots[i]])
+        for v in range(lo, hi + 1):
+            nodes += 1
+            new_acc = [a + v * b for a, b in zip(acc, bvecs[i])]
+            new_cols = list(col_sum)
+            new_targets = targets
+            for j in range(pivots[i], seg_end[i]):
+                x, r = divmod(new_acc[j], L)
+                if x < 0 or r or x > bounds[j]:
+                    break
+                l, m = positions[j]
+                if x:
+                    new_cols[m] += d[l] * float(x)
+                if new_targets is not None and new_cols[m] > new_targets[m]:
+                    break
+                if j == r0_len - 1:
+                    new_targets = column_targets(new_acc)
+                    if any(c > t for c, t in zip(new_cols, new_targets)):
+                        break
+            else:
+                if i + 1 < k:
+                    dfs(i + 1, new_acc, new_cols, new_targets)
+                else:
+                    Z = [[0] * n for _ in range(n)]
+                    for j, (l, m) in enumerate(positions):
+                        Z[l][m] = new_acc[j] // L
+                    results.append(tuple(tuple(row) for row in Z))
+
+    dfs(0, [0] * npos, [0.0] * n, None)
+    return sorted(set(results)), nodes
 
 
 def test_so16_sparsity_pattern():
@@ -199,6 +254,127 @@ def test_search_visits_a_pinned_number_of_nodes(ring, scale, nodes):
     enumerate_invariants(md, basis, bound_scale=scale, node_budget=nodes)
     with pytest.raises(SearchBudgetExceeded):
         enumerate_invariants(md, basis, bound_scale=scale, node_budget=nodes - 1)
+
+
+def _search_rings():
+    rings = [builtin_su2(k) for k in range(13)] + [builtin_so_level1(16), builtin_so_level1(32)]
+    rings += [builtin_cyclic(n, [Fraction(0)] * n) for n in range(1, 6)]
+    rings += [builtin_cyclic(n, quadratic_twists(n, 1)) for n in range(2, 13)]
+    return rings
+
+
+@lru_cache(maxsize=None)
+def _search_case(i):
+    ring = _search_rings()[i]
+    md = compute_modular_data(ring)
+    return md, commutant_basis(md, twist_sparsity(ring))
+
+
+def _passes_at(md, basis, scale, budget):
+    try:
+        return enumerate_invariants(md, basis, bound_scale=scale, node_budget=budget)
+    except SearchBudgetExceeded:
+        return None
+
+
+@given(st.integers(0, len(_search_rings()) - 1), st.sampled_from([1, 2]))
+@settings(max_examples=40, deadline=None)
+def test_search_matches_the_recursive_reference(i, scale):
+    md, basis = _search_case(i)
+    if md.size == 5 and all(h == 0 for h in md.ring.twists):
+        scale = 1  # Z_5 with zero twists at scale 2 runs too long for a test
+    pool, nodes = _reference_enumerate(md, basis, scale)
+    # The same pool at exactly the reference's node count, and a cutoff one node below it.
+    assert [Z.Z for Z in _passes_at(md, basis, scale, max(nodes, 1))] == pool
+    if nodes:
+        assert _passes_at(md, basis, scale, nodes - 1) is None
+
+
+@pytest.mark.parametrize("rows, dtype", [(1, None), (3, None), (3, object)])
+def test_search_in_small_chunks_matches_the_reference(monkeypatch, rows, dtype):
+    # Batches of at most `rows` nodes: every frontier spans many chunks, and
+    # budget cutoffs split batches; with dtype=object the accumulator holds
+    # Python ints, as it does when int64 could wrap.
+    ring = builtin_cyclic(4, [Fraction(0)] * 4)
+    md = compute_modular_data(ring)
+    basis = commutant_basis(md, twist_sparsity(ring))
+    monkeypatch.setattr(commutant, "SEARCH_CHUNK", rows * len(basis.positions))
+    if dtype is not None:
+        monkeypatch.setattr(commutant, "int_dtype", lambda bound: dtype)
+    pool, nodes = _reference_enumerate(md, basis, 2)
+    assert nodes == 12_760
+    assert [Z.Z for Z in _passes_at(md, basis, 2, nodes)] == pool
+    assert _passes_at(md, basis, 2, nodes - 1) is None
+
+
+def test_partial_pool_across_chunks_is_verified(monkeypatch):
+    # Z_6 with zero twists under a budget: the last level's frontier spans
+    # several chunks, and the search stops after 99,999 of 100,000 nodes.
+    ring = builtin_cyclic(6, [Fraction(0)] * 6)
+    md = compute_modular_data(ring)
+    basis = commutant_basis(md, twist_sparsity(ring))
+    batches = []
+    sorted_stack = commutant._sorted_stack
+
+    def spy(leaves, *args):
+        batches.append(len(leaves))
+        return sorted_stack(leaves, *args)
+
+    monkeypatch.setattr(commutant, "_sorted_stack", spy)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        enumerate_invariants(md, basis, node_budget=100_000)
+    assert batches[0] > 1
+    e = exc.value
+    assert (e.budget, e.nodes, e.depth, e.levels) == (100_000, 99_999, 26, 26)
+    mats = [Z.Z for Z in e.partial]
+    assert mats and mats == sorted(set(mats))
+    assert all(verify_invariant(md, [list(row) for row in Z]).Z == Z for Z in mats)
+
+
+def test_entry_bounds_are_exact_ceilings():
+    dims = builtin_su2(3).dims  # d_1 = (1 + sqrt 5) / 2, so d_1^2 = (3 + sqrt 5) / 2
+    # A scale that puts scale * d_1^2 less than 1e-9 above 3, from a rational
+    # just below sqrt 5: the ceiling is 4, which the float bound ceil(x - 1e-9)
+    # missed.
+    scale = 3 / ((3 + Fraction(math.isqrt(5 * 10**40), 10**20)) / 2)
+    with mpmath.workdps(50):
+        excess = mpmath.mpf(scale.numerator) / scale.denominator * (3 + mpmath.sqrt(5)) / 2 - 3
+        assert 0 < excess < 1e-9
+    assert math.ceil(float(scale) * dims[1].embed().real ** 2 - 1e-9) == 3
+    assert commutant._entry_bounds(dims, [(1, 1), (0, 1), (1, 0)], scale) == [4, 2, 2]
+    # Exact integers: sqrt 2 * sqrt 2 * 3/2 = 3, and 0 for a zero scale.
+    dims = builtin_su2(2).dims
+    assert commutant._entry_bounds(dims, [(1, 1), (0, 0)], Fraction(3, 2)) == [3, 2]
+    assert commutant._entry_bounds(dims, [(1, 1)], Fraction(0)) == [0]
+
+
+def _oracle_cases():
+    cases = [(builtin_su2(k), s) for k in range(5) for s in (1, Fraction(3, 2), 2)]
+    for n in range(1, 8):
+        for q in range(1, 4):
+            ring = builtin_cyclic(n, quadratic_twists(n, q))
+            cases += [(ring, s) for s in (1, Fraction(3, 2), 2)]
+    return cases
+
+
+@lru_cache(maxsize=None)
+def _oracle_case(i):
+    ring, scale = _oracle_cases()[i]
+    md = compute_modular_data(ring)
+    d = [x.embed().real for x in ring.dims]
+    candidates = math.prod(
+        math.ceil(scale * d[l] * d[m] - 1e-9) + 1 for l, m in twist_sparsity(ring).allowed
+    )
+    return md, scale, candidates
+
+
+@given(st.integers(0, len(_oracle_cases()) - 1))
+@settings(max_examples=40, deadline=None)
+def test_search_matches_brute_force_oracle(i):
+    md, scale, candidates = _oracle_case(i)
+    assume(candidates <= 20_000)
+    _, _, invs = pipeline(md.ring, bound_scale=scale)
+    assert {Z.Z for Z in invs} == brute_force_invariants(md, scale)
 
 
 def test_verify_accepts_the_asymmetric_invariant():

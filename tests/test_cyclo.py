@@ -7,6 +7,7 @@ import cmath
 from fractions import Fraction
 from math import gcd, lcm
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from modinv.cyclo import (
     field_matmul,
     field_mul,
     phi,
+    real_bounds,
     root_of_unity,
     times_root,
 )
@@ -94,6 +96,20 @@ def test_embedding_is_homomorphic(a, b):
     assert cmath.isclose(
         (a + b).embed(), a.embed() + b.embed(), rel_tol=0, abs_tol=1e-7
     )
+
+
+@given(elements(max_conductor=72), st.sampled_from([53, 64, 128, 256]))
+@settings(max_examples=60, deadline=None)
+def test_real_bounds_bracket_the_real_part(x, bits):
+    # The bracket holds the real part, computed independently at 100 digits
+    # from the coordinates, and is a few units wide.
+    ((lo, hi),) = real_bounds([x], bits)
+    with mpmath.workdps(100):
+        m = x.conductor
+        re = sum(mpmath.mpf(c) * mpmath.cos(2 * mpmath.pi * e / m) for e, c in x.num.items())
+        scaled = re / x.den * mpmath.mpf(2) ** bits
+        assert lo <= scaled <= hi
+    assert hi - lo <= 2 + 3 * sum(abs(c) for c in x.num.values())
 
 
 @given(elements())
