@@ -27,7 +27,7 @@ from .cyclo import (
     field_mul,
     int_array,
     int_matmul,
-    real_bounds,
+    real_floor,
     root_of_unity,
 )
 from .commutant import CouplingMatrix
@@ -77,34 +77,11 @@ class GlobalIndices:
 
     def chain_holds(self) -> bool:
         """1 <= w_zero <= w_plus <= w_alpha <= w with every index real, each
-        link decided exactly."""
+        link a <= b decided exactly as floor(b - a) >= 0."""
         chain = [ONE, self.w_zero, self.w_plus, self.w_alpha, self.w]
         return all(v.is_real() for v in chain) and all(
-            _at_most(a, b) for a, b in zip(chain, chain[1:])
+            real_floor(b - a) >= 0 for a, b in zip(chain, chain[1:])
         )
-
-
-def _at_most(a: Cyclotomic, b: Cyclotomic) -> bool:
-    """a <= b for real cyclotomic a and b: the sign of b - a, read off the
-    Fraction when b - a is rational (zero included) and from interval bounds
-    on its embedding otherwise."""
-    diff = b - a
-    r = diff.rational_value()
-    return r >= 0 if r is not None else _real_sign(diff) > 0
-
-
-def _real_sign(x: Cyclotomic) -> int:
-    """Sign of a nonzero real element: its embedding bracketed at doubling
-    precision until the bracket excludes 0. A nonzero real element has a
-    nonzero embedding, so the loop ends."""
-    bits = 53
-    while True:
-        ((lo, hi),) = real_bounds([x], bits)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        bits *= 2
 
 
 @dataclass

@@ -29,13 +29,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .cyclo import Cyclotomic, int_array, int_dtype, int_matmul, real_bounds
+from .cyclo import Cyclotomic, int_array, int_dtype, int_matmul, real_floor
 from .fusion import FusionRing
 from .linalg import Echelon, nullspace
-from .modular import ModularData
+from .modular import ModularData, twist_exponents
 
 DEFAULT_NODE_BUDGET = 10_000_000
-SEARCH_CHUNK = 2**16  # caps the accumulator entries of one batch on the search's stack
+SEARCH_CHUNK = 2**16  # caps the entries of one batch: search accumulators, YZ = ZY products
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -190,7 +190,7 @@ def _noncommuting(md: ModularData, Z: np.ndarray) -> np.ndarray:
     integer matrices, compared on the integer coordinates of Y in chunks."""
     Y = md.Y_coords[:, None]
     out = np.zeros(Z.shape, dtype=bool)
-    chunk = max(1, 2**12 // md.Y_coords.size)  # bounds the (phi, chunk, n, n) products
+    chunk = max(1, SEARCH_CHUNK // md.Y_coords.size)  # bounds the (phi, chunk, n, n) products
     for start in range(0, len(Z), chunk):
         part = Z[start : start + chunk]
         out[start : start + chunk] = (int_matmul(Y, part) != int_matmul(part, Y)).any(axis=0)
@@ -324,26 +324,12 @@ def _sorted_stack(leaves: list[np.ndarray], flat: np.ndarray, n: int) -> np.ndar
 def _entry_bounds(
     dims: Sequence[Cyclotomic], positions: list[tuple[int, int]], scale: Fraction
 ) -> list[int]:
-    """max(0, ceil(scale * d_l * d_m)) for each position, exactly and once per
-    unordered pair: the product is bracketed from brackets of the dims
-    (`real_bounds`) at doubling precision until the bracket has a single
-    ceiling k, or holds k and the product equals k in the field."""
-    pending = {(min(l, m), max(l, m)) for l, m in positions}
-    ceilings = {}
-    bits = 64
-    while pending:
-        labels = sorted({l for pair in pending for l in pair})
-        bracket = dict(zip(labels, real_bounds([dims[l] for l in labels], bits)))
-        den = scale.denominator << 2 * bits
-        for l, m in sorted(pending):
-            # scale * d_l * d_m lies between the least and the greatest of
-            # these, over den; lo and hi are the ceilings of the two ends.
-            ends = [a * b * scale.numerator for a in bracket[l] for b in bracket[m]]
-            lo, hi = (-(-v // den) for v in (min(ends), max(ends)))
-            if lo == hi or dims[l] * dims[m] * scale == lo:
-                ceilings[l, m] = max(0, lo)
-                pending.discard((l, m))
-        bits *= 2
+    """max(0, ceil(scale * d_l * d_m)) for each position, exactly
+    (`real_floor`) and once per unordered pair."""
+    ceilings = {
+        (l, m): max(0, -real_floor(-(dims[l] * dims[m] * scale)))
+        for l, m in {(min(l, m), max(l, m)) for l, m in positions}
+    }
     return [ceilings[min(l, m), max(l, m)] for l, m in positions]
 
 
@@ -356,15 +342,13 @@ def _verify_pool(
     failing constraint and, in row-major order, entry."""
     n = md.size
     Z = (pool if isinstance(pool, np.ndarray) else int_array(pool)).reshape(-1, n, n)
-    h = md.ring.twists
+    s = twist_exponents(md.ring)
     vacuum = np.zeros((n, n), dtype=bool)
     vacuum[0, 0] = True
     masks = {
         "entry Z[{l},{m}] = {v} is not a non-negative integer": Z < 0,
         "Z[0,0] = {v}, must be 1": vacuum & (Z != 1),
-        "Omega Z != Z Omega: Z[{l},{m}] != 0 but h[{l}] != h[{m}]": (
-            np.array([[hl != hm for hm in h] for hl in h]) & (Z != 0)
-        ),
+        "Omega Z != Z Omega: Z[{l},{m}] != 0 but h[{l}] != h[{m}]": (s[:, None] != s) & (Z != 0),
         "YZ != ZY at ({l},{m})": _noncommuting(md, Z),
     }
     failing = np.logical_or.reduce(list(masks.values())).any(axis=(1, 2))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import floor, gcd, lcm, prod
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
@@ -444,6 +444,23 @@ def real_bounds(xs: Iterable[Cyclotomic], bits: int) -> list[tuple[int, int]]:
             hi += c * b if c > 0 else c * a
         out.append((lo // x.den, -(-hi // x.den)))
     return out
+
+
+def real_floor(x: Cyclotomic) -> int:
+    """floor(Re x), exactly. Re x = (x + conj x) / 2 is an element of the
+    field: a rational one gives its floor directly, and an irrational one,
+    never an integer, is bracketed (`real_bounds`) at doubling precision
+    until both ends of the bracket have one floor."""
+    re = (x + x.conjugate()) / 2
+    r = re.rational_value()
+    if r is not None:
+        return floor(r)
+    bits = 64
+    while True:
+        ((lo, hi),) = real_bounds([re], bits)
+        if lo >> bits == hi >> bits:
+            return lo >> bits
+        bits *= 2
 
 
 # -- integer coordinate tensors ----------------------------------------------

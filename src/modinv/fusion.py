@@ -157,6 +157,8 @@ def validate(ring: FusionRing) -> list[str]:
                 report.append(f"dims: d[{l}] != d[dual({l})]")
             if not d[l].is_real():
                 report.append(f"dims: d[{l}] is not real")
+            # A float on purpose: an exact order on dims from an unvalidated
+            # file can need unbounded precision.
             if d[l].embed().real < 1 - 1e-9:
                 report.append(f"dims: d[{l}] < 1 numerically")
         # d_l d_m = sum_nu N_lm^nu d_nu: an outer product of the coordinates
@@ -191,8 +193,9 @@ def reconstruct_dims(ring: FusionRing) -> FusionRing:
     precision. Exact dims spread from d_0 = 1 through the fusion rules; where
     that stalls, the smallest unknown d_l is read off x_l by PSLQ, first over
     Q, then over the integral basis {1, 2cos(2 pi j/M) : 1 <= j < phi(M)/2}
-    of the real subfield. validate() then checks the product rule, reality
-    and d >= 1 exactly, and a positive character is the Perron-Frobenius one.
+    of the real subfield. validate() then checks the product rule and
+    reality exactly and d >= 1 on the float embedding, and a positive
+    character is the Perron-Frobenius one.
     Raises DimsReconstructionError on any failure.
     """
     n, M = ring.size, ring.conductor

@@ -4,10 +4,11 @@ central charge, degeneracy detection, and consistency checks.
 A ring given without dims first gets exact ones from reconstruct_dims.
 All structural identities are verified in exact cyclotomic arithmetic, on
 the integer coordinate tensors of the values they check (S^2 = C as
-Y Y = z conj(z) C), and c by an exact identity; floats decide only the
-numeric TSTST = S check. The S- and T-matrices are kept numeric only,
-since |z| involves a square root that need not have a representation in
-the chosen power basis. Commutation with S is equivalent to commutation
+Y Y = z conj(z) C), and c by an exact identity; TSTST = S follows from them
+exactly. Floats only propose c (the phase of z) and decide the numeric
+Verlinde reconstruction of verlinde_check. The S- and T-matrices are kept
+numeric only, since |z| involves a square root that need not have a
+representation in the chosen power basis. Commutation with S is equivalent to commutation
 with Y (they differ by the nonzero scalar |z|), so nothing exact is lost.
 """
 
@@ -152,6 +153,13 @@ def compute_central_charge(md: ModularData) -> Optional[Fraction]:
     return c
 
 
+def twist_exponents(ring: FusionRing) -> np.ndarray:
+    """The integers s_l = h_l M in 0..M-1, M the conductor, with
+    omega_l = zeta_M^s_l: equal twists are equal integers."""
+    M = ring.conductor
+    return np.array([h.numerator * (M // h.denominator) for h in ring.twists])
+
+
 def verify_statistics_axioms(md: ModularData) -> list[str]:
     """Exact checks: Y symmetry, Y_{dual(l),m} = conj(Y_{l,m}), Y_{l,0} = d_l,
     Omega Y Omega Y Omega = z Y. When the braiding is non-degenerate, also
@@ -171,7 +179,7 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
         report.append(f"Y[{l},0] != d[{l}]")
     # Omega Y Omega Y Omega = z Y: omega_l = zeta_M^s_l, so entry (l, m) of
     # the left side is zeta_M^(s_l + s_m) (Y (Omega Y))_lm.
-    s = np.array([h.numerator * (M // h.denominator) for h in ring.twists])
+    s = twist_exponents(ring)
     lhs = times_root(field_matmul(Y, times_root(Y, s[:, None], M), M), s[:, None] + s, M)
     z, Dz = coordinates(md.z, M)
     rhs = field_mul(z[:, None, None], Y, M)

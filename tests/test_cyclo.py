@@ -27,6 +27,7 @@ from modinv.cyclo import (
     field_mul,
     phi,
     real_bounds,
+    real_floor,
     root_of_unity,
     times_root,
 )
@@ -110,6 +111,60 @@ def test_real_bounds_bracket_the_real_part(x, bits):
         scaled = re / x.den * mpmath.mpf(2) ** bits
         assert lo <= scaled <= hi
     assert hi - lo <= 2 + 3 * sum(abs(c) for c in x.num.values())
+
+
+@given(elements(max_conductor=72), st.booleans(), st.integers(-3, 3))
+@settings(max_examples=80, deadline=None)
+def test_real_floor_matches_the_real_part_at_250_digits(x, real, shift):
+    # Real elements (x + conj x) and general ones, shifted to either sign.
+    # An element of this small height within 1e-200 of an integer k has real
+    # part exactly k, which the field confirms.
+    if real:
+        x = x + x.conjugate()
+    x = x + shift
+    with mpmath.workdps(250):
+        m = x.conductor
+        re = sum(mpmath.mpf(c) * mpmath.cos(2 * mpmath.pi * e / m) for e, c in x.num.items())
+        re /= x.den
+        k = int(mpmath.nint(re))
+        if abs(re - k) < mpmath.mpf(10) ** -200:
+            assert (x + x.conjugate()) / 2 == k
+            expected = k
+        else:
+            expected = int(mpmath.floor(re))
+    assert real_floor(x) == expected
+
+
+def _sqrt2_power(k):
+    """(sqrt 2 - 1)^k in Q(zeta_8): positive, about 3e-31 for k = 80."""
+    return (Cyclotomic(8, {1: 1, 7: 1}) - 1) ** k
+
+
+@pytest.mark.parametrize(
+    "x, floor",
+    [
+        (Cyclotomic.from_rational(0), 0),
+        (Cyclotomic.from_rational(5), 5),
+        (Cyclotomic.from_rational(-3), -3),
+        (Cyclotomic.from_rational(Fraction(-7, 2)), -4),
+        (Cyclotomic.from_rational(-3, conductor=12), -3),
+        (-Cyclotomic(8, {1: 1, 7: 1}), -2),  # -sqrt 2
+        (Cyclotomic(8, {1: 1, 7: 1}) - 2, -1),
+        (3 + _sqrt2_power(80), 3),
+        (3 - _sqrt2_power(80), 2),
+        (-3 + _sqrt2_power(80), -3),
+        (-3 - _sqrt2_power(80), -4),
+        # Non-real elements with an integer real part stop at the rational test.
+        (Cyclotomic.zeta(4), 0),
+        (Cyclotomic.zeta(4) - 2, -2),
+        (Cyclotomic.zeta(3) + Cyclotomic.zeta(3, 2), -1),
+        (Cyclotomic.zeta(3) - Cyclotomic.zeta(3, 2), 0),  # i sqrt 3
+        (Cyclotomic.zeta(8) + Cyclotomic.zeta(8, 3) - 7, -7),  # i sqrt 2 - 7
+        (Cyclotomic.zeta(12) + Cyclotomic.zeta(12, 5), 0),  # i
+    ],
+)
+def test_real_floor_of_negatives_integers_and_non_real_elements(x, floor):
+    assert real_floor(x) == floor
 
 
 @given(elements())
