@@ -146,6 +146,11 @@ def factorize_type_one(md: ModularData, Z: CouplingMatrix) -> list[BranchingData
     Block 0's row is forced to the vacuum column of Z. Remaining rows have a
     zero vacuum entry and are produced in non-increasing lexicographic order,
     which kills permutation duplicates. Empty list means not of this form.
+
+    The residual R = Z - sum_tau b_tau b_tau^T of the rows so far stays
+    non-negative (a row fits only when b_l b_m <= R_{l,m}) and live (see
+    `_live`): a row that leaves it dead ends its branch, and a live R with a
+    zero diagonal is zero.
     """
     n = md.size
     mat = Z.Z
@@ -153,60 +158,50 @@ def factorize_type_one(md: ModularData, Z: CouplingMatrix) -> list[BranchingData
         return []
     b0 = Z.vacuum_column
     resid = [[mat[l][m] - b0[l] * b0[m] for m in range(n)] for l in range(n)]
-    if any(resid[l][m] < 0 for l in range(n) for m in range(n)):
+    if any(resid[l][m] < 0 for l in range(n) for m in range(n)) or not _live(resid):
         return []
     results: list[list[tuple[int, ...]]] = []
-    top = tuple([0] + [max(0, _isqrt_floor(mat[l][l])) for l in range(1, n)])
 
-    def candidate_rows(R, ceiling):
-        """Rows b <= ceiling (lex) with b_0 = 0, b_l b_m <= R_{l,m}, b != 0."""
+    def candidate_rows(R, ceiling, first):
+        """Rows b <= ceiling (lex), if any, with b_l b_m <= R_{l,m} and b_first >= 1:
+        a row starting later would leave `first` to rows starting later still."""
         out: list[tuple[int, ...]] = []
         row = [0] * n
 
         def extend(pos: int, tight: bool):
             if pos == n:
-                if any(row):
-                    out.append(tuple(row))
+                out.append(tuple(row))
                 return
-            hi = _isqrt_floor(R[pos][pos])
+            hi = math.isqrt(R[pos][pos])
             if tight:
                 hi = min(hi, ceiling[pos])
-            for v in range(hi, -1, -1):
-                ok = all(v * row[j] <= R[pos][j] for j in range(1, pos) if row[j])
-                if not ok:
-                    continue
-                row[pos] = v
-                extend(pos + 1, tight and v == ceiling[pos])
-                row[pos] = 0
+            for v in range(hi, 0 if pos == first else -1, -1):
+                if all(v * row[j] <= R[pos][j] for j in range(first, pos) if row[j]):
+                    row[pos] = v
+                    extend(pos + 1, tight and v == ceiling[pos])
+            row[pos] = 0
 
-        extend(1, True)
+        extend(1, ceiling is not None)
         return out  # already in decreasing lexicographic order
 
     def search(R, prev, rows):
-        if all(R[l][l] == 0 for l in range(n)):
-            if any(R[l][m] != 0 for l in range(n) for m in range(n)):
-                return
-            results.append(list(rows))
+        first = next((l for l in range(n) if R[l][l]), None)
+        if first is None:
+            results.append(rows)
             return
-        first = next(l for l in range(n) if R[l][l] > 0)
-        for b in candidate_rows(R, prev):
-            if b[first] == 0:
-                # Rows are non-increasing, so label `first` can never be
-                # covered once skipped at this depth.
-                continue
+        for b in candidate_rows(R, prev, first):
             R2 = [[R[l][m] - b[l] * b[m] for m in range(n)] for l in range(n)]
-            if any(R2[l][m] < 0 for l in range(n) for m in range(n)):
-                continue
-            rows.append(b)
-            search(R2, b, rows)
-            rows.pop()
+            if _live(R2):
+                search(R2, b, rows + [b])
 
-    search(resid, top, [])
+    search(resid, None, [])
     return [_branching_from_rows(md, [b0] + rows) for rows in results]
 
 
-def _isqrt_floor(x: int) -> int:
-    return math.isqrt(x) if x >= 0 else -1
+def _live(R: list[list[int]]) -> bool:
+    """Every row of R with a zero diagonal entry is zero: no later row can touch
+    a label l with R_{l,l} = 0 (b_l^2 <= R_{l,l}), so its row would stay."""
+    return not any(any(row) for l, row in enumerate(R) if not row[l])
 
 
 def _branching_from_rows(md: ModularData, rows: list[tuple[int, ...]]) -> BranchingData:
@@ -364,14 +359,9 @@ def extended_modular_data(
     for a, b in np.argwhere(np.triu((X != X.transpose(0, 2, 1)).any(axis=0))):
         failures.append(f"Yext not symmetric at ({a},{b})")
     for a in range(t):
-        h_a = branching.block_twists[a]
-        for l in range(n):
-            if B[a][l] and md.ring.twists[l] != h_a:
-                failures.append(f"twist intertwining fails at block {a}, label {l}")
-    om = [root_of_unity(h) for h in branching.block_twists]
-    z0 = csum(branching.block_dims[a] * branching.block_dims[a] * om[a] for a in range(t))
-    if z0 != ratio * md.z:
-        failures.append("z0 != (w_plus/w) z")
+        failures += _twist_failures(md, branching, a)
+    z0, z0_failures = _extended_gauss_sum(md, branching, ratio)
+    failures += z0_failures
     if md.nondegenerate:
         # Yext Yext^dagger must be w_zero times the identity.
         YYdag = field_matmul(X, conjugate(X, M).transpose(0, 2, 1), M)
@@ -401,25 +391,34 @@ def branching_checks(
     z0 = (w_plus/w) z and w_zero w_alpha = w_plus^2. Used in full when the
     branching rows are dependent and Yext is not determined."""
     n = md.size
-    t = branching.block_count
     d = md.ring.dims
     failures: list[str] = []
     ratio = divide(indices.w_plus, md.w)
-    for a in range(t):
-        h_a = branching.block_twists[a]
-        for l in range(n):
-            if branching.B[a][l] and md.ring.twists[l] != h_a:
-                failures.append(f"twist intertwining fails at block {a}, label {l}")
-        lhs = csum(d[l] * branching.B[a][l] for l in range(n) if branching.B[a][l])
+    for a, b in enumerate(branching.B):
+        failures += _twist_failures(md, branching, a)
+        lhs = csum(d[l] * b[l] for l in range(n) if b[l])
         if ratio * lhs != branching.block_dims[a]:
             failures.append(f"block dim identity fails at block {a}")
-    om = [root_of_unity(h) for h in branching.block_twists]
-    z0 = csum(branching.block_dims[a] * branching.block_dims[a] * om[a] for a in range(t))
-    if z0 != ratio * md.z:
-        failures.append("z0 != (w_plus/w) z")
+    failures += _extended_gauss_sum(md, branching, ratio)[1]
     if indices.w_zero * indices.w_alpha != indices.w_plus * indices.w_plus:
         failures.append("w_zero * w_alpha != w_plus^2")
     return failures
+
+
+def _twist_failures(md: ModularData, branching: BranchingData, a: int) -> list[str]:
+    """Twist intertwining at block a: every label in its row has its twist."""
+    h, twists = branching.block_twists[a], md.ring.twists
+    failing = [l for l, b in enumerate(branching.B[a]) if b and twists[l] != h]
+    return [f"twist intertwining fails at block {a}, label {l}" for l in failing]
+
+
+def _extended_gauss_sum(
+    md: ModularData, branching: BranchingData, ratio: Cyclotomic
+) -> tuple[Cyclotomic, list[str]]:
+    """z0 = sum_a d_a^2 omega_a, and its failure of z0 = ratio * z, if any."""
+    pairs = zip(branching.block_dims, branching.block_twists)
+    z0 = csum(d * d * root_of_unity(h) for d, h in pairs)
+    return z0, [] if z0 == ratio * md.z else ["z0 != (w_plus/w) z"]
 
 
 class RationalSpan:

@@ -269,6 +269,8 @@ def _read_invariant(path: str, md):
             mat = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"{path}: cannot read the invariant: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"{path}: cannot read the invariant: JSON nested too deeply") from None
     return verify_invariant(md, mat)
 
 

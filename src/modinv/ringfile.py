@@ -131,6 +131,8 @@ def load_ring(path: str, check_axioms: bool = True) -> FusionRing:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise RingFileError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+    except RecursionError:
+        raise RingFileError(f"{path}: JSON nested too deeply to parse") from None
     except UnicodeDecodeError as exc:
         raise RingFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:

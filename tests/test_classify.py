@@ -1,6 +1,7 @@
 """Classification: factorizations, parents, bijections, extended modular
 data and global indices."""
 
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -141,6 +142,160 @@ def test_factorize_rejects_permutation(so16):
     md, pool, cls = so16
     w, _ = by_matrix(pool, cls, W)
     assert factorize_type_one(md, w) == []
+
+
+def _reference_factorize_type_one(md, Z):
+    """Reference: the plain recursive search, which tests a branch for dead
+    ends only at its leaf and scans every residual for negative entries."""
+    n = md.size
+    mat = Z.Z
+    if any(mat[l][m] != mat[m][l] for l in range(n) for m in range(l + 1, n)):
+        return []
+    b0 = Z.vacuum_column
+    resid = [[mat[l][m] - b0[l] * b0[m] for m in range(n)] for l in range(n)]
+    if any(resid[l][m] < 0 for l in range(n) for m in range(n)):
+        return []
+    results = []
+    top = tuple([0] + [max(0, _isqrt_floor(mat[l][l])) for l in range(1, n)])
+
+    def candidate_rows(R, ceiling):
+        out = []
+        row = [0] * n
+
+        def extend(pos, tight):
+            if pos == n:
+                if any(row):
+                    out.append(tuple(row))
+                return
+            hi = _isqrt_floor(R[pos][pos])
+            if tight:
+                hi = min(hi, ceiling[pos])
+            for v in range(hi, -1, -1):
+                ok = all(v * row[j] <= R[pos][j] for j in range(1, pos) if row[j])
+                if not ok:
+                    continue
+                row[pos] = v
+                extend(pos + 1, tight and v == ceiling[pos])
+                row[pos] = 0
+
+        extend(1, True)
+        return out
+
+    def search(R, prev, rows):
+        if all(R[l][l] == 0 for l in range(n)):
+            if any(R[l][m] != 0 for l in range(n) for m in range(n)):
+                return
+            results.append(list(rows))
+            return
+        first = next(l for l in range(n) if R[l][l] > 0)
+        for b in candidate_rows(R, prev):
+            if b[first] == 0:
+                continue
+            R2 = [[R[l][m] - b[l] * b[m] for m in range(n)] for l in range(n)]
+            if any(R2[l][m] < 0 for l in range(n) for m in range(n)):
+                continue
+            rows.append(b)
+            search(R2, b, rows)
+            rows.pop()
+
+    search(resid, top, [])
+    return [modinv.classify._branching_from_rows(md, [b0] + rows) for rows in results]
+
+
+def _isqrt_floor(x):
+    return math.isqrt(x) if x >= 0 else -1
+
+
+def _branching_form(b):
+    return b.B, b.block_twists, [_cyclotomic_form(d) for d in b.block_dims]
+
+
+FACTORIZATION_RINGS = (
+    [(f"su2_{k}", builtin_su2, (k,)) for k in range(17)]
+    + [(f"so{n}", builtin_so_level1, (n,)) for n in (16, 32)]
+    + [(f"z{n}_zero", builtin_cyclic, (n, [Fraction(0)] * n)) for n in range(1, 6)]
+    + [(f"z{n}_quadratic", builtin_cyclic, (n, quadratic_twists(n, 1))) for n in range(2, 13)]
+)
+
+
+@pytest.mark.parametrize(
+    "build, args", [r[1:] for r in FACTORIZATION_RINGS], ids=[r[0] for r in FACTORIZATION_RINGS]
+)
+def test_factorizations_match_the_recursive_reference(build, args):
+    # Same rows in the same order, and so the same block twists and block
+    # dims down to their slot order, on every invariant of the ring.
+    ring = build(*args)
+    md = compute_modular_data(ring)
+    pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
+    for Z in pool:
+        got = factorize_type_one(md, Z)
+        assert list(map(_branching_form, got)) == list(
+            map(_branching_form, _reference_factorize_type_one(md, Z))
+        )
+
+
+@pytest.mark.parametrize("k, trace", [(32, 18), (40, 22), (48, 26)])
+def test_factorize_d_series_past_level_32(k, trace):
+    # The D-series at k = 0 mod 8: the vacuum block e_0 + e_k, one block
+    # e_j + e_{k-j} per even 0 < j < k/2, and the fixed point e_{k/2} split
+    # into two blocks. Dead residuals are cut as soon as they arise; a
+    # search that finds them only at its leaves takes seconds at level 48.
+    n = k + 1
+
+    def e(*labels):
+        return tuple(labels.count(m) for m in range(n))
+
+    rows = [e(0, k)] + [e(j, k - j) for j in range(2, k // 2, 2)] + [e(k // 2)] * 2
+    md = compute_modular_data(builtin_su2(k))
+    Z = verify_invariant(
+        md, [[sum(b[l] * b[m] for b in rows) for m in range(n)] for l in range(n)]
+    )
+    assert Z.trace == trace
+    facts = factorize_type_one(md, Z)
+    assert [f.B for f in facts] == [(rows[0], *sorted(rows[1:], reverse=True))]
+
+
+@cache
+def _zero_twist_data(n):
+    return compute_modular_data(builtin_cyclic(n, [Fraction(0)] * n))
+
+
+@st.composite
+def gram_matrices(draw):
+    """Z = B^T B for random 0/1 rows over a cyclic ring with zero twists,
+    where any row has one twist; sometimes one entry pair is raised, so that
+    Z need not factorize. The invariants of the rings above factorize in one
+    way at most, and such Z can factorize in several, as
+    [[1,0,0,0],[0,2,1,1],[0,1,2,1],[0,1,1,2]] does with 3 and with 4 rows.
+    Entries up to 2 would let the reference run for half a minute."""
+    n = draw(st.integers(2, 5))
+    entries = [st.integers(0, 1)] * (n - 1)
+    rows = [(1, *draw(st.tuples(*entries)))]
+    rows += draw(st.lists(st.tuples(st.just(0), *entries), max_size=5))
+    Z = [[sum(b[l] * b[m] for b in rows) for m in range(n)] for l in range(n)]
+    if draw(st.booleans()):
+        l, m = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        Z[l][m] += 1
+        Z[m][l] += l != m
+    return _zero_twist_data(n), CouplingMatrix(tuple(map(tuple, Z)))
+
+
+@given(gram_matrices())
+@settings(max_examples=300, deadline=None)
+def test_factorizations_match_the_recursive_reference_on_gram_matrices(case):
+    md, Z = case
+    assert list(map(_branching_form, factorize_type_one(md, Z))) == list(
+        map(_branching_form, _reference_factorize_type_one(md, Z))
+    )
+
+
+def test_factorize_finds_every_factorization_once():
+    md = _zero_twist_data(4)
+    Z = CouplingMatrix(((1, 0, 0, 0), (0, 2, 1, 1), (0, 1, 2, 1), (0, 1, 1, 2)))
+    assert [f.B for f in factorize_type_one(md, Z)] == [
+        ((1, 0, 0, 0), (0, 1, 1, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        ((1, 0, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)),
+    ]
 
 
 def test_parents_of_Q(so16):

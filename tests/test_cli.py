@@ -1,11 +1,14 @@
 """Command-line interface: ring-file round trips, exit codes, report
 determinism."""
 
+import copy
 import hashlib
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modinv.cli import main
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
@@ -400,3 +403,58 @@ def test_classify_reads_invariant_file_before_the_search(tmp_path, capsys, monke
     for path, code, prefix in cases:
         got, _, err = run(capsys, "classify", str(ring_path), "--invariant", str(path))
         assert (got, err.split(" ")[0]) == (code, prefix)
+
+
+DEEP_JSON = "[" * 200000 + "]" * 200000
+
+
+def test_deeply_nested_ring_file_is_a_usage_error(tmp_path, capsys):
+    # The standard library's decoder recurses once per nesting level, so a
+    # deep enough array exhausts the interpreter's recursion limit.
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: JSON nested too deeply")
+
+
+def test_deeply_nested_invariant_file_is_a_usage_error(tmp_path, capsys):
+    ring_path = tmp_path / "so16.json"
+    ring_path.write_text(dump_ring(builtin_so_level1(16)))
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code, out, err = run(capsys, "classify", str(ring_path), "--invariant", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: cannot read the invariant: JSON nested too deeply")
+
+
+SU2_3_FILE = ring_to_json(builtin_su2(3))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_ring_from_json_raises_only_ring_file_errors(data):
+    # An arbitrary JSON value at any path of a valid ring file: the whole
+    # file, a field, or any entry inside one.
+    root = copy.deepcopy(SU2_3_FILE)
+    parent, key, node = None, None, root
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = node[key]
+    value = data.draw(json_values)
+    if parent is None:
+        root = value
+    else:
+        parent[key] = value
+    try:
+        ring_from_json(root)
+    except RingFileError:
+        pass
