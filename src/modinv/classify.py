@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import chain
+from typing import Hashable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .cyclo import (
     field_matmul,
     field_mul,
     int_array,
+    int_dtype,
     int_matmul,
     real_floor,
     root_of_unity,
@@ -239,24 +241,26 @@ def find_parents(
     Factorizes the whole pool on every call. `classify_all` factorizes each
     invariant once and looks every parent pair up in one map instead."""
     facts = [factorize_type_one(md, W) for W in pool]
-    return _parents(_type_one_by_column(pool, facts), Z)
+    by_column = _type_one_by_column([W.vacuum_column for W in pool], facts)
+    return _parents(by_column, Z.vacuum_column, Z.vacuum_row)
 
 
 def _type_one_by_column(
-    pool: Sequence[CouplingMatrix], facts: Sequence[list[BranchingData]]
-) -> dict[tuple[int, ...], list[int]]:
-    """Vacuum column -> ascending pool indices of the type I matrices with it."""
-    by_column: dict[tuple[int, ...], list[int]] = {}
-    for i, (W, branchings) in enumerate(zip(pool, facts)):
+    columns: Sequence[Hashable], facts: Sequence[list[BranchingData]]
+) -> dict[Hashable, list[int]]:
+    """Vacuum column (or its id) -> ascending pool indices of the type I
+    matrices with it."""
+    by_column: dict[Hashable, list[int]] = {}
+    for i, (column, branchings) in enumerate(zip(columns, facts)):
         if branchings:
-            by_column.setdefault(W.vacuum_column, []).append(i)
+            by_column.setdefault(column, []).append(i)
     return by_column
 
 
 def _parents(
-    by_column: dict[tuple[int, ...], list[int]], Z: CouplingMatrix
+    by_column: dict[Hashable, list[int]], column: Hashable, row: Hashable
 ) -> tuple[list[int], list[int]]:
-    return list(by_column.get(Z.vacuum_column, ())), list(by_column.get(Z.vacuum_row, ()))
+    return list(by_column.get(column, ())), list(by_column.get(row, ()))
 
 
 def find_block_bijection(
@@ -267,8 +271,11 @@ def find_block_bijection(
     all solutions; None when block counts differ or no bijection exists.
 
     Candidates are pruned by matching block twists and exact block dims, and
-    by the entries: B is non-negative, so each term bplus_tau bminus_s^T of
-    the sum is at most Z entrywise.
+    by the entries: B and Z are non-negative, so each term bplus_tau bminus_s^T
+    of the sum is at most Z entrywise, that is bminus_s <= cap_tau with
+    cap_{tau,m} = min over l with bplus_{tau,l} > 0 of
+    floor(Z_{l,m} / bplus_{tau,l}): (t, n) caps and one (t, t, n)
+    comparison for all pairs, never a (t, t, n, n) array.
     """
     t = plus.block_count
     if minus.block_count != t:
@@ -276,26 +283,32 @@ def find_block_bijection(
     n = len(Z.Z)
     Bp, Bm = int_array(plus.B).reshape(t, n), int_array(minus.B).reshape(t, n)
     target = int_array(Z.Z)
+    # A row of zeros in bplus caps nothing: its terms are 0 <= Z.
+    cap = np.full((t, n), Bm.max(), dtype=Bm.dtype)
+    for l in range(n):
+        (taus,) = Bp[:, l].nonzero()
+        cap[taus] = np.minimum(cap[taus], target[l] // Bp[taus, l, None])
+    fits = (Bm <= cap[:, None]).all(axis=2)
     compatible = [
         [
             s
-            for s in range(t)
+            for s in fits[tau].nonzero()[0].tolist()
             if plus.block_twists[tau] == minus.block_twists[s]
             and plus.block_dims[tau] == minus.block_dims[s]
-            and (int_matmul(Bp[tau, :, None], Bm[s, None]) <= target).all()
         ]
         for tau in range(t)
     ]
+    # Each term of a compatible theta is at most its entry of Z, so no sum
+    # of t terms exceeds t max Z.
+    dtype = int_dtype(t * int(max(target.max(), Bp.max(), Bm.max())))
+    BpT = np.ascontiguousarray(Bp.T, dtype=dtype)
+    Bm, target = Bm.astype(dtype, copy=False), target.astype(dtype, copy=False)
     found: list[tuple[int, ...]] = []
-
-    def matches(theta: tuple[int, ...]) -> bool:
-        return bool((int_matmul(Bp.T, Bm[list(theta)]) == target).all())
 
     def assign(tau: int, theta: list[int], used: set[int]):
         if tau == t:
-            cand = tuple(theta)
-            if matches(cand):
-                found.append(cand)
+            if (BpT @ Bm[theta] == target).all():
+                found.append(tuple(theta))
             return
         for s in compatible[tau]:
             if s not in used:
@@ -306,10 +319,8 @@ def find_block_bijection(
                 theta.pop()
 
     assign(0, [], set())
-    if not found:
-        return None
-    found.sort()
-    return found[0], len(found)
+    # The compatible lists ascend, so theta is found in lexicographic order.
+    return (found[0], len(found)) if found else None
 
 
 def extended_modular_data(
@@ -514,27 +525,33 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
     realizing a block automorphism of its parents), type II (coinciding
     parents with an automorphism), unresolved.
 
-    Each invariant is factorized once, and the extended data of each of its
-    factorizations is computed at most once. Global indices and their check
-    are computed once per distinct vacuum key (see `_PoolData`), not once per
-    invariant. Parents are looked up by vacuum column in a map built from
-    those factorizations, and a parent's extended data is shared between its
-    own classification and the automorphism check of its children.
+    The pool is read once as an integer stack (see `_PoolData`). Each
+    symmetric invariant is factorized once, and the extended data of each of
+    its factorizations is computed at most once. Global indices and their
+    check are computed once per distinct vacuum key, not once per invariant.
+    Parents are looked up by vacuum column in a map built from those
+    factorizations, and a parent's extended data is shared between its own
+    classification and the automorphism check of its children.
     """
     data = _PoolData(md, pool)
     out = []
     for i, Z in enumerate(pool):
-        _, _, sym = vacuum_profile(Z)
-        idx = data.indices[i]
+        sym, idx, facts = data.vacuum_symmetric[i], data.indices[i], data.facts[i]
+        plus, minus = _parents(data.type_one_by_column, data.column_ids[i], data.row_ids[i])
         cls = Classification(
-            index=i, Z=Z, kind="unresolved", vacuum_symmetric=sym, indices=idx
+            index=i,
+            Z=Z,
+            kind="unresolved",
+            vacuum_symmetric=sym,
+            indices=idx,
+            factorizations=facts,
+            parent_plus=plus,
+            parent_minus=minus,
+            notes=list(data.index_notes[i]),
         )
-        cls.notes.extend(data.index_notes[i])
-        facts = data.facts[i]
-        cls.factorizations = facts
-        cls.parent_plus, cls.parent_minus = _parents(data.type_one_by_column, Z)
-        _attach_bijection(data, cls)
-        if Z.is_identity():
+        if plus and minus:
+            _attach_bijection(data, cls)
+        if data.identity[i]:
             cls.kind = "diagonal"
         elif not sym:
             cls.kind = "heterotic"
@@ -558,26 +575,42 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
 
 class _PoolData:
     """The exact data of one `classify_all` call, each piece computed at most
-    once. Every invariant needs its factorizations and global indices, so
-    those are computed up front; a parent can come later in the pool than the
-    invariant that needs it, so extended data is filled in lazily.
+    once. The pool is read once as a (k, n, n) integer stack S, and every
+    structural fact of an invariant is read off it as an array: the vacuum
+    symmetry S[:, :, 0] = S[:, 0], Z = Z^T, the identity, and one integer id
+    per distinct vacuum column or row (`_row_ids`), by which parents are
+    looked up. Every invariant needs its factorizations and global indices,
+    so those are computed up front; only a matrix with Z = Z^T can factorize
+    as B^T B, so no other is searched. A parent can come later in the pool
+    than the invariant that needs it, so extended data is filled in lazily.
 
     `global_indices` reads Z only through its vacuum column and the entries
     of its vacuum row at degenerate labels, so invariants that agree there
     share one `GlobalIndices` and the notes of one `check()`; equal inputs to
-    the same exact code give the same values and slot orders. Keys are
-    integer tuples and pool indices, never cyclotomic values."""
+    the same exact code give the same values and slot orders. Keys are ids
+    of integer rows and pool indices, never cyclotomic values."""
 
     def __init__(self, md: ModularData, pool: Sequence[CouplingMatrix]):
         self.md = md
-        self.facts = [factorize_type_one(md, Z) for Z in pool]
-        self.type_one_by_column = _type_one_by_column(pool, self.facts)
-        degenerates = sorted(md.degenerates)
-        by_key: dict[tuple, tuple[GlobalIndices, list[str]]] = {}
+        S = _pool_stack(pool, md.size)
+        k = len(S)
+        column, row = S[:, :, 0], S[:, 0]
+        self.vacuum_symmetric = (column == row).all(axis=1).tolist()
+        self.identity = (S == np.eye(md.size, dtype=S.dtype)).all(axis=(1, 2)).tolist()
+        symmetric = (S == S.transpose(0, 2, 1)).all(axis=(1, 2)).tolist()
+        self.facts = [
+            factorize_type_one(md, Z) if sym else [] for Z, sym in zip(pool, symmetric)
+        ]
+        # Columns and rows share one id space, so a row's id finds the type I
+        # matrices whose column it equals.
+        ids = _row_ids(np.concatenate([column, row]))
+        self.column_ids, self.row_ids = ids[:k], ids[k:]
+        self.type_one_by_column = _type_one_by_column(self.column_ids, self.facts)
+        key_ids = _row_ids(np.concatenate([column, row[:, sorted(md.degenerates)]], axis=1))
+        by_key: dict[int, tuple[GlobalIndices, list[str]]] = {}
         self.indices: list[GlobalIndices] = []
         self.index_notes: list[list[str]] = []  # check() of each invariant's indices
-        for Z in pool:
-            key = (Z.vacuum_column, tuple(Z.Z[0][l] for l in degenerates))
+        for Z, key in zip(pool, key_ids):
             if key not in by_key:
                 idx = global_indices(md, Z)
                 by_key[key] = idx, idx.check()
@@ -604,6 +637,30 @@ class _PoolData:
         if isinstance(result, str):
             raise RankDeficientBranching(result)
         return result
+
+
+def _pool_stack(pool: Sequence[CouplingMatrix], n: int) -> np.ndarray:
+    """The pool as one (k, n, n) integer stack, in the smallest signed dtype
+    that holds its entries, or as Python ints (object) where one exceeds int64."""
+    entries = chain.from_iterable(chain.from_iterable(Z.Z for Z in pool))
+    try:
+        S = np.fromiter(entries, dtype=np.int64, count=len(pool) * n * n)
+    except OverflowError:
+        return int_array([Z.Z for Z in pool]).reshape(-1, n, n)
+    dtype = np.min_scalar_type(-int(abs(S).max(initial=0)) - 1)
+    return S.astype(dtype).reshape(-1, n, n)
+
+
+def _row_ids(A: np.ndarray) -> list[int]:
+    """One id per row of a 2-d integer array, equal exactly for equal rows:
+    the rows are sorted, and a row's id counts the changes before it."""
+    order = np.lexsort(A.T)
+    A = A[order]
+    step = np.zeros(len(A), dtype=np.intp)  # 1 where a sorted row differs from the last
+    step[1:] = (A[1:] != A[:-1]).any(axis=1)
+    ids = np.empty_like(step)
+    ids[order] = np.cumsum(step)
+    return ids.tolist()
 
 
 def _attach_bijection(data: _PoolData, cls: Classification) -> None:

@@ -497,6 +497,14 @@ def _product_dtype(terms: int, *factors: np.ndarray):
     return int_dtype(_product_bound(terms, *factors))
 
 
+def matmul_dtype(terms: int, *factors: np.ndarray):
+    """The dtype for exact sums of `terms` products of one entry from each
+    factor: float64 (BLAS) below 2**53, where the bound covers every partial
+    sum, each an integer that float64 holds exactly; else `int_dtype`."""
+    bound = _product_bound(terms, *factors)
+    return np.float64 if bound < 2**53 else int_dtype(bound)
+
+
 @lru_cache(maxsize=None)
 def _root_coordinates(m: int) -> np.ndarray:
     """The (m, phi(m)) integer matrix whose row e holds the coordinates of
@@ -529,9 +537,11 @@ def coordinates(entries, m: int) -> tuple[np.ndarray, int]:
 
 
 def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for integer arrays, in int64 only where no sum can wrap."""
-    dtype = _product_dtype(A.shape[-1], A, B)
-    return A.astype(dtype, copy=False) @ B.astype(dtype, copy=False)
+    """A @ B for integer arrays, exactly: in float64 (BLAS) and returned as
+    int64 where `matmul_dtype` allows, else in int64 where no sum can wrap."""
+    dtype = matmul_dtype(A.shape[-1], A, B)
+    out = A.astype(dtype, copy=False) @ B.astype(dtype, copy=False)
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def _field_product(A: np.ndarray, B: np.ndarray, m: int, op, terms: int) -> np.ndarray:
@@ -540,13 +550,11 @@ def _field_product(A: np.ndarray, B: np.ndarray, m: int, op, terms: int) -> np.n
     slots i..i+phi-1 of a (2 phi - 1)-slot buffer of powers of zeta_m, which
     is reduced once by the coordinates of those powers.
 
-    Below 2**53 the bound covers every partial sum, each an integer that
-    float64 holds exactly, so the products run in float64 (BLAS) and come
-    back as int64."""
+    The products run in `matmul_dtype`: in float64 (BLAS) below 2**53, and
+    come back as int64."""
     f = phi(m)
     R = _root_coordinates(m)[np.arange(2 * f - 1) % m]
-    bound = _product_bound((2 * f - 1) * f * terms, R, A, B)
-    dtype = np.float64 if bound < 2**53 else int_dtype(bound)
+    dtype = matmul_dtype((2 * f - 1) * f * terms, R, A, B)
     A, B, R = (x.astype(dtype, copy=False) for x in (A, B, R))
     first = op(A[0], B)
     buf = np.zeros((2 * f - 1,) + first.shape[1:], dtype=dtype)

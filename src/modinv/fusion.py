@@ -27,6 +27,7 @@ from .cyclo import (
     field_mul,
     int_dtype,
     int_matmul,
+    matmul_dtype,
     phi,
 )
 
@@ -129,12 +130,13 @@ def validate(ring: FusionRing) -> list[str]:
     for l, m in np.argwhere(N[:, :, 0] != eye[lbar]):
         report.append(f"duality: N[{l},{m}]^0 != delta(m, dual({l}))")
     # Associativity: sum_r N_lm^r N_r nu^s = sum_r N_m nu^r N_lr^s, as two
-    # (n, n*n) matrix products per l, indexed (m, nu, s).
-    right = N.reshape(n, n * n)
-    left = N.reshape(n * n, n)
+    # (n, n*n) matrix products per l, indexed (m, nu, s), exact in one dtype.
+    F = N.astype(matmul_dtype(n, N, N), copy=False)
+    right = F.reshape(n, n * n)
+    left = F.reshape(n * n, n)
     for l in range(n):
-        lhs = (N[l] @ right).reshape(n, n, n)
-        rhs = (left @ N[l]).reshape(n, n, n)
+        lhs = (F[l] @ right).reshape(n, n, n)
+        rhs = (left @ F[l]).reshape(n, n, n)
         for m, nu, s in np.argwhere(lhs != rhs):
             report.append(f"associativity fails at ({l},{m},{nu},{s})")
     # Frobenius symmetry: N_lm^nu = N_{lbar nu}^m = N_{nu mbar}^l.

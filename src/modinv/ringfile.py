@@ -23,6 +23,10 @@ from .fusion import FusionRing, make_ring, validate
 # reaches 33 labels and conductor 136.
 MAX_LABELS = 100
 MAX_CONDUCTOR = 1000
+# With n <= MAX_LABELS, a sum of n products of two multiplicities is at most
+# 100 * 2**40 < 2**53, so `validate` multiplies fusion tensors exactly in
+# float64.
+MAX_MULTIPLICITY = 2**20
 
 
 class RingFileError(ValueError):
@@ -77,6 +81,10 @@ def ring_from_json(data: dict) -> FusionRing:
                 raise RingFileError(f"fusion entry {q}: index {nm}={v!r} out of range")
         if not _is_int(mult) or mult < 0:
             raise RingFileError(f"fusion entry {q}: multiplicity {mult!r} invalid")
+        if mult > MAX_MULTIPLICITY:
+            raise RingFileError(
+                f"fusion entry {q}: multiplicity {mult}, above the limit of {MAX_MULTIPLICITY}"
+            )
         fusion[l][m][nu] = mult
     dual = data.get("dual")
     labels_ok = isinstance(dual, list) and all(_is_int(v) and 0 <= v < n for v in dual)

@@ -1,6 +1,7 @@
 """Classification: factorizations, parents, bijections, extended modular
 data and global indices."""
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modinv.classify
-from modinv.cyclo import Cyclotomic, csum, divide, root_of_unity
+from modinv.cyclo import Cyclotomic, csum, divide, int_array, int_matmul, root_of_unity
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.linalg import Echelon, SingularMatrix, inverse
 from modinv.modular import compute_modular_data
@@ -25,6 +26,7 @@ from modinv.commutant import (
 )
 from modinv.classify import (
     BranchingData,
+    Classification,
     ExtendedModularData,
     GlobalIndices,
     RankDeficientBranching,
@@ -610,7 +612,10 @@ def test_classify_all_does_exact_work_once(ring, request, monkeypatch):
     indexed = record_calls(monkeypatch, "global_indices")
     extended = record_calls(monkeypatch, "extended_modular_data")
     cls = classify_all(md, pool)
-    assert len(factorized) == len(pool)
+    # Only Z = Z^T can factorize as B^T B: each such invariant is factorized
+    # exactly once, in pool order, and no other invariant is.
+    symmetric = [Z for Z in pool if Z.Z == tuple(zip(*Z.Z))]
+    assert [id(args[1]) for args in factorized] == list(map(id, symmetric))
     # Global indices read Z only through its vacuum key: once per distinct key.
     keys = [_vacuum_key(md, args[1]) for args in indexed]
     assert sorted(keys) == sorted({_vacuum_key(md, Z) for Z in pool})
@@ -629,13 +634,19 @@ def test_classify_all_does_exact_work_once(ring, request, monkeypatch):
     assert set(used) <= needed
 
 
-def test_z5_zero_twists_classification():
+def test_z5_zero_twists_classification(monkeypatch):
     # The README library sequence on Z_5 with zero twists: 2161 invariants
     # sharing 70 vacuum keys. Shared indices must read exactly as fresh ones.
     ring = builtin_cyclic(5, [Fraction(0)] * 5)
     md = compute_modular_data(ring)
     pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
+    factorized = record_calls(monkeypatch, "factorize_type_one")
+    bijections = record_calls(monkeypatch, "find_block_bijection")
     cls = classify_all(md, pool)
+    monkeypatch.undo()
+    # Deterministic work counters: the symmetric invariants are factorized,
+    # and the block bijections tried are those of the parent pairs found.
+    assert (len(factorized), len(bijections)) == (139, 25)
     assert len(cls) == 2161
     assert Counter(c.kind for c in cls) == {
         "heterotic": 1704,
@@ -702,6 +713,234 @@ def test_classify_all_parents_match_find_parents(cyclic4_zero):
     assert any(c.parent_plus != c.parent_minus for c in cls)
     for Z, c in zip(pool, cls):
         assert (c.parent_plus, c.parent_minus) == find_parents(md, Z, pool)
+
+
+def _reference_find_block_bijection(plus, minus, Z):
+    """Reference: every block pair tested by its own product bplus_tau
+    bminus_s^T <= Z, and every leaf by its own int_matmul."""
+    t = plus.block_count
+    if minus.block_count != t:
+        return None
+    n = len(Z.Z)
+    Bp, Bm = int_array(plus.B).reshape(t, n), int_array(minus.B).reshape(t, n)
+    target = int_array(Z.Z)
+    compatible = [
+        [
+            s
+            for s in range(t)
+            if plus.block_twists[tau] == minus.block_twists[s]
+            and plus.block_dims[tau] == minus.block_dims[s]
+            and (int_matmul(Bp[tau, :, None], Bm[s, None]) <= target).all()
+        ]
+        for tau in range(t)
+    ]
+    found = [
+        theta
+        for theta in itertools.product(*compatible)
+        if len(set(theta)) == t and (int_matmul(Bp.T, Bm[list(theta)]) == target).all()
+    ]
+    return (min(found), len(found)) if found else None
+
+
+def _reference_classify_all(md, pool):
+    """Reference: the per-invariant loop over the tuple matrices. Every
+    invariant is factorized, its vacuum column, symmetry and identity are
+    read off its entries, and its global indices and the extended data it
+    needs are computed afresh."""
+    facts = [factorize_type_one(md, Z) for Z in pool]
+    by_column = {}
+    for i, Z in enumerate(pool):
+        if facts[i]:
+            by_column.setdefault(Z.vacuum_column, []).append(i)
+    out = []
+    for i, Z in enumerate(pool):
+        col, row, sym = vacuum_profile(Z)
+        idx = global_indices(md, Z)
+        cls = Classification(index=i, Z=Z, kind="unresolved", vacuum_symmetric=sym, indices=idx)
+        cls.notes.extend(idx.check())
+        cls.factorizations = facts[i]
+        cls.parent_plus = list(by_column.get(col, ()))
+        cls.parent_minus = list(by_column.get(row, ()))
+        pairs = (
+            (ip, im, bp, bm)
+            for ip in cls.parent_plus
+            for im in cls.parent_minus
+            for bp in facts[ip]
+            for bm in facts[im]
+        )
+        for ip, im, bp, bm in pairs:
+            res = _reference_find_block_bijection(bp, bm, Z)
+            if res is None:
+                continue
+            cls.bijection, cls.bijection_count = res
+            if ip == im:
+                cls.automorphism = res[0]
+                try:
+                    ext = extended_modular_data(md, bp, global_indices(md, pool[ip]))
+                    cls.automorphism_preserves_extended = modinv.classify._permutation_preserves(
+                        ext, bp, res[0]
+                    )
+                except RankDeficientBranching:
+                    pass
+                if len(facts[ip]) > 1:
+                    cls.notes.append("coinciding parents admit multiple distinct factorizations")
+            break
+        if Z.is_identity():
+            cls.kind = "diagonal"
+        elif not sym:
+            cls.kind = "heterotic"
+        elif facts[i]:
+            cls.kind = "type_I"
+        elif cls.automorphism is not None:
+            cls.kind = "permutation" if Z.is_permutation() else "type_II"
+        if facts[i]:
+            try:
+                cls.extended = extended_modular_data(md, facts[i][0], idx)
+            except RankDeficientBranching as exc:
+                cls.extended_error = str(exc)
+                cls.branching_failures = branching_checks(md, facts[i][0], idx)
+                cls.notes.append(
+                    "extended Y not determined by the branching (dependent rows); "
+                    "Gram-free identities checked instead"
+                )
+        out.append(cls)
+    return out
+
+
+def _classification_form(c):
+    """Every field of a Classification, each cyclotomic value by its
+    `_cyclotomic_form` and each factorization by its `_branching_form`."""
+    ext = c.extended
+    return (
+        c.index,
+        c.Z,
+        c.kind,
+        c.vacuum_symmetric,
+        [_cyclotomic_form(getattr(c.indices, f)) for f in ("w", "w_plus", "w_alpha", "w_zero")],
+        list(map(_branching_form, c.factorizations)),
+        c.parent_plus,
+        c.parent_minus,
+        c.bijection,
+        c.bijection_count,
+        c.automorphism,
+        c.automorphism_preserves_extended,
+        ext
+        and (
+            [list(map(_cyclotomic_form, row)) for row in ext.Yext],
+            ext.Text_twists,
+            _cyclotomic_form(ext.z0),
+            ext.consistent,
+            ext.failures,
+        ),
+        c.extended_error,
+        c.branching_failures,
+        c.notes,
+    )
+
+
+CLASSIFY_RINGS = (
+    [(f"z{n}_zero", builtin_cyclic, (n, [Fraction(0)] * n)) for n in range(1, 6)]
+    + [(f"su2_{k}", builtin_su2, (k,)) for k in range(17)]
+    + [(f"so{n}", builtin_so_level1, (n,)) for n in (16, 32)]
+    + [(f"z{n}_quadratic", builtin_cyclic, (n, quadratic_twists(n, 1))) for n in range(2, 13)]
+    + [("z6_a2over4", builtin_cyclic, (6, [Fraction(a * a, 4) for a in range(6)]))]
+)
+
+
+@pytest.mark.parametrize(
+    "build, args", [r[1:] for r in CLASSIFY_RINGS], ids=[r[0] for r in CLASSIFY_RINGS]
+)
+def test_classify_all_matches_the_per_invariant_reference(build, args):
+    ring = build(*args)
+    md = compute_modular_data(ring)
+    pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
+    got = list(map(_classification_form, classify_all(md, pool)))
+    assert got == list(map(_classification_form, _reference_classify_all(md, pool)))
+
+
+def test_classify_all_matches_the_reference_past_int64():
+    # Z_2 with zero twists has the invariants [[1, a], [a, 1]] for every a;
+    # entries past int64 take the stack of Python ints.
+    md = _zero_twist_data(2)
+    pool = [verify_invariant(md, [[1, a], [a, 1]]) for a in (0, 1, 2**70, 2**70)]
+    got = list(map(_classification_form, classify_all(md, pool)))
+    assert got == list(map(_classification_form, _reference_classify_all(md, pool)))
+    assert [c[2] for c in got] == ["diagonal", "type_I", "unresolved", "unresolved"]
+
+
+_BLOCK_TWISTS = (Fraction(0), Fraction(1, 2))
+_BLOCK_DIMS = (
+    Cyclotomic.from_rational(1),
+    Cyclotomic.from_rational(2),
+    Cyclotomic(8, {1: 1, 7: 1}),  # sqrt 2
+)
+
+
+@st.composite
+def block_bijection_cases(draw):
+    """Two branchings with t <= 5 blocks of n <= 6 labels, entries 0-2, and
+    block twists and dims from a small set. Often Z is bplus^T bminus[theta]
+    for a random theta, with one entry sometimes raised, and the minus side
+    mostly has the plus side's twists and dims carried over by theta."""
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 5))
+    rows = st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=t, max_size=t)
+    twists = st.lists(st.sampled_from(_BLOCK_TWISTS), min_size=t, max_size=t)
+    dims = st.lists(st.sampled_from(_BLOCK_DIMS), min_size=t, max_size=t)
+    plus = BranchingData(t, tuple(draw(rows)), tuple(draw(twists)), tuple(draw(dims)))
+    if draw(st.integers(0, 3)) == 0:  # block counts differ
+        minus = BranchingData(
+            t + 1,
+            plus.B + plus.B[:1],
+            plus.block_twists + plus.block_twists[:1],
+            plus.block_dims + plus.block_dims[:1],
+        )
+    elif draw(st.booleans()):
+        theta = draw(st.permutations(range(t)))
+        inverse = sorted(range(t), key=theta.__getitem__)
+        minus_twists = tuple(plus.block_twists[tau] for tau in inverse)
+        minus_dims = tuple(plus.block_dims[tau] for tau in inverse)
+        if draw(st.integers(0, 3)) == 0:
+            minus_twists = tuple(draw(twists))
+        if draw(st.integers(0, 3)) == 0:
+            minus_dims = tuple(draw(dims))
+        minus = BranchingData(t, tuple(draw(rows)), minus_twists, minus_dims)
+        Z = [
+            [sum(plus.B[tau][l] * minus.B[s][m] for tau, s in enumerate(theta)) for m in range(n)]
+            for l in range(n)
+        ]
+        if draw(st.booleans()):
+            Z[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += 1
+        return plus, minus, CouplingMatrix(tuple(map(tuple, Z)))
+    else:
+        minus = BranchingData(t, tuple(draw(rows)), tuple(draw(twists)), tuple(draw(dims)))
+    entries = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    Z = draw(st.lists(entries, min_size=n, max_size=n))
+    return plus, minus, CouplingMatrix(tuple(map(tuple, Z)))
+
+
+@given(block_bijection_cases())
+@settings(max_examples=300, deadline=None)
+def test_block_bijection_matches_brute_force(case):
+    plus, minus, Z = case
+    t, n = plus.block_count, len(Z.Z)
+    found = [
+        theta
+        for theta in itertools.permutations(range(t))
+        if minus.block_count == t
+        and all(
+            plus.block_twists[tau] == minus.block_twists[s]
+            and plus.block_dims[tau] == minus.block_dims[s]
+            for tau, s in enumerate(theta)
+        )
+        and all(
+            sum(plus.B[tau][l] * minus.B[s][m] for tau, s in enumerate(theta)) == Z.Z[l][m]
+            for l in range(n)
+            for m in range(n)
+        )
+    ]
+    expected = (min(found), len(found)) if found else None
+    assert find_block_bijection(plus, minus, Z) == expected
 
 
 def _scalar_extended_modular_data(md, branching, indices):

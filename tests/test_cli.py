@@ -17,6 +17,7 @@ from modinv.report import build_report, render_json
 from modinv.ringfile import (
     MAX_CONDUCTOR,
     MAX_LABELS,
+    MAX_MULTIPLICITY,
     RingFileError,
     dump_ring,
     load_ring,
@@ -58,6 +59,12 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
         ("fusion", None, "'fusion' must be a list"),
         ("fusion", [[0, True, 1, 1]], "index m=True out of range"),
         ("fusion", [[0, 0, 0, True]], "multiplicity True invalid"),
+        # Multiplicities are capped, so associativity sums stay below 2**53.
+        (
+            "fusion",
+            [[0, 0, 0, MAX_MULTIPLICITY + 1]],
+            f"fusion entry 0: multiplicity {MAX_MULTIPLICITY + 1}, above the limit",
+        ),
         ("dual", [0, True, 2, 3], "'dual' must be a list"),
         ("dual", [0, 1, 2, 5], r"'dual' must be a list of 4 integers in \[0, 4\)"),
         ("dual", [-1, 1, 2, 3], r"'dual' must be a list of 4 integers in \[0, 4\)"),
@@ -83,6 +90,8 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
         code, out, err = run(capsys, "check", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+    capped = ring_from_json({**data, "fusion": [[0, 0, 0, MAX_MULTIPLICITY]]})
+    assert capped.N(0, 0, 0) == MAX_MULTIPLICITY
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ coordinate tensors against scalar arithmetic."""
 
 import cmath
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import mpmath
 import numpy as np
@@ -25,6 +25,8 @@ from modinv.cyclo import (
     divide,
     field_matmul,
     field_mul,
+    int_matmul,
+    matmul_dtype,
     phi,
     real_bounds,
     real_floor,
@@ -514,3 +516,45 @@ def test_field_products_stay_exact_at_the_float_bound(a, b):
     for product in (field_matmul(X, Y, 1), field_mul(X, Y, 1)):
         assert product.dtype == np.int64
         assert int(product[0, 0, 0]) == a * b
+
+
+@st.composite
+def integer_matrix_pairs(draw):
+    """A of shape (2, p, k) or (p, k) and B of shape (k, q), with entries up
+    to 2**e in absolute value for e across int_matmul's float64, int64 and
+    Python-int paths."""
+    p, k, q = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = st.integers(-(2 ** draw(st.integers(0, 70))), 2 ** draw(st.integers(0, 70)))
+    shape = draw(st.sampled_from([(p, k), (2, p, k)]))
+    A, B = (
+        np.array(draw(st.lists(entry, min_size=size, max_size=size)), dtype=object)
+        for size in (prod(shape), k * q)
+    )
+    return A.reshape(shape), B.reshape(k, q)
+
+
+@given(integer_matrix_pairs())
+@settings(max_examples=300, deadline=None)
+def test_int_matmul_matches_python_ints(pair):
+    A, B = pair
+    a, b = int(abs(A).max()), int(abs(B).max())
+    bound = max(A.shape[-1] * a * b, a, b)
+    small = [x.astype(np.int64) if bound < 2**63 else x for x in pair]
+    got = int_matmul(*small)
+    assert got.tolist() == (A @ B).tolist()
+    assert got.dtype == (np.int64 if bound < 2**63 else object)
+
+
+@pytest.mark.parametrize(
+    "A, B, dtype",
+    [
+        ([[6361 * 69431]], [[20394401]], np.float64),  # bound 2**53 - 1
+        ([[2**26, 2**26 - 1]], [[2**26], [2**26]], np.int64),  # bound 2**53
+    ],
+)
+def test_int_matmul_at_the_float_bound(A, B, dtype):
+    A, B = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+    assert matmul_dtype(A.shape[-1], A, B) is dtype
+    got = int_matmul(A, B)
+    assert got.dtype == np.int64
+    assert got.tolist() == (A.astype(object) @ B.astype(object)).tolist()
