@@ -361,7 +361,7 @@ def extended_modular_data(
     # coordinates of md.Y, Yext and ratio.
     M = md.ring.conductor
     Bm = np.array(B, dtype=object)
-    Y, DY = coordinates(md.Y, M)
+    Y, DY = md.Y_coords, md.Y_den
     X, DX = coordinates(Yext, M)
     r, Dr = coordinates(ratio, M)
     rhs = field_mul(r[:, None, None], int_matmul(Bm, Y), M)

@@ -8,10 +8,10 @@ which both the kernel and every commutation check are computed. The kernel
 is that of the P x P integer Gram matrix of the constraints (P the allowed
 entries), found by fraction-free elimination. The integer points are then
 enumerated, in integers, by a search over the kernel's pivot entries that
-expands whole batches of sibling nodes as integer arrays. Its entry bounds
-ceil(scale * d_l * d_m) are exact; it reads the embedded dims as floats only
-in the column sums it prunes on, whose targets are read off its own integer
-accumulator.
+expands whole batches of sibling nodes as integer arrays. It reads no
+float: its entry bounds ceil(scale * d_l * d_m) are exact, and it prunes a
+node once some column's entries that are not yet final have a negative
+d-weighted sum, which integer brackets of 2**32 d_l certify.
 
 Each constraint on a coupling matrix has one implementation, a mask over a
 (k, n, n) stack of integer matrices: `_verify_pool` checks the search's whole
@@ -29,7 +29,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .cyclo import Cyclotomic, int_array, int_dtype, int_matmul, real_floor
+from .cyclo import Cyclotomic, int_array, int_dtype, int_matmul, real_bounds, real_floor
 from .fusion import FusionRing
 from .linalg import Echelon, nullspace
 from .modular import ModularData, twist_exponents
@@ -211,19 +211,22 @@ def enumerate_invariants(
     Search over the kernel's pivot entries, level i choosing the coefficient
     of basis row i; every entry (pivot or completed) is bounded by the exact
     ceil(bound_scale * d_l * d_m). Entries finalized along the way must be
-    non-negative integers within their bound, and the dimension-weighted
-    column sums are pruned against their final values, which YZ = ZY fixes
-    once row 0 is: the accumulator lies in the commutant, so its own column
-    sums give them. Siblings are expanded together: the stack holds batches
-    of nodes of one level, as integer arrays of L * Z on the allowed
-    positions (L the kernel's common denominator), and each batch's children
-    are checked as masks. A node is one choice of one coefficient, and the
-    node count of a complete search does not depend on the order of
-    expansion. A batch is expanded only as far as its parents' children fit
-    in `node_budget`; when not one parent fits, the search raises
-    SearchBudgetExceeded with the invariants reached so far: verified, but
-    not the subset a one-node-at-a-time depth-first search would have
-    reached. Output is canonically sorted and exactly re-verified.
+    non-negative integers within their bound. Once row 0 is final, YZ = ZY
+    fixes each column's d-weighted sum sum_l d_l Z_lm, and the accumulator,
+    which lies in the commutant, already has it; so a node can reach a leaf
+    only if in every column the d-weighted sum of its entries not yet final
+    is >= 0. A node is pruned when an integer upper bound on 2**32 times that
+    remainder, from brackets of 2**32 d_l, is negative. Siblings are expanded
+    together: the stack holds batches of nodes of one level, as integer
+    arrays of L * Z on the allowed positions (L the kernel's common
+    denominator), and each batch's children are checked as masks. A node is
+    one choice of one coefficient, and the node count of a complete search
+    does not depend on the order of expansion. A batch is expanded only as
+    far as its parents' children fit in `node_budget`; when not one parent
+    fits, the search raises SearchBudgetExceeded with the invariants reached
+    so far: verified, but not the subset a one-node-at-a-time depth-first
+    search would have reached. Output is canonically sorted and exactly
+    re-verified.
     """
     n = md.size
     if basis.dimension == 0 or basis.positions[0] != (0, 0):
@@ -231,7 +234,6 @@ def enumerate_invariants(
     if basis.pivot_indices[0] != 0:
         return []  # every kernel element vanishes at (0,0); Z[0,0]=1 unreachable
 
-    d = [x.embed().real for x in md.ring.dims]
     positions = basis.positions
     P = len(positions)
     bounds = np.array(_entry_bounds(md.ring.dims, positions, Fraction(bound_scale)))
@@ -251,22 +253,26 @@ def enumerate_invariants(
     flat = np.array([l * n + m for l, m in positions], dtype=np.intp)
     # The level whose segment completes row 0 (positions (0, m) come first).
     row0_level = bisect_right(pivots, sum(1 for l, _m in positions if l == 0) - 1) - 1
+    # W[0, j, m] >= 2**32 d_l >= W[1, j, m] for position j = (l, m), in its
+    # column m. Any width is sound, a looser bracket only prunes less; at 32
+    # bits a negative remainder escapes only within a few 2**-32 sum|acc| of
+    # 0, and the sums stay in int64 while P max|acc| max d_l < 2**30.
+    lo, hi = zip(*real_bounds(md.ring.dims, 32))
+    W = int_array([[[e[l] * (c == m) for c in range(n)] for l, m in positions] for e in (hi, lo)])
 
     leaves = []
     nodes = depth = 0
-    # Batches (level, acc, column sums, targets); the targets are infinite
-    # until row 0 is complete.
-    stack = [(0, np.zeros((1, P), dtype=dtype), np.zeros((1, n)), np.full((1, n), np.inf))]
+    stack = [(0, np.zeros((1, P), dtype=dtype))]  # batches (level, acc)
     while stack:
-        i, acc, cols, targets = stack.pop()
+        i, acc = stack.pop()
         values = np.arange(1, 2) if i == 0 else np.arange(bounds[pivots[i]] + 1)
         fit = (node_budget - nodes) // len(values)
         if fit == 0:
             partial = _verify_pool(md, _sorted_stack(leaves, flat, n))
             raise SearchBudgetExceeded(node_budget, partial, nodes, depth, k)
         if fit < len(acc):  # expand the parents that fit; the rest wait below their children
-            stack.append((i, acc[fit:], cols[fit:], targets[fit:]))
-            acc, cols, targets = acc[:fit], cols[:fit], targets[:fit]
+            stack.append((i, acc[fit:]))
+            acc = acc[:fit]
         nodes += len(acc) * len(values)
         depth = max(depth, i + 1)
         seg = segments[i]
@@ -279,31 +285,21 @@ def enumerate_invariants(
         ok = ((x * L == entries) & (x >= 0) & (x <= bounds[seg])).all(axis=1)
         (alive,) = ok.nonzero()
         parent, v = np.divmod(alive, len(values))
-        x = x[alive]
-        cols = cols[parent]
-        for s, (l, m) in enumerate(positions[seg]):
-            cols[:, m] += d[l] * x[:, s].astype(float)
         acc = acc[parent] + values[v][:, None] * B[i]
-        if i == row0_level:
-            # Y_0l = d_l, so (ZY)_0m = (YZ)_0m = sum_l d_l Z_lm for Z = acc / L.
-            sums = np.zeros((len(acc), n))
-            for j, (l, m) in enumerate(positions):
-                sums[:, m] += d[l] * acc[:, j].astype(float)
-            sums /= L
-            targets = sums + 1e-6 * (1 + abs(sums))  # relative slack
-        else:
-            targets = targets[parent]
-        # Column sums only grow, so a sum over its target at any entry of the
-        # segment is still over it at the segment's end.
-        keep = (cols <= targets).all(axis=1)
-        acc, cols, targets = acc[keep], cols[keep], targets[keep]
+        if i >= row0_level:
+            # Y_0l = d_l, so sum_l d_l Z_lm = (YZ)_0m = (ZY)_0m is fixed by
+            # row 0 and acc has it: the entries not yet final must keep a
+            # d-weighted sum >= 0 in every column. W bounds 2**32 times that
+            # sum from above.
+            rest = acc[:, seg.stop :]
+            split = np.concatenate([np.maximum(rest, 0), np.minimum(rest, 0)], axis=1)
+            acc = acc[(int_matmul(split, W[:, seg.stop :].reshape(-1, n)) >= 0).all(axis=1)]
         if i + 1 == k:
             leaves.append((acc // L).astype(entry_dtype))
             continue
         rows = max(1, SEARCH_CHUNK // P)
         for start in reversed(range(0, len(acc), rows)):
-            part = slice(start, start + rows)
-            stack.append((i + 1, acc[part], cols[part], targets[part]))
+            stack.append((i + 1, acc[start : start + rows]))
 
     return _verify_pool(md, _sorted_stack(leaves, flat, n))
 

@@ -51,7 +51,8 @@ class ModularData:
     omega: list[Cyclotomic]
     z: Cyclotomic
     w: Cyclotomic
-    Y_coords: np.ndarray  # integer coordinates of a positive multiple of Y, [e, l, m]
+    Y_coords: np.ndarray  # integer coordinates of Y_den * Y, [e, l, m]
+    Y_den: int  # positive: Y = Y_coords / Y_den in the power basis
     c: Optional[Fraction] = None
     degenerates: frozenset[int] = frozenset()
     nondegenerate: bool = False
@@ -84,8 +85,8 @@ def compute_modular_data(ring: FusionRing) -> ModularData:
             Y[m][l] = val
     z = csum(d[r] * d[r] * omega[r] for r in range(n))
     w = csum(d[r] * d[r] for r in range(n))
-    Y_coords, _ = coordinates(Y, ring.conductor)
-    md = ModularData(ring=ring, Y=Y, omega=omega, z=z, w=w, Y_coords=Y_coords)
+    Y_coords, Y_den = coordinates(Y, ring.conductor)
+    md = ModularData(ring=ring, Y=Y, omega=omega, z=z, w=w, Y_coords=Y_coords, Y_den=Y_den)
     md.degenerates = detect_degenerates(md)
     md.nondegenerate = md.degenerates == frozenset({0})
     md.c = compute_central_charge(md)
@@ -119,7 +120,7 @@ def detect_degenerates(md: ModularData) -> frozenset[int]:
     input data and raises DataIntegrityError.
     """
     M = md.ring.conductor
-    Y, DY = coordinates(md.Y, M)
+    Y, DY = md.Y_coords, md.Y_den
     d, Dd = coordinates(md.ring.dims, M)
     w, Dw = coordinates(md.w, M)
     s = field_matmul(Y, d[:, :, None], M)[:, :, 0]
@@ -168,7 +169,7 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
     n = md.size
     ring = md.ring
     M = ring.conductor
-    Y, D = coordinates(md.Y, M)
+    Y, D = md.Y_coords, md.Y_den
     report: list[str] = []
     for l, m in np.argwhere(np.triu((Y != Y.transpose(0, 2, 1)).any(axis=0))):
         report.append(f"Y not symmetric at ({l},{m})")

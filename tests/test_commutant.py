@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modinv import commutant
-from modinv.cyclo import csum
+from modinv.cyclo import Cyclotomic, csum
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.linalg import Echelon, nullspace
 from modinv.modular import compute_modular_data
@@ -243,8 +243,26 @@ def test_node_budget_raises_with_partial_results():
         (builtin_su2(16), 1, 23),
         (builtin_cyclic(8, [Fraction(a * a, 8) for a in range(8)]), 1, 131),
         (builtin_cyclic(5, [Fraction(0)] * 5), 1, 24_889),
+        # Irrational dims where the column-sum prune fires; without it the
+        # counts are 31, 91, 49, 141 and 689.
+        (builtin_su2(10), 1, 16),
+        (builtin_su2(10), 2, 28),
+        (builtin_su2(18), 1, 14),
+        (builtin_su2(18), 2, 24),
+        (builtin_su2(22), 1, 46),
     ],
-    ids=["z4_zero", "z4_zero_scale2", "su2_16", "z8_quadratic", "z5_zero"],
+    ids=[
+        "z4_zero",
+        "z4_zero_scale2",
+        "su2_16",
+        "z8_quadratic",
+        "z5_zero",
+        "su2_10",
+        "su2_10_scale2",
+        "su2_18",
+        "su2_18_scale2",
+        "su2_22",
+    ],
 )
 def test_search_visits_a_pinned_number_of_nodes(ring, scale, nodes):
     # The exact number of nodes the full search visits: any change to its
@@ -254,6 +272,43 @@ def test_search_visits_a_pinned_number_of_nodes(ring, scale, nodes):
     enumerate_invariants(md, basis, bound_scale=scale, node_budget=nodes)
     with pytest.raises(SearchBudgetExceeded):
         enumerate_invariants(md, basis, bound_scale=scale, node_budget=nodes - 1)
+
+
+@pytest.mark.parametrize(
+    "ring", [builtin_su2(10), builtin_cyclic(5, [Fraction(0)] * 5)], ids=["su2_10", "z5_zero"]
+)
+def test_search_reads_no_float(ring, monkeypatch):
+    # Entry bounds and the column-sum prune are decided in integers: the
+    # search never embeds a dim.
+    md = compute_modular_data(ring)
+    basis = commutant_basis(md, twist_sparsity(ring))
+    expected = enumerate_invariants(md, basis)
+
+    def embed(self):
+        raise AssertionError("the search embedded a cyclotomic number")
+
+    monkeypatch.setattr(Cyclotomic, "embed", embed)
+    assert enumerate_invariants(md, basis) == expected
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [builtin_su2(10), builtin_su2(22), builtin_cyclic(4, [Fraction(0)] * 4)],
+    ids=["su2_10", "su2_22", "z4_zero"],
+)
+def test_search_pool_does_not_depend_on_the_bracket_width(ring, monkeypatch):
+    # The prune bounds each column's remainder from above: brackets of the
+    # dims widened to +-d_l / 2 prune less and must find the same pool.
+    md = compute_modular_data(ring)
+    basis = commutant_basis(md, twist_sparsity(ring))
+    expected = enumerate_invariants(md, basis)
+    real_bounds = commutant.real_bounds
+
+    def wide(xs, bits):
+        return [(lo - 2 ** (bits - 1), hi + 2 ** (bits - 1)) for lo, hi in real_bounds(xs, bits)]
+
+    monkeypatch.setattr(commutant, "real_bounds", wide)
+    assert enumerate_invariants(md, basis) == expected
 
 
 def _search_rings():

@@ -16,12 +16,6 @@ TOLERANCES = {
     # that pinned reports record (perfbench/reference.json); chain_holds
     # decides the chain exactly.
     ("classify.py", "GlobalIndices.check", "1e-9"): 2,
-    # The relative slack on the column-sum targets the search prunes on:
-    # both sides are float sums of embedded dims, and the slack keeps their
-    # rounding from cutting a valid branch. Deciding them exactly is still
-    # open; dropping the pruning instead would make degenerate searches far
-    # longer. Every reported matrix is verified exactly.
-    ("commutant.py", "enumerate_invariants", "1e-6"): 1,
     # d >= 1 on ring files: an exact order on dims from an unvalidated file
     # can need unbounded precision, which would hang on hostile input.
     ("fusion.py", "validate", "1e-9"): 1,

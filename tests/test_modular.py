@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modinv.cyclo import Cyclotomic, csum, root_of_unity
+from modinv.cyclo import Cyclotomic, coordinates, csum, root_of_unity
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2, make_ring
 from modinv.modular import (
     DataIntegrityError,
@@ -23,6 +23,7 @@ from modinv.modular import (
     verlinde_check,
 )
 
+from test_cyclo import _elements
 from test_fusion import quadratic_twists, strip_dims
 
 
@@ -121,8 +122,20 @@ def test_verlinde_reports_mismatched_fusion_entries():
 def test_corrupted_Y_violates_dichotomy():
     md = compute_modular_data(builtin_su2(2))
     md.Y[0][1] = md.Y[0][1] + Cyclotomic.from_rational(1)
+    md.Y_coords, md.Y_den = coordinates(md.Y, md.ring.conductor)  # the checks read these
     with pytest.raises(DataIntegrityError):
         detect_degenerates(md)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [builtin_su2(10), builtin_cyclic(6, [Fraction(a * a, 4) for a in range(6)])],
+    ids=["su2_10", "z6_a2over4"],
+)
+def test_Y_coordinates_over_their_denominator_give_Y(ring):
+    md = compute_modular_data(ring)
+    assert md.Y_den > 0
+    assert _elements(md.Y_coords, md.Y_den, ring.conductor) == md.Y
 
 
 def test_corrupted_twist_fails_axioms():
@@ -254,7 +267,8 @@ def _clean_modular_data(i):
 @st.composite
 def corrupted_modular_data(draw):
     """Modular data of a STATISTICS_RINGS entry with one or two of its Y
-    entries, twists or dims changed; Omega follows the twists."""
+    entries, twists or dims changed; Omega follows the twists, and Y's
+    coordinates follow Y."""
     clean = _clean_modular_data(draw(st.integers(0, len(STATISTICS_RINGS) - 1)))
     md = dataclasses.replace(clean, Y=[list(row) for row in clean.Y])
     ring = md.ring
@@ -275,6 +289,7 @@ def corrupted_modular_data(draw):
             dims[l] = dims[l] + draw(delta)
     md.ring = make_ring(ring.names, ring.fusion, ring.dual, twists, dims, ring.name)
     md.omega = [root_of_unity(h) for h in md.ring.twists]
+    md.Y_coords, md.Y_den = coordinates(md.Y, md.ring.conductor)
     return md
 
 
