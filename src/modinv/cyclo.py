@@ -473,12 +473,12 @@ def int_dtype(bound: int):
 
 
 def int_array(rows) -> np.ndarray:
-    """Nested lists of ints as an int64 array, or as Python ints (object)
-    where some entry does not fit in int64."""
+    """Nested lists of ints as an int64 array, or as Python ints (object,
+    numpy integers converted too) where some entry does not fit in int64."""
     try:
         return np.array(rows, dtype=np.int64)
     except OverflowError:
-        return np.array(rows, dtype=object)
+        return np.frompyfunc(int, 1, 1)(np.array(rows, dtype=object))
 
 
 def _max_abs(X: np.ndarray) -> int:

@@ -1,9 +1,10 @@
 """Fusion-ring data model, axiom validation and built-in generators.
 
-A :class:`FusionRing` holds labels, the fusion tensor, the duality
-permutation, rational twists (mod 1) and, optionally, exact quantum
-dimensions as cyclotomic numbers. Rings given without dimensions get exact
-ones from :func:`reconstruct_dims`, or are rejected.
+A :class:`FusionRing` holds labels, the fusion rules as one read-only
+integer tensor, the duality permutation, rational twists (mod 1) and,
+optionally, exact quantum dimensions as cyclotomic numbers. Rings given
+without dimensions get exact ones from :func:`reconstruct_dims`, or are
+rejected.
 """
 
 from __future__ import annotations
@@ -25,17 +26,17 @@ from .cyclo import (
     csum,
     differs,
     field_mul,
-    int_dtype,
+    int_array,
     int_matmul,
     matmul_dtype,
     phi,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionRing:
     names: tuple[str, ...]
-    fusion: tuple[tuple[tuple[int, ...], ...], ...]  # N[l][m][n] = N_{l,m}^n
+    fusion: np.ndarray  # N[l, m, n] = N_{l,m}^n: one read-only integer tensor
     dual: tuple[int, ...]
     twists: tuple[Fraction, ...]
     dims: Optional[tuple[Cyclotomic, ...]]
@@ -47,7 +48,13 @@ class FusionRing:
         return len(self.names)
 
     def N(self, l: int, m: int, n: int) -> int:
-        return self.fusion[l][m][n]
+        return int(self.fusion[l, m, n])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = dict(vars(self)), dict(vars(other))
+        return np.array_equal(a.pop("fusion"), b.pop("fusion")) and a == b
 
     @property
     def conductor(self) -> int:
@@ -67,13 +74,15 @@ def make_ring(
     name: str = "",
     central_charge_hint: Optional[Fraction] = None,
 ) -> FusionRing:
-    """Normalize and freeze ring data; twists are reduced mod 1 and exact
-    dims are promoted to the global conductor."""
+    """Normalize and freeze ring data: the fusion rules become one read-only
+    integer tensor (numpy's ValueError on a ragged one), twists are reduced
+    mod 1 and exact dims are promoted to the global conductor."""
     twists_mod = tuple(Fraction(h) % 1 for h in twists)
-    frozen_fusion = tuple(tuple(tuple(int(x) for x in row) for row in plane) for plane in fusion)
+    N = int_array(fusion)
+    N.flags.writeable = False
     ring = FusionRing(
         names=tuple(str(s) for s in names),
-        fusion=frozen_fusion,
+        fusion=N,
         dual=tuple(int(d) for d in dual),
         twists=twists_mod,
         dims=tuple(dims) if dims is not None else None,
@@ -86,18 +95,6 @@ def make_ring(
     return ring
 
 
-def _fusion_shape(fusion) -> tuple:
-    """(planes, rows, columns) of the nested fusion tuple; a ragged level
-    reads as the sorted tuple of the lengths found there."""
-    rows = sorted({len(plane) for plane in fusion})
-    cols = sorted({len(row) for plane in fusion for row in plane})
-    return (
-        len(fusion),
-        rows[0] if len(rows) == 1 else tuple(rows),
-        cols[0] if len(cols) == 1 else tuple(cols),
-    )
-
-
 def validate(ring: FusionRing) -> list[str]:
     """Check every ring axiom exactly; returns the list of violations."""
     n = ring.size
@@ -108,12 +105,10 @@ def validate(ring: FusionRing) -> list[str]:
     if len(ring.twists) != n:
         report.append(f"expected {n} twists, got {len(ring.twists)}")
         return report
-    shape = _fusion_shape(ring.fusion)
-    if shape != (n, n, n):
-        report.append(f"fusion tensor has shape {shape}, expected ({n}, {n}, {n})")
+    N = ring.fusion
+    if N.shape != (n, n, n):
+        report.append(f"fusion tensor has shape {N.shape}, expected ({n}, {n}, {n})")
         return report
-    big = max(abs(x) for plane in ring.fusion for row in plane for x in row)
-    N = np.array(ring.fusion, dtype=int_dtype(n * big * big))  # n products per sum
     lbar = np.array(ring.dual)
     eye = np.eye(n, dtype=int)
     # Unit row and column, interleaved per (l, m).
@@ -236,7 +231,7 @@ def _pf_vector(ring: FusionRing) -> list:
     working mpmath precision: numpy's estimate, then Newton steps on
     F(x, lam) = ((A - lam) x, x_0 - 1) = 0."""
     n = ring.size
-    A = np.array(ring.fusion).sum(axis=0)
+    A = ring.fusion.sum(axis=0)
     vals, vecs = np.linalg.eig(A.astype(float))
     top = int(np.argmax(vals.real))
     v = vecs[:, top].real / vecs[0, top].real
@@ -266,7 +261,7 @@ def _propagate(ring: FusionRing, d: dict) -> bool:
     while grown:
         grown = False
         for l, m in product(list(d), repeat=2):
-            row = ring.fusion[l][m]
+            row = ring.fusion[l, m].tolist()
             unknown = [nu for nu, c in enumerate(row) if c and nu not in d]
             if len(unknown) == 1:
                 (nu,) = unknown

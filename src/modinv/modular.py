@@ -79,7 +79,7 @@ def compute_modular_data(ring: FusionRing) -> ModularData:
     Y: list[list[Cyclotomic]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
     for l in range(n):
         for m in range(l, n):
-            s = csum(t[r] * ring.N(l, m, r) for r in range(n) if ring.N(l, m, r))
+            s = csum(t[r] * c for r, c in enumerate(ring.fusion[l, m].tolist()) if c)
             val = omega[l] * omega[m] * s
             Y[l][m] = val
             Y[m][l] = val
@@ -211,7 +211,7 @@ def verlinde_check(md: ModularData) -> dict:
     nearest = np.round(val.real)
     mismatches = [
         (int(l), int(m), int(nu), val[l, m, nu])
-        for l, m, nu in np.argwhere(nearest != np.array(md.ring.fusion))
+        for l, m, nu in np.argwhere(nearest != md.ring.fusion)
     ]
     return {
         "ok": not mismatches,

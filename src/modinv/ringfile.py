@@ -14,6 +14,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 from math import lcm
 from typing import Optional, Union
 
+import numpy as np
+
 from .cyclo import Cyclotomic
 from .fusion import FusionRing, make_ring, validate
 
@@ -34,14 +36,9 @@ class RingFileError(ValueError):
 
 
 def ring_to_json(ring: FusionRing) -> dict:
-    n = ring.size
-    quads = [
-        [l, m, nu, ring.N(l, m, nu)]
-        for l in range(n)
-        for m in range(n)
-        for nu in range(n)
-        if ring.N(l, m, nu)
-    ]
+    # argwhere lists the nonzero entries in row-major (l, m, n) order.
+    nonzero = np.argwhere(ring.fusion)
+    quads = np.column_stack([nonzero, ring.fusion[tuple(nonzero.T)]]).tolist()
     data = {
         "name": ring.name,
         "labels": list(ring.names),
@@ -71,7 +68,8 @@ def ring_from_json(data: dict) -> FusionRing:
     quads = data.get("fusion", [])
     if not isinstance(quads, list):
         raise RingFileError("'fusion' must be a list of [l, m, n, multiplicity] quadruples")
-    fusion = [[[0] * n for _ in range(n)] for _ in range(n)]
+    fusion = np.zeros((n, n, n), np.int64)
+    listed: dict[tuple, int] = {}
     for q, quad in enumerate(quads):
         if not (isinstance(quad, (list, tuple)) and len(quad) == 4):
             raise RingFileError(f"fusion entry {q} is not a quadruple")
@@ -85,7 +83,12 @@ def ring_from_json(data: dict) -> FusionRing:
             raise RingFileError(
                 f"fusion entry {q}: multiplicity {mult}, above the limit of {MAX_MULTIPLICITY}"
             )
-        fusion[l][m][nu] = mult
+        first = listed.setdefault((l, m, nu), q)
+        if first != q:
+            raise RingFileError(
+                f"fusion entries {first} and {q} both list (l, m, n) = ({l}, {m}, {nu})"
+            )
+        fusion[l, m, nu] = mult
     dual = data.get("dual")
     labels_ok = isinstance(dual, list) and all(_is_int(v) and 0 <= v < n for v in dual)
     if not (labels_ok and len(dual) == n):

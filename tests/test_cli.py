@@ -5,6 +5,7 @@ import copy
 import hashlib
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,8 @@ from modinv.ringfile import (
     ring_from_json,
     ring_to_json,
 )
+
+from test_fusion import quadratic_twists
 
 
 @pytest.mark.parametrize(
@@ -59,6 +62,12 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
         ("fusion", None, "'fusion' must be a list"),
         ("fusion", [[0, True, 1, 1]], "index m=True out of range"),
         ("fusion", [[0, 0, 0, True]], "multiplicity True invalid"),
+        # A quadruple listed twice would keep its last multiplicity alone.
+        (
+            "fusion",
+            [[1, 1, 0, 7]] + data["fusion"],
+            r"fusion entries 0 and 6 both list \(l, m, n\) = \(1, 1, 0\)",
+        ),
         # Multiplicities are capped, so associativity sums stay below 2**53.
         (
             "fusion",
@@ -92,6 +101,68 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
         assert err.startswith("error: ")
     capped = ring_from_json({**data, "fusion": [[0, 0, 0, MAX_MULTIPLICITY]]})
     assert capped.N(0, 0, 0) == MAX_MULTIPLICITY
+
+
+# sha256 of dump_ring(ring): `modinv builtin` writes these bytes, and the
+# quadruples are listed in row-major (l, m, n) order.
+RING_FILE_BUILDERS = {
+    **{f"su2_level{k}": partial(builtin_su2, k) for k in range(25)},
+    **{f"so{n}_level1": partial(builtin_so_level1, n) for n in (16, 32)},
+    **{
+        f"cyclic{n}_quadratic": partial(builtin_cyclic, n, quadratic_twists(n, 1))
+        for n in range(2, 13)
+    },
+    "cyclic6_a2over4": partial(builtin_cyclic, 6, [Fraction(a * a, 4) for a in range(6)]),
+    "cyclic5_zero": partial(builtin_cyclic, 5, [Fraction(0)] * 5),
+}
+RING_FILE_DIGESTS = {
+    "su2_level0": "68b533c405c979197c58117754d3c0dfd106d0704536d2160e2505b5a64e7573",
+    "su2_level1": "ef6b53420f267570d4af8eef76e0cbd52a53972d12088b601983ce6ead83420b",
+    "su2_level2": "43c4dceb7d0951535d95171b4edc1fe636ecc60000df29740b3e8820cb30e3c7",
+    "su2_level3": "48910ca31ab7a598252002a8c80e20dc893d03ee2ba1c6cbb83da83a0cdccb6c",
+    "su2_level4": "d8160fcc382eab14d02120f8face8ea5f28db45f5087bf0e3f776e8ffb33a177",
+    "su2_level5": "c6ef8dab9bbf317fac05a4f3011ccc64a2304fee10780892943c9373f925edb6",
+    "su2_level6": "a18a4b987e289ea6e1509e92e81141d9141dcabccc68ef1d7d2a185624af1be0",
+    "su2_level7": "12eefc9c92861fd9c3ed661944404e398a16794f3215034e78a38bfaae0f0c91",
+    "su2_level8": "ffc17cff16bc83f2fb95c56ae3e5a925f818ff7a975310bb96b09d601672d241",
+    "su2_level9": "665b48d3576b2416d30a0650aeb26c34979305bdad5bc84d730c443a2e11e68b",
+    "su2_level10": "68bd0a3d50e15cf54e8ed9dfaeeba9da690df92cb448bb80cf51165fcda17ff8",
+    "su2_level11": "eeac117aa47d228a7ad9a726feeeb5bd3d5efce5607cf83a01a918225320bdca",
+    "su2_level12": "89f7bdbc8dd88b15b6018b635249abde5de6a270dafa2f31c10b4b45119dfff2",
+    "su2_level13": "2ac2d1096cf2f83f0b605d248b7aa047c25a0a46eece893b3f78a7fc6c2d91b9",
+    "su2_level14": "408e67126609740ad6449cfa0e1c6e5804acc27b2ddd1318620a76ac576c509e",
+    "su2_level15": "29dd6e1225c7bc15439177aea781edb38af039a86e851ae07ee4407772f07bb0",
+    "su2_level16": "c416c214e55edcd5c5215c5c6cb7e9f284a9a1ae2167da96e14af708dca70fbe",
+    "su2_level17": "0dd5bcfea26a8c459178268566c933224bd7062c9439d8b1ea749994e4e26608",
+    "su2_level18": "5eb0fc83a5460780b75d6b87c0ab05a1cc9f6354aa89276d3d6345843370e192",
+    "su2_level19": "10d820e93286d20482a7ce67e48dd2596f67117c120211730adfcd6e54d87165",
+    "su2_level20": "8e3c1c79e1009e6bc89a3ff36272673748f77f1dbcf8cc8e3bc425034016d509",
+    "su2_level21": "d03bc82161fae763b1e306562eec4a608446ec5e754c966272e89c8adca944e4",
+    "su2_level22": "d3e852f4063015855c207fc9a87ce28e42ef36a663b1952e98a1556da9710aeb",
+    "su2_level23": "6860e836cd1feeded4c9538d70d8a1e40a988ada610ad7b19b35923d267987fc",
+    "su2_level24": "a3f0468c37a5c62b2aeebfb97cc322385fc2796efda69c165cde2bd4e255a144",
+    "so16_level1": "3123a32145927eaa58b524826f5791c15e57902c15f91ee6466e1a35a4f50417",
+    "so32_level1": "ccecd3f6975a9741aa562396e82c3f1d37fe1eed8bc4ed0f324f4bb3d3d6c1ec",
+    "cyclic2_quadratic": "13219922f603bcba6a4b7a3405f96e55ddf85bd8a478c800a7cd912ea17cdbf4",
+    "cyclic3_quadratic": "773f2f0b7ad4922c4ef08e64e89c35de27989b1a4057338b98906876749cb92b",
+    "cyclic4_quadratic": "7a40ec4d12f6ce4934d6f47480fbe619cc7d5061b2f6f40f293a1a641c489cfa",
+    "cyclic5_quadratic": "630a68691a1bfb1fc9a186891cccd247f0d0e9cb5186a3a5ebf929808f09cc94",
+    "cyclic6_quadratic": "e8fbf974d77f339b8c53203aa8775f47bfe3ccc5d9b5793a9bc9314293588ab6",
+    "cyclic7_quadratic": "7cf00a82de97c5d5f94acbfaf43bca71debaf724fed34a8a2f3138b63e789b29",
+    "cyclic8_quadratic": "f433743e37b4d5edcd40b3e98b6c53ae3eb599c046d61639067f8be2c47a5b60",
+    "cyclic9_quadratic": "769a6a8f351b8493bfc93ecfd0afcd9ebdaa166a92b23450306506be5cc809ce",
+    "cyclic10_quadratic": "0916cbfb40297a1d145c6d170ddba002fe46a4c0a449bcb7f39125684187ac81",
+    "cyclic11_quadratic": "558fe7559c3e9e37de4e8b5383bbe1ac104afabbb1fe85ea241d146dc543dcc9",
+    "cyclic12_quadratic": "34b3c5ce9655e81f27a21dc5b6b3aeac17aa031ee01be201d1e02b9a757e6277",
+    "cyclic6_a2over4": "60d7a5e5ec2da7171ea0d6c299ab3518aad315d9ca02607bf26c19286269c95c",
+    "cyclic5_zero": "73f05136576cb2251c8f28b6a3c54cb1215b6696873fcc78fd6bee838731e02a",
+}
+
+
+@pytest.mark.parametrize("key", sorted(RING_FILE_DIGESTS))
+def test_ring_file_bytes_pinned(key):
+    text = dump_ring(RING_FILE_BUILDERS[key]())
+    assert hashlib.sha256(text.encode()).hexdigest() == RING_FILE_DIGESTS[key]
 
 
 @pytest.mark.parametrize(

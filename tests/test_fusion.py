@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from modinv.fusion import (
     reconstruct_dims,
     validate,
 )
+from modinv.ringfile import dump_ring, ring_from_json, ring_to_json
 
 
 @pytest.mark.parametrize("k", range(0, 9))
@@ -345,3 +347,39 @@ def perturbed_rings(draw):
 @settings(max_examples=200, deadline=None)
 def test_validate_matches_loop_reference(ring):
     assert validate(ring) == _loop_validate(ring)
+
+
+def test_fusion_ring_holds_one_read_only_integer_tensor():
+    ring = builtin_su2(4)
+    assert ring.fusion.dtype == np.int64 and ring.fusion.shape == (5, 5, 5)
+    with pytest.raises(ValueError, match="read-only"):
+        ring.fusion[1, 1, 2] = 2
+    assert type(ring.N(1, 1, 2)) is int and ring.N(1, 1, 2) == 1
+    # Rings compare field by field, the tensor by its entries; a ring holding
+    # an array is not hashable.
+    assert ring == ring_from_json(ring_to_json(ring)) == replace(ring)
+    fields = (ring.names, ring.dual, ring.twists, ring.dims, ring.name, ring.central_charge_hint)
+    fusion = ring.fusion.tolist()
+    assert make_ring(fields[0], fusion, *fields[1:]) == ring
+    fusion[1][1][1] = 1
+    assert make_ring(fields[0], fusion, *fields[1:]) != ring
+    with pytest.raises(TypeError):
+        hash(ring)
+
+
+def test_make_ring_rejects_a_ragged_fusion_tensor():
+    with pytest.raises(ValueError):
+        make_ring(["1", "g"], [[[1, 0], [0, 1]], [[0, 1], [1]]], [0, 1], [0, 0])
+
+
+def test_fusion_tensor_beyond_int64_holds_python_ints():
+    # Numpy integers read off an int64 ring join a multiplicity beyond int64
+    # as Python ints, so no product in validate wraps and the ring file
+    # renderer, which refuses numpy integers, writes every entry.
+    fib = make_ring(["1", "tau"], [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], [0, 1], [0, 0])
+    big = _with_entry(fib, 1, 1, 1, 2**70)
+    assert big.fusion.dtype == object
+    assert {type(x) for x in big.fusion.flat} == {int}
+    assert type(big.N(1, 1, 1)) is int and big.N(1, 1, 1) == 2**70
+    assert validate(big) == _loop_validate(big) == []
+    assert '"fusion": [' in dump_ring(big)
