@@ -18,14 +18,13 @@ import numpy as np
 
 from .cyclo import (
     ONE,
+    ZERO,
     Cyclotomic,
-    conjugate,
     coordinates,
     csum,
     differs,
     divide,
-    field_matmul,
-    field_mul,
+    evaluate,
     int_array,
     int_dtype,
     int_matmul,
@@ -126,19 +125,32 @@ def vacuum_profile(Z: CouplingMatrix) -> tuple[tuple[int, ...], tuple[int, ...],
     return col, row, col == row
 
 
-def global_indices(md: ModularData, Z: CouplingMatrix) -> GlobalIndices:
+def global_indices(
+    md: ModularData,
+    Z: CouplingMatrix,
+    w_plus: Optional[Cyclotomic] = None,
+    w_alpha: Optional[Cyclotomic] = None,
+) -> GlobalIndices:
     """w = sum d^2; w_plus = w / sum_l d_l Z_{l,0};
-    w_alpha = w / sum over degenerate l of Z_{0,l} d_l; w_zero = w_plus^2 / w_alpha."""
+    w_alpha = w / sum over degenerate l of Z_{0,l} d_l; w_zero = w_plus^2 / w_alpha.
+    w_plus reads Z's vacuum column alone and w_alpha its vacuum row alone:
+    when given, they are those of another invariant that agrees there, and
+    are not computed again."""
     d = md.ring.dims
     n = md.size
-    col_sum = csum(d[l] * Z.Z[l][0] for l in range(n) if Z.Z[l][0])
-    deg_sum = csum(d[l] * Z.Z[0][l] for l in sorted(md.degenerates) if Z.Z[0][l])
-    if col_sum.is_zero() or deg_sum.is_zero():
-        raise AssertionError("internal error: zero denominator in global indices")
-    w_plus = divide(md.w, col_sum)
-    w_alpha = divide(md.w, deg_sum)
+    if w_plus is None:
+        w_plus = _index(md, csum(d[l] * Z.Z[l][0] for l in range(n) if Z.Z[l][0]))
+    if w_alpha is None:
+        w_alpha = _index(md, csum(d[l] * Z.Z[0][l] for l in sorted(md.degenerates) if Z.Z[0][l]))
     w_zero = divide(w_plus * w_plus, w_alpha)
     return GlobalIndices(w=md.w, w_plus=w_plus, w_alpha=w_alpha, w_zero=w_zero)
+
+
+def _index(md: ModularData, total: Cyclotomic) -> Cyclotomic:
+    """w / total, for the sum behind w_plus or w_alpha."""
+    if total.is_zero():
+        raise AssertionError("internal error: zero denominator in global indices")
+    return divide(md.w, total)
 
 
 def factorize_type_one(md: ModularData, Z: CouplingMatrix) -> list[BranchingData]:
@@ -357,15 +369,13 @@ def extended_modular_data(
         for a in range(t)
     ]
     failures: list[str] = []
-    # (w/w_plus) Yext B = B Y, i.e. Yext B = ratio * (B Y), on the
-    # coordinates of md.Y, Yext and ratio.
+    # (w/w_plus) Yext B = B Y, i.e. Yext B = ratio * (B Y), by value; Yext B
+    # and B Y are integer combinations of the coordinates of Yext and md.Y.
     M = md.ring.conductor
     Bm = np.array(B, dtype=object)
-    Y, DY = md.Y_coords, md.Y_den
     X, DX = coordinates(Yext, M)
-    r, Dr = coordinates(ratio, M)
-    rhs = field_mul(r[:, None, None], int_matmul(Bm, Y), M)
-    for a, m in np.argwhere(differs(int_matmul(X, Bm), DX, rhs, Dr * DY)):
+    rhs = evaluate(*coordinates(ratio, M), M) * evaluate(int_matmul(Bm, md.Y_coords), md.Y_den, M)
+    for a, m in np.argwhere(differs(evaluate(int_matmul(X, Bm), DX, M), rhs)):
         failures.append(f"intertwining fails at block {a}, label {m}")
     for a, b in np.argwhere(np.triu((X != X.transpose(0, 2, 1)).any(axis=0))):
         failures.append(f"Yext not symmetric at ({a},{b})")
@@ -375,12 +385,9 @@ def extended_modular_data(
     failures += z0_failures
     if md.nondegenerate:
         # Yext Yext^dagger must be w_zero times the identity.
-        YYdag = field_matmul(X, conjugate(X, M).transpose(0, 2, 1), M)
-        w0, D0 = coordinates(indices.w_zero, M)
-        bad = YYdag.any(axis=0)
-        diagonal = np.diagonal(YYdag, axis1=1, axis2=2)
-        np.fill_diagonal(bad, differs(diagonal, DX * DX, w0[:, None], D0))
-        for a, b in np.argwhere(bad):
+        Xv = evaluate(X, DX, M)
+        w0 = [[indices.w_zero if a == b else ZERO for b in range(t)] for a in range(t)]
+        for a, b in np.argwhere(differs(Xv @ Xv.conjugate().T, evaluate(*coordinates(w0, M), M))):
             if a != b:
                 failures.append(f"Yext Yext^dagger not diagonal at ({a},{b})")
             else:
@@ -586,9 +593,11 @@ class _PoolData:
 
     `global_indices` reads Z only through its vacuum column and the entries
     of its vacuum row at degenerate labels, so invariants that agree there
-    share one `GlobalIndices` and the notes of one `check()`; equal inputs to
-    the same exact code give the same values and slot orders. Keys are ids
-    of integer rows and pool indices, never cyclotomic values."""
+    share one `GlobalIndices` and the notes of one `check()`; w_plus reads
+    the column alone and w_alpha the row alone, so each is computed once
+    per distinct column or row. Equal inputs to the same exact code give
+    the same values and slot orders. Keys are ids of integer rows and pool
+    indices, never cyclotomic values."""
 
     def __init__(self, md: ModularData, pool: Sequence[CouplingMatrix]):
         self.md = md
@@ -606,13 +615,18 @@ class _PoolData:
         ids = _row_ids(np.concatenate([column, row]))
         self.column_ids, self.row_ids = ids[:k], ids[k:]
         self.type_one_by_column = _type_one_by_column(self.column_ids, self.facts)
-        key_ids = _row_ids(np.concatenate([column, row[:, sorted(md.degenerates)]], axis=1))
+        degenerate_row = row[:, sorted(md.degenerates)]
+        row_ids = _row_ids(degenerate_row)
+        key_ids = _row_ids(np.concatenate([column, degenerate_row], axis=1))
+        w_plus: dict[int, Cyclotomic] = {}  # by column id
+        w_alpha: dict[int, Cyclotomic] = {}  # by degenerate row id
         by_key: dict[int, tuple[GlobalIndices, list[str]]] = {}
         self.indices: list[GlobalIndices] = []
         self.index_notes: list[list[str]] = []  # check() of each invariant's indices
-        for Z, key in zip(pool, key_ids):
+        for Z, c, r, key in zip(pool, self.column_ids, row_ids, key_ids):
             if key not in by_key:
-                idx = global_indices(md, Z)
+                idx = global_indices(md, Z, w_plus.get(c), w_alpha.get(r))
+                w_plus[c], w_alpha[r] = idx.w_plus, idx.w_alpha
                 by_key[key] = idx, idx.check()
             idx, notes = by_key[key]
             self.indices.append(idx)

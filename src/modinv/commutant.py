@@ -29,7 +29,15 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .cyclo import Cyclotomic, int_array, int_dtype, int_matmul, real_bounds, real_floor
+from .cyclo import (
+    Cyclotomic,
+    exact_dtype,
+    int_array,
+    int_dtype,
+    int_matmul,
+    real_bounds,
+    real_floor,
+)
 from .fusion import FusionRing
 from .linalg import Echelon, nullspace
 from .modular import ModularData, twist_exponents
@@ -244,7 +252,8 @@ def enumerate_invariants(
     bvecs = [[x.numerator * (L // x.denominator) for x in row] for row in basis.basis]
     # Every accumulator entry, sum and product is at most sum_i bound * max|row_i|
     # (row 0 takes the coefficient 1).
-    dtype = int_dtype(sum(max(int(bounds[p]), 1) * max(map(abs, b)) for p, b in zip(pivots, bvecs)))
+    acc_bound = sum(max(int(bounds[p]), 1) * max(map(abs, b)) for p, b in zip(pivots, bvecs))
+    dtype = int_dtype(acc_bound)
     B = np.array(bvecs, dtype=dtype)
     # The leaves' entries lie in 0..max(bounds): the smallest signed dtype that holds them.
     entry_dtype = np.min_scalar_type(-int(bounds.max()) - 1)
@@ -259,6 +268,12 @@ def enumerate_invariants(
     # 0, and the sums stay in int64 while P max|acc| max d_l < 2**30.
     lo, hi = zip(*real_bounds(md.ring.dims, 32))
     W = int_array([[[e[l] * (c == m) for c in range(n)] for l, m in positions] for e in (hi, lo)])
+    # The prune sums at most 2P products of an accumulator entry and an entry
+    # of W, in one dtype fixed here (float64, BLAS, while the sums stay below
+    # 2**53).
+    W_bound = int(abs(W).max())
+    prune_dtype = exact_dtype(max(2 * P * acc_bound * W_bound, acc_bound, W_bound))
+    W = W.astype(prune_dtype)
 
     leaves = []
     nodes = depth = 0
@@ -293,7 +308,8 @@ def enumerate_invariants(
             # sum from above.
             rest = acc[:, seg.stop :]
             split = np.concatenate([np.maximum(rest, 0), np.minimum(rest, 0)], axis=1)
-            acc = acc[(int_matmul(split, W[:, seg.stop :].reshape(-1, n)) >= 0).all(axis=1)]
+            prune = split.astype(prune_dtype) @ W[:, seg.stop :].reshape(-1, n)
+            acc = acc[(prune >= 0).all(axis=1)]
         if i + 1 == k:
             leaves.append((acc // L).astype(entry_dtype))
             continue

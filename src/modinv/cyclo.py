@@ -9,25 +9,30 @@ take rationals, and the read-only :attr:`Cyclotomic.coeffs` gives them back.
 Equality across conductors goes through promotion to the lcm conductor.
 
 No general field inversion is exposed; the few divisions by non-rational
-elements needed downstream go through :func:`divide`, which solves a linear
-system over Q in basis coordinates and verifies the quotient by
-multiplication.
+elements needed downstream go through :func:`divide`, which finds the
+quotient's coordinates modulo primes, reconstructs them as fractions and
+verifies the quotient by multiplication.
 
-Exact identity checks over whole matrices run on integer coordinate tensors
-instead (:func:`coordinates`, :func:`field_matmul`, :func:`field_mul`,
-:func:`conjugate`, :func:`times_root`): an array of field elements is held as
-its integer coordinates, the power-basis axis first, over one positive
-denominator. They are int64 only where an explicit bound shows that no
-product or sum can wrap, and Python ints (object dtype) otherwise; field
-products run in float64 where the same bound stays below 2**53.
+Exact identity checks over whole arrays compare values, not coordinates.
+:func:`coordinates` gives an array's integer coordinates, the power-basis
+axis first, over one positive denominator, and :func:`evaluate` holds the
+array (:class:`Evaluated`) by its values at the roots of Phi_m modulo primes
+p = 1 mod m below 2**21, which split completely in Q(zeta_m). There a
+product is pointwise, or a batched matrix product, in float64 mod p;
+conjugation reverses the points and zeta^s is one factor per point.
+:func:`differs` compares two arrays at as many primes as a bound on the
+coordinates of their difference needs, so every verdict is exact. Integer
+arrays are int64 only where an explicit bound shows that no product or sum
+can wrap, and Python ints (object dtype) otherwise.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
-from math import floor, gcd, lcm, prod
+from functools import cached_property, lru_cache
+from itertools import count
+from math import floor, gcd, isqrt, lcm, prod
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
@@ -42,8 +47,6 @@ from mpmath.libmp import (
     round_floor,
     to_int,
 )
-
-from .linalg import solve
 
 Scalar = Union[int, Fraction]
 
@@ -374,42 +377,31 @@ def root_of_unity(h: Union[Fraction, int]) -> Cyclotomic:
     return Cyclotomic.zeta(q, h.numerator % q)
 
 
-def divide(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    """Exact quotient a / b in the common cyclotomic field.
-
-    Solved as a linear system over Q in the power-basis coordinates and
-    verified by multiplication.
-    """
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero cyclotomic element")
-    r = b.rational_value()
-    if r is not None:
-        return a / r
-    m = lcm(a.conductor, b.conductor)
-    ap = a.to_conductor(m)
-    bp = b.to_conductor(m)
-    deg = phi(m)
-    # Row i, column j holds coordinate i of den(b) * b * zeta^j: b's integer
-    # coordinates shifted by j and reduced. The right-hand side is den(b) * a.
-    rows: list[dict[int, int]] = [{} for _ in range(deg)]
-    for j in range(deg):
-        for i, c in _reduce(m, [((e + j) % m, c) for e, c in bp.num.items()]).items():
-            rows[i][j] = c
-    sol = solve(rows, [Fraction(ap.num.get(i, 0) * bp.den, ap.den) for i in range(deg)], deg)
-    if sol is None:
-        raise ArithmeticError("quotient does not lie in the field (inconsistent system)")
-    q = Cyclotomic(m, {j: c for j, c in enumerate(sol) if c})
-    if q * b != a:
-        raise ArithmeticError("division verification failed")
-    return q
-
-
 def csum(items: Iterable[Cyclotomic]) -> Cyclotomic:
-    """Sum of cyclotomic elements (empty sum is 0)."""
-    acc = ZERO
+    """Sum of cyclotomic elements (empty sum is 0), in one integer accumulator
+    over a common denominator. Coordinates are inserted, dropped when they
+    cancel and re-slotted by a promotion of the conductor exactly where
+    adding the items one by one with `+` would, so the sum has its slot
+    order too."""
+    m, den, num = 1, 1, {}
     for x in items:
-        acc = acc + x
-    return acc
+        if m % x.conductor:
+            k = lcm(m, x.conductor) // m
+            m *= k
+            num = _reduce(m, [(e * k, c) for e, c in num.items()])
+        x = x.to_conductor(m)
+        if den % x.den:
+            s = lcm(den, x.den) // den
+            den *= s
+            num = {e: c * s for e, c in num.items()}
+        s = den // x.den
+        for e, c in x.num.items():
+            t = num.get(e, 0) + c * s
+            if t:
+                num[e] = t
+            else:
+                del num[e]
+    return _make(m, num, den)
 
 
 @lru_cache(maxsize=None)
@@ -472,6 +464,12 @@ def int_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
+def exact_dtype(bound: int):
+    """float64 (BLAS) below 2**53, where every integer up to `bound` is held
+    exactly, else `int_dtype`."""
+    return np.float64 if bound < 2**53 else int_dtype(bound)
+
+
 def int_array(rows) -> np.ndarray:
     """Nested lists of ints as an int64 array, or as Python ints (object,
     numpy integers converted too) where some entry does not fit in int64."""
@@ -485,37 +483,12 @@ def _max_abs(X: np.ndarray) -> int:
     return int(abs(X).max()) if X.size else 0
 
 
-def _product_bound(terms: int, *factors: np.ndarray) -> int:
-    """Bound on sums of `terms` products of one entry from each factor, and
-    on the factors' own entries."""
-    bounds = [_max_abs(x) for x in factors]
-    return max(terms * prod(bounds), *bounds)
-
-
-def _product_dtype(terms: int, *factors: np.ndarray):
-    """int_dtype for sums of `terms` products of one entry from each factor."""
-    return int_dtype(_product_bound(terms, *factors))
-
-
 def matmul_dtype(terms: int, *factors: np.ndarray):
     """The dtype for exact sums of `terms` products of one entry from each
-    factor: float64 (BLAS) below 2**53, where the bound covers every partial
-    sum, each an integer that float64 holds exactly; else `int_dtype`."""
-    bound = _product_bound(terms, *factors)
-    return np.float64 if bound < 2**53 else int_dtype(bound)
-
-
-@lru_cache(maxsize=None)
-def _root_coordinates(m: int) -> np.ndarray:
-    """The (m, phi(m)) integer matrix whose row e holds the coordinates of
-    zeta_m^e; read-only."""
-    R = [[0] * phi(m) for _ in range(m)]
-    for e, row in enumerate(_reduction_rows(m)):
-        for i, t in row:
-            R[e][i] = t
-    R = np.array(R, dtype=int_dtype(max(abs(t) for row in R for t in row)))
-    R.flags.writeable = False
-    return R
+    factor: `exact_dtype` of a bound on every partial sum and on the
+    factors' own entries."""
+    bounds = [_max_abs(x) for x in factors]
+    return exact_dtype(max(terms * prod(bounds), *bounds))
 
 
 def coordinates(entries, m: int) -> tuple[np.ndarray, int]:
@@ -544,75 +517,323 @@ def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.astype(np.int64) if dtype is np.float64 else out
 
 
-def _field_product(A: np.ndarray, B: np.ndarray, m: int, op, terms: int) -> np.ndarray:
-    """Coordinates of op(A, B) in Q(zeta_m) for the coordinate tensors A and
-    B, op bilinear with `terms` products per entry: op(A[i], B) lands in
-    slots i..i+phi-1 of a (2 phi - 1)-slot buffer of powers of zeta_m, which
-    is reduced once by the coordinates of those powers.
+# -- values at the roots of Phi_m modulo primes -------------------------------
 
-    The products run in `matmul_dtype`: in float64 (BLAS) below 2**53, and
-    come back as int64."""
-    f = phi(m)
-    R = _root_coordinates(m)[np.arange(2 * f - 1) % m]
-    dtype = matmul_dtype((2 * f - 1) * f * terms, R, A, B)
-    A, B, R = (x.astype(dtype, copy=False) for x in (A, B, R))
-    first = op(A[0], B)
-    buf = np.zeros((2 * f - 1,) + first.shape[1:], dtype=dtype)
-    buf[:f] = first
-    for i in range(1, f):
-        buf[i : i + f] += op(A[i], B)
-    out = np.tensordot(R, buf, axes=(0, 0))
-    return out.astype(np.int64) if dtype is np.float64 else out
+# Primes stay below PRIME_LIMIT, so a float64 sum of 2**11 products of two
+# residues (each below p in absolute value) stays below 2**53 and is exact.
+PRIME_LIMIT = 2**21
 
 
-def field_matmul(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
-    """Coordinates of the matrix product of the field matrices with
-    coordinates A, shape (phi(m), p, q), and B, shape (phi(m), q, r); the
-    denominators multiply."""
-    return _field_product(A, B, m, np.matmul, A.shape[-1])
-
-
-def field_mul(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
-    """Coordinates of the entrywise (broadcast) product of the field arrays
-    with coordinates A and B; the denominators multiply."""
-    return _field_product(A, B, m, np.multiply, 1)
-
-
-def _substitute(X: np.ndarray, rows, R: np.ndarray) -> np.ndarray:
-    """sum_i X[i, ...] R[rows(i), :], the last axis moved to the front: the
-    coordinates of the elements X once each zeta^i is replaced by the root
-    whose exponent rows(i) gives (broadcast against X's entries). One
-    coordinate at a time, so no (phi, ..., phi) gather is ever formed."""
-    dtype = _product_dtype(len(X), X, R)
-    X, R = X.astype(dtype, copy=False), R.astype(dtype, copy=False)
-    return np.moveaxis(sum(X[i, ..., None] * R[rows(i)] for i in range(len(X))), -1, 0)
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2, 3, 5 and 7, deterministic below 3.2e9."""
+    bases = (2, 3, 5, 7)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
-def _conjugation_matrix(m: int) -> np.ndarray:
-    """Row i: the coordinates of zeta_m^-i, for i < phi(m); read-only."""
-    C = _root_coordinates(m)[-np.arange(phi(m)) % m]
-    C.flags.writeable = False
-    return C
+def _rho(m: int) -> int:
+    """The largest L1 norm of the reduced coordinates of a power of zeta_m:
+    a product xy of elements of Q(zeta_m) has ||xy||_1 <= rho ||x||_1 ||y||_1."""
+    return max(sum(abs(t) for _, t in row) for row in _reduction_rows(m))
 
 
-def conjugate(X: np.ndarray, m: int) -> np.ndarray:
-    """Coordinates of the complex conjugates of the elements with coordinates
-    X in Q(zeta_m); the denominator is unchanged."""
-    return _substitute(X, lambda i: i, _conjugation_matrix(m))
+class _Table:
+    """A prime p = 1 mod m and the phi(m) roots of Phi_m modulo p, the powers
+    x_k = g^k of a primitive m-th root g with k prime to m, ascending: Phi_m
+    splits into distinct linear factors mod p, so the values at the points
+    determine the coordinates mod p. x_(m-k) = x_k^-1 is the point of the
+    conjugate, so reversing the points conjugates. All arrays are float64
+    residues mod p."""
+
+    def __init__(self, m: int, p: int):
+        self.m, self.p = m, p
+        primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+        g = next(
+            x
+            for x in (pow(h, (p - 1) // m, p) for h in range(1, p))
+            if all(pow(x, m // q, p) != 1 for q in primes)
+        )
+        roots = [1] * m  # g^t for t < m
+        for t in range(1, m):
+            roots[t] = roots[t - 1] * g % p
+        self.roots = np.array(roots, dtype=np.float64)
+        self.units = np.array([k for k in range(m) if gcd(k, m) == 1])
+        self.V = self.power(np.arange(phi(m)))  # the evaluation matrix
+
+    def power(self, s) -> np.ndarray:
+        """x_k^s for an integer array s, of shape (phi,) + s.shape."""
+        return self.roots[np.multiply.outer(self.units, s) % self.m]
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """V^-1 mod p: column k holds the coordinates of the Lagrange
+        polynomial L_k = Phi_m(x) / ((x - x_k) Phi_m'(x_k)), whose quotient
+        by x - x_k comes from synthetic division, one coefficient at a time
+        for all points at once."""
+        f, p = phi(self.m), self.p
+        poly = [c % p for c in _cyclotomic_poly(self.m)]
+        x = self.power(1).astype(np.int64)
+        Q = np.zeros((f, f), dtype=np.int64)  # Q[j, k]: coefficient j of Phi_m / (x - x_k)
+        Q[f - 1] = 1
+        for j in range(f - 1, 0, -1):
+            Q[j - 1] = (poly[j] + x * Q[j]) % p
+        # Phi_m'(x_k) = (Phi_m / (x - x_k))(x_k); each product is below 2**42.
+        slopes = (Q * self.V.T.astype(np.int64) % p).sum(axis=0) % p
+        scale = np.array([pow(int(s), -1, p) for s in slopes], dtype=np.int64)
+        return (Q * scale % p).astype(np.float64)
 
 
-def times_root(X: np.ndarray, s, m: int) -> np.ndarray:
-    """Coordinates of zeta_m^s times the elements with coordinates X, for an
-    integer array s broadcast against X's entries; the denominator is
-    unchanged."""
-    return _substitute(X, lambda i: (i + s) % m, _root_coordinates(m))
+@lru_cache(maxsize=None)
+def _table(m: int, i: int) -> _Table:
+    """The table of the i-th largest prime p = 1 mod m below PRIME_LIMIT."""
+    start = _table(m, i - 1).p - m if i else (PRIME_LIMIT - 2) // m * m + 1
+    p = next((q for q in range(start, 4, -m) if _is_prime(q)), None)  # p >= 5 (`_mod`)
+    if p is None:
+        raise ArithmeticError(
+            f"conductor {m}: fewer than {i + 1} primes p = 1 mod {m} below {PRIME_LIMIT}"
+        )
+    return _Table(m, p)
 
 
-def differs(X: np.ndarray, D: int, Y: np.ndarray, E: int) -> np.ndarray:
-    """Boolean mask over the (broadcast) entries where X / D != Y / E, for
-    coordinate tensors X and Y over the denominators D and E."""
-    g = gcd(D, E)
-    a, b = E // g, D // g
-    dtype = int_dtype(max(_max_abs(X) * a, _max_abs(Y) * b))
-    return (X.astype(dtype, copy=False) * a != Y.astype(dtype, copy=False) * b).any(axis=0)
+def _prime_count(m: int, bound: int) -> int:
+    """The fewest primes (`_table`) whose product exceeds 2 * bound: integers
+    of absolute value at most `bound` that agree modulo all of them are equal."""
+    count, modulus = 1, _table(m, 0).p
+    while modulus <= 2 * bound:
+        modulus *= _table(m, count).p
+        count += 1
+    return count
+
+
+def _mod(z: np.ndarray, p: int) -> np.ndarray:
+    """A residue of z mod p of absolute value at most p/2 + 2, for a float64
+    array of integers below 2**53 - p in absolute value: z - k p with k the
+    float quotient z * (1/p) rounded, which is off z/p by at most
+    1/2 + 2/p, so that k p and the difference are exact. The residue is not
+    canonical, but it is 0 exactly when p divides z (p >= 5)."""
+    return z - np.rint(z * (1 / p)) * p
+
+
+def _dot_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p (`_mod`) for float64 residue arrays (matmul broadcasting)
+    with entries below p in absolute value, exactly: the inner sums are
+    split so that no partial sum reaches 2**53 - p."""
+    step = max(1, 2**53 // p**2 - 2)
+    out = 0
+    for s in range(0, max(A.shape[-1], 1), step):
+        out = _mod(out + A[..., s : s + step] @ B[..., s : s + step, :], p)
+    return out
+
+
+def _l1(X: np.ndarray) -> int:
+    """The largest L1 norm of the coordinate vectors X[:, ...]."""
+    if X.dtype != object and _max_abs(X) * len(X) >= 2**63:
+        X = X.astype(object)
+    return int(abs(X).sum(axis=0, keepdims=True).max()) if X.size else 0
+
+
+def _lift(values: np.ndarray, ndim: int) -> np.ndarray:
+    """Values of shape (phi,) + s with axes inserted after the points'
+    axis, up to `ndim` entry axes, so that numpy broadcasting aligns the
+    entries of arrays of different ranks and never the points' axis."""
+    return values.reshape(values.shape[:1] + (1,) * (ndim + 1 - values.ndim) + values.shape[1:])
+
+
+class Evaluated:
+    """An array of elements of Q(zeta_m) by its values at the roots of Phi_m
+    modulo primes: for the i-th prime p (`_table`), `values(i)` is the
+    float64 array, of shape (phi(m),) + `shape`, of the residues mod p of
+    den * x at the points x_k. Values are computed for the primes a
+    comparison asks for, in turn, and those of the last prime are kept.
+    `norm` bounds the L1 norm of the integer
+    coordinates of den * x, entry by entry: it grows by rho (`_rho`) in a
+    product, a conjugation or a factor zeta^s, and by n in a sum of n terms.
+    Products are then pointwise, or batched matrix products, in float64
+    mod p."""
+
+    def __init__(self, m: int, den: int, norm: int, shape: tuple, at):
+        self.m, self.den, self.norm, self.shape = m, den, norm, shape
+        self._at = at
+        self._last: Optional[tuple[int, np.ndarray]] = None
+
+    def values(self, i: int) -> np.ndarray:
+        if self._last is None or self._last[0] != i:
+            self._last = i, self._at(i)
+        return self._last[1]
+
+    def _derived(self, den: int, norm: int, shape: tuple, at) -> "Evaluated":
+        return Evaluated(self.m, den, norm, shape, at)
+
+    def __getitem__(self, key) -> "Evaluated":
+        """Entries selected as by numpy indexing of the entry axes."""
+        key = key if isinstance(key, tuple) else (key,)
+        shape = np.broadcast_to(np.empty(()), self.shape)[key].shape
+        return self._derived(
+            self.den, self.norm, shape, lambda i: self.values(i)[(slice(None),) + key]
+        )
+
+    @property
+    def T(self) -> "Evaluated":
+        """The transpose of a matrix, or of each matrix of a stack."""
+        shape = self.shape[:-2] + self.shape[:-3:-1]
+        return self._derived(self.den, self.norm, shape, lambda i: self.values(i).swapaxes(-1, -2))
+
+    def __mul__(self, other: "Evaluated") -> "Evaluated":
+        """Entrywise (broadcast) products; the denominators multiply."""
+        m = self.m
+        shape = np.broadcast_shapes(self.shape, other.shape)
+
+        def at(i):
+            x, y = _lift(self.values(i), len(shape)), _lift(other.values(i), len(shape))
+            return _mod(x * y, _table(m, i).p)
+
+        return self._derived(self.den * other.den, _rho(m) * self.norm * other.norm, shape, at)
+
+    def __matmul__(self, other: "Evaluated") -> "Evaluated":
+        """Matrix products of matrices (or stacks of them); the denominators
+        multiply."""
+        m, terms = self.m, self.shape[-1]
+        shape = np.broadcast_shapes(self.shape[:-2], other.shape[:-2])
+        shape += (self.shape[-2], other.shape[-1])
+
+        def at(i):
+            x, y = _lift(self.values(i), len(shape)), _lift(other.values(i), len(shape))
+            return _dot_mod(x, y, _table(m, i).p)
+
+        return self._derived(self.den * other.den, _rho(m) * terms * self.norm * other.norm, shape, at)
+
+    def conjugate(self) -> "Evaluated":
+        """Complex conjugates: the values at the reversed points."""
+        return self._derived(
+            self.den, _rho(self.m) * self.norm, self.shape, lambda i: self.values(i)[::-1]
+        )
+
+    def times_root(self, s) -> "Evaluated":
+        """zeta_m^s times the elements, for an integer array s broadcast
+        against the entries."""
+        m = self.m
+        s = np.asarray(s) % m
+        shape = np.broadcast_shapes(self.shape, s.shape)
+
+        def at(i):
+            t = _table(m, i)
+            return _mod(_lift(self.values(i), len(shape)) * _lift(t.power(s), len(shape)), t.p)
+
+        return self._derived(self.den, _rho(m) * self.norm, shape, at)
+
+
+def evaluate(X: np.ndarray, D: int, m: int) -> Evaluated:
+    """The elements X / D of Q(zeta_m), for integer coordinates X over a
+    positive denominator D as `coordinates` gives them; X may hold only the
+    first len(X) coordinates (one for rational entries), the rest being 0."""
+
+    def at(i):
+        t = _table(m, i)
+        flat = (X % t.p).astype(np.float64).reshape(len(X), -1)
+        return _dot_mod(t.V[:, : len(X)], flat, t.p).reshape((phi(m),) + X.shape[1:])
+
+    return Evaluated(m, D, _l1(X), X.shape[1:], at)
+
+
+def _anywhere(m: int, bound: int, at) -> np.ndarray:
+    """Mask over the entries where the boolean (phi, ...) array at(i) holds
+    at some point for some prime i, over the primes that determine integer
+    coordinates bounded by `bound` (`_prime_count`)."""
+    return np.logical_or.reduce([at(i).any(axis=0) for i in range(_prime_count(m, bound))])
+
+
+def nonzero(x: Evaluated) -> np.ndarray:
+    """Boolean mask over the entries of x that are not 0."""
+    return _anywhere(x.m, x.norm, lambda i: x.values(i) != 0)
+
+
+def differs(x: Evaluated, y: Evaluated) -> np.ndarray:
+    """Boolean mask over the (broadcast) entries where x != y: where
+    E * (D x) and D * (E y) differ, D and E the denominators of x and y
+    over their gcd."""
+    g = gcd(x.den, y.den)
+    a, b = y.den // g, x.den // g
+    ndim = len(np.broadcast_shapes(x.shape, y.shape))
+
+    def at(i):
+        p = _table(x.m, i).p
+        u, v = _lift(x.values(i), ndim), _lift(y.values(i), ndim)
+        return _mod(u * (a % p) - v * (b % p) if a != b else u - v, p) != 0
+
+    return _anywhere(x.m, a * x.norm + b * y.norm, at)
+
+
+def _rational(c: int, modulus: int) -> Optional[Fraction]:
+    """The fraction n/d = c mod modulus with |n|, d <= sqrt(modulus / 2) and
+    gcd(n, d) = 1, or None (Wang's rational reconstruction)."""
+    bound = isqrt(modulus // 2)
+    r0, r1, t0, t1 = modulus, c % modulus, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def divide(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
+    """Exact quotient a / b in the common cyclotomic field.
+
+    Found modulo the primes of `_table` in turn: at each, the quotient is
+    taken point by point and interpolated back to coordinates mod p, the
+    primes so far are combined (CRT) and every coordinate is reconstructed
+    as a fraction (`_rational`). A candidate is accepted only when q * b == a
+    exactly. A prime at which b vanishes at some point, or that divides a
+    denominator, is skipped. Raises ArithmeticError when the primes run out.
+    """
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero cyclotomic element")
+    r = b.rational_value()
+    if r is not None:
+        return a / r
+    m = lcm(a.conductor, b.conductor)
+    ap, bp = a.to_conductor(m), b.to_conductor(m)
+    f = phi(m)
+    # Columns: the coordinates of den(a) * a and of den(b) * b.
+    AB = np.array([[ap.num.get(e, 0), bp.num.get(e, 0)] for e in range(f)], dtype=object)
+    residues, modulus = [0] * f, 1
+    for i in count():
+        t = _table(m, i)
+        p = t.p
+        if ap.den % p == 0 or bp.den % p == 0:
+            continue
+        va, vb = _dot_mod(t.V, (AB % p).astype(np.float64), p).T
+        if not vb.all():
+            continue
+        # a / b = (den(b) * (den(a) a)) / (den(a) * (den(b) b)), point by point.
+        inverse = [pow(int(v) * ap.den % p, -1, p) for v in vb]
+        vq = _mod(_mod(va * (bp.den % p), p) * np.array(inverse, dtype=np.float64), p)
+        coords = _dot_mod(t.inverse, vq[:, None], p)[:, 0].astype(np.int64).tolist()
+        lift = pow(modulus, -1, p)
+        residues = [r + modulus * ((c - r) * lift % p) for r, c in zip(residues, coords)]
+        modulus *= p
+        coeffs = []
+        for c in residues:
+            x = _rational(c, modulus)
+            if x is None:
+                break
+            coeffs.append(x)
+        else:
+            q = Cyclotomic(m, {e: c for e, c in enumerate(coeffs) if c})
+            if q * b == a:
+                return q

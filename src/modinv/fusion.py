@@ -25,7 +25,7 @@ from .cyclo import (
     coordinates,
     csum,
     differs,
-    field_mul,
+    evaluate,
     int_array,
     int_matmul,
     matmul_dtype,
@@ -158,13 +158,13 @@ def validate(ring: FusionRing) -> list[str]:
             # file can need unbounded precision.
             if d[l].embed().real < 1 - 1e-9:
                 report.append(f"dims: d[{l}] < 1 numerically")
-        # d_l d_m = sum_nu N_lm^nu d_nu: an outer product of the coordinates
-        # of d against their integer contraction with N.
+        # d_l d_m = sum_nu N_lm^nu d_nu: an outer product of the values of d
+        # against their integer contraction with N, on its coordinates.
         M = ring.conductor
         X, D = coordinates(d, M)
-        prod = field_mul(X[:, :, None], X[:, None, :], M)
+        dv = evaluate(X, D, M)
         Nd = int_matmul(N.reshape(n * n, n), X.T).T.reshape(-1, n, n)
-        for l, m in np.argwhere(differs(prod, D * D, Nd, D)):
+        for l, m in np.argwhere(differs(dv[:, None] * dv, evaluate(Nd, D, M))):
             report.append(f"dims: d[{l}]*d[{m}] != sum N*d")
     return report
 

@@ -106,22 +106,6 @@ def nullspace(echelon: Echelon) -> list[tuple[int, list[Fraction]]]:
     return kernel.rref()
 
 
-def solve(
-    rows: Sequence[Mapping[int, Rational]], rhs: Sequence[Rational], width: int
-) -> Optional[list[Fraction]]:
-    """A solution x of sum_j rows[i][j] x_j = rhs[i] over Q with every free
-    unknown 0; None when the system is inconsistent."""
-    augmented = Echelon(width + 1)
-    for row, b in zip(rows, rhs):
-        augmented.insert({**row, width: b})
-    x = [Fraction(0)] * width
-    for col, row in augmented.rref():
-        if col == width:
-            return None
-        x[col] = row[width]
-    return x
-
-
 def inverse(M: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
     """Inverse over Q of a square matrix, from one reduction of [M | I];
     raises SingularMatrix when M has none."""

@@ -24,14 +24,12 @@ import numpy as np
 
 from .cyclo import (
     Cyclotomic,
-    conjugate,
     coordinates,
     csum,
     differs,
-    field_matmul,
-    field_mul,
+    evaluate,
+    nonzero,
     root_of_unity,
-    times_root,
 )
 from .fusion import FusionRing, reconstruct_dims
 
@@ -120,12 +118,11 @@ def detect_degenerates(md: ModularData) -> frozenset[int]:
     input data and raises DataIntegrityError.
     """
     M = md.ring.conductor
-    Y, DY = md.Y_coords, md.Y_den
-    d, Dd = coordinates(md.ring.dims, M)
-    w, Dw = coordinates(md.w, M)
-    s = field_matmul(Y, d[:, :, None], M)[:, :, 0]
-    is_wd = ~differs(s, DY * Dd, field_mul(w[:, None], d, M), Dw * Dd)
-    is_zero = ~s.any(axis=0)
+    d = evaluate(*coordinates(md.ring.dims, M), M)
+    w = evaluate(*coordinates(md.w, M), M)
+    s = (evaluate(md.Y_coords, md.Y_den, M) @ d[:, None])[:, 0]
+    is_wd = ~differs(s, w * d)
+    is_zero = ~nonzero(s)
     out = set()
     for l in range(md.size):
         if is_wd[l]:
@@ -169,32 +166,30 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
     n = md.size
     ring = md.ring
     M = ring.conductor
-    Y, D = md.Y_coords, md.Y_den
+    Y = md.Y_coords
     report: list[str] = []
     for l, m in np.argwhere(np.triu((Y != Y.transpose(0, 2, 1)).any(axis=0))):
         report.append(f"Y not symmetric at ({l},{m})")
-    for l, m in np.argwhere((Y[:, list(ring.dual)] != conjugate(Y, M)).any(axis=0)):
+    Yv = evaluate(Y, md.Y_den, M)
+    for l, m in np.argwhere(differs(Yv[list(ring.dual)], Yv.conjugate())):
         report.append(f"Y[dual({l}),{m}] != conj(Y[{l},{m}])")
-    d, Dd = coordinates(ring.dims, M)
-    for (l,) in np.argwhere(differs(Y[:, :, 0], D, d, Dd)):
+    for (l,) in np.argwhere(differs(Yv[:, 0], evaluate(*coordinates(ring.dims, M), M))):
         report.append(f"Y[{l},0] != d[{l}]")
     # Omega Y Omega Y Omega = z Y: omega_l = zeta_M^s_l, so entry (l, m) of
     # the left side is zeta_M^(s_l + s_m) (Y (Omega Y))_lm.
     s = twist_exponents(ring)
-    lhs = times_root(field_matmul(Y, times_root(Y, s[:, None], M), M), s[:, None] + s, M)
-    z, Dz = coordinates(md.z, M)
-    rhs = field_mul(z[:, None, None], Y, M)
-    for l, m in np.argwhere(np.triu(differs(lhs, D * D, rhs, Dz * D))):
+    lhs = (Yv @ Yv.times_root(s[:, None])).times_root(s[:, None] + s)
+    z = evaluate(*coordinates(md.z, M), M)
+    for l, m in np.argwhere(np.triu(differs(lhs, z * Yv))):
         report.append(f"OmegaYOmegaYOmega != zY at ({l},{m})")
     # TSTST = S needs no check of its own: T = e^(-i pi c/12) Omega with
     # c = 4 arg(z)/pi mod 8 and S = Y/|z|, so TSTST = e^(-i pi c/4) z S/|z|
     # = S exactly once Omega Y Omega Y Omega = z Y.
     if md.nondegenerate and md.S_numeric is not None and md.T_numeric is not None:
         # S = Y / |z|, so S^2 = C is Y Y = z conj(z) C.
-        zz = field_mul(z, conjugate(z, M), M)
-        C = np.zeros((len(zz), n, n), dtype=zz.dtype)
-        C[:, np.arange(n), list(ring.dual)] = zz[:, None]
-        if differs(field_matmul(Y, Y, M), D * D, C, Dz * Dz).any():
+        C = np.zeros((1, n, n), dtype=np.int64)
+        C[0, np.arange(n), list(ring.dual)] = 1
+        if differs(Yv @ Yv, z * z.conjugate() * evaluate(C, 1, M)).any():
             report.append("S^2 != charge conjugation (Y Y != z conj(z) C)")
     return report
 

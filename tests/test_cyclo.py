@@ -1,7 +1,8 @@
 """Exact cyclotomic arithmetic: field axioms, conjugation, embedding,
-serialization and division, a differential check of the integer
-representation against a dict-of-Fraction reference, and of the integer
-coordinate tensors against scalar arithmetic."""
+serialization and division (against sympy), a differential check of the
+integer representation against a dict-of-Fraction reference, and of the
+verdicts of arrays held by their values modulo primes against scalar
+arithmetic."""
 
 import cmath
 from fractions import Fraction
@@ -13,25 +14,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modinv.cyclo
 from modinv.cyclo import (
     ONE,
     ZERO,
     Cyclotomic,
     _cyclotomic_poly,
-    conjugate,
+    _is_prime,
+    _l1,
+    _table,
     coordinates,
     csum,
     differs,
     divide,
-    field_matmul,
-    field_mul,
+    evaluate,
     int_matmul,
     matmul_dtype,
+    nonzero,
     phi,
     real_bounds,
     real_floor,
     root_of_unity,
-    times_root,
 )
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 18, 24, 72]
@@ -425,15 +428,31 @@ def test_integer_representation_matches_fraction_reference(ra, rb, f, k):
     assert a == half + (a - half)
 
 
+@given(st.lists(raw_elements() | st.fractions(max_denominator=4).map(lambda f: (1, {0: f}))))
+@settings(max_examples=150, deadline=None)
+def test_csum_matches_sequential_addition(raws):
+    # The fused sum is the left fold of +, slot order and conductor included:
+    # the report's numeric shadows read the slot order.
+    items = [Cyclotomic(m, coeffs) for m, coeffs in raws]
+    acc = ZERO
+    for x in items:
+        acc = acc + x
+    got = csum(iter(items))
+    assert (got.conductor, list(got.num.items()), got.den) == (
+        acc.conductor,
+        list(acc.num.items()),
+        acc.den,
+    )
+
+
 # -- integer coordinate tensors ----------------------------------------------
 
 # 105 is the first conductor whose cyclotomic polynomial has a coefficient -2.
 TENSOR_CONDUCTORS = CONDUCTORS + [105]
 
-# Each case draws its entries from one band. Small entries keep field
-# products under 2**53, where they run in float64; integers up to 2**28 put
-# products on both sides of 2**53, in float64 or int64; numerators above 2**62 push the
-# coordinates past the int64 bound, so the Python-int path runs as well.
+# Each case draws its entries from one band. Small entries need one prime;
+# integers up to 2**28 put products past 2**53, a prime's square; numerators
+# above 2**62 push the coordinates past int64, so Python ints are reduced.
 _small_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 _tensor_coeff_bands = [
     _small_coeffs,
@@ -469,29 +488,51 @@ def _elements(X, D, m):
     return [[element(X[:, l, k]) for k in range(X.shape[2])] for l in range(X.shape[1])]
 
 
+def _values(entries, m):
+    return evaluate(*coordinates(entries, m), m)
+
+
+def _verdicts(x, expected, m, data):
+    """differs(x, y) against the scalar verdicts, for y equal to `expected`
+    where a drawn mask is False and moved off it by a drawn element (which
+    may be 0) where it is True. x's norm must bound the L1 norms of the
+    integer coordinates of x.den * expected, which decide how many primes
+    a comparison uses."""
+    X, D = coordinates(expected, m)
+    assert x.den % D == 0 and _l1(X) * (x.den // D) <= x.norm
+    shape = np.array(expected, dtype=object).shape
+    move = np.array(data.draw(st.lists(st.booleans(), min_size=prod(shape), max_size=prod(shape))))
+    move = move.reshape(shape)
+    delta = data.draw(st.sampled_from([ZERO, ONE, Cyclotomic.zeta(m), Cyclotomic(m, {0: 2**70})]))
+    arr = np.array(expected, dtype=object)
+    other = np.where(move, arr + delta, arr)
+    want = move & (not delta.is_zero())
+    assert differs(x, _values(other.tolist(), m)).tolist() == want.tolist()
+    assert differs(_values(other.tolist(), m), x).tolist() == want.tolist()
+
+
 @given(_matrix_pairs(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_coordinate_tensors_match_scalar_arithmetic(case, data):
+    # Products, conjugates and rotations of arrays held by their values give
+    # the verdicts of scalar arithmetic, entry by entry.
     m, A, B = case
     p, q, r = len(A), len(B), len(B[0])
     XA, DA = coordinates(A, m)
-    XB, DB = coordinates(B, m)
     assert XA.shape == (phi(m), p, q) and DA > 0
     assert _elements(XA, DA, m) == A
+    Av, Bv = _values(A, m), _values(B, m)
     product = [[csum(A[l][j] * B[j][k] for j in range(q)) for k in range(r)] for l in range(p)]
-    assert _elements(field_matmul(XA, XB, m), DA * DB, m) == product
+    _verdicts(Av @ Bv, product, m, data)
     x = B[0][0]
-    Xx, Dx = coordinates(x, m)
-    scaled = [[x * a for a in row] for row in A]
-    assert _elements(field_mul(Xx[:, None, None], XA, m), Dx * DA, m) == scaled
-    assert _elements(conjugate(XA, m), DA, m) == [[a.conjugate() for a in row] for row in A]
+    _verdicts(_values(x, m) * Av, [[x * a for a in row] for row in A], m, data)
+    _verdicts(Av.conjugate(), [[a.conjugate() for a in row] for row in A], m, data)
+    _verdicts(Av.T, [list(col) for col in zip(*A)], m, data)
     s = np.array(data.draw(st.lists(st.integers(-2 * m, 2 * m), min_size=q, max_size=q)))
     rotated = [[a * Cyclotomic.zeta(m, int(e)) for a, e in zip(row, s)] for row in A]
-    assert _elements(times_root(XA, s, m), DA, m) == rotated
-    C = [[a * 2 if (l + k) % 2 else a for k, a in enumerate(row)] for l, row in enumerate(A)]
-    XC, DC = coordinates(C, m)
-    expected = [[a != c for a, c in zip(ra, rc)] for ra, rc in zip(A, C)]
-    assert differs(XA, DA, XC, DC).tolist() == expected
+    _verdicts(Av.times_root(s), rotated, m, data)
+    _verdicts(Av[:, 0], [row[0] for row in A], m, data)
+    assert nonzero(Av).tolist() == [[not a.is_zero() for a in row] for row in A]
 
 
 def test_coordinate_tensors_fall_back_to_python_ints():
@@ -499,8 +540,9 @@ def test_coordinate_tensors_fall_back_to_python_ints():
     a = Cyclotomic(4, {0: 2**62, 1: 2**62})
     X, D = coordinates([[a]], 4)
     assert X.dtype == object and D == 1
-    assert _elements(field_matmul(X, X, 4), 1, 4) == [[a * a]]
-    assert field_matmul(X, X, 4)[1, 0, 0] == 2**125
+    square = evaluate(X, D, 4) @ evaluate(X, D, 4)
+    assert not differs(square, _values([[Cyclotomic(4, {1: 2**125})]], 4)).any()
+    assert differs(square, _values([[Cyclotomic(4, {1: 2**125 + 1})]], 4)).all()
 
 
 @pytest.mark.parametrize(
@@ -511,11 +553,104 @@ def test_coordinate_tensors_fall_back_to_python_ints():
     ],
 )
 def test_field_products_stay_exact_at_the_float_bound(a, b):
-    X, _ = coordinates([[Cyclotomic.from_rational(a)]], 1)
-    Y, _ = coordinates([[Cyclotomic.from_rational(b)]], 1)
-    for product in (field_matmul(X, Y, 1), field_mul(X, Y, 1)):
-        assert product.dtype == np.int64
-        assert int(product[0, 0, 0]) == a * b
+    X, Y = (_values([[Cyclotomic.from_rational(v)]], 1) for v in (a, b))
+    for product in (X @ Y, X * Y):
+        for c, different in ((a * b, False), (a * b - 1, True), (a * b + 1, True)):
+            assert differs(product, _values([[Cyclotomic.from_rational(c)]], 1)).item() is different
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12, 72, 105])
+def test_a_difference_that_is_a_multiple_of_the_first_prime_is_caught(m):
+    # p0 * x vanishes at every point modulo the first prime; the bound on
+    # its coordinates asks for a second prime, where it does not.
+    p0 = _table(m, 0).p
+    x = Cyclotomic(m, {0: 3, m - 1: -1})
+    y = Cyclotomic(m, {1 % m: Fraction(1, 2)})
+    assert not (evaluate(*coordinates(p0 * x, m), m).values(0)).any()
+    assert nonzero(_values([p0 * x], m)).tolist() == [True]
+    xy = _values([[x]], m) @ _values([[y]], m)
+    assert differs(xy, _values([[x * y + p0 * x]], m)).tolist() == [[True]]
+    assert differs(xy, _values([[x * y]], m)).tolist() == [[False]]
+
+
+def test_is_prime_matches_a_sieve():
+    # Every n below 2**16, strong pseudoprimes to the bases 2 (2047 ...),
+    # 2 and 3 (1373653) and 2, 3 and 5 (25326001), and the primes the
+    # tables start from.
+    n = 2**16
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, 256):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    assert [k for k in range(n) if _is_prime(k)] == np.flatnonzero(sieve).tolist()
+    assert not any(map(_is_prime, [2047, 3277, 4033, 4681, 8321, 1373653, 25326001]))
+    assert [_table(m, 0).p for m in (1, 2, 3, 12, 105)] == [2097143, 2097143, 2097133, 2097133, 2096851]
+
+
+@pytest.fixture
+def prime_limit(monkeypatch):
+    """Lower the prime limit to the value the test sets; the tables of the
+    primes below the old limit are dropped before and after."""
+    modinv.cyclo._table.cache_clear()
+    yield lambda limit: monkeypatch.setattr(modinv.cyclo, "PRIME_LIMIT", limit)
+    monkeypatch.undo()
+    modinv.cyclo._table.cache_clear()
+
+
+def test_running_out_of_primes_raises(prime_limit):
+    # Below 200 there are 9 primes p = 1 mod 12, with a product near 2**61:
+    # too few for coordinates near 2**200.
+    prime_limit(200)
+    big = Cyclotomic(12, {0: 2**200 + 1, 1: 3**130})
+    with pytest.raises(ArithmeticError, match="conductor 12"):
+        divide(big, Cyclotomic.zeta(12) + 2)
+    with pytest.raises(ArithmeticError, match="conductor 12"):
+        nonzero(_values([big], 12))
+    # Small quotients still come out, from the primes below the limit.
+    assert divide(ONE, Cyclotomic.zeta(12) + 2) * (Cyclotomic.zeta(12) + 2) == ONE
+
+
+def _sympy_quotient(a, b):
+    """The coordinates of a / b by sympy, the oracle: a times the inverse of
+    b modulo Phi_m over QQ."""
+    sympy = pytest.importorskip("sympy")
+    m = lcm(a.conductor, b.conductor)
+    x = sympy.Symbol("x")
+    modulus = sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain=sympy.QQ)
+
+    def poly(c):
+        terms = [sympy.Rational(v.numerator, v.denominator) * x**e for e, v in c.to_conductor(m).coeffs.items()]
+        return sympy.Poly(sum(terms, sympy.Integer(0)), x, domain=sympy.QQ)
+
+    q = (poly(a) * poly(b).invert(modulus)).rem(modulus)
+    return {e: Fraction(str(c)) for (e,), c in q.terms() if c}
+
+
+@given(st.sampled_from(TENSOR_CONDUCTORS).flatmap(lambda m: st.tuples(elements_at(m), elements_at(m))))
+@settings(max_examples=80, deadline=None)
+def test_divide_matches_sympy(pair):
+    a, b = pair
+    if b.is_zero():
+        return
+    q = divide(a, b)
+    assert q.coeffs == _sympy_quotient(a, b)
+    # Ascending slots, as the quotient by an irrational element has always
+    # been built; a rational divisor scales a in place.
+    assert list(q.num) == (sorted(q.num) if b.rational_value() is None else list(a.num))
+
+
+@pytest.mark.parametrize("m", [3, 5, 12, 72, 105])
+def test_divide_by_an_element_vanishing_at_a_root_mod_the_first_prime(m):
+    # b = zeta - x_0 vanishes at the point x_0 modulo the first prime, which
+    # divide must skip.
+    x0 = int(_table(m, 0).power(1)[0])
+    b = Cyclotomic(m, {1: 1, 0: -x0})
+    assert not _values([b], m).values(0).all()
+    a = Cyclotomic(m, {0: Fraction(3, 2), 2: -5}) + Cyclotomic.zeta(m, m - 1)
+    q = divide(a, b)
+    assert q * b == a
+    assert q.coeffs == _sympy_quotient(a, b)
 
 
 @st.composite

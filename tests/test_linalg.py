@@ -1,6 +1,6 @@
 """The exact elimination kernel against sympy's DomainMatrix over QQ, which
-serves as an independent oracle for rank, dependent rows, RREF, kernel,
-solve and inverse."""
+serves as an independent oracle for rank, dependent rows, RREF, kernel and
+inverse."""
 
 from fractions import Fraction
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modinv.linalg import Echelon, SingularMatrix, inverse, nullspace, solve
+from modinv.linalg import Echelon, SingularMatrix, inverse, nullspace
 
 pytest.importorskip("sympy")
 from sympy import QQ  # noqa: E402
@@ -124,29 +124,6 @@ def test_nullspace(M):
     got = nullspace(ech)
     assert [col for col, _ in got] == list(pivots)
     assert [row for _, row in got] == fractions(ref)[: len(pivots)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(matrices(), st.lists(entries, min_size=6, max_size=6))
-@example(ZERO, [0, 0, 0, 0, 0, 0])
-@example(ZERO, [0, 1, 0, 0, 0, 0])
-@example(TALL, [1, 2, 0, 1, 0, 0])
-@example(TALL, [1, 2, 0, 2, 0, 0])
-def test_solve(M, rhs):
-    width = len(M[0])
-    rhs = [Fraction(x) for x in rhs[: len(M)]]
-    augmented = [row + [b] for row, b in zip(M, rhs)]
-    ref, pivots = oracle(augmented, width + 1).rref()
-    x = solve([sparse(row) for row in M], rhs, width)
-    if width in pivots:
-        assert x is None
-        return
-    # The oracle's solution with every free unknown 0.
-    expected = [Fraction(0)] * width
-    for row, col in zip(fractions(ref), pivots):
-        expected[col] = row[width]
-    assert x == expected
-    assert [sum(a * v for a, v in zip(row, x)) for row in M] == rhs
 
 
 @settings(max_examples=150, deadline=None)
