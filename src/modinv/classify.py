@@ -18,7 +18,6 @@ import numpy as np
 
 from .cyclo import (
     ONE,
-    ZERO,
     Cyclotomic,
     coordinates,
     csum,
@@ -344,9 +343,9 @@ def extended_modular_data(
     t = branching.block_count
     n = md.size
     B = branching.B
-    gram = [[sum(B[a][l] * B[b][l] for l in range(n)) for b in range(t)] for a in range(t)]
+    Bm = np.array(B, dtype=object)
     try:
-        ginv = inverse(gram)
+        ginv = inverse(int_matmul(Bm, Bm.T).tolist())
     except SingularMatrix as exc:
         raise RankDeficientBranching(
             f"branching rows linearly dependent: rows {exc.dependent}"
@@ -372,7 +371,6 @@ def extended_modular_data(
     # (w/w_plus) Yext B = B Y, i.e. Yext B = ratio * (B Y), by value; Yext B
     # and B Y are integer combinations of the coordinates of Yext and md.Y.
     M = md.ring.conductor
-    Bm = np.array(B, dtype=object)
     X, DX = coordinates(Yext, M)
     rhs = evaluate(*coordinates(ratio, M), M) * evaluate(int_matmul(Bm, md.Y_coords), md.Y_den, M)
     for a, m in np.argwhere(differs(evaluate(int_matmul(X, Bm), DX, M), rhs)):
@@ -386,8 +384,9 @@ def extended_modular_data(
     if md.nondegenerate:
         # Yext Yext^dagger must be w_zero times the identity.
         Xv = evaluate(X, DX, M)
-        w0 = [[indices.w_zero if a == b else ZERO for b in range(t)] for a in range(t)]
-        for a, b in np.argwhere(differs(Xv @ Xv.conjugate().T, evaluate(*coordinates(w0, M), M))):
+        identity = evaluate(np.eye(t, dtype=np.int64)[None], 1, M)
+        w0 = evaluate(*coordinates(indices.w_zero, M), M) * identity
+        for a, b in np.argwhere(differs(Xv @ Xv.conjugate().T, w0)):
             if a != b:
                 failures.append(f"Yext Yext^dagger not diagonal at ({a},{b})")
             else:
@@ -433,9 +432,18 @@ def _twist_failures(md: ModularData, branching: BranchingData, a: int) -> list[s
 def _extended_gauss_sum(
     md: ModularData, branching: BranchingData, ratio: Cyclotomic
 ) -> tuple[Cyclotomic, list[str]]:
-    """z0 = sum_a d_a^2 omega_a, and its failure of z0 = ratio * z, if any."""
-    pairs = zip(branching.block_dims, branching.block_twists)
-    z0 = csum(d * d * root_of_unity(h) for d, h in pairs)
+    """z0 = sum_a d_a^2 omega_a, and its failure of z0 = ratio * z, if any.
+    When the blocks are the labels (B = 1, the diagonal invariant as its own
+    parent) with their dims and twists, z0 is the sum behind z itself: the
+    block dims d_l / d_0 of `_branching_from_rows` keep the coordinates and
+    slot order of d_l, so z0 = z term by term."""
+    ring, n = md.ring, md.size
+    unit = tuple(tuple(int(l == a) for l in range(n)) for a in range(n))
+    if (branching.B, branching.block_dims, branching.block_twists) == (unit, ring.dims, ring.twists):
+        z0 = md.z
+    else:
+        pairs = zip(branching.block_dims, branching.block_twists)
+        z0 = csum(d * d * root_of_unity(h) for d, h in pairs)
     return z0, [] if z0 == ratio * md.z else ["z0 != (w_plus/w) z"]
 
 

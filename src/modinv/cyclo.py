@@ -8,6 +8,15 @@ constructor, :meth:`Cyclotomic.from_rational` and :meth:`Cyclotomic.from_json`
 take rationals, and the read-only :attr:`Cyclotomic.coeffs` gives them back.
 Equality across conductors goes through promotion to the lcm conductor.
 
+Products and sums keep the slot order of ``num`` (`_reduce`), which fixes
+the summation order of :meth:`Cyclotomic.embed` and so the numeric shadows
+of pinned reports. Three exact shortcuts keep it too: a product with 1 is
+the other factor itself; a product with a rational element (no coordinate
+past zeta^0 at the common conductor) scales the other factor's coordinates
+where they stand, as the general product, which sends each exponent below
+phi(m) to itself, would; and a one-term :func:`csum` is its term.
+Elements are never mutated, so returning an operand is safe.
+
 No general field inversion is exposed; the few divisions by non-rational
 elements needed downstream go through :func:`divide`, which finds the
 quotient's coordinates modulo primes, reconstructs them as fractions and
@@ -31,7 +40,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import count
+from itertools import chain, count
 from math import floor, gcd, isqrt, lcm, prod
 from typing import Iterable, Mapping, Optional, Union
 
@@ -212,12 +221,22 @@ class Cyclotomic:
         return o + (-self)
 
     def __mul__(self, other):
+        """The product. A rational factor (an int, a Fraction, or an element
+        with no coordinate past zeta^0 once both are at the common
+        conductor) scales the other factor's coordinates in their slots:
+        the general product would send each of its exponents, all below
+        phi(m), to itself, so the slot order is the same. A factor of 1
+        returns the other factor itself, which is safe since no element is
+        ever mutated."""
         if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            return _make(self.conductor, {e: c * p for e, c in self.num.items()}, self.den * q)
+            return _scale(self, other.numerator, other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = self._common(other)
+        if b.num.keys() <= {0}:
+            return _scale(a, b.num.get(0, 0), b.den)
+        if a.num.keys() <= {0}:
+            return _scale(b, a.num.get(0, 0), a.den)
         m = a.conductor
         raw: dict[int, int] = {}
         for ea, ca in a.num.items():
@@ -341,6 +360,14 @@ def _make(m: int, num: Mapping[int, int], den: int = 1) -> Cyclotomic:
     return x
 
 
+def _scale(x: Cyclotomic, p: int, q: int) -> Cyclotomic:
+    """x * p / q for p / q in lowest terms with q > 0, keeping the slot
+    order of x; x itself when p / q is 1."""
+    if p == q:
+        return x
+    return _make(x.conductor, {e: c * p for e, c in x.num.items()}, x.den * q)
+
+
 def _reduce(
     m: int, terms: Iterable[tuple[int, int]], *, keep_cancelled: bool = False
 ) -> dict[int, int]:
@@ -382,9 +409,14 @@ def csum(items: Iterable[Cyclotomic]) -> Cyclotomic:
     over a common denominator. Coordinates are inserted, dropped when they
     cancel and re-slotted by a promotion of the conductor exactly where
     adding the items one by one with `+` would, so the sum has its slot
-    order too."""
+    order too. A one-term sum is its term: 0 + x keeps the conductor,
+    denominator and slot order of x."""
+    items = iter(items)
+    first, second = next(items, ZERO), next(items, None)
+    if second is None:
+        return first
     m, den, num = 1, 1, {}
-    for x in items:
+    for x in chain((first, second), items):
         if m % x.conductor:
             k = lcm(m, x.conductor) // m
             m *= k

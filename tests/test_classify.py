@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modinv.classify
+import modinv.cyclo
 from modinv.cyclo import Cyclotomic, csum, divide, int_array, int_matmul, root_of_unity
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.linalg import Echelon, SingularMatrix, inverse
@@ -444,6 +445,34 @@ def test_su2_16_taxonomy(su2_16):
     assert e7.type_two
     # Vacuum column of the trace-10 invariant is supported on labels 0 and 16.
     assert [l for l, v in enumerate(d10.Z.vacuum_column) if v] == [0, 16]
+
+
+def _layout(x):
+    return x.conductor, x.den, list(x.num.items())
+
+
+def test_diagonal_extended_data_takes_no_general_product(su2_16, monkeypatch):
+    # The diagonal invariant is its own type I parent with B = 1, so Yext is
+    # Y and z0 is z, coordinates and slot order included. Its factors of 1,
+    # one-term sums and rational ratio w_plus/w never reach the general
+    # product, the one caller of _reduce with keep_cancelled.
+    md, pool, cls = su2_16
+    diag = next(c for c in cls if c.kind == "diagonal")
+    (branching,) = diag.factorizations
+    reduce, kept = modinv.cyclo._reduce, []
+
+    def counting(m, terms, *, keep_cancelled=False):
+        kept.append(keep_cancelled)
+        return reduce(m, terms, keep_cancelled=keep_cancelled)
+
+    monkeypatch.setattr(modinv.cyclo, "_reduce", counting)
+    ext = extended_modular_data(md, branching, diag.indices)
+    assert kept.count(True) == 0
+    assert ext.consistent
+    assert [[_layout(y) for y in row] for row in ext.Yext] == [
+        [_layout(y) for y in row] for row in md.Y
+    ]
+    assert _layout(ext.z0) == _layout(md.z)
 
 
 def test_su2_16_d10_branching(su2_16):

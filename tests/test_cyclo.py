@@ -403,9 +403,10 @@ def _both(raw):
     raw_elements([m for m in CONDUCTORS if m <= 24]),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
     st.sampled_from([1, 2, 3, 5]),
+    st.sampled_from(CONDUCTORS),
 )
 @settings(max_examples=300, deadline=None)
-def test_integer_representation_matches_fraction_reference(ra, rb, f, k):
+def test_integer_representation_matches_fraction_reference(ra, rb, f, k, c):
     (a, ref_a), (b, ref_b) = _both(ra), _both(rb)
     _assert_matches(a, ref_a)
     _assert_matches(b, ref_b)
@@ -420,6 +421,19 @@ def test_integer_representation_matches_fraction_reference(ra, rb, f, k):
     _assert_matches(a * f, _ref_scale(ref_a, f))
     _assert_matches(f * a, _ref_scale(ref_a, f))
     _assert_matches(a + f, _ref_add(ref_a, (1, {0: f} if f else {})))
+    # Rational elements, 1 and one-term sums take exact shortcuts; the
+    # reference multiplies and sums the general way.
+    for r in (0, 1, -1, f):
+        for m in (1, c):
+            rat, ref_rat = Cyclotomic.from_rational(r, m), (m, {0: Fraction(r)} if r else {})
+            _assert_matches(rat, ref_rat)
+            _assert_matches(a * rat, _ref_mul(ref_a, ref_rat))
+            _assert_matches(rat * a, _ref_mul(ref_rat, ref_a))
+    for one in (1, Fraction(1)):
+        _assert_matches(a * one, _ref_scale(ref_a, 1))
+        _assert_matches(one * a, _ref_scale(ref_a, 1))
+    _assert_matches(csum([a]), _ref_add((1, {}), ref_a))
+    _assert_matches(csum(iter([b])), _ref_add((1, {}), ref_b))
     _assert_matches(a.conjugate(), _ref_conjugate(ref_a))
     _assert_matches(a.to_conductor(k * ra[0]), _ref_promote(ref_a, k * ra[0]))
     _assert_matches(Cyclotomic.from_json(a.to_json()), (ra[0], dict(sorted(ref_a[1].items()))))
