@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Hashable, Optional, Sequence, Union
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -124,23 +124,13 @@ def vacuum_profile(Z: CouplingMatrix) -> tuple[tuple[int, ...], tuple[int, ...],
     return col, row, col == row
 
 
-def global_indices(
-    md: ModularData,
-    Z: CouplingMatrix,
-    w_plus: Optional[Cyclotomic] = None,
-    w_alpha: Optional[Cyclotomic] = None,
-) -> GlobalIndices:
+def global_indices(md: ModularData, Z: CouplingMatrix) -> GlobalIndices:
     """w = sum d^2; w_plus = w / sum_l d_l Z_{l,0};
-    w_alpha = w / sum over degenerate l of Z_{0,l} d_l; w_zero = w_plus^2 / w_alpha.
-    w_plus reads Z's vacuum column alone and w_alpha its vacuum row alone:
-    when given, they are those of another invariant that agrees there, and
-    are not computed again."""
+    w_alpha = w / sum over degenerate l of Z_{0,l} d_l; w_zero = w_plus^2 / w_alpha."""
     d = md.ring.dims
     n = md.size
-    if w_plus is None:
-        w_plus = _index(md, csum(d[l] * Z.Z[l][0] for l in range(n) if Z.Z[l][0]))
-    if w_alpha is None:
-        w_alpha = _index(md, csum(d[l] * Z.Z[0][l] for l in sorted(md.degenerates) if Z.Z[0][l]))
+    w_plus = _index(md, csum(d[l] * Z.Z[l][0] for l in range(n) if Z.Z[l][0]))
+    w_alpha = _index(md, csum(d[l] * Z.Z[0][l] for l in sorted(md.degenerates) if Z.Z[0][l]))
     w_zero = divide(w_plus * w_plus, w_alpha)
     return GlobalIndices(w=md.w, w_plus=w_plus, w_alpha=w_alpha, w_zero=w_zero)
 
@@ -575,10 +565,8 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
         elif cls.automorphism is not None:
             cls.kind = "permutation" if Z.is_permutation() else "type_II"
         if facts:
-            try:
-                cls.extended = data.extended(i, 0)
-            except RankDeficientBranching as exc:
-                cls.extended_error = str(exc)
+            cls.extended, cls.extended_error = data.extended(i, 0)
+            if cls.extended_error is not None:
                 cls.branching_failures = branching_checks(md, facts[0], idx)
                 cls.notes.append(
                     "extended Y not determined by the branching (dependent rows); "
@@ -601,11 +589,9 @@ class _PoolData:
 
     `global_indices` reads Z only through its vacuum column and the entries
     of its vacuum row at degenerate labels, so invariants that agree there
-    share one `GlobalIndices` and the notes of one `check()`; w_plus reads
-    the column alone and w_alpha the row alone, so each is computed once
-    per distinct column or row. Equal inputs to the same exact code give
-    the same values and slot orders. Keys are ids of integer rows and pool
-    indices, never cyclotomic values."""
+    share one `GlobalIndices` and the notes of one `check()`. Equal inputs
+    to the same exact code give the same values and slot orders. Keys are
+    ids of integer rows and pool indices, never cyclotomic values."""
 
     def __init__(self, md: ModularData, pool: Sequence[CouplingMatrix]):
         self.md = md
@@ -624,41 +610,30 @@ class _PoolData:
         self.column_ids, self.row_ids = ids[:k], ids[k:]
         self.type_one_by_column = _type_one_by_column(self.column_ids, self.facts)
         degenerate_row = row[:, sorted(md.degenerates)]
-        row_ids = _row_ids(degenerate_row)
         key_ids = _row_ids(np.concatenate([column, degenerate_row], axis=1))
-        w_plus: dict[int, Cyclotomic] = {}  # by column id
-        w_alpha: dict[int, Cyclotomic] = {}  # by degenerate row id
         by_key: dict[int, tuple[GlobalIndices, list[str]]] = {}
         self.indices: list[GlobalIndices] = []
         self.index_notes: list[list[str]] = []  # check() of each invariant's indices
-        for Z, c, r, key in zip(pool, self.column_ids, row_ids, key_ids):
+        for Z, key in zip(pool, key_ids):
             if key not in by_key:
-                idx = global_indices(md, Z, w_plus.get(c), w_alpha.get(r))
-                w_plus[c], w_alpha[r] = idx.w_plus, idx.w_alpha
+                idx = global_indices(md, Z)
                 by_key[key] = idx, idx.check()
             idx, notes = by_key[key]
             self.indices.append(idx)
             self.index_notes.append(notes)
-        # (pool index, factorization index) -> extended data or the message of
-        # the RankDeficientBranching it raised. A stored exception would keep
-        # its traceback, and through it this object, in a reference cycle.
-        self._extended: dict[tuple[int, int], Union[ExtendedModularData, str]] = {}
+        self._extended: dict[tuple[int, int], tuple] = {}  # (i, k) -> extended(i, k)
 
-    def extended(self, i: int, k: int) -> ExtendedModularData:
-        """Extended data of factorization k of pool[i]; raises that
-        factorization's RankDeficientBranching every time it is asked."""
+    def extended(self, i: int, k: int) -> tuple[Optional[ExtendedModularData], Optional[str]]:
+        """(extended data, None) for factorization k of pool[i], or (None, the
+        message of its RankDeficientBranching); computed once per pair."""
         key = (i, k)
         if key not in self._extended:
             try:
-                self._extended[key] = extended_modular_data(
-                    self.md, self.facts[i][k], self.indices[i]
-                )
+                ext = extended_modular_data(self.md, self.facts[i][k], self.indices[i])
+                self._extended[key] = ext, None
             except RankDeficientBranching as exc:
-                self._extended[key] = str(exc)
-        result = self._extended[key]
-        if isinstance(result, str):
-            raise RankDeficientBranching(result)
-        return result
+                self._extended[key] = None, str(exc)
+        return self._extended[key]
 
 
 def _pool_stack(pool: Sequence[CouplingMatrix], n: int) -> np.ndarray:
@@ -701,14 +676,13 @@ def _attach_bijection(data: _PoolData, cls: Classification) -> None:
                     cls.bijection_count = count
                     if ip == im:
                         cls.automorphism = theta
-                        try:
+                        ext, _ = data.extended(ip, kp)
+                        # Without Yext (not determined by the branching), twist
+                        # and dim matching were already enforced per block pair.
+                        if ext is not None:
                             cls.automorphism_preserves_extended = _permutation_preserves(
-                                data.extended(ip, kp), bp, theta
+                                ext, bp, theta
                             )
-                        except RankDeficientBranching:
-                            # Yext is not determined; twist and dim matching
-                            # were already enforced per block pair.
-                            cls.automorphism_preserves_extended = None
                         if len(facts[ip]) > 1:
                             cls.notes.append(
                                 "coinciding parents admit multiple distinct factorizations"

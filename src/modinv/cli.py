@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .classify import classify_all
@@ -65,6 +66,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_FAIL
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modinv",

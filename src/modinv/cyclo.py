@@ -10,12 +10,14 @@ Equality across conductors goes through promotion to the lcm conductor.
 
 Products and sums keep the slot order of ``num`` (`_reduce`), which fixes
 the summation order of :meth:`Cyclotomic.embed` and so the numeric shadows
-of pinned reports. Three exact shortcuts keep it too: a product with 1 is
-the other factor itself; a product with a rational element (no coordinate
-past zeta^0 at the common conductor) scales the other factor's coordinates
-where they stand, as the general product, which sends each exponent below
-phi(m) to itself, would; and a one-term :func:`csum` is its term.
-Elements are never mutated, so returning an operand is safe.
+of pinned reports. Sums have one slot rule, in :func:`csum`, which `+` and
+`-` call; negation and division by a rational scale the coordinates where
+they stand (`_scale`). Two exact shortcuts of the product keep the order
+too: a product with 1 is the other factor itself, and a product with a
+rational element (no coordinate past zeta^0 at the common conductor) scales
+the other factor, as the general product, which sends each exponent below
+phi(m) to itself, would. Elements are never mutated, so returning an
+operand is safe.
 
 No general field inversion is exposed; the few divisions by non-rational
 elements needed downstream go through :func:`divide`, which finds the
@@ -188,37 +190,28 @@ class Cyclotomic:
         return self.to_conductor(m), other.to_conductor(m)
 
     def __add__(self, other):
+        """The sum, through :func:`csum`, which holds the slot rule of sums."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._common(o)
-        den = lcm(a.den, b.den)
-        sa, sb = den // a.den, den // b.den
-        num = dict(a.num) if sa == 1 else {e: c * sa for e, c in a.num.items()}
-        for e, c in b.num.items():
-            s = num.get(e, 0) + c * sb
-            if s:
-                num[e] = s
-            else:
-                del num[e]
-        return _make(a.conductor, num, den)
+        return csum((self, o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.conductor, {e: -c for e, c in self.num.items()}, self.den)
+        return _scale(self, -1, 1)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return csum((self, -o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return csum((o, -self))
 
     def __mul__(self, other):
         """The product. A rational factor (an int, a Fraction, or an element
@@ -255,9 +248,7 @@ class Cyclotomic:
             p, q = other.numerator, other.denominator
             if not p:
                 raise ZeroDivisionError("division by zero")
-            if p < 0:
-                p, q = -p, -q
-            return _make(self.conductor, {e: c * q for e, c in self.num.items()}, self.den * p)
+            return _scale(self, q, p) if p > 0 else _scale(self, -q, -p)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -406,17 +397,17 @@ def root_of_unity(h: Union[Fraction, int]) -> Cyclotomic:
 
 def csum(items: Iterable[Cyclotomic]) -> Cyclotomic:
     """Sum of cyclotomic elements (empty sum is 0), in one integer accumulator
-    over a common denominator. Coordinates are inserted, dropped when they
-    cancel and re-slotted by a promotion of the conductor exactly where
-    adding the items one by one with `+` would, so the sum has its slot
-    order too. A one-term sum is its term: 0 + x keeps the conductor,
-    denominator and slot order of x."""
+    over a common denominator; `+` and `-` go through it too. This is the slot
+    rule of sums: the accumulator starts as the first term, a coordinate
+    takes its slot when it first becomes nonzero and is dropped when it
+    cancels, and a promotion of the conductor re-slots the accumulator as
+    `_reduce` does. A one-term sum is its term."""
     items = iter(items)
     first, second = next(items, ZERO), next(items, None)
     if second is None:
         return first
-    m, den, num = 1, 1, {}
-    for x in chain((first, second), items):
+    m, den, num = first.conductor, first.den, dict(first.num)
+    for x in chain((second,), items):
         if m % x.conductor:
             k = lcm(m, x.conductor) // m
             m *= k

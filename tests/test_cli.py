@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modinv.cli import main
+from modinv.cli import _build_parser, main
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.modular import compute_modular_data
 from modinv.report import build_report, render_json
@@ -293,6 +293,16 @@ def test_classify_report_so16(tmp_path, capsys):
     assert kinds == ["diagonal", "heterotic", "heterotic", "permutation", "type_I", "type_I"]
     assert report["span"]["span_dimension"] == 5
     assert report["span"]["asymmetric_in_symmetric_span"] == {"3": False, "4": False}
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    path = tmp_path / "so16.json"
+    path.write_text(dump_ring(builtin_so_level1(16)))
+    _build_parser.cache_clear()
+    assert run(capsys, "check", str(path))[0] == 0
+    assert run(capsys, "classify", str(path))[0] == 0
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_markdown_format(tmp_path, capsys):

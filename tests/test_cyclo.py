@@ -421,6 +421,9 @@ def test_integer_representation_matches_fraction_reference(ra, rb, f, k, c):
     _assert_matches(a * f, _ref_scale(ref_a, f))
     _assert_matches(f * a, _ref_scale(ref_a, f))
     _assert_matches(a + f, _ref_add(ref_a, (1, {0: f} if f else {})))
+    _assert_matches(-a, _ref_neg(ref_a))
+    for g in (f, -f) if f else (1, -1):
+        _assert_matches(a / g, _ref_scale(ref_a, 1 / Fraction(g)))
     # Rational elements, 1 and one-term sums take exact shortcuts; the
     # reference multiplies and sums the general way.
     for r in (0, 1, -1, f):
@@ -445,18 +448,12 @@ def test_integer_representation_matches_fraction_reference(ra, rb, f, k, c):
 @given(st.lists(raw_elements() | st.fractions(max_denominator=4).map(lambda f: (1, {0: f}))))
 @settings(max_examples=150, deadline=None)
 def test_csum_matches_sequential_addition(raws):
-    # The fused sum is the left fold of +, slot order and conductor included:
-    # the report's numeric shadows read the slot order.
-    items = [Cyclotomic(m, coeffs) for m, coeffs in raws]
-    acc = ZERO
-    for x in items:
-        acc = acc + x
-    got = csum(iter(items))
-    assert (got.conductor, list(got.num.items()), got.den) == (
-        acc.conductor,
-        list(acc.num.items()),
-        acc.den,
-    )
+    # The fused sum is the left fold of the reference addition, slot order
+    # and conductor included: the report's numeric shadows read the slot order.
+    ref = (1, {})
+    for m, coeffs in raws:
+        ref = _ref_add(ref, (m, _ref_reduce(m, coeffs)))
+    _assert_matches(csum(iter(Cyclotomic(m, coeffs) for m, coeffs in raws)), ref)
 
 
 # -- integer coordinate tensors ----------------------------------------------
