@@ -265,45 +265,43 @@ def _parents(
 
 
 def find_block_bijection(
-    plus: BranchingData, minus: BranchingData, Z: CouplingMatrix
+    plus: BranchingData,
+    minus: BranchingData,
+    Z: CouplingMatrix,
+    pair: Optional[BlockPair] = None,
 ) -> Optional[tuple[tuple[int, ...], int]]:
     """First bijection theta (in lexicographic order) with
     Z_{l,m} = sum_tau bplus_{tau,l} bminus_{theta(tau),m}, plus the count of
     all solutions; None when block counts differ or no bijection exists.
+    `pair` is `BlockPair(plus, minus)`, built here when not given: a caller
+    that tries one pair of branchings against many Z builds it once.
 
     Candidates are pruned by matching block twists and exact block dims, and
     by the entries: B and Z are non-negative, so each term bplus_tau bminus_s^T
     of the sum is at most Z entrywise, that is bminus_s <= cap_tau with
     cap_{tau,m} = min over l with bplus_{tau,l} > 0 of
-    floor(Z_{l,m} / bplus_{tau,l}): (t, n) caps and one (t, t, n)
+    floor(Z_{l,m} / bplus_{tau,l}): (t, n, n) quotients and one (t, t, n)
     comparison for all pairs, never a (t, t, n, n) array.
     """
     t = plus.block_count
     if minus.block_count != t:
         return None
-    n = len(Z.Z)
-    Bp, Bm = int_array(plus.B).reshape(t, n), int_array(minus.B).reshape(t, n)
+    if pair is None:
+        pair = BlockPair(plus, minus)
     target = int_array(Z.Z)
-    # A row of zeros in bplus caps nothing: its terms are 0 <= Z.
-    cap = np.full((t, n), Bm.max(), dtype=Bm.dtype)
-    for l in range(n):
-        (taus,) = Bp[:, l].nonzero()
-        cap[taus] = np.minimum(cap[taus], target[l] // Bp[taus, l, None])
-    fits = (Bm <= cap[:, None]).all(axis=2)
-    compatible = [
-        [
-            s
-            for s in fits[tau].nonzero()[0].tolist()
-            if plus.block_twists[tau] == minus.block_twists[s]
-            and plus.block_dims[tau] == minus.block_dims[s]
-        ]
-        for tau in range(t)
-    ]
+    # A zero of bplus caps nothing: its terms are 0 <= Z. No cap exceeds
+    # max bminus, which every row of bminus fits.
+    quotients = np.where(pair.zero, pair.ceiling, target // pair.divisor)
+    cap = np.minimum(quotients.min(axis=1), pair.ceiling)
+    fits = (pair.Bm <= cap[:, None]).all(axis=2) & pair.matching
+    if not fits.any(axis=1).all():
+        return None
+    compatible = [row.nonzero()[0].tolist() for row in fits]
     # Each term of a compatible theta is at most its entry of Z, so no sum
     # of t terms exceeds t max Z.
-    dtype = int_dtype(t * int(max(target.max(), Bp.max(), Bm.max())))
-    BpT = np.ascontiguousarray(Bp.T, dtype=dtype)
-    Bm, target = Bm.astype(dtype, copy=False), target.astype(dtype, copy=False)
+    dtype = int_dtype(t * max(int(target.max()), pair.peak))
+    BpT = pair.BpT.astype(dtype, copy=False)
+    Bm, target = pair.Bm.astype(dtype, copy=False), target.astype(dtype, copy=False)
     found: list[tuple[int, ...]] = []
 
     def assign(tau: int, theta: list[int], used: set[int]):
@@ -322,6 +320,30 @@ def find_block_bijection(
     assign(0, [], set())
     # The compatible lists ascend, so theta is found in lexicographic order.
     return (found[0], len(found)) if found else None
+
+
+class BlockPair:
+    """What `find_block_bijection` reads of two branchings with t blocks
+    each, apart from Z: their rows as (t, n) integer arrays and the (t, t)
+    mask of block pairs (tau, s) with equal twists and exactly equal dims."""
+
+    def __init__(self, plus: BranchingData, minus: BranchingData):
+        t = plus.block_count
+        self.Bm = int_array(minus.B).reshape(t, -1)
+        Bp = int_array(plus.B).reshape(t, -1)
+        self.BpT = np.ascontiguousarray(Bp.T)
+        # Z_{l,m} // bplus_{tau,l} as (t, n, 1) // (n, n) -> (t, n, n).
+        self.zero = (Bp == 0)[:, :, None]
+        self.divisor = np.maximum(Bp, 1)[:, :, None]
+        self.ceiling = self.Bm.max()
+        self.peak = int(max(Bp.max(), self.ceiling))
+        self.matching = np.array(
+            [
+                [h == g and d == e for g, e in zip(minus.block_twists, minus.block_dims)]
+                for h, d in zip(plus.block_twists, plus.block_dims)
+            ],
+            dtype=bool,
+        )
 
 
 def extended_modular_data(
@@ -622,6 +644,7 @@ class _PoolData:
             self.indices.append(idx)
             self.index_notes.append(notes)
         self._extended: dict[tuple[int, int], tuple] = {}  # (i, k) -> extended(i, k)
+        self._pairs: dict[tuple[int, int, int, int], Optional[BlockPair]] = {}
 
     def extended(self, i: int, k: int) -> tuple[Optional[ExtendedModularData], Optional[str]]:
         """(extended data, None) for factorization k of pool[i], or (None, the
@@ -634,6 +657,17 @@ class _PoolData:
             except RankDeficientBranching as exc:
                 self._extended[key] = None, str(exc)
         return self._extended[key]
+
+    def block_pair(self, ip: int, kp: int, im: int, km: int) -> Optional[BlockPair]:
+        """The `BlockPair` of factorization kp of pool[ip] and km of
+        pool[im], built once per pair; None when their block counts differ,
+        as no bijection joins them."""
+        key = (ip, kp, im, km)
+        if key not in self._pairs:
+            plus, minus = self.facts[ip][kp], self.facts[im][km]
+            same = plus.block_count == minus.block_count
+            self._pairs[key] = BlockPair(plus, minus) if same else None
+        return self._pairs[key]
 
 
 def _pool_stack(pool: Sequence[CouplingMatrix], n: int) -> np.ndarray:
@@ -667,8 +701,9 @@ def _attach_bijection(data: _PoolData, cls: Classification) -> None:
     for ip in cls.parent_plus:
         for im in cls.parent_minus:
             for kp, bp in enumerate(facts[ip]):
-                for bm in facts[im]:
-                    res = find_block_bijection(bp, bm, cls.Z)
+                for km, bm in enumerate(facts[im]):
+                    pair = data.block_pair(ip, kp, im, km)
+                    res = find_block_bijection(bp, bm, cls.Z, pair)
                     if res is None:
                         continue
                     theta, count = res

@@ -5,6 +5,12 @@ with sorted keys by :func:`modinv.ringfile.json_text`; the human rendering
 is markdown built from the same dict. Exact values appear in full (cyclotomic
 serializations, "p/q" rationals) alongside 12-digit numeric shadows, so both
 forms carry the complete result.
+
+A report builds each distinct value once (see `ReportValues`): one entry
+dict per exact value, however many indices, block dims and Yext entries
+hold it, and one matrix list per coupling matrix, held by its invariant and
+by its classification. The renderer writes each such shared subtree once
+per indentation.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from .classify import Classification, RationalSpan, span_dimension_and_relations
 from .commutant import CouplingMatrix
 from .cyclo import Cyclotomic
 from .modular import ModularData, display_charge
-from .ringfile import fmt_fraction, json_text
+from .ringfile import SharedDict, SharedList, fmt_fraction, json_text
 
 NUMERIC_DIGITS = 12
 
@@ -25,7 +31,31 @@ def fmt_complex(x: complex) -> str:
 
 
 def _exact_entry(v: Cyclotomic) -> dict:
-    return {"exact": v.to_json(), "text": repr(v), "numeric": fmt_complex(v.embed())}
+    return SharedDict(exact=v.to_json(), text=repr(v), numeric=fmt_complex(v.embed()))
+
+
+class ReportValues:
+    """The values one report shares: an entry dict per exact value and a
+    matrix list per coupling matrix, each built once and marked shared for
+    the renderer. An entry's key keeps the slot order of num, which fixes
+    the embed() sum and so the shadow."""
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, dict] = {}
+        self._matrices: dict[tuple, list] = {}
+
+    def entry(self, v: Cyclotomic) -> dict:
+        key = (v.conductor, v.den, tuple(v.num.items()))
+        found = self._entries.get(key)
+        if found is None:
+            found = self._entries[key] = _exact_entry(v)
+        return found
+
+    def matrix(self, Z: CouplingMatrix) -> list:
+        found = self._matrices.get(Z.Z)
+        if found is None:
+            found = self._matrices[Z.Z] = SharedList(map(list, Z.Z))
+        return found
 
 
 def ring_summary(md: ModularData) -> dict:
@@ -39,14 +69,15 @@ def ring_summary(md: ModularData) -> dict:
     }
 
 
-def modular_summary(md: ModularData) -> dict:
+def modular_summary(md: ModularData, values: Optional[ReportValues] = None) -> dict:
+    entry = (values or ReportValues()).entry
     out = {
         "exact": True,
         "degenerates": sorted(md.degenerates),
         "nondegenerate": md.nondegenerate,
         "central_charge": fmt_fraction(display_charge(md)) if md.c is not None else None,
-        "z": _exact_entry(md.z),
-        "w": _exact_entry(md.w),
+        "z": entry(md.z),
+        "w": entry(md.w),
     }
     if md.S_numeric is not None:
         out["S_numeric"] = [[fmt_complex(x) for x in row] for row in md.S_numeric]
@@ -55,9 +86,9 @@ def modular_summary(md: ModularData) -> dict:
     return out
 
 
-def invariant_summary(Z: CouplingMatrix) -> dict:
+def invariant_summary(Z: CouplingMatrix, values: ReportValues) -> dict:
     return {
-        "matrix": [list(row) for row in Z.Z],
+        "matrix": values.matrix(Z),
         "trace": Z.trace,
         "vacuum_column": list(Z.vacuum_column),
         "vacuum_row": list(Z.vacuum_row),
@@ -86,26 +117,28 @@ def span_summary(pool: Sequence[CouplingMatrix]) -> dict:
     }
 
 
-def classification_summary(cls: Classification) -> dict:
+def classification_summary(cls: Classification, values: Optional[ReportValues] = None) -> dict:
+    values = values or ReportValues()
+    entry = values.entry
     out = {
         "index": cls.index,
         "kind": cls.kind,
         "type_two": cls.type_two,
         "vacuum_symmetric": cls.vacuum_symmetric,
         "trace": cls.Z.trace,
-        "matrix": [list(row) for row in cls.Z.Z],
+        "matrix": values.matrix(cls.Z),
         "global_indices": {
-            "w": _exact_entry(cls.indices.w),
-            "w_plus": _exact_entry(cls.indices.w_plus),
-            "w_alpha": _exact_entry(cls.indices.w_alpha),
-            "w_zero": _exact_entry(cls.indices.w_zero),
+            "w": entry(cls.indices.w),
+            "w_plus": entry(cls.indices.w_plus),
+            "w_alpha": entry(cls.indices.w_alpha),
+            "w_zero": entry(cls.indices.w_zero),
         },
         "factorizations": [
             {
                 "block_count": b.block_count,
                 "B": [list(row) for row in b.B],
                 "block_twists": [fmt_fraction(h) for h in b.block_twists],
-                "block_dims": [_exact_entry(d) for d in b.block_dims],
+                "block_dims": [entry(d) for d in b.block_dims],
             }
             for b in cls.factorizations
         ],
@@ -120,20 +153,10 @@ def classification_summary(cls: Classification) -> dict:
         "notes": list(cls.notes),
     }
     if cls.extended is not None:
-        # Equal Yext entries share one entry dict. The key keeps the slot
-        # order of num, which fixes the embed() sum and so the shadow.
-        entries: dict[tuple, dict] = {}
-
-        def entry(v: Cyclotomic) -> dict:
-            key = (v.conductor, v.den, tuple(v.num.items()))
-            if key not in entries:
-                entries[key] = _exact_entry(v)
-            return entries[key]
-
         out["extended"] = {
             "Yext": [[entry(v) for v in row] for row in cls.extended.Yext],
             "twists": [fmt_fraction(h) for h in cls.extended.Text_twists],
-            "z0": _exact_entry(cls.extended.z0),
+            "z0": entry(cls.extended.z0),
             "consistent": cls.extended.consistent,
             "failures": list(cls.extended.failures),
         }
@@ -148,17 +171,18 @@ def build_report(
     classifications: Optional[Sequence[Classification]] = None,
     budget_exhausted: bool = False,
 ) -> dict:
+    values = ReportValues()
     report = {
         "ring": ring_summary(md),
-        "modular": modular_summary(md),
-        "invariants": [invariant_summary(Z) for Z in pool],
+        "modular": modular_summary(md, values),
+        "invariants": [invariant_summary(Z, values) for Z in pool],
         "span": span_summary(pool),
         "budget_exhausted": budget_exhausted,
     }
     if budget_exhausted:
         report["warning"] = "node budget exhausted; invariant list may be incomplete"
     if classifications is not None:
-        report["classifications"] = [classification_summary(c) for c in classifications]
+        report["classifications"] = [classification_summary(c, values) for c in classifications]
     return report
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from math import lcm
 from typing import Optional, Union
@@ -68,27 +69,7 @@ def ring_from_json(data: dict) -> FusionRing:
     quads = data.get("fusion", [])
     if not isinstance(quads, list):
         raise RingFileError("'fusion' must be a list of [l, m, n, multiplicity] quadruples")
-    fusion = np.zeros((n, n, n), np.int64)
-    listed: dict[tuple, int] = {}
-    for q, quad in enumerate(quads):
-        if not (isinstance(quad, (list, tuple)) and len(quad) == 4):
-            raise RingFileError(f"fusion entry {q} is not a quadruple")
-        l, m, nu, mult = quad
-        for v, nm in ((l, "l"), (m, "m"), (nu, "n")):
-            if not _is_int(v) or not 0 <= v < n:
-                raise RingFileError(f"fusion entry {q}: index {nm}={v!r} out of range")
-        if not _is_int(mult) or mult < 0:
-            raise RingFileError(f"fusion entry {q}: multiplicity {mult!r} invalid")
-        if mult > MAX_MULTIPLICITY:
-            raise RingFileError(
-                f"fusion entry {q}: multiplicity {mult}, above the limit of {MAX_MULTIPLICITY}"
-            )
-        first = listed.setdefault((l, m, nu), q)
-        if first != q:
-            raise RingFileError(
-                f"fusion entries {first} and {q} both list (l, m, n) = ({l}, {m}, {nu})"
-            )
-        fusion[l, m, nu] = mult
+    fusion = _fusion_tensor(quads, n)
     dual = data.get("dual")
     labels_ok = isinstance(dual, list) and all(_is_int(v) and 0 <= v < n for v in dual)
     if not (labels_ok and len(dual) == n):
@@ -134,6 +115,63 @@ def ring_from_json(data: dict) -> FusionRing:
     )
 
 
+def _fusion_tensor(quads: list, n: int) -> np.ndarray:
+    """The (n, n, n) fusion tensor of the quadruples, checked as one integer
+    array. On any fault, `_first_quad_error` names the first entry that is
+    not a quadruple of integers in range or that repeats an earlier one."""
+    A = _int_quads(quads)
+    if A is not None and (
+        A[:, :3].min(initial=0) >= 0
+        and A[:, :3].max(initial=0) < n
+        and A[:, 3].min(initial=0) >= 0
+        and A[:, 3].max(initial=0) <= MAX_MULTIPLICITY
+    ):
+        index = (A[:, 0] * n + A[:, 1]) * n + A[:, 2]
+        ordered = np.sort(index)
+        if not (ordered[1:] == ordered[:-1]).any():
+            fusion = np.zeros((n, n, n), np.int64)
+            fusion.reshape(-1)[index] = A[:, 3]
+            return fusion
+    raise RingFileError(_first_quad_error(quads, n))
+
+
+def _int_quads(quads: list) -> Optional[np.ndarray]:
+    """The quadruples as a (k, 4) int64 array; None when an entry is not a
+    list of four integers (in `_is_int`'s sense, which reads only a value's
+    type) or holds one past int64."""
+    if not all(issubclass(t, (list, tuple)) for t in set(map(type, quads))):
+        return None
+    if set(map(len, quads)) - {4}:
+        return None
+    flat = list(chain.from_iterable(quads))
+    if not all(issubclass(t, int) and t is not bool for t in set(map(type, flat))):
+        return None
+    try:
+        return np.array(flat, dtype=np.int64).reshape(-1, 4)
+    except OverflowError:
+        return None
+
+
+def _first_quad_error(quads: list, n: int) -> str:
+    """The message for the first faulty entry of a fusion list that has one."""
+    listed: dict[tuple, int] = {}
+    for q, quad in enumerate(quads):
+        if not (isinstance(quad, (list, tuple)) and len(quad) == 4):
+            return f"fusion entry {q} is not a quadruple"
+        l, m, nu, mult = quad
+        for v, nm in ((l, "l"), (m, "m"), (nu, "n")):
+            if not _is_int(v) or not 0 <= v < n:
+                return f"fusion entry {q}: index {nm}={v!r} out of range"
+        if not _is_int(mult) or mult < 0:
+            return f"fusion entry {q}: multiplicity {mult!r} invalid"
+        if mult > MAX_MULTIPLICITY:
+            return f"fusion entry {q}: multiplicity {mult}, above the limit of {MAX_MULTIPLICITY}"
+        first = listed.setdefault((l, m, nu), q)
+        if first != q:
+            return f"fusion entries {first} and {q} both list (l, m, n) = ({l}, {m}, {nu})"
+    raise AssertionError("internal error: the fusion list has no faulty entry")
+
+
 def load_ring(path: str, check_axioms: bool = True) -> FusionRing:
     """Load and parse a ring file; with check_axioms, reject rings that fail
     validation, quoting the report."""
@@ -170,20 +208,45 @@ _JSON_SCALARS = {
 }
 
 
-def json_text(obj, newline: str = "\n") -> str:
+class SharedDict(dict):
+    """A dict that a tree holds at more than one place: `json_text` renders
+    it once per indentation and reuses that text."""
+
+    __slots__ = ()
+
+
+class SharedList(list):
+    """A list that a tree holds at more than one place, rendered as a
+    `SharedDict` is."""
+
+    __slots__ = ()
+
+
+_SHARED = {SharedDict: dict, SharedList: list}
+
+
+def json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for a tree of dicts with
     string keys, lists, strings, ints, bools and None; any other type, such
     as a float, a tuple or a numpy integer, raises TypeError. The standard
     library encodes with indentation in pure Python, one generator per
     container; this joins each container's encoded items once and maps one
-    encoder over a list of same-type scalars. ``newline`` is a newline plus
-    the indentation of obj's own line."""
+    encoder over a list of same-type scalars. A `SharedDict` or `SharedList`
+    is rendered once per indentation at which it occurs: the texts of those
+    subtrees, and of no others, are kept until the call returns."""
+    return _encode(obj, "\n", {})
+
+
+def _encode(obj, newline: str, shared: dict) -> str:
+    """The text of obj, whose own line ends in ``newline``: a newline plus
+    its indentation. ``shared`` maps (id, newline) of the shared subtrees
+    rendered so far to their texts."""
     t = type(obj)
     if t is dict:
         if not obj:
             return "{}"
         inner = newline + "  "
-        items = [_json_str(k) + ": " + json_text(obj[k], inner) for k in sorted(obj)]
+        items = [_json_str(k) + ": " + _encode(obj[k], inner, shared) for k in sorted(obj)]
     elif t is list:
         if not obj:
             return "[]"
@@ -192,12 +255,20 @@ def json_text(obj, newline: str = "\n") -> str:
         if len(kinds) == 1 and (kind := kinds.pop()) in _JSON_SCALARS:
             items = list(map(_JSON_SCALARS[kind], obj))
         else:
-            items = [json_text(v, inner) for v in obj]
+            items = [_encode(v, inner, shared) for v in obj]
     else:
         encode = _JSON_SCALARS.get(t)
-        if encode is None:
+        if encode is not None:
+            return encode(obj)
+        if t not in _SHARED:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-        return encode(obj)
+        key = id(obj), newline
+        text = shared.get(key)
+        if text is None:
+            # A shallow copy as the plain container: the subtrees it holds
+            # keep their ids.
+            text = shared[key] = _encode(_SHARED[t](obj), newline, shared)
+        return text
     # The brackets go onto the first and last items, so the container's text
     # is copied once, by the join.
     open_, close = "{}" if t is dict else "[]"

@@ -47,6 +47,7 @@ from modinv.classify import (
 
 from test_commutant import IDENTITY4, Q, Q_T, SO16_EXPECTED, W, X_C, X_S
 from test_fusion import quadratic_twists
+from test_report import MEMO_RINGS
 
 
 @pytest.fixture(scope="module")
@@ -695,6 +696,51 @@ def test_z5_zero_twists_classification(monkeypatch):
         notes = fresh.check()
         assert c.notes[: len(notes)] == notes
         assert fresh.chain_holds()
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [r[1:] for r in MEMO_RINGS] + [(builtin_cyclic, (4, [Fraction(0)] * 4))],
+    ids=[r[0] for r in MEMO_RINGS] + ["z4_zero"],
+)
+def test_classify_all_bijections_match_the_public_search(build, args, monkeypatch):
+    # classify_all reads each pair of factorizations through one BlockPair,
+    # built the first time the pair is tried; every search it makes returns
+    # what the public find_block_bijection returns for the same branchings
+    # and matrix, and each classification records its first solution.
+    ring = build(*args)
+    md = compute_modular_data(ring)
+    pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
+    searches = []
+    search = modinv.classify.find_block_bijection
+
+    def recorded_search(*args):
+        searches.append((args, search(*args)))
+        return searches[-1][1]
+
+    built = {}
+
+    class RecordedPair(modinv.classify.BlockPair):
+        def __init__(self, plus, minus):
+            assert (id(plus), id(minus)) not in built
+            built[id(plus), id(minus)] = self
+            super().__init__(plus, minus)
+
+    monkeypatch.setattr(modinv.classify, "find_block_bijection", recorded_search)
+    monkeypatch.setattr(modinv.classify, "BlockPair", RecordedPair)
+    cls = classify_all(md, pool)
+    monkeypatch.undo()
+    first = {}
+    for (plus, minus, Z, pair), res in searches:
+        assert res == find_block_bijection(plus, minus, Z)
+        same = plus.block_count == minus.block_count
+        assert pair is (built[id(plus), id(minus)] if same else None)
+        if res is not None:
+            first.setdefault(id(Z), res)
+    pairs = {(id(a[0]), id(a[1])) for a, _ in searches if a[3] is not None}
+    assert pairs == set(built)
+    for c in cls:
+        assert (c.bijection, c.bijection_count) == first.get(id(c.Z), (None, 0))
 
 
 def _sqrt2_power(k):

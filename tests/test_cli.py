@@ -4,6 +4,7 @@ determinism."""
 import copy
 import hashlib
 import json
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -44,6 +45,11 @@ def test_ring_file_round_trip(ring):
     assert reloaded == ring
 
 
+def exact(message: str) -> str:
+    """A pattern matching the whole of message and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
 def test_ring_file_rejects_bad_fields(tmp_path, capsys):
     data = ring_to_json(builtin_so_level1(16))
     bad = dict(data)
@@ -73,6 +79,29 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
             "fusion",
             [[0, 0, 0, MAX_MULTIPLICITY + 1]],
             f"fusion entry 0: multiplicity {MAX_MULTIPLICITY + 1}, above the limit",
+        ),
+        # The quadruples are checked as one array; the message names the
+        # first faulty entry as a check of one entry after another would.
+        ("fusion", [[0, 0, 1.5, 1]], exact("fusion entry 0: index n=1.5 out of range")),
+        ("fusion", [[0, 0, 0, -1]], exact("fusion entry 0: multiplicity -1 invalid")),
+        (
+            "fusion",
+            [[2**63, 0, 0, 1]],
+            exact("fusion entry 0: index l=9223372036854775808 out of range"),
+        ),
+        (
+            "fusion",
+            [[0, 0, 0, 2**63]],
+            exact(
+                "fusion entry 0: multiplicity 9223372036854775808, above the limit of 1048576"
+            ),
+        ),
+        ("fusion", [[0, 0, 0]], exact("fusion entry 0 is not a quadruple")),
+        ("fusion", data["fusion"][:3] + [5], exact("fusion entry 3 is not a quadruple")),
+        (
+            "fusion",
+            data["fusion"][:3] + [data["fusion"][1]] + [[0, 0, 9, 1]],
+            exact("fusion entries 1 and 3 both list (l, m, n) = (0, 1, 1)"),
         ),
         ("dual", [0, True, 2, 3], "'dual' must be a list"),
         ("dual", [0, 1, 2, 5], r"'dual' must be a list of 4 integers in \[0, 4\)"),

@@ -1,6 +1,6 @@
 """Reports: byte-identical JSON on the ladder rings, the JSON renderer
-against json.dumps, the Yext entry memo against plain entries, and the span
-summary against the public span functions it replaces."""
+against json.dumps, the report-wide shared values against fresh ones, and
+the span summary against the public span functions it replaces."""
 
 import dataclasses
 import hashlib
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import modinv.report
 from modinv.classify import (
     classify_all,
     in_rational_span,
@@ -23,13 +24,14 @@ from modinv.cyclo import Cyclotomic, _make
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.modular import compute_modular_data
 from modinv.report import (
+    ReportValues,
     _exact_entry,
     build_report,
     classification_summary,
     render_json,
     span_summary,
 )
-from modinv.ringfile import json_text
+from modinv.ringfile import SharedDict, SharedList, json_text
 
 from test_fusion import quadratic_twists
 
@@ -126,11 +128,48 @@ _json_trees = st.recursive(
 )
 
 
-@given(_json_trees)
+def _marked(tree):
+    """tree with its outer container marked shared."""
+    if type(tree) is dict:
+        return SharedDict(tree)
+    return SharedList(tree) if type(tree) is list else tree
+
+
+def _containers(inner, size):
+    return st.lists(inner, max_size=size) | st.dictionaries(_json_strings, inner, max_size=size)
+
+
+@st.composite
+def _trees_with_shared_subtrees(draw):
+    """A tree holding marked-shared subtrees more than once and at different
+    depths; a shared subtree may hold earlier ones."""
+    shared = []
+    for _ in range(draw(st.integers(1, 3))):
+        leaves = _json_scalars | st.sampled_from(shared) if shared else _json_scalars
+        inner = st.recursive(leaves, lambda t: _containers(t, 3), max_leaves=8)
+        shared.append(_marked(draw(_containers(inner, 4))))
+    leaves = _json_scalars | st.sampled_from(shared)
+    tree = draw(st.recursive(leaves, lambda t: _containers(t, 5), max_leaves=30))
+    return [tree, shared, {"again": [shared[-1], {"deeper": shared}]}]
+
+
+_entry = SharedDict(exact={"conductor": 1, "coeffs": [[0, "1/1"]]}, text="1", numeric="1+0j")
+_matrix = SharedList([[1, 0], [0, 1]])
+
+
+@given(_json_trees | _trees_with_shared_subtrees())
+@example(
+    {
+        "m": [_matrix, {"z": _entry, "x": [_matrix, [_entry, _entry]]}],
+        "e": _entry,
+        "nested": SharedDict(a=_entry, b=[_matrix, SharedList()]),
+        "empty": [SharedDict(), SharedList(), SharedDict()],
+    }
+)
 @example({"a": [], "b": {}, "c": [[]], "d": [{}], "e": {"f": {"g": []}}})
 @example([1, [2, {"x": None}], "s", {}, [True, None, 3], []])
 @example({"k\u00e9": [2**70, -(2**70), True, False, None]})
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_json_text_equals_json_dumps(tree):
     assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
@@ -142,7 +181,7 @@ def test_json_text_rejects_what_reports_never_hold(bad):
             json_text(tree)
 
 
-# -- the Yext entry memo against plain entries --------------------------------
+# -- report-wide shared values against fresh ones ------------------------------
 
 MEMO_RINGS = (
     [(f"su2_{k}", builtin_su2, (k,)) for k in range(1, 25)]
@@ -155,8 +194,8 @@ MEMO_RINGS = (
     "build, args", [r[1:] for r in MEMO_RINGS], ids=[r[0] for r in MEMO_RINGS]
 )
 def test_classification_summary_equals_one_without_the_yext_memo(build, args):
-    # Equal Yext entries share one entry dict, and the summary equals the
-    # one with an entry built per Yext entry.
+    # On its own, a classification summary shares one entry dict between
+    # equal Yext entries, and equals the one with an entry built per entry.
     ring = build(*args)
     md = compute_modular_data(ring)
     pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
@@ -171,6 +210,65 @@ def test_classification_summary_equals_one_without_the_yext_memo(build, args):
         distinct = {(v.conductor, v.den, tuple(v.num.items())) for row in Yext for v in row}
         shared = {id(e) for row in summary["extended"]["Yext"] for e in row}
         assert len(shared) == len(distinct)
+
+
+class _FreshValues(ReportValues):
+    """A new entry dict and matrix list at every place."""
+
+    def entry(self, v):
+        return _exact_entry(v)
+
+    def matrix(self, Z):
+        return [list(row) for row in Z.Z]
+
+
+def _value_key(v):
+    return v.conductor, v.den, tuple(v.num.items())
+
+
+def _entry_places(md, classifications, report):
+    """(exact value, its entry dict) at every place the report holds one."""
+    yield md.z, report["modular"]["z"]
+    yield md.w, report["modular"]["w"]
+    for c, summary in zip(classifications, report["classifications"]):
+        for name, entry in summary["global_indices"].items():
+            yield getattr(c.indices, name), entry
+        for b, f in zip(c.factorizations, summary["factorizations"]):
+            yield from zip(b.block_dims, f["block_dims"])
+        if c.extended is not None:
+            yield c.extended.z0, summary["extended"]["z0"]
+            for row, entries in zip(c.extended.Yext, summary["extended"]["Yext"]):
+                yield from zip(row, entries)
+
+
+@pytest.mark.parametrize(
+    "build, args", [r[1:] for r in MEMO_RINGS], ids=[r[0] for r in MEMO_RINGS]
+)
+def test_report_equals_one_with_fresh_values(build, args, monkeypatch):
+    # A report holds one entry dict per exact value and one matrix list per
+    # invariant, and equals, as a tree and as text, the report with a fresh
+    # entry and matrix at every place.
+    ring = build(*args)
+    md = compute_modular_data(ring)
+    pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
+    classifications = classify_all(md, pool)
+    report = build_report(md, pool, classifications)
+    monkeypatch.setattr(modinv.report, "ReportValues", _FreshValues)
+    fresh = build_report(md, pool, classifications)
+    monkeypatch.undo()
+    assert report == fresh
+    text = render_json(report)
+    assert text == render_json(fresh) == json.dumps(fresh, indent=2, sort_keys=True) + "\n"
+    ids: dict[tuple, set[int]] = {}
+    for v, entry in _entry_places(md, classifications, report):
+        assert entry == _exact_entry(v)
+        ids.setdefault(_value_key(v), set()).add(id(entry))
+    assert all(len(found) == 1 for found in ids.values())
+    assert len(set().union(*ids.values())) == len(ids)
+    invariants = report["invariants"]
+    for c, summary in zip(classifications, report["classifications"]):
+        assert summary["matrix"] is invariants[c.index]["matrix"]
+    assert len({id(inv["matrix"]) for inv in invariants}) == len(pool)
 
 
 def test_yext_memo_keeps_denominators_and_slot_orders_apart():
