@@ -174,13 +174,10 @@ def _check_size(labels: int) -> None:
 
 def cmd_check(args) -> int:
     ring = load_ring(args.ringfile, check_axioms=False)
-    ok = True
     failures = validate(ring)
     for f in failures:
         print(f"FAIL ring axiom: {f}")
-    if failures:
-        ok = False
-    else:
+    if not failures:
         print("PASS ring axioms")
     try:
         md = compute_modular_data(ring)
@@ -190,10 +187,9 @@ def cmd_check(args) -> int:
     axiom_failures = verify_statistics_axioms(md)
     for f in axiom_failures:
         print(f"FAIL statistics axiom: {f}")
-    if axiom_failures:
-        ok = False
-    else:
+    if not axiom_failures:
         print("PASS statistics axioms")
+    ok = not failures and not axiom_failures
     if md.nondegenerate:
         v = verlinde_check(md)
         if v["ok"]:
@@ -209,10 +205,8 @@ def _load_and_compute(args):
 
 
 def _emit(args, report: dict) -> None:
-    if args.format == "markdown":
-        sys.stdout.write(render_markdown(report))
-    else:
-        sys.stdout.write(render_json(report))
+    render = render_markdown if args.format == "markdown" else render_json
+    sys.stdout.write(render(report))
 
 
 def cmd_modular(args) -> int:

@@ -6,7 +6,7 @@ The T-commutation constraint is imposed structurally as a sparsity pattern
 the integer coordinates of Y in the power basis (ModularData.Y_coords), on
 which both the kernel and every commutation check are computed. The kernel
 is that of the P x P integer Gram matrix of the constraints (P the allowed
-entries), found by fraction-free elimination. The integer points are then
+entries), read off one reduction of its rows. The integer points are then
 enumerated, in integers, by a search over the kernel's pivot entries that
 expands whole batches of sibling nodes as integer arrays. It reads no
 float: its entry bounds ceil(scale * d_l * d_m) are exact, and it prunes a
@@ -39,7 +39,7 @@ from .cyclo import (
     real_floor,
 )
 from .fusion import FusionRing
-from .linalg import Echelon, nullspace
+from .linalg import kernel
 from .modular import ModularData, twist_exponents
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -150,14 +150,12 @@ def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis
     n = md.size
     positions = sorted(pattern.allowed)
     P = len(positions)
-    constraints = Echelon(P)
+    rows = []
     for row in _gram(md.Y_coords, positions):
         (nonzero,) = row.nonzero()
-        if len(nonzero):
-            constraints.insert(dict(zip(nonzero.tolist(), row[nonzero].tolist())))
-
-    kernel = nullspace(constraints)
-    cb = CommutantBasis(positions, [row for _, row in kernel], [col for col, _ in kernel])
+        rows.append(dict(zip(nonzero.tolist(), row[nonzero].tolist())))
+    basis = kernel(rows, P)
+    cb = CommutantBasis(positions, [row for _, row in basis], [col for col, _ in basis])
     # Each basis row times the lcm of its denominators, as one integer stack.
     a, b = np.array(positions, dtype=np.intp).reshape(P, 2).T
     stack = np.zeros((cb.dimension, n, n), dtype=object)

@@ -4,14 +4,15 @@ Rows arrive sparse, as {column: rational}, are cleared of denominators once
 and kept as primitive integer rows with a positive pivot (integer-preserving
 elimination in the spirit of Bareiss 1968). An inserted row is reduced
 against every pivot, so what is left of it does not depend on the order the
-rows came in. Fractions appear only in the reduced echelon form over Q.
+rows came in. Fractions appear only in reduced echelon forms over Q; a
+kernel's is read off one reduction of the rows with their columns reversed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -95,15 +96,19 @@ def _eliminate(r: list[int], row: list[int], col: int) -> list[int]:
     return [p * x - a * y for x, y in zip(r, row)]
 
 
-def nullspace(echelon: Echelon) -> list[tuple[int, list[Fraction]]]:
-    """Reduced row echelon basis, as in :meth:`Echelon.rref`, of the vectors
-    orthogonal to every row inserted into `echelon`."""
-    reduced = dict(echelon.rref())
-    kernel = Echelon(echelon.width)
-    for free in range(echelon.width):
-        if free not in reduced:
-            kernel.insert({free: 1, **{col: -row[free] for col, row in reduced.items()}})
-    return kernel.rref()
+def kernel(rows: Iterable[Mapping[int, Rational]], width: int) -> list[tuple[int, list[Fraction]]]:
+    """Reduced echelon basis, as in :meth:`Echelon.rref`, of the vectors
+    orthogonal to every sparse row. Reduced once with column j moved to
+    width - 1 - j, each row R_p ends at its pivot p. For a free column f, the
+    vector with 1 at f, -R_p[f] at each pivot p and 0 elsewhere is orthogonal
+    to every R_p, starts at f (R_p[f] != 0 only for f < p) and is 0 at every
+    other free column: a row of the kernel's unique reduced echelon form."""
+    echelon = Echelon(width)
+    for row in rows:
+        echelon.insert({width - 1 - j: x for j, x in row.items()})
+    R = {width - 1 - col: row[::-1] for col, row in echelon.rref()}
+    free = [f for f in range(width) if f not in R]
+    return [(f, [-R[j][f] if j in R else Fraction(j == f) for j in range(width)]) for f in free]
 
 
 def inverse(M: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:

@@ -185,8 +185,8 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
     # TSTST = S needs no check of its own: T = e^(-i pi c/12) Omega with
     # c = 4 arg(z)/pi mod 8 and S = Y/|z|, so TSTST = e^(-i pi c/4) z S/|z|
     # = S exactly once Omega Y Omega Y Omega = z Y.
-    if md.nondegenerate and md.S_numeric is not None and md.T_numeric is not None:
-        # S = Y / |z|, so S^2 = C is Y Y = z conj(z) C.
+    if md.nondegenerate:
+        # S = Y / |z|, so S^2 = C is Y Y = z conj(z) C, which fails when z = 0.
         C = np.zeros((1, n, n), dtype=np.int64)
         C[0, np.arange(n), list(ring.dual)] = 1
         if differs(Yv @ Yv, z * z.conjugate() * evaluate(C, 1, M)).any():

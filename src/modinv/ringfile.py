@@ -9,6 +9,7 @@ Ring files and reports are written by one renderer, :func:`json_text`.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
@@ -294,6 +295,8 @@ def _parse_fraction(s: Union[str, int], where: str) -> Fraction:
     if not isinstance(s, str):
         raise RingFileError(f"{where}: expected a rational string, got {s!r}")
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise RingFileError(f"{where}: cannot parse rational {s!r}")
+        if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):  # Fraction(s) also reads "0.5", "1e-1"
+            return Fraction(s)
+    except (ValueError, ZeroDivisionError):  # q = 0, or past int's digit limit
+        pass
+    raise RingFileError(f"{where}: cannot parse rational {s!r}")

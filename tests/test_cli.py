@@ -118,6 +118,20 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
         # A float coefficient would be read as its binary fraction, true as 1.
         ("dims", [{"conductor": 1, "coeffs": [[0, 0.1]]}] * 4, r"dims\[0\]: expected a rational"),
         ("dims", [{"conductor": 1, "coeffs": [[0, True]]}] * 4, r"dims\[0\]: expected a rational"),
+        # Rationals are "p" or "p/q" in ASCII digits: Fraction(str) would also
+        # read decimals, exponents, spaces and underscores.
+        ("twists", ["0", "1/2", "0.5", "1/2"], exact("twists[2]: cannot parse rational '0.5'")),
+        ("twists", ["0", "1e-1", "1", "1"], exact("twists[1]: cannot parse rational '1e-1'")),
+        ("twists", [" 1/4 ", "0", "0", "0"], exact("twists[0]: cannot parse rational ' 1/4 '")),
+        ("twists", ["0", "0", "0", "1_0/3"], exact("twists[3]: cannot parse rational '1_0/3'")),
+        ("twists", ["0", "1/0", "0", "0"], exact("twists[1]: cannot parse rational '1/0'")),
+        (
+            "dims",
+            [{"conductor": 1, "coeffs": [[0, "0.5"]]}] * 4,
+            exact("malformed 'dims': dims[0]: cannot parse rational '0.5'"),
+        ),
+        ("central_charge", "0.1875", exact("central_charge: cannot parse rational '0.1875'")),
+        ("central_charge", "1e-1", exact("central_charge: cannot parse rational '1e-1'")),
     ]:
         bad = dict(data)
         bad[field] = value

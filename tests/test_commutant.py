@@ -15,10 +15,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modinv import commutant
+from modinv import commutant, linalg
 from modinv.cyclo import Cyclotomic, csum
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
-from modinv.linalg import Echelon, nullspace
+from modinv.linalg import Echelon, kernel
 from modinv.modular import compute_modular_data
 from modinv.commutant import (
     CouplingMatrix,
@@ -532,19 +532,41 @@ def test_each_constraint_rejects_with_its_message(ring, Z, message):
 def test_kernel_self_check_catches_a_corrupted_basis_vector(monkeypatch):
     md = compute_modular_data(_SO16)
 
-    def corrupted(echelon):
+    def corrupted(rows, width):
         # E_00 does not commute with Y, so basis element 3 plus E_00 fails.
-        kernel = nullspace(echelon)
-        col, row = kernel[3]
-        kernel[3] = (col, [row[0] + 1] + row[1:])
-        return kernel
+        basis = kernel(rows, width)
+        col, row = basis[3]
+        basis[3] = (col, [row[0] + 1] + row[1:])
+        return basis
 
-    monkeypatch.setattr(commutant, "nullspace", corrupted)
+    monkeypatch.setattr(commutant, "kernel", corrupted)
     with pytest.raises(AssertionError) as exc:
         commutant_basis(md, twist_sparsity(md.ring))
     assert str(exc.value).startswith(
         "internal error: commutant basis element 3 fails YZ=ZY at ("
     )
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [builtin_su2(10), builtin_so_level1(16), builtin_cyclic(4, [Fraction(0)] * 4)],
+    ids=lambda ring: ring.name,
+)
+def test_commutant_basis_builds_one_echelon(ring, monkeypatch):
+    md = compute_modular_data(ring)
+    built = []
+
+    class RecordedEchelon(linalg.Echelon):
+        def __init__(self, width):
+            built.append(width)
+            super().__init__(width)
+
+    # Patched in both modules, so that an echelon built by commutant_basis
+    # itself is counted too.
+    monkeypatch.setattr(linalg, "Echelon", RecordedEchelon)
+    monkeypatch.setattr(commutant, "Echelon", RecordedEchelon, raising=False)
+    basis = commutant_basis(md, twist_sparsity(ring))
+    assert built == [len(basis.positions)]
 
 
 def test_numeric_fallback_finds_the_same_invariants():
@@ -734,14 +756,21 @@ def _constraint_rows(Y, positions):
 
 def _echelon_kernel(rows, width):
     """Reduced-echelon kernel basis and pivots of an integer matrix, given as
-    rows of Python ints."""
+    rows of Python ints, by forward elimination: the matrix's reduced
+    echelon form R in one echelon, then for each free column f the vector
+    with 1 at f and -R_p[f] at each pivot p reduced in a second one."""
     constraints = Echelon(width)
     for row in rows:
         nonzero = {j: x for j, x in enumerate(row) if x}
         if nonzero:
             constraints.insert(nonzero)
-    kernel = nullspace(constraints)
-    return [row for _, row in kernel], [col for col, _ in kernel]
+    reduced = dict(constraints.rref())
+    basis = Echelon(width)
+    for free in range(width):
+        if free not in reduced:
+            basis.insert({free: 1, **{col: -row[free] for col, row in reduced.items()}})
+    out = basis.rref()
+    return [row for _, row in out], [col for col, _ in out]
 
 
 def _kernel_rings():

@@ -154,6 +154,17 @@ def test_corrupted_twist_fails_axioms():
         pass  # the dichotomy check may trip first; either failure is correct
 
 
+@pytest.mark.parametrize("ring", [builtin_su2(3), builtin_so_level1(16)], ids=lambda r: r.name)
+def test_s_squared_is_checked_without_numeric_t(ring):
+    # The exact S^2 = C check reads no float display array: without T (no
+    # central charge found) and with z doubled, Y Y != z conj(z) C is reported.
+    md = compute_modular_data(ring)
+    md = dataclasses.replace(md, z=md.z + md.z, T_numeric=None)
+    report = verify_statistics_axioms(md)
+    assert "S^2 != charge conjugation (Y Y != z conj(z) C)" in report
+    assert report == _scalar_verify_statistics_axioms(md)
+
+
 def test_numeric_only_path():
     # A ring without dims takes the exact path: its dims are reconstructed
     # and every exact quantity equals the one from the builtin dims.
@@ -239,7 +250,7 @@ def _scalar_verify_statistics_axioms(md):
             b = csum(Y[l][r] * A[r][m] for r in range(n))
             if omega[l] * omega[m] * b != md.z * Y[l][m]:
                 report.append(f"OmegaYOmegaYOmega != zY at ({l},{m})")
-    if md.nondegenerate and md.S_numeric is not None and md.T_numeric is not None:
+    if md.nondegenerate:
         # S^2 = C, decided exactly as Y Y = z conj(z) C.
         zz = md.z * md.z.conjugate()
         if any(
