@@ -31,7 +31,6 @@ from .classify import (
     find_block_bijection,
     find_parents,
     global_indices,
-    vacuum_profile,
 )
 
 __version__ = "0.1.0"

@@ -119,11 +119,6 @@ class Classification:
         return self.kind in ("type_II", "permutation") and self.automorphism is not None
 
 
-def vacuum_profile(Z: CouplingMatrix) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-    col, row = Z.vacuum_column, Z.vacuum_row
-    return col, row, col == row
-
-
 def global_indices(md: ModularData, Z: CouplingMatrix) -> GlobalIndices:
     """w = sum d^2; w_plus = w / sum_l d_l Z_{l,0};
     w_alpha = w / sum over degenerate l of Z_{0,l} d_l; w_zero = w_plus^2 / w_alpha."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -38,7 +37,7 @@ from .modular import (
     verlinde_check,
 )
 from .report import build_report, modular_summary, render_json, render_markdown, ring_summary
-from .ringfile import MAX_CONDUCTOR, MAX_LABELS, RingFileError, dump_ring, load_ring
+from .ringfile import MAX_CONDUCTOR, MAX_LABELS, RingFileError, _parse_fraction, dump_ring, load_ring
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -82,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--twists",
         type=str,
         default=None,
-        help="comma-separated rational twists for cyclic (default all 0)",
+        help="comma-separated rational twists for cyclic, each p or p/q (default all 0)",
     )
     p.set_defaults(func=cmd_builtin)
 
@@ -116,7 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bound-scale", type=_positive(Fraction), default=Fraction(1))
+    p.add_argument(
+        "--bound-scale",
+        type=_positive(lambda text: _parse_fraction(text, "--bound-scale")),
+        default=1,
+    )
     p.add_argument("--node-budget", type=_positive(int), default=DEFAULT_NODE_BUDGET)
 
 
@@ -127,7 +130,7 @@ def _positive(parse):
         try:
             if (value := parse(text)) > 0:
                 return value
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             pass
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
 
@@ -150,15 +153,16 @@ def cmd_builtin(args) -> int:
                 raise ValueError("cyclic requires --n")
             _check_size(args.n)
             if args.twists is None:
-                twists = [Fraction(0)] * args.n
+                twists = [0] * args.n
             else:
-                twists = [Fraction(t.strip()) for t in args.twists.split(",")]
+                items = [t.strip() for t in args.twists.split(",")]
+                twists = [_parse_fraction(t, f"twists[{i}]") for i, t in enumerate(items)]
             ring = builtin_cyclic(args.n, twists)
         if ring.conductor > MAX_CONDUCTOR:
             raise ValueError(
                 f"global conductor {ring.conductor}, above the limit of {MAX_CONDUCTOR}"
             )
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(dump_ring(ring))

@@ -112,13 +112,6 @@ class CouplingMatrix:
     def vacuum_symmetric(self) -> bool:
         return self.vacuum_column == self.vacuum_row
 
-    def is_identity(self) -> bool:
-        return all(
-            self.Z[l][m] == (1 if l == m else 0)
-            for l in range(self.size)
-            for m in range(self.size)
-        )
-
     def is_permutation(self) -> bool:
         n = self.size
         return all(sum(self.Z[l]) == 1 for l in range(n)) and all(

@@ -4,8 +4,8 @@ An element is stored in the reduced power basis {zeta^0, ..., zeta^(phi(m)-1)}
 as integer coordinates over one positive denominator with no common factor,
 so every operation stays in integers and equality at a common conductor is
 equality of coordinates. Fractions cross only the boundary: the public
-constructor, :meth:`Cyclotomic.from_rational` and :meth:`Cyclotomic.from_json`
-take rationals, and the read-only :attr:`Cyclotomic.coeffs` gives them back.
+constructor and :meth:`Cyclotomic.from_rational` take rationals, and the
+read-only :attr:`Cyclotomic.coeffs` gives them back.
 Equality across conductors goes through promotion to the lcm conductor.
 
 Products and sums keep the slot order of ``num`` (`_reduce`), which fixes
@@ -314,11 +314,6 @@ class Cyclotomic:
 
     def to_json(self) -> dict:
         return {"conductor": self.conductor, "coeffs": [[e, f"{p}/{q}"] for e, p, q in self._terms()]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Cyclotomic":
-        coeffs = {int(e): Fraction(s) for e, s in data["coeffs"]}
-        return cls(int(data["conductor"]), coeffs)
 
     def __repr__(self):
         if not self.num:

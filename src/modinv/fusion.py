@@ -47,9 +47,6 @@ class FusionRing:
     def size(self) -> int:
         return len(self.names)
 
-    def N(self, l: int, m: int, n: int) -> int:
-        return int(self.fusion[l, m, n])
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -285,12 +282,10 @@ def builtin_su2(k: int) -> FusionRing:
     n = k + 1
     q = 4 * (k + 2)
 
-    def N(l, m, nu):
-        if (l + m + nu) % 2 != 0:
-            return 0
-        return 1 if abs(l - m) <= nu <= min(l + m, 2 * k - l - m) else 0
+    def allowed(l, m, nu):
+        return (l + m + nu) % 2 == 0 and abs(l - m) <= nu <= min(l + m, 2 * k - l - m)
 
-    fusion = [[[N(l, m, nu) for nu in range(n)] for m in range(n)] for l in range(n)]
+    fusion = [[[int(allowed(l, m, nu)) for nu in range(n)] for m in range(n)] for l in range(n)]
     twists = [Fraction(l * (l + 2), q) for l in range(n)]
     dims = []
     for l in range(n):
@@ -323,11 +318,10 @@ def builtin_so_level1(n: int) -> FusionRing:
     vec = [(0, 0), (1, 1), (1, 0), (0, 1)]
     idx = {v: i for i, v in enumerate(vec)}
 
-    def N(l, m, nu):
-        prod = ((vec[l][0] + vec[m][0]) % 2, (vec[l][1] + vec[m][1]) % 2)
-        return 1 if idx[prod] == nu else 0
+    def product(l, m):
+        return idx[(vec[l][0] + vec[m][0]) % 2, (vec[l][1] + vec[m][1]) % 2]
 
-    fusion = [[[N(l, m, nu) for nu in range(4)] for m in range(4)] for l in range(4)]
+    fusion = [[[int(product(l, m) == nu) for nu in range(4)] for m in range(4)] for l in range(4)]
     twists = [Fraction(0), Fraction(1, 2), Fraction(ell), Fraction(ell)]
     return make_ring(
         names=["0", "v", "s", "c"],
@@ -353,10 +347,7 @@ def builtin_cyclic(n: int, twists: Sequence[Fraction]) -> FusionRing:
         if twists[a] != twists[(-a) % n]:
             raise ValueError(f"twists must satisfy h[a] = h[-a]; fails at a={a}")
 
-    def N(l, m, nu):
-        return 1 if (l + m) % n == nu else 0
-
-    fusion = [[[N(l, m, nu) for nu in range(n)] for m in range(n)] for l in range(n)]
+    fusion = [[[int((l + m) % n == nu) for nu in range(n)] for m in range(n)] for l in range(n)]
     return make_ring(
         names=[str(a) for a in range(n)],
         fusion=fusion,

@@ -86,20 +86,10 @@ def ring_from_json(data: dict) -> FusionRing:
         if not (isinstance(dims_raw, list) and len(dims_raw) == n):
             raise RingFileError(f"'dims' must be \"auto\" or a list of {n} cyclotomic values")
         try:
-            ints = [v for d in dims_raw for v in (d["conductor"], *(e for e, _ in d["coeffs"]))]
-            if not all(_is_int(v) for v in ints):
-                raise ValueError("conductors and exponents must be integers")
-            conductor = lcm(conductor, *(d["conductor"] for d in dims_raw))
-            if conductor <= MAX_CONDUCTOR:
-                dims = [
-                    Cyclotomic(
-                        d["conductor"],
-                        {e: _parse_fraction(c, f"dims[{i}]") for e, c in d["coeffs"]},
-                    )
-                    for i, d in enumerate(dims_raw)
-                ]
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise RingFileError(f"malformed 'dims': {exc}")
+            dims = [_parse_cyclotomic(d, f"dims[{i}]") for i, d in enumerate(dims_raw)]
+        except RingFileError as exc:
+            raise RingFileError(f"malformed 'dims': {exc}") from None
+        conductor = lcm(conductor, *(d.conductor for d in dims))
     if conductor > MAX_CONDUCTOR:
         raise RingFileError(f"global conductor {conductor}, above the limit of {MAX_CONDUCTOR}")
     hint = None
@@ -300,3 +290,19 @@ def _parse_fraction(s: Union[str, int], where: str) -> Fraction:
     except (ValueError, ZeroDivisionError):  # q = 0, or past int's digit limit
         pass
     raise RingFileError(f"{where}: cannot parse rational {s!r}")
+
+
+def _parse_cyclotomic(data, where: str) -> Cyclotomic:
+    """A cyclotomic value as `Cyclotomic.to_json` writes it, {"conductor": m,
+    "coeffs": [[e, c], ...]}: m and each e JSON integers, each c a rational
+    read by `_parse_fraction`. A conductor above MAX_CONDUCTOR is refused
+    before its cyclotomic polynomial is built."""
+    try:
+        m, terms = data["conductor"], [(e, c) for e, c in data["coeffs"]]
+        if not all(_is_int(v) for v in (m, *(e for e, _ in terms))):
+            raise ValueError("conductor and exponents must be integers")
+        if not 1 <= m <= MAX_CONDUCTOR:
+            raise ValueError(f"conductor {m} outside [1, {MAX_CONDUCTOR}]")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RingFileError(f"{where}: {exc}") from None
+    return Cyclotomic(m, {e: _parse_fraction(c, where) for e, c in terms})

@@ -23,7 +23,7 @@ from modinv.classify import (
     in_rational_span,
 )
 
-from test_commutant import IDENTITY4, Q, Q_T, SO16_EXPECTED, W, X_C, X_S
+from test_commutant import IDENTITY4, Q, Q_T, SO16_EXPECTED, W, X_C, X_S, identity
 from test_fusion import quadratic_twists
 
 
@@ -82,7 +82,7 @@ def test_criterion_2_heterotic_taxonomy(so16_run):
     assert classification_of(pool, cls, X_C).kind == "type_I"
     cw = classification_of(pool, cls, W)
     assert cw.kind == "permutation"
-    assert [pool[i].is_identity() for i in cw.parent_plus] == [True]
+    assert [pool[i].Z for i in cw.parent_plus] == [IDENTITY4]
     assert elapsed < 1.0
     print("PASS [criterion 2] heterotic pair with its two local parents; the "
           "spinor swap is a permutation invariant over the diagonal parent")
@@ -131,8 +131,8 @@ def test_criterion_5_d_odd_parent(su2_6_run):
     d5 = next(c for c in cls if c.Z.trace == 5)
     assert d5.type_two
     assert d5.automorphism is not None
-    assert [pool[i].is_identity() for i in d5.parent_plus] == [True]
-    assert [pool[i].is_identity() for i in d5.parent_minus] == [True]
+    assert [pool[i].Z for i in d5.parent_plus] == [identity(md.size)]
+    assert [pool[i].Z for i in d5.parent_minus] == [identity(md.size)]
     assert elapsed < 10.0
     print(f"PASS [criterion 5] level-6 odd fold: automorphism invariant over "
           f"the diagonal parent, {elapsed:.2f}s")
@@ -160,7 +160,7 @@ def test_criterion_7_degenerate_enumeration():
     md, pool, cls = full_pipeline(ring)
     assert md.degenerates == frozenset({0, 1})
     assert {Z.Z for Z in pool} == {((1, 0), (0, 1)), ((1, 1), (1, 1))}
-    all_ones = next(c for c in cls if not c.Z.is_identity())
+    all_ones = next(c for c in cls if c.Z.Z != identity(2))
     assert all_ones.indices.w_alpha.rational_value() == 1
     # Independent oracle: brute force over all 2x2 integer matrices with
     # entries <= 1, exact commutation with the all-ones Y.

@@ -42,10 +42,9 @@ from modinv.classify import (
     rational_span_dimension,
     span_dimension_and_relations,
     span_relations,
-    vacuum_profile,
 )
 
-from test_commutant import IDENTITY4, Q, Q_T, SO16_EXPECTED, W, X_C, X_S
+from test_commutant import IDENTITY4, Q, Q_T, SO16_EXPECTED, W, X_C, X_S, identity
 from test_fusion import quadratic_twists
 from test_report import MEMO_RINGS
 
@@ -85,11 +84,19 @@ def by_matrix(pool, classifications, matrix):
 def test_vacuum_profiles(so16):
     md, pool, cls = so16
     q, _ = by_matrix(pool, cls, Q)
-    assert vacuum_profile(q) == ((1, 0, 1, 0), (1, 0, 0, 1), False)
+    assert (q.vacuum_column, q.vacuum_row, q.vacuum_symmetric) == (
+        (1, 0, 1, 0),
+        (1, 0, 0, 1),
+        False,
+    )
     xs, _ = by_matrix(pool, cls, X_S)
-    assert vacuum_profile(xs) == ((1, 0, 1, 0), (1, 0, 1, 0), True)
+    assert (xs.vacuum_column, xs.vacuum_row, xs.vacuum_symmetric) == (
+        (1, 0, 1, 0),
+        (1, 0, 1, 0),
+        True,
+    )
     ident, _ = by_matrix(pool, cls, IDENTITY4)
-    assert vacuum_profile(ident)[2]
+    assert ident.vacuum_symmetric
 
 
 def test_global_indices_so16(so16):
@@ -502,7 +509,7 @@ def test_su2_6_automorphism_invariant():
     d5 = next(c for c in cls if c.Z.trace == 5)
     assert d5.type_two
     assert d5.kind == "permutation"  # the folding is a permutation matrix here
-    assert [pool[i].is_identity() for i in d5.parent_plus] == [True]
+    assert [pool[i].Z for i in d5.parent_plus] == [identity(md.size)]
     assert d5.automorphism is not None and d5.automorphism[0] == 0
     assert d5.automorphism_preserves_extended is True
 
@@ -610,7 +617,7 @@ def test_classify_degenerate_type_one():
     md = compute_modular_data(ring)
     pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
     cls = classify_all(md, pool)
-    all_ones = next(c for c in cls if c.Z.trace == 2 and not c.Z.is_identity())
+    all_ones = next(c for c in cls if c.Z.trace == 2 and c.Z.Z != identity(2))
     assert all_ones.kind == "type_I"
     assert all_ones.extended is not None and all_ones.extended.consistent
     assert all_ones.extended.z0.rational_value() == 1
@@ -829,7 +836,8 @@ def _reference_classify_all(md, pool):
             by_column.setdefault(Z.vacuum_column, []).append(i)
     out = []
     for i, Z in enumerate(pool):
-        col, row, sym = vacuum_profile(Z)
+        col, row = Z.vacuum_column, Z.vacuum_row
+        sym = col == row
         idx = global_indices(md, Z)
         cls = Classification(index=i, Z=Z, kind="unresolved", vacuum_symmetric=sym, indices=idx)
         cls.notes.extend(idx.check())
@@ -860,7 +868,7 @@ def _reference_classify_all(md, pool):
                 if len(facts[ip]) > 1:
                     cls.notes.append("coinciding parents admit multiple distinct factorizations")
             break
-        if Z.is_identity():
+        if Z.Z == identity(md.size):
             cls.kind = "diagonal"
         elif not sym:
             cls.kind = "heterotic"

@@ -143,7 +143,7 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
     capped = ring_from_json({**data, "fusion": [[0, 0, 0, MAX_MULTIPLICITY]]})
-    assert capped.N(0, 0, 0) == MAX_MULTIPLICITY
+    assert capped.fusion[0, 0, 0] == MAX_MULTIPLICITY
 
 
 # sha256 of dump_ring(ring): `modinv builtin` writes these bytes, and the
@@ -215,6 +215,11 @@ def test_ring_file_bytes_pinned(key):
         ("--bound-scale", "abc"),
         ("--bound-scale", "0"),
         ("--bound-scale", "-1"),
+        # The ring-file rational grammar: Fraction(str) would read these as
+        # 1/10, 1/2 and 2.
+        ("--bound-scale", "1e-1"),
+        ("--bound-scale", "0.5"),
+        ("--bound-scale", " 2 "),
         ("--node-budget", "0"),
         ("--node-budget", "-1"),
         ("--node-budget", "1.5"),
@@ -274,14 +279,28 @@ def test_builtin_usage_error(capsys):
             ["cyclic", "--n", "2", "--twists", "0,1/2002"],
             f"global conductor 2002, above the limit of {MAX_CONDUCTOR}",
         ),
+        # Twists are read as ring files read them: Fraction would take
+        # "0.25" as 1/4.
+        (
+            ["cyclic", "--n", "2", "--twists", "0, 0.25"],
+            "twists[1]: cannot parse rational '0.25'",
+        ),
     ],
-    ids=["su2_100", "cyclic_101", "conductor_2002"],
+    ids=["su2_100", "cyclic_101", "conductor_2002", "decimal_twist"],
 )
 def test_builtin_refuses_rings_the_ring_file_limits_reject(capsys, argv, limit):
     # Labels are checked before the ring is built: its fusion tensor grows as n**3.
     code, out, err = run(capsys, "builtin", *argv)
     assert (code, out) == (2, "")
     assert err == f"usage error: {limit}\n"
+
+
+def test_builtin_twists_are_stripped_rationals(capsys):
+    for twists in ("0, 1/4", "0,1/4"):
+        code, out, _ = run(capsys, "builtin", "cyclic", "--n", "2", "--twists", twists)
+        assert code == 0
+        assert json.loads(out)["twists"] == ["0", "1/4"]
+        assert out == dump_ring(builtin_cyclic(2, [Fraction(0), Fraction(1, 4)])) + "\n"
 
 
 def test_check_corrupted_twist(tmp_path, capsys):
@@ -497,18 +516,27 @@ def test_oversized_ring_files_fail_fast(tmp_path, capsys):
     at_cap = ring_from_json({**base, "twists": ["0", f"1/{MAX_CONDUCTOR}"]})
     assert at_cap.conductor == MAX_CONDUCTOR
     dims = [{"conductor": 1, "coeffs": [[0, "1"]]}, {"conductor": 10**9, "coeffs": [[0, "1"]]}]
-    for bad in [
-        {**base, "twists": ["0", f"1/{MAX_CONDUCTOR + 1}"]},
-        {**base, "twists": ["0", "1/1000000007"]},
-        {**base, "twists": ["0", "1/8"], "dims": dims},
+    # Each dims value is read on its own: one whose conductor is past the cap
+    # is refused before it is built, and so before the global conductor is
+    # known. Conductors at most the cap whose lcm is past it are refused with
+    # the global conductor.
+    small = [{"conductor": 1, "coeffs": [[0, "1"]]}, {"conductor": 999, "coeffs": [[0, "1"]]}]
+    for bad, message in [
+        ({**base, "twists": ["0", f"1/{MAX_CONDUCTOR + 1}"]}, "global conductor"),
+        ({**base, "twists": ["0", "1/1000000007"]}, "global conductor"),
+        ({**base, "twists": ["0", "1/8"], "dims": small}, "global conductor 7992,"),
+        (
+            {**base, "twists": ["0", "1/8"], "dims": dims},
+            f"malformed 'dims': dims[1]: conductor {10**9} outside [1, {MAX_CONDUCTOR}]",
+        ),
     ]:
-        with pytest.raises(RingFileError, match="global conductor"):
+        with pytest.raises(RingFileError, match=re.escape(message)):
             ring_from_json(bad)
         path = tmp_path / "big.json"
         path.write_text(json.dumps(bad))
         code, out, err = run(capsys, "check", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith("error: global conductor")
+        assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("command", ["check", "modular", "classify"])

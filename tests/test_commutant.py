@@ -47,6 +47,11 @@ Q_T = tuple(tuple(Q[j][i] for j in range(4)) for i in range(4))
 SO16_EXPECTED = {IDENTITY4, W, X_S, X_C, Q, Q_T}
 
 
+def identity(n):
+    """The n x n identity as a coupling matrix's rows."""
+    return tuple(tuple(int(l == m) for m in range(n)) for l in range(n))
+
+
 def pipeline(ring, **kwargs):
     md = compute_modular_data(ring)
     basis = commutant_basis(md, twist_sparsity(ring))

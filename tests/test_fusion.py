@@ -190,8 +190,10 @@ def test_quadratic_twists_always_validate(n, q):
 
 
 def _loop_validate(ring):
-    """Reference: the ring-axiom checks as plain loops over ring.N."""
+    """Reference: the ring-axiom checks as plain loops over the fusion
+    tensor's entries as Python ints."""
     n = ring.size
+    N = ring.fusion.tolist()
     report = []
     if len(ring.dual) != n or sorted(ring.dual) != list(range(n)):
         report.append("dual is not a permutation of the labels")
@@ -201,9 +203,9 @@ def _loop_validate(ring):
         return report
     for l in range(n):
         for m in range(n):
-            if ring.N(0, l, m) != (1 if l == m else 0):
+            if N[0][l][m] != (1 if l == m else 0):
                 report.append(f"unit row: N[0,{l}]^{m} != delta")
-            if ring.N(l, 0, m) != (1 if l == m else 0):
+            if N[l][0][m] != (1 if l == m else 0):
                 report.append(f"unit column: N[{l},0]^{m} != delta")
     if any(ring.dual[ring.dual[l]] != l for l in range(n)):
         report.append("dual is not involutive")
@@ -211,22 +213,22 @@ def _loop_validate(ring):
         report.append("dual(0) != 0")
     for l in range(n):
         for m in range(n):
-            if ring.N(l, m, 0) != (1 if m == ring.dual[l] else 0):
+            if N[l][m][0] != (1 if m == ring.dual[l] else 0):
                 report.append(f"duality: N[{l},{m}]^0 != delta(m, dual({l}))")
     for l in range(n):
         for m in range(n):
             for nu in range(n):
                 for s in range(n):
-                    lhs = sum(ring.N(l, m, r) * ring.N(r, nu, s) for r in range(n))
-                    rhs = sum(ring.N(m, nu, r) * ring.N(l, r, s) for r in range(n))
+                    lhs = sum(N[l][m][r] * N[r][nu][s] for r in range(n))
+                    rhs = sum(N[m][nu][r] * N[l][r][s] for r in range(n))
                     if lhs != rhs:
                         report.append(f"associativity fails at ({l},{m},{nu},{s})")
     lbar = ring.dual
     for l in range(n):
         for m in range(n):
             for nu in range(n):
-                N = ring.N(l, m, nu)
-                if N != ring.N(lbar[l], nu, m) or N != ring.N(nu, lbar[m], l):
+                mult = N[l][m][nu]
+                if mult != N[lbar[l]][nu][m] or mult != N[nu][lbar[m]][l]:
                     report.append(f"Frobenius symmetry fails at ({l},{m},{nu})")
     if ring.twists[0] != 0:
         report.append("twist of the unit is not 0")
@@ -247,7 +249,7 @@ def _loop_validate(ring):
         for l in range(n):
             for m in range(n):
                 prod = d[l] * d[m]
-                s = csum(d[nu] * ring.N(l, m, nu) for nu in range(n) if ring.N(l, m, nu))
+                s = csum(d[nu] * N[l][m][nu] for nu in range(n) if N[l][m][nu])
                 if prod != s:
                     report.append(f"dims: d[{l}]*d[{m}] != sum N*d")
     return report
@@ -354,7 +356,7 @@ def test_fusion_ring_holds_one_read_only_integer_tensor():
     assert ring.fusion.dtype == np.int64 and ring.fusion.shape == (5, 5, 5)
     with pytest.raises(ValueError, match="read-only"):
         ring.fusion[1, 1, 2] = 2
-    assert type(ring.N(1, 1, 2)) is int and ring.N(1, 1, 2) == 1
+    assert ring.fusion[1, 1, 2] == 1
     # Rings compare field by field, the tensor by its entries; a ring holding
     # an array is not hashable.
     assert ring == ring_from_json(ring_to_json(ring)) == replace(ring)
@@ -380,6 +382,6 @@ def test_fusion_tensor_beyond_int64_holds_python_ints():
     big = _with_entry(fib, 1, 1, 1, 2**70)
     assert big.fusion.dtype == object
     assert {type(x) for x in big.fusion.flat} == {int}
-    assert type(big.N(1, 1, 1)) is int and big.N(1, 1, 1) == 2**70
+    assert type(big.fusion[1, 1, 1]) is int and big.fusion[1, 1, 1] == 2**70
     assert validate(big) == _loop_validate(big) == []
     assert '"fusion": [' in dump_ring(big)
