@@ -120,7 +120,15 @@ def _search_flags(p: argparse.ArgumentParser) -> None:
         type=_positive(lambda text: _parse_fraction(text, "--bound-scale")),
         default=1,
     )
-    p.add_argument("--node-budget", type=_positive(int), default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=_positive(_parse_count), default=DEFAULT_NODE_BUDGET)
+
+
+def _parse_count(text: str) -> int:
+    """A count from argv: int(text) alone would also read " 2 ", "1_000" and
+    "+5"."""
+    if _is_digits(text):
+        return int(text)  # ValueError past int's digit limit
+    raise ValueError(f"not a count: {text!r}")
 
 
 def _positive(parse):
@@ -243,7 +251,8 @@ def cmd_classify(args) -> int:
     spec = args.invariant
     # A matrix file is read and verified before the search, so a bad path or
     # matrix fails fast; an index can only be checked against the pool.
-    Z = None if spec is None or _is_index(spec) else _read_invariant(spec, md)
+    # An index is ASCII digits; anything else is a path.
+    Z = None if spec is None or _is_digits(spec) else _read_invariant(spec, md)
     pool, exhausted = _enumerate(args, md)
     classifications = classify_all(md, pool)
     if spec is not None:
@@ -256,9 +265,10 @@ def cmd_classify(args) -> int:
     return EXIT_BUDGET if exhausted else EXIT_OK
 
 
-def _is_index(spec: str) -> bool:
-    """An ASCII decimal string names a pool index; anything else is a path
-    (str.isdigit alone would also take superscripts, which int() rejects)."""
+def _is_digits(spec: str) -> bool:
+    """spec is [0-9]+, the grammar of a count or pool index on the command
+    line (str.isdigit alone would also take superscripts, which int()
+    rejects, and str.isdecimal other scripts' digits, which int() reads)."""
     return spec.isascii() and spec.isdecimal()
 
 

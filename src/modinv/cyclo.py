@@ -19,6 +19,12 @@ the other factor, as the general product, which sends each exponent below
 phi(m) to itself, would. Elements are never mutated, so returning an
 operand is safe.
 
+Real parts are decided in integers too: :func:`real_bounds` sums integer
+brackets of 2**bits cos(2 pi e / m) (`_cos_bracket`), taken in fixed point
+from Machin's pi and the Taylor series of cos within a written error budget
+(`_fixed_cos`), and :func:`real_floor` doubles bits until a bracket decides
+the floor. No float, and no multiprecision package, decides a bound.
+
 No general field inversion is exposed; the few divisions by non-rational
 elements needed downstream go through :func:`divide`, which finds the
 quotient's coordinates modulo primes, reconstructs them as fractions and
@@ -47,17 +53,6 @@ from math import floor, gcd, isqrt, lcm, prod
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
-from mpmath.libmp import (
-    from_int,
-    mpf_pi,
-    mpf_shift,
-    mpi_cos,
-    mpi_div,
-    mpi_mul,
-    round_ceiling,
-    round_floor,
-    to_int,
-)
 
 Scalar = Union[int, Fraction]
 
@@ -422,23 +417,71 @@ def csum(items: Iterable[Cyclotomic]) -> Cyclotomic:
     return _make(m, num, den)
 
 
+def _arctan_inv(x: int, w: int) -> tuple[int, int]:
+    """2**w * arctan(1/x) for an integer x >= 5, in fixed point: the value
+    and a bound on its error in units of 2**-w. Each power W / x**(2k+1) is
+    floored from the last (error < 1 + 1/(x*x - 1) < 2), each term divides it
+    by 2k + 1 (error < 3), and the alternating tail past the first zero power
+    is below that power's true value (< 2)."""
+    power, total, k = (1 << w) // x, 0, 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k % 2 else term
+        power //= x * x
+        k += 1
+    return total, 3 * k + 2
+
+
+@lru_cache(maxsize=None)
+def _fixed_pi(w: int) -> tuple[int, int]:
+    """2**w * pi by Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239),
+    and a bound on its error in units of 2**-w."""
+    a, da = _arctan_inv(5, w)
+    b, db = _arctan_inv(239, w)
+    return 16 * a - 4 * b, 16 * da + 4 * db
+
+
+def _fixed_cos(m: int, e: int, w: int) -> tuple[int, int]:
+    """2**w * cos(2 pi e / m) for 0 <= 4e <= m, in fixed point: the value c
+    and a bound E on its error in units of 2**-w.
+
+    theta's fixed value T = floor(2e P / m), from Machin's pi P, is off by
+    dT < (2e/m) dP + 1 units, and |cos'| <= 1 carries that to the cosine.
+    The Taylor series of cos(T / 2**w) takes terms t_k = floor(t_(k-1) T**2 /
+    (2**2w (2k-1) 2k)) from t_0 = 2**w until one is 0: each term is off by
+    less than 2 units (its ratio to the last is at most (pi/2)**2 / 2, below
+    1/4 from k = 2 on), and the alternating tail past the zero term is below
+    that term's true value, so below 2. With N terms summed, E = dT + 2N."""
+    P, dP = _fixed_pi(w)
+    T = 2 * e * P // m
+    T2 = T * T
+    c, t, k = 0, 1 << w, 0
+    while t:
+        c += -t if k % 2 else t
+        k += 1
+        t = (t * T2 >> 2 * w) // ((2 * k - 1) * 2 * k)
+    return c, -(-2 * e * dP // m) + 1 + 2 * k
+
+
 @lru_cache(maxsize=None)
 def _cos_bracket(m: int, e: int, bits: int) -> tuple[int, int]:
-    """Integers a <= 2**bits * cos(2 pi e / m) <= b: the angle is reduced to
-    [0, pi/2] (cos(-x) = cos x, cos(pi - x) = -cos x), bracketed with pi by
-    mpmath's interval arithmetic at bits + 8 bits, and its cosine is scaled
-    exactly and rounded outward."""
+    """Integers a <= 2**bits * cos(2 pi e / m) <= b, at most 2 apart, in
+    integer fixed point: the angle is reduced to [0, pi/2] (cos(-x) = cos x,
+    and cos x = -cos(pi - x) with pi - 2 pi e/m = 2 pi (m - 2e) / 2m), its
+    cosine taken at w = bits + g bits within an error budget E
+    (`_fixed_cos`), and (c - E, c + E) rounded outward to 2**-bits. E grows
+    about linearly in w, so g = log2(bits) + 16 guard bits keep 2E below
+    2**(g - 8) (checked from 1 to 4096 bits): the bracket is 2 wide only when
+    2**bits cos(2 pi e / m) lies within 2**-8 of an integer."""
     e = min(e % m, -e % m)
     if e == 0:
         return 2**bits, 2**bits
-    if 4 * e > m and m % 2 == 0:
-        a, b = _cos_bracket(m, m // 2 - e, bits)
+    if 4 * e > m:
+        a, b = _cos_bracket(2 * m, m - 2 * e, bits)
         return -b, -a
-    prec = bits + 8
-    pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
-    angle = mpi_div(mpi_mul(pi, (from_int(2 * e),) * 2, prec), (from_int(m),) * 2, prec)
-    a, b = mpi_cos(angle, prec)
-    return to_int(mpf_shift(a, bits), "f"), to_int(mpf_shift(b, bits), "c")
+    g = bits.bit_length() + 16
+    c, E = _fixed_cos(m, e, bits + g)
+    return (c - E) >> g, -(-(c + E) >> g)
 
 
 def real_bounds(xs: Iterable[Cyclotomic], bits: int) -> list[tuple[int, int]]:

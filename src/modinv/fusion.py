@@ -16,7 +16,6 @@ from itertools import product
 from math import lcm
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .cyclo import (
@@ -190,8 +189,11 @@ def reconstruct_dims(ring: FusionRing) -> FusionRing:
     of the real subfield. validate() then checks the product rule and
     reality exactly and d >= 1 on the float embedding, and a positive
     character is the Perron-Frobenius one.
-    Raises DimsReconstructionError on any failure.
+    Raises DimsReconstructionError on any failure. mpmath is imported here
+    and in `_pf_vector` only: no other path of the package loads it.
     """
+    import mpmath
+
     n, M = ring.size, ring.conductor
     k = max(1, phi(M) // 2)
     field = f"Q(zeta_{M})"
@@ -227,6 +229,8 @@ def _pf_vector(ring: FusionRing) -> list:
     """Perron-Frobenius eigenvector x of A = sum_l N_l with x_0 = 1 at the
     working mpmath precision: numpy's estimate, then Newton steps on
     F(x, lam) = ((A - lam) x, x_0 - 1) = 0."""
+    import mpmath
+
     n = ring.size
     A = ring.fusion.sum(axis=0)
     vals, vecs = np.linalg.eig(A.astype(float))

@@ -279,16 +279,22 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# The one rational grammar of ring files and argv, p or p/q in ASCII digits:
+# Fraction(str) would also read "0.5", "1e-1", " 2 " and "1_0".
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_fraction(s: Union[str, int], where: str) -> Fraction:
     if _is_int(s):
         return Fraction(s)
     if not isinstance(s, str):
         raise RingFileError(f"{where}: expected a rational string, got {s!r}")
-    try:
-        if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):  # Fraction(s) also reads "0.5", "1e-1"
-            return Fraction(s)
-    except (ValueError, ZeroDivisionError):  # q = 0, or past int's digit limit
-        pass
+    if match := _RATIONAL.fullmatch(s):
+        p, q = match.groups()
+        try:
+            return Fraction(int(p), int(q or 1))
+        except (ValueError, ZeroDivisionError):  # q = 0, or past int's digit limit
+            pass
     raise RingFileError(f"{where}: cannot parse rational {s!r}")
 
 

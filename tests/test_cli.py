@@ -4,7 +4,10 @@ determinism."""
 import copy
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modinv
 from modinv.cli import _build_parser, main
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.modular import compute_modular_data
@@ -21,6 +25,7 @@ from modinv.ringfile import (
     MAX_LABELS,
     MAX_MULTIPLICITY,
     RingFileError,
+    _parse_fraction,
     dump_ring,
     load_ring,
     ring_from_json,
@@ -125,6 +130,9 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
         ("twists", [" 1/4 ", "0", "0", "0"], exact("twists[0]: cannot parse rational ' 1/4 '")),
         ("twists", ["0", "0", "0", "1_0/3"], exact("twists[3]: cannot parse rational '1_0/3'")),
         ("twists", ["0", "1/0", "0", "0"], exact("twists[1]: cannot parse rational '1/0'")),
+        # Past int's digit limit.
+        ("twists", ["0", "1/" + "7" * 5000, "0", "0"], r"^twists\[1\]: cannot parse rational '1/777"),
+        ("twists", ["0", "7" * 5000, "0", "0"], r"^twists\[1\]: cannot parse rational '777"),
         (
             "dims",
             [{"conductor": 1, "coeffs": [[0, "0.5"]]}] * 4,
@@ -144,6 +152,20 @@ def test_ring_file_rejects_bad_fields(tmp_path, capsys):
         assert err.startswith("error: ")
     capped = ring_from_json({**data, "fusion": [[0, 0, 0, MAX_MULTIPLICITY]]})
     assert capped.fusion[0, 0, 0] == MAX_MULTIPLICITY
+
+
+@given(st.from_regex(r"[+-]?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True))
+@settings(max_examples=200, deadline=None)
+def test_parse_fraction_reads_the_grammar_as_fraction_does(text):
+    # The groups of the one match give the value Fraction(text) reads, and
+    # q = 0 is refused.
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(RingFileError, match="cannot parse rational"):
+            _parse_fraction(text, "x")
+    else:
+        assert _parse_fraction(text, "x") == expected
 
 
 # sha256 of dump_ring(ring): `modinv builtin` writes these bytes, and the
@@ -223,18 +245,35 @@ def test_ring_file_bytes_pinned(key):
         ("--node-budget", "0"),
         ("--node-budget", "-1"),
         ("--node-budget", "1.5"),
+        # A count is ASCII digits: int(str) would read these as 2, 1000 and 5.
+        ("--node-budget", " 2 "),
+        ("--node-budget", "1_000"),
+        ("--node-budget", "+5"),
+        ("--node-budget", "\uff15"),
+        pytest.param("--node-budget", "9" * 5000, id="--node-budget-past-int-digit-limit"),
     ],
 )
 def test_search_flags_reject_unparsable_and_non_positive_values(tmp_path, capsys, flag, value):
     path = tmp_path / "z2.json"
     path.write_text(dump_ring(builtin_cyclic(2, [Fraction(0)] * 2)))
+    message = f"argument {flag}: expected a positive number, got {value!r}"
     for command in ("invariants", "classify"):
         with pytest.raises(SystemExit) as exc:
             main([command, str(path), flag, value])
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert f"argument {flag}:" in out.err
+        assert message in out.err
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args([command, str(path), flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, budget", [("1", 1), ("007", 7), ("1000", 1000)])
+def test_node_budget_reads_ascii_digits(value, budget):
+    args = _build_parser().parse_args(["invariants", "ring.json", "--node-budget", value])
+    assert args.node_budget == budget
 
 
 def test_load_ring_rejects_invalid_json(tmp_path):
@@ -470,6 +509,50 @@ def test_auto_dims_match_the_exact_file(tmp_path, capsys, ring, command):
     got = run(capsys, command, str(auto))
     assert got[0] == 0
     assert got == run(capsys, command, str(exact))
+
+
+# Run in a fresh interpreter: check and classify on the builtin SU(2) level
+# 10 file leave mpmath unloaded; the same file with "dims": "auto" loads it
+# for the reconstruction and still classifies.
+MPMATH_FREE_SCRIPT = """
+import contextlib, io, json, sys
+from modinv.cli import main
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+code, text = run("builtin", "su2", "--level", "10")
+assert code == 0
+with open("su2_10.json", "w") as f:
+    f.write(text)
+assert run("check", "su2_10.json")[0] == 0
+code, exact = run("classify", "su2_10.json")
+assert code == 0
+assert "mpmath" not in sys.modules, "check or classify imported mpmath"
+data = json.loads(text)
+data["dims"] = "auto"
+with open("auto.json", "w") as f:
+    json.dump(data, f)
+assert run("classify", "auto.json") == (0, exact)
+assert "mpmath" in sys.modules
+"""
+
+
+def test_cli_loads_mpmath_only_for_auto_dims(tmp_path):
+    src = os.path.dirname(os.path.dirname(modinv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", MPMATH_FREE_SCRIPT],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("command", ["check", "modular", "invariants", "classify"])

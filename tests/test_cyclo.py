@@ -19,7 +19,10 @@ from modinv.cyclo import (
     ONE,
     ZERO,
     Cyclotomic,
+    _cos_bracket,
     _cyclotomic_poly,
+    _fixed_cos,
+    _fixed_pi,
     _is_prime,
     _l1,
     _table,
@@ -171,6 +174,77 @@ def _sqrt2_power(k):
 )
 def test_real_floor_of_negatives_integers_and_non_real_elements(x, floor):
     assert real_floor(x) == floor
+
+
+# 700 digits hold 2**2048 cos(theta) to about 80 digits past the point.
+BRACKET_DPS = 700
+
+
+def _assert_brackets_the_cosine(m, e, bits, dps=BRACKET_DPS):
+    a, b = _cos_bracket(m, e, bits)
+    with mpmath.workdps(dps):
+        scaled = mpmath.cos(2 * mpmath.pi * e / m) * mpmath.mpf(2) ** bits
+        assert a <= scaled <= b, (m, e, bits)
+    assert b - a <= 2, (m, e, bits)
+
+
+@st.composite
+def cos_cases(draw):
+    """(m, e) with m <= 1000 and any e; half of them an odd m with the angle
+    in (pi/2, pi), where the reduction goes through the conductor 2m."""
+    if draw(st.booleans()):
+        m = 2 * draw(st.integers(1, 499)) + 1
+        e = draw(st.integers(m // 4 + 1, m // 2))
+    else:
+        m = draw(st.integers(1, 1000))
+        e = draw(st.integers(0, m - 1))
+    return m, draw(st.sampled_from([1, -1])) * e + m * draw(st.integers(-3, 3))
+
+
+@given(cos_cases(), st.integers(1, 64).map(lambda k: 32 * k))
+@settings(max_examples=150, deadline=None)
+def test_cos_bracket_holds_the_cosine_at_700_digits(case, bits):
+    _assert_brackets_the_cosine(*case, bits)
+
+
+@pytest.mark.parametrize("bits", [32, 53, 64])
+def test_cos_bracket_holds_every_angle_of_small_conductors(bits):
+    for m in range(1, 61):
+        for e in range(m):
+            _assert_brackets_the_cosine(m, e, bits, dps=60)
+
+
+@pytest.mark.parametrize("bits", [1, 32, 64, 2048])
+def test_cos_bracket_of_rational_cosines(bits):
+    # cos = 1 and -1 are exact; at cos = 0 and +-1/2 the scaled value is an
+    # integer the error budget straddles.
+    one = 2**bits
+    for m in (1, 2, 3, 4, 6, 12, 1000):
+        assert _cos_bracket(m, 0, bits) == _cos_bracket(m, 5 * m, bits) == (one, one)
+    for m, e in ((2, 1), (4, 2), (6, 3), (998, 499), (1000, 1500)):
+        assert _cos_bracket(m, e, bits) == (-one, -one)
+    for m, e, value in ((4, 1, 0), (4, 3, 0), (12, 9, 0), (1000, 250, 0), (6, 1, one // 2),
+                        (3, 1, -one // 2), (6, 2, -one // 2), (999, 333, -one // 2)):
+        a, b = _cos_bracket(m, e, bits)
+        assert a <= value <= b and b - a <= 2, (m, e, bits)
+
+
+@pytest.mark.parametrize("w", [1, 10, 46, 300, 2076])
+def test_fixed_pi_is_within_its_error_bound(w):
+    P, dP = _fixed_pi(w)
+    with mpmath.workdps(BRACKET_DPS):
+        assert abs(P - mpmath.pi * mpmath.mpf(2) ** w) <= dP
+
+
+@given(st.integers(1, 1000).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m // 4))),
+       st.integers(1, 300))
+@settings(max_examples=150, deadline=None)
+def test_fixed_cos_is_within_its_error_budget(case, w):
+    # The budget on its own bounds the error, with no guard bits around it.
+    m, e = case
+    c, E = _fixed_cos(m, e, w)
+    with mpmath.workdps(120):
+        assert abs(c - mpmath.cos(2 * mpmath.pi * e / m) * mpmath.mpf(2) ** w) <= E
 
 
 @given(elements())
