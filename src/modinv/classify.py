@@ -454,43 +454,27 @@ def _extended_gauss_sum(
     return z0, [] if z0 == ratio * md.z else ["z0 != (w_plus/w) z"]
 
 
-class RationalSpan:
-    """Rational span of a list of coupling matrices, reduced to echelon form
-    once; the dimension and every membership test read that one reduction."""
-
-    def __init__(self, mats: Sequence[CouplingMatrix]):
-        self._echelon = Echelon(len(mats[0].Z) ** 2 if mats else 0)
-        for m in mats:
-            self._echelon.insert(_flatten(m))
-
-    @property
-    def dimension(self) -> int:
-        return self._echelon.rank
-
-    def __contains__(self, target: CouplingMatrix) -> bool:
-        if not self.dimension:
-            # The span of no matrices holds only zero and has no width yet.
-            return not _flatten(target)
-        return not any(self._echelon.residual(_flatten(target)))
-
-
 def rational_span_dimension(mats: Sequence[CouplingMatrix]) -> int:
-    return RationalSpan(mats).dimension
+    return span_dimension_and_relations(mats)[0]
 
 
 def in_rational_span(target: CouplingMatrix, mats: Sequence[CouplingMatrix]) -> bool:
-    return target in RationalSpan(mats)
+    """A relation among [*mats, target] is nonzero at the target exactly
+    when the target lies in the span, and then the last one is."""
+    relations = span_dimension_and_relations([*mats, target])[1]
+    return bool(relations and relations[-1][-1])
 
 
-def span_relations(mats: Sequence[CouplingMatrix]) -> list[tuple[int, ...]]:
+def span_relations(mats: Sequence[CouplingMatrix]) -> list[list[int]]:
     """Integer basis of the rational relations sum_i c_i Z_i = 0 among the
-    given matrices, each normalized to coprime entries with positive lead."""
+    given matrices, each a list over the matrices, normalized to coprime
+    entries with positive lead."""
     return span_dimension_and_relations(mats)[1]
 
 
 def span_dimension_and_relations(
     mats: Sequence[CouplingMatrix],
-) -> tuple[int, list[tuple[int, ...]]]:
+) -> tuple[int, list[list[int]]]:
     """Span dimension and `span_relations` from one pass over the matrices.
 
     Relation i is the unique primitive relation among mats[:i+1], positive at
@@ -506,7 +490,7 @@ def span_dimension_and_relations(
     width = len(mats[0].Z) ** 2 if mats else 0
     echelon = Echelon(2 * width + 1)
     member: dict[int, int] = {}  # slot -> index into mats
-    relations: list[tuple[int, ...]] = []
+    relations: list[list[int]] = []
     free = 0  # the slot of the matrix being reduced
     for i, Z in enumerate(mats):
         entries = {**_flatten(Z), width + free: 1}
@@ -523,7 +507,7 @@ def span_dimension_and_relations(
         relation = [0] * k
         for j, c in coeffs.items():
             relation[j] = c // g
-        relations.append(tuple(relation))
+        relations.append(relation)
         if lead != i:  # i is the lead only of a zero matrix, which joins no basis
             (leaving,) = (s for s, j in member.items() if j == lead)
             echelon.rewrite(r, width + leaving)

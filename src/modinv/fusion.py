@@ -235,9 +235,11 @@ def _pf_vector(ring: FusionRing) -> list:
     A = ring.fusion.sum(axis=0)
     vals, vecs = np.linalg.eig(A.astype(float))
     top = int(np.argmax(vals.real))
-    v = vecs[:, top].real / vecs[0, top].real
-    if not np.all(v > 0):
+    x = vecs[:, top].real
+    # Tested before dividing, so that x_0 = 0 raises rather than warns.
+    if not np.all(np.sign(x) * np.sign(x[0]) > 0):
         raise DimsReconstructionError("sum_l N_l has no positive Perron-Frobenius vector")
+    v = x / x[0]
     J = mpmath.matrix(np.pad(A, (0, 1)).tolist())  # the Jacobian [[A - lam, -x], [e_0, 0]]
     J[n, 0] = 1
     z = mpmath.matrix(v.tolist() + [vals[top].real])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .classify import Classification, RationalSpan, span_dimension_and_relations
+from .classify import Classification, span_dimension_and_relations
 from .commutant import CouplingMatrix
 from .cyclo import Cyclotomic
 from .modular import ModularData, display_charge
@@ -99,21 +99,21 @@ def invariant_summary(Z: CouplingMatrix, values: ReportValues) -> dict:
 
 
 def span_summary(pool: Sequence[CouplingMatrix]) -> dict:
-    """Rational span of the invariant list: dimension, the integer relation
-    basis, and for each asymmetric invariant whether it lies in the span of
-    the symmetric ones.
+    """Rational span of the invariant list: dimension and the integer
+    relation basis, from one reduction of the whole list, and for each
+    asymmetric invariant whether it lies in the span of the symmetric ones.
 
-    The symmetric invariants are reduced once and every asymmetric one is
-    tested against that reduction; the dimension and the relations come from
-    one reduction of the whole list."""
-    sym_span = RationalSpan([Z for Z in pool if Z.vacuum_symmetric])
-    asym = {i: Z in sym_span for i, Z in enumerate(pool) if not Z.vacuum_symmetric}
+    It never does: the matrices with Z[l,0] = Z[0,l] for every l form a
+    linear subspace, which holds every symmetric invariant and so their
+    span, and an asymmetric invariant lies outside it."""
     dimension, relations = span_dimension_and_relations(pool)
     return {
         "count": len(pool),
         "span_dimension": dimension,
-        "relations": [list(r) for r in relations],
-        "asymmetric_in_symmetric_span": {str(k): v for k, v in sorted(asym.items())},
+        "relations": relations,
+        "asymmetric_in_symmetric_span": {
+            str(i): False for i, Z in enumerate(pool) if not Z.vacuum_symmetric
+        },
     }
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import modinv.classify
 import modinv.cyclo
+import modinv.report
 from modinv.cyclo import Cyclotomic, csum, divide, int_array, int_matmul, root_of_unity
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.linalg import Echelon, SingularMatrix, inverse
@@ -543,7 +544,7 @@ def _reference_span_dimension_and_relations(mats):
     for i, Z in enumerate(mats):
         flat = {j: v for j, v in enumerate(v for row in Z.Z for v in row) if v}
         pivots.append(echelon.insert({**flat, width + i: 1}))
-    relations = [tuple(echelon.rows[p][width:]) for p in pivots if p >= width]
+    relations = [list(echelon.rows[p][width:]) for p in pivots if p >= width]
     return k - len(relations), relations
 
 
@@ -589,6 +590,41 @@ def integer_matrix_lists(draw):
 @settings(max_examples=150, deadline=None)
 def test_span_relations_match_the_full_reduction_on_integer_matrices(mats):
     assert span_dimension_and_relations(mats) == _reference_span_dimension_and_relations(mats)
+
+
+def _sympy_rank(mats):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[v for row in Z.Z for v in row] for Z in mats]).rank() if mats else 0
+
+
+@given(integer_matrix_lists())
+@settings(max_examples=100, deadline=None)
+def test_span_membership_and_dimension_match_sympy_rank(mats):
+    # Z[l,0] = Z[0,l] for every l is linear, so no asymmetric matrix is in
+    # the span of the symmetric ones.
+    symmetric = [Z for Z in mats if Z.vacuum_symmetric]
+    assert not any(in_rational_span(Z, symmetric) for Z in mats if not Z.vacuum_symmetric)
+    ranks = [_sympy_rank(mats[:i]) for i in range(len(mats) + 1)]
+    assert rational_span_dimension(mats) == ranks[-1]
+    for i, Z in enumerate(mats):
+        assert in_rational_span(Z, mats[:i]) == (ranks[i + 1] == ranks[i])
+
+
+def test_span_summary_builds_one_echelon(so16, monkeypatch):
+    md, pool, _ = so16
+    built = []
+
+    class RecordedEchelon(modinv.linalg.Echelon):
+        def __init__(self, width):
+            built.append(width)
+            super().__init__(width)
+
+    # Patched in both modules, so that an echelon built by classify itself
+    # is counted too.
+    monkeypatch.setattr(modinv.linalg, "Echelon", RecordedEchelon)
+    monkeypatch.setattr(modinv.classify, "Echelon", RecordedEchelon)
+    modinv.report.span_summary(pool)
+    assert built == [2 * md.size**2 + 1]
 
 
 def test_block_dim_identity(su2_16):

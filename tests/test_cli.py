@@ -573,6 +573,32 @@ def test_auto_dims_outside_the_field_exit_1(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+def test_auto_dims_with_zero_vacuum_perron_frobenius_entry_is_one_line(tmp_path):
+    # N[1,1]^1 = 1 is the only fusion entry, so sum_l N_l has top eigenvector
+    # e_1, whose vacuum entry is 0. In a fresh process, so that a numpy
+    # warning would reach stderr as it does for users.
+    data = {
+        "labels": ["0", "1"],
+        "fusion": [[1, 1, 1, 1]],
+        "dual": [0, 1],
+        "twists": ["0", "0"],
+        "dims": "auto",
+    }
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(data))
+    src = os.path.dirname(os.path.dirname(modinv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "modinv.cli", "check", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 1
+    assert done.stderr == "invalid ring data: sum_l N_l has no positive Perron-Frobenius vector\n"
+
+
 @pytest.mark.parametrize("command", ["modular", "invariants", "classify"])
 def test_integrity_error_is_one_line(tmp_path, capsys, command):
     # SO(16) with twist 1/3 on v passes the ring axioms but breaks the

@@ -99,7 +99,7 @@ def test_degenerate_z5_report_bytes_pinned():
     pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
     report = build_report(md, pool, classify_all(md, pool))
     # The report is 57 MB of JSON; `modinv classify` on this ring peaks at
-    # 229 MB RSS (ru_maxrss), against 526 MB when json.dumps rendered it.
+    # 190 MB RSS (ru_maxrss), against 526 MB when json.dumps rendered it.
     text = render_json(report)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "74a53ba897a5b247a5e62f9f99e14ceb477b2ba8bd33ae940aa8c02f19c0c7f9"
