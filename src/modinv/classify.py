@@ -55,14 +55,14 @@ class GlobalIndices:
     w_zero: Cyclotomic
 
     def check(self) -> list[str]:
-        """Notes for the report: w_zero w_alpha = w_plus^2, exactly, and the
-        chain 1 <= w_zero <= w_plus <= w_alpha <= w on float embeddings. The
-        float chain is what pinned reports record: it reads "violated" on
-        SU(2) levels 9 and 21, where equal indices embed a few ulps apart.
-        `chain_holds` decides the chain exactly."""
+        """Notes for the report: the chain 1 <= w_zero <= w_plus <= w_alpha
+        <= w on float embeddings. The float chain is what pinned reports
+        record: it reads "violated" on SU(2) levels 9 and 21, where equal
+        indices embed a few ulps apart. `chain_holds` decides the chain
+        exactly. w_zero w_alpha = w_plus^2 needs no note: `global_indices`
+        takes w_zero = divide(w_plus^2, w_alpha), and `divide` returns a
+        quotient q only once q w_alpha = w_plus^2 holds exactly."""
         report = []
-        if self.w_zero * self.w_alpha != self.w_plus * self.w_plus:
-            report.append("w_zero * w_alpha != w_plus^2")
         vals = [self.w_zero, self.w_plus, self.w_alpha, self.w]
         names = ["w_zero", "w_plus", "w_alpha", "w"]
         nums = []
@@ -121,20 +121,14 @@ class Classification:
 
 def global_indices(md: ModularData, Z: CouplingMatrix) -> GlobalIndices:
     """w = sum d^2; w_plus = w / sum_l d_l Z_{l,0};
-    w_alpha = w / sum over degenerate l of Z_{0,l} d_l; w_zero = w_plus^2 / w_alpha."""
+    w_alpha = w / sum over degenerate l of Z_{0,l} d_l; w_zero = w_plus^2 / w_alpha.
+    Each quotient is a `divide`, which raises ZeroDivisionError on a zero sum."""
     d = md.ring.dims
     n = md.size
-    w_plus = _index(md, csum(d[l] * Z.Z[l][0] for l in range(n) if Z.Z[l][0]))
-    w_alpha = _index(md, csum(d[l] * Z.Z[0][l] for l in sorted(md.degenerates) if Z.Z[0][l]))
+    w_plus = divide(md.w, csum(d[l] * Z.Z[l][0] for l in range(n) if Z.Z[l][0]))
+    w_alpha = divide(md.w, csum(d[l] * Z.Z[0][l] for l in sorted(md.degenerates) if Z.Z[0][l]))
     w_zero = divide(w_plus * w_plus, w_alpha)
     return GlobalIndices(w=md.w, w_plus=w_plus, w_alpha=w_alpha, w_zero=w_zero)
-
-
-def _index(md: ModularData, total: Cyclotomic) -> Cyclotomic:
-    """w / total, for the sum behind w_plus or w_alpha."""
-    if total.is_zero():
-        raise AssertionError("internal error: zero denominator in global indices")
-    return divide(md.w, total)
 
 
 def factorize_type_one(md: ModularData, Z: CouplingMatrix) -> list[BranchingData]:
@@ -384,10 +378,8 @@ def extended_modular_data(
         failures.append(f"intertwining fails at block {a}, label {m}")
     for a, b in np.argwhere(np.triu((X != X.transpose(0, 2, 1)).any(axis=0))):
         failures.append(f"Yext not symmetric at ({a},{b})")
-    for a in range(t):
-        failures += _twist_failures(md, branching, a)
-    z0, z0_failures = _extended_gauss_sum(md, branching, ratio)
-    failures += z0_failures
+    z0, gram_free = _gram_free_checks(md, branching, ratio)
+    failures += gram_free
     if md.nondegenerate:
         # Yext Yext^dagger must be w_zero times the identity.
         Xv = evaluate(X, DX, M)
@@ -410,48 +402,46 @@ def extended_modular_data(
 def branching_checks(
     md: ModularData, branching: BranchingData, indices: GlobalIndices
 ) -> list[str]:
-    """Exact identities that depend on the branching data alone, without the
-    Gram inverse: block dims, twist intertwining, the extended Gauss sum
-    z0 = (w_plus/w) z and w_zero w_alpha = w_plus^2. Used in full when the
-    branching rows are dependent and Yext is not determined."""
-    n = md.size
-    d = md.ring.dims
-    failures: list[str] = []
-    ratio = divide(indices.w_plus, md.w)
-    for a, b in enumerate(branching.B):
-        failures += _twist_failures(md, branching, a)
-        lhs = csum(d[l] * b[l] for l in range(n) if b[l])
-        if ratio * lhs != branching.block_dims[a]:
-            failures.append(f"block dim identity fails at block {a}")
-    failures += _extended_gauss_sum(md, branching, ratio)[1]
-    if indices.w_zero * indices.w_alpha != indices.w_plus * indices.w_plus:
-        failures.append("w_zero * w_alpha != w_plus^2")
-    return failures
+    """The exact identities of `_gram_free_checks`, which need no Gram
+    inverse; used when the branching rows are dependent and Yext is not
+    determined. Two more identities hold by construction, because `divide`
+    returns a quotient q of a by b only once q b = a holds exactly:
+    - the block dims d_tau = (w_plus/w) sum_l b_{tau,l} d_l, whenever the
+      branching factorizes the invariant Z that the indices are of (the only
+      pairing `classify_all` makes): `_branching_from_rows` takes
+      d_tau = divide(sum_l b_{tau,l} d_l, sum_l d_l Z_{l,0}), row 0 being the
+      vacuum column of Z, and `global_indices` takes
+      w_plus = divide(w, sum_l d_l Z_{l,0});
+    - w_zero w_alpha = w_plus^2, since w_zero = divide(w_plus^2, w_alpha)."""
+    return _gram_free_checks(md, branching, divide(indices.w_plus, md.w))[1]
 
 
-def _twist_failures(md: ModularData, branching: BranchingData, a: int) -> list[str]:
-    """Twist intertwining at block a: every label in its row has its twist."""
-    h, twists = branching.block_twists[a], md.ring.twists
-    failing = [l for l, b in enumerate(branching.B[a]) if b and twists[l] != h]
-    return [f"twist intertwining fails at block {a}, label {l}" for l in failing]
-
-
-def _extended_gauss_sum(
+def _gram_free_checks(
     md: ModularData, branching: BranchingData, ratio: Cyclotomic
 ) -> tuple[Cyclotomic, list[str]]:
-    """z0 = sum_a d_a^2 omega_a, and its failure of z0 = ratio * z, if any.
+    """The extended Gauss sum z0 = sum_a d_a^2 omega_a, and the failures, in
+    this order, of twist intertwining (every label in the row of block a has
+    its twist, blocks in order) and of z0 = ratio * z, ratio = w_plus/w.
     When the blocks are the labels (B = 1, the diagonal invariant as its own
     parent) with their dims and twists, z0 is the sum behind z itself: the
     block dims d_l / d_0 of `_branching_from_rows` keep the coordinates and
     slot order of d_l, so z0 = z term by term."""
     ring, n = md.ring, md.size
+    failures = [
+        f"twist intertwining fails at block {a}, label {l}"
+        for a, (row, h) in enumerate(zip(branching.B, branching.block_twists))
+        for l, b in enumerate(row)
+        if b and ring.twists[l] != h
+    ]
     unit = tuple(tuple(int(l == a) for l in range(n)) for a in range(n))
     if (branching.B, branching.block_dims, branching.block_twists) == (unit, ring.dims, ring.twists):
         z0 = md.z
     else:
         pairs = zip(branching.block_dims, branching.block_twists)
         z0 = csum(d * d * root_of_unity(h) for d, h in pairs)
-    return z0, [] if z0 == ratio * md.z else ["z0 != (w_plus/w) z"]
+    if z0 != ratio * md.z:
+        failures.append("z0 != (w_plus/w) z")
+    return z0, failures
 
 
 def rational_span_dimension(mats: Sequence[CouplingMatrix]) -> int:

@@ -1,9 +1,10 @@
 """Exact commutant {Z : YZ = ZY, Omega Z = Z Omega} and exhaustive
 enumeration of its non-negative integer points with Z[0,0] = 1.
 
-The T-commutation constraint is imposed structurally as a sparsity pattern
-(entries vanish off equal twists). YZ = ZY is linear in the rational Z over
-the integer coordinates of Y in the power basis (ModularData.Y_coords), on
+The T-commutation constraint is imposed structurally by the twist mask
+(`twist_sparsity`: entries vanish off equal twists), which the kernel and
+every verification read. YZ = ZY is linear in the rational Z over the
+integer coordinates of Y in the power basis (ModularData.Y_coords), on
 which both the kernel and every commutation check are computed. The kernel
 is that of the P x P integer Gram matrix of the constraints (P the allowed
 entries), read off one reduction of its rows. The integer points are then
@@ -31,6 +32,7 @@ import numpy as np
 
 from .cyclo import (
     Cyclotomic,
+    _parts,
     exact_dtype,
     int_array,
     int_dtype,
@@ -68,11 +70,6 @@ class SearchBudgetExceeded(RuntimeError):
 
 class InvariantRejected(ValueError):
     """A candidate matrix violates one of the coupling-matrix constraints."""
-
-
-@dataclass(frozen=True)
-class SparsityPattern:
-    allowed: frozenset[tuple[int, int]]
 
 
 @dataclass
@@ -119,21 +116,21 @@ class CouplingMatrix:
         )
 
 
-def twist_sparsity(ring: FusionRing) -> SparsityPattern:
-    """Allowed entries (l, m) with h_l = h_m mod 1 (T-commutation)."""
-    n = ring.size
-    h = ring.twists
-    return SparsityPattern(
-        allowed=frozenset((l, m) for l in range(n) for m in range(n) if h[l] == h[m])
-    )
+def twist_sparsity(ring: FusionRing) -> np.ndarray:
+    """The (n, n) twist mask, True at the entries (l, m) with h_l = h_m
+    that T-commutation allows. The exponents s = h M are integers, M the
+    conductor, so s_l = s_m exactly when h_l = h_m."""
+    s = twist_exponents(ring)
+    return s[:, None] == s
 
 
 # -- exact kernel ------------------------------------------------------------
 
 
-def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis:
-    """Rational kernel of Z -> YZ - ZY restricted to the sparsity pattern,
-    as a reduced-echelon basis with respect to row-major entry order.
+def commutant_basis(md: ModularData, pattern: np.ndarray) -> CommutantBasis:
+    """Rational kernel of Z -> YZ - ZY restricted to the True entries of the
+    (n, n) mask `pattern` (`twist_sparsity`), as a reduced-echelon basis with
+    respect to row-major entry order.
 
     It is computed as the kernel of the P x P Gram matrix G = A^T A of the
     integer constraint matrix A (rows: coordinate e and entry (l, m) of
@@ -141,7 +138,8 @@ def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis
     x^T G x = |Ax|^2 and G has the kernel of A, whose reduced-echelon basis
     is unique."""
     n = md.size
-    positions = sorted(pattern.allowed)
+    a, b = np.nonzero(pattern)  # row-major
+    positions = list(zip(a.tolist(), b.tolist()))
     P = len(positions)
     rows = []
     for row in _gram(md.Y_coords, positions):
@@ -150,7 +148,6 @@ def commutant_basis(md: ModularData, pattern: SparsityPattern) -> CommutantBasis
     basis = kernel(rows, P)
     cb = CommutantBasis(positions, [row for _, row in basis], [col for col, _ in basis])
     # Each basis row times the lcm of its denominators, as one integer stack.
-    a, b = np.array(positions, dtype=np.intp).reshape(P, 2).T
     stack = np.zeros((cb.dimension, n, n), dtype=object)
     for i, vec in enumerate(cb.basis):
         L = math.lcm(*(x.denominator for x in vec))
@@ -202,7 +199,7 @@ def _noncommuting(md: ModularData, Z: np.ndarray) -> np.ndarray:
 def enumerate_invariants(
     md: ModularData,
     basis: CommutantBasis,
-    bound_scale: Union[Fraction, float, int] = 1,
+    bound_scale: Union[Fraction, int] = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[CouplingMatrix]:
     """All non-negative integer matrices in the commutant with Z[0,0] = 1.
@@ -228,6 +225,7 @@ def enumerate_invariants(
     re-verified.
     """
     n = md.size
+    scale = Fraction(*_parts(bound_scale))  # an int or a Fraction, else TypeError
     if basis.dimension == 0 or basis.positions[0] != (0, 0):
         return []
     if basis.pivot_indices[0] != 0:
@@ -235,7 +233,7 @@ def enumerate_invariants(
 
     positions = basis.positions
     P = len(positions)
-    bounds = np.array(_entry_bounds(md.ring.dims, positions, Fraction(bound_scale)))
+    bounds = np.array(_entry_bounds(md.ring.dims, positions, scale))
     pivots = basis.pivot_indices
     k = len(pivots)
     # Kernel rows times their common denominator L: the search accumulates L * Z.
@@ -345,13 +343,13 @@ def _verify_pool(
     failing constraint and, in row-major order, entry."""
     n = md.size
     Z = (pool if isinstance(pool, np.ndarray) else int_array(pool)).reshape(-1, n, n)
-    s = twist_exponents(md.ring)
+    off_twist = ~twist_sparsity(md.ring)
     vacuum = np.zeros((n, n), dtype=bool)
     vacuum[0, 0] = True
     masks = {
         "entry Z[{l},{m}] = {v} is not a non-negative integer": Z < 0,
         "Z[0,0] = {v}, must be 1": vacuum & (Z != 1),
-        "Omega Z != Z Omega: Z[{l},{m}] != 0 but h[{l}] != h[{m}]": (s[:, None] != s) & (Z != 0),
+        "Omega Z != Z Omega: Z[{l},{m}] != 0 but h[{l}] != h[{m}]": off_twist & (Z != 0),
         "YZ != ZY at ({l},{m})": _noncommuting(md, Z),
     }
     failing = np.logical_or.reduce(list(masks.values())).any(axis=(1, 2))

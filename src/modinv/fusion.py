@@ -21,6 +21,7 @@ import numpy as np
 from .cyclo import (
     ONE,
     Cyclotomic,
+    _parts,
     coordinates,
     csum,
     differs,
@@ -71,9 +72,10 @@ def make_ring(
     central_charge_hint: Optional[Fraction] = None,
 ) -> FusionRing:
     """Normalize and freeze ring data: the fusion rules become one read-only
-    integer tensor (numpy's ValueError on a ragged one), twists are reduced
-    mod 1 and exact dims are promoted to the global conductor."""
-    twists_mod = tuple(Fraction(h) % 1 for h in twists)
+    integer tensor (numpy's ValueError on a ragged one), twists (ints or
+    Fractions, else TypeError) are reduced mod 1 and exact dims are promoted
+    to the global conductor."""
+    twists_mod = tuple(Fraction(*_parts(h)) % 1 for h in twists)
     N = int_array(fusion)
     N.flags.writeable = False
     ring = FusionRing(
@@ -341,10 +343,11 @@ def builtin_so_level1(n: int) -> FusionRing:
 
 
 def builtin_cyclic(n: int, twists: Sequence[Fraction]) -> FusionRing:
-    """Group ring of Z_n with prescribed twists (all dimensions 1)."""
+    """Group ring of Z_n with prescribed twists, ints or Fractions (else
+    TypeError), and all dimensions 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    twists = [Fraction(h) % 1 for h in twists]
+    twists = [Fraction(*_parts(h)) % 1 for h in twists]
     if len(twists) != n:
         raise ValueError(f"expected {n} twists, got {len(twists)}")
     if twists[0] != 0:

@@ -977,6 +977,29 @@ def test_classify_all_matches_the_per_invariant_reference(build, args):
     assert got == list(map(_classification_form, _reference_classify_all(md, pool)))
 
 
+@pytest.mark.parametrize(
+    "build, args", [r[1:] for r in CLASSIFY_RINGS], ids=[r[0] for r in CLASSIFY_RINGS]
+)
+def test_identities_certified_by_divide_and_the_twist_mask(build, args):
+    # No runtime check re-states these: w_zero = divide(w_plus^2, w_alpha),
+    # each block dim is a divide by sum_l d_l Z_{l,0} = w / w_plus, and the
+    # twist mask compares the integers h M instead of the twists.
+    ring = build(*args)
+    md = compute_modular_data(ring)
+    h, n, d = ring.twists, ring.size, ring.dims
+    mask = twist_sparsity(ring)
+    assert mask.dtype == bool
+    assert mask.tolist() == [[h[l] == h[m] for m in range(n)] for l in range(n)]
+    for Z in enumerate_invariants(md, commutant_basis(md, mask)):
+        idx = global_indices(md, Z)
+        assert idx.w_zero * idx.w_alpha == idx.w_plus * idx.w_plus
+        ratio = divide(idx.w_plus, md.w)
+        for branching in factorize_type_one(md, Z):
+            assert list(branching.block_dims) == [
+                ratio * csum(d[l] * b[l] for l in range(n) if b[l]) for b in branching.B
+            ]
+
+
 def test_classify_all_matches_the_reference_past_int64():
     # Z_2 with zero twists has the invariants [[1, a], [a, 1]] for every a;
     # entries past int64 take the stack of Python ints.

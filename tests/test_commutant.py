@@ -33,7 +33,7 @@ from modinv.commutant import (
     verify_invariant,
 )
 
-from test_fusion import quadratic_twists, strip_dims
+from test_fusion import NOT_EXACT, quadratic_twists, strip_dims
 
 # The six coupling matrices of the two-spinor rank-4 ring: identity, the
 # spinor swap W, the two local extensions X_s and X_c, and the asymmetric
@@ -143,10 +143,17 @@ def _reference_enumerate(md, basis, bound_scale=1):
 
 def test_so16_sparsity_pattern():
     ring = builtin_so_level1(16)
-    allowed = twist_sparsity(ring).allowed
+    mask = twist_sparsity(ring)
     # Twists (0, 1/2, 1, 1) mod 1: labels {0, s, c} pair freely, v only with itself.
-    assert len(allowed) == 10
-    assert (1, 1) in allowed and (0, 1) not in allowed
+    assert mask.shape == (4, 4) and mask.sum() == 10
+    assert mask[1, 1] and not mask[0, 1]
+
+
+@pytest.mark.parametrize("scale", NOT_EXACT)
+def test_enumerate_invariants_rejects_a_bound_scale_that_is_not_exact(scale):
+    md, basis, _ = pipeline(builtin_so_level1(16))
+    with pytest.raises(TypeError, match="expected int or Fraction"):
+        enumerate_invariants(md, basis, bound_scale=scale)
 
 
 def test_so16_commutant_basis():
@@ -422,9 +429,8 @@ def _oracle_case(i):
     ring, scale = _oracle_cases()[i]
     md = compute_modular_data(ring)
     d = [x.embed().real for x in ring.dims]
-    candidates = math.prod(
-        math.ceil(scale * d[l] * d[m] - 1e-9) + 1 for l, m in twist_sparsity(ring).allowed
-    )
+    allowed = np.argwhere(twist_sparsity(ring)).tolist()
+    candidates = math.prod(math.ceil(scale * d[l] * d[m] - 1e-9) + 1 for l, m in allowed)
     return md, scale, candidates
 
 
@@ -788,7 +794,11 @@ def _kernel_rings():
 @lru_cache(maxsize=None)
 def _kernel_case(i):
     ring = _kernel_rings()[i]
-    return compute_modular_data(ring), sorted(twist_sparsity(ring).allowed)
+    h, n = ring.twists, ring.size
+    # The positions by Fraction equality of the twists, in row-major order.
+    return compute_modular_data(ring), [
+        (l, m) for l in range(n) for m in range(n) if h[l] == h[m]
+    ]
 
 
 @given(st.integers(0, len(_kernel_rings()) - 1))

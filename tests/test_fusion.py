@@ -374,6 +374,24 @@ def test_make_ring_rejects_a_ragged_fusion_tensor():
         make_ring(["1", "g"], [[[1, 0], [0, 1]], [[0, 1], [1]]], [0, 1], [0, 0])
 
 
+# Exact inputs are ints or Fractions: a float or a string would be read by
+# Fraction() into a value (0.1 as 3602879701896397/2**55) that the ring-file
+# grammar refuses.
+NOT_EXACT = [0.5, 0.1, "1/4"]
+
+
+@pytest.mark.parametrize("h", NOT_EXACT)
+def test_make_ring_rejects_twists_that_are_not_exact(h):
+    with pytest.raises(TypeError, match="expected int or Fraction"):
+        make_ring(["1", "g"], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [0, 1], [0, h])
+
+
+@pytest.mark.parametrize("h", NOT_EXACT)
+def test_builtin_cyclic_rejects_twists_that_are_not_exact(h):
+    with pytest.raises(TypeError, match="expected int or Fraction"):
+        builtin_cyclic(2, [0, h])
+
+
 def test_fusion_tensor_beyond_int64_holds_python_ints():
     # Numpy integers read off an int64 ring join a multiplicity beyond int64
     # as Python ints, so no product in validate wraps and the ring file
