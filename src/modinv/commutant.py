@@ -7,12 +7,13 @@ every verification read. YZ = ZY is linear in the rational Z over the
 integer coordinates of Y in the power basis (ModularData.Y_coords), on
 which both the kernel and every commutation check are computed. The kernel
 is that of the P x P integer Gram matrix of the constraints (P the allowed
-entries), read off one reduction of its rows. The integer points are then
-enumerated, in integers, by a search over the kernel's pivot entries that
-expands whole batches of sibling nodes as integer arrays. It reads no
-float: its entry bounds ceil(scale * d_l * d_m) are exact, and it prunes a
-node once some column's entries that are not yet final have a negative
-d-weighted sum, which integer brackets of 2**32 d_l certify.
+entries), read off its reduction modulo primes and certified exactly. The
+integer points are then enumerated, in integers, by a search over the
+kernel's pivot entries that expands whole batches of sibling nodes as
+integer arrays. It reads no float: its entry bounds ceil(scale * d_l * d_m)
+are exact, and it prunes a node once some column's entries that are not
+yet final have a negative d-weighted sum, which integer brackets of
+2**32 d_l certify.
 
 Each constraint on a coupling matrix has one implementation, a mask over a
 (k, n, n) stack of integer matrices: `_verify_pool` checks the search's whole
@@ -136,16 +137,12 @@ def commutant_basis(md: ModularData, pattern: np.ndarray) -> CommutantBasis:
     integer constraint matrix A (rows: coordinate e and entry (l, m) of
     YZ - ZY; columns: the P allowed positions). A is rational, so
     x^T G x = |Ax|^2 and G has the kernel of A, whose reduced-echelon basis
-    is unique."""
+    is unique; `linalg.kernel` reads it off G modulo primes and certifies it
+    exactly."""
     n = md.size
     a, b = np.nonzero(pattern)  # row-major
     positions = list(zip(a.tolist(), b.tolist()))
-    P = len(positions)
-    rows = []
-    for row in _gram(md.Y_coords, positions):
-        (nonzero,) = row.nonzero()
-        rows.append(dict(zip(nonzero.tolist(), row[nonzero].tolist())))
-    basis = kernel(rows, P)
+    basis = kernel(_gram(md.Y_coords, positions))
     cb = CommutantBasis(positions, [row for _, row in basis], [col for col, _ in basis])
     # Each basis row times the lcm of its denominators, as one integer stack.
     stack = np.zeros((cb.dimension, n, n), dtype=object)

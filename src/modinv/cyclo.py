@@ -135,15 +135,22 @@ class Cyclotomic:
     def __init__(self, conductor: int, coeffs: Mapping[int, Scalar]):
         """The element sum_e coeffs[e] * zeta_conductor^e, for rational
         coefficients at any integer exponent."""
-        if conductor < 1:
-            raise ValueError(f"conductor must be positive, got {conductor}")
-        terms = [(e % conductor, *_parts(c)) for e, c in coeffs.items()]
+        terms = [(e, *_parts(c)) for e, c in coeffs.items()]
         den = lcm(*(q for _, _, q in terms))
-        num = _reduce(conductor, [(e, p * (den // q)) for e, p, q in terms])
-        x = _make(conductor, num, den)
+        x = Cyclotomic.from_terms(conductor, [(e, p * (den // q)) for e, p, q in terms], den)
         self.conductor, self.num, self.den = conductor, x.num, x.den
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_terms(
+        cls, conductor: int, terms: Iterable[tuple[int, int]], den: int = 1
+    ) -> "Cyclotomic":
+        """The element sum_e c * zeta_conductor^e / den over integer terms
+        (e, c) at any integer exponents, for a positive integer den."""
+        if conductor < 1:
+            raise ValueError(f"conductor must be positive, got {conductor}")
+        return _make(conductor, _reduce(conductor, [(e % conductor, c) for e, c in terms]), den)
 
     @classmethod
     def from_rational(cls, value: Scalar, conductor: int = 1) -> "Cyclotomic":
@@ -568,6 +575,28 @@ def coordinates(entries, m: int) -> tuple[np.ndarray, int]:
         for e, c in x.num.items():
             X[e, k] = c * s
     return X.reshape((phi(m),) + arr.shape), D
+
+
+@lru_cache(maxsize=None)
+def _reduction_matrix(m: int) -> np.ndarray:
+    """The (m, phi(m)) int64 matrix whose row e holds the coordinates of
+    zeta_m^e (`_reduction_rows`)."""
+    R = np.zeros((m, phi(m)), dtype=np.int64)
+    for e, row in enumerate(_reduction_rows(m)):
+        for i, t in row:
+            R[e, i] = t
+    return R
+
+
+def times_roots(X: np.ndarray, k: np.ndarray, m: int) -> np.ndarray:
+    """Integer coordinates of zeta_m^(k_j) x_j, for the coordinate columns
+    x_j = X[:, j] (shape (phi(m), N)) and integers k_j: column j is placed at
+    the exponents k_j .. k_j + phi(m) - 1 mod m of an (N, m) array, which
+    the reduction matrix takes back to the power basis in one product."""
+    f, N = X.shape
+    E = np.zeros((N, m), dtype=X.dtype)
+    E[np.arange(N)[:, None], (np.arange(f) + np.asarray(k)[:, None]) % m] = X.T
+    return int_matmul(E, _reduction_matrix(m)).T
 
 
 def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:

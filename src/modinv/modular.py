@@ -2,13 +2,17 @@
 central charge, degeneracy detection, and consistency checks.
 
 A ring given without dims first gets exact ones from reconstruct_dims.
-All structural identities are verified in exact cyclotomic arithmetic, on
-the integer coordinate tensors of the values they check (S^2 = C as
-Y Y = z conj(z) C), and c by an exact identity; TSTST = S follows from them
-exactly. Floats only propose c (the phase of z) and decide the numeric
-Verlinde reconstruction of verlinde_check. The S- and T-matrices are kept
-numeric only, since |z| involves a square root that need not have a
-representation in the chosen power basis. Commutation with S is equivalent to commutation
+Y is held by its integer coordinates (ModularData.Y_coords), built by one
+integer contraction of the fusion tensor; the scalar Y, whose slot order
+fixes the numeric shadows of the reported S and Yext, is built only when
+one of them is asked for. All structural identities are verified in exact
+cyclotomic arithmetic, on the integer coordinate tensors of the values
+they check (S^2 = C as Y Y = z conj(z) C), and c by an exact identity;
+TSTST = S follows from them exactly. Floats only propose c (the phase of
+z) and decide the numeric Verlinde reconstruction of verlinde_check, whose
+S comes from Y's coordinates. The S- and T-matrices are kept numeric only,
+since |z| involves a square root that need not have a representation in
+the chosen power basis. Commutation with S is equivalent to commutation
 with Y (they differ by the nonzero scalar |z|), so nothing exact is lost.
 """
 
@@ -18,18 +22,25 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .cyclo import (
     Cyclotomic,
+    _embedded_roots,
+    _max_abs,
     coordinates,
     csum,
     differs,
     evaluate,
+    int_dtype,
+    int_matmul,
     nonzero,
+    phi,
     root_of_unity,
+    times_roots,
 )
 from .fusion import FusionRing, reconstruct_dims
 
@@ -45,7 +56,6 @@ class DegenerateBraidingError(RuntimeError):
 @dataclass
 class ModularData:
     ring: FusionRing
-    Y: list[list[Cyclotomic]]
     omega: list[Cyclotomic]
     z: Cyclotomic
     w: Cyclotomic
@@ -54,51 +64,78 @@ class ModularData:
     c: Optional[Fraction] = None
     degenerates: frozenset[int] = frozenset()
     nondegenerate: bool = False
-    S_numeric: Optional[np.ndarray] = None
     T_numeric: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
         return self.ring.size
 
+    @cached_property
+    def Y(self) -> list[list[Cyclotomic]]:
+        """Y as scalar elements, in the slot order of their products and
+        sums, which fixes the numeric shadows of the reported S and Yext:
+        Y_{l,m} = omega_l omega_m sum_r conj(omega_r) N_{l,m}^r d_r (division
+        by a statistics phase is multiplication by its conjugate)."""
+        n, d, omega = self.size, self.ring.dims, self.omega
+        t = [omega[r].conjugate() * d[r] for r in range(n)]
+        Y: list[list[Cyclotomic]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
+        for l in range(n):
+            for m in range(l, n):
+                s = csum(t[r] * c for r, c in enumerate(self.ring.fusion[l, m].tolist()) if c)
+                Y[l][m] = Y[m][l] = omega[l] * omega[m] * s
+        return Y
+
+    @cached_property
+    def S_numeric(self) -> Optional[np.ndarray]:
+        """S = Y/|z| as complex floats, from the scalar Y; None when z = 0."""
+        if self.z.is_zero():
+            return None
+        return np.array([[y.embed() for y in row] for row in self.Y]) / abs(self.z.embed())
+
 
 def compute_modular_data(ring: FusionRing) -> ModularData:
-    """Assemble Y, Omega, z, w, c and numeric S/T for a validated ring. A
-    ring without dims is completed by reconstruct_dims first (md.ring is the
-    completed ring), which raises DimsReconstructionError on failure."""
+    """Assemble Y's coordinates, Omega, z, w, c and numeric T for a
+    validated ring. A ring without dims is completed by reconstruct_dims
+    first (md.ring is the completed ring), which raises
+    DimsReconstructionError on failure."""
     if ring.dims is None:
         ring = reconstruct_dims(ring)
     n = ring.size
     d = list(ring.dims)
     omega = [root_of_unity(h) for h in ring.twists]
-    # Y_{l,m} = omega_l omega_m sum_r conj(omega_r) N_{l,m}^r d_r;
-    # division by a statistics phase is multiplication by its conjugate.
-    t = [omega[r].conjugate() * d[r] for r in range(n)]
-    Y: list[list[Cyclotomic]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
-    for l in range(n):
-        for m in range(l, n):
-            s = csum(t[r] * c for r, c in enumerate(ring.fusion[l, m].tolist()) if c)
-            val = omega[l] * omega[m] * s
-            Y[l][m] = val
-            Y[m][l] = val
     z = csum(d[r] * d[r] * omega[r] for r in range(n))
     w = csum(d[r] * d[r] for r in range(n))
-    Y_coords, Y_den = coordinates(Y, ring.conductor)
-    md = ModularData(ring=ring, Y=Y, omega=omega, z=z, w=w, Y_coords=Y_coords, Y_den=Y_den)
+    Y_coords, Y_den = _y_coordinates(ring)
+    md = ModularData(ring=ring, omega=omega, z=z, w=w, Y_coords=Y_coords, Y_den=Y_den)
     md.degenerates = detect_degenerates(md)
     md.nondegenerate = md.degenerates == frozenset({0})
     md.c = compute_central_charge(md)
-    _attach_numeric_ST(md)
-    return md
-
-
-def _attach_numeric_ST(md: ModularData) -> None:
-    if not md.z.is_zero():
-        md.S_numeric = np.array([[y.embed() for y in row] for row in md.Y]) / abs(md.z.embed())
     c_display = display_charge(md)
     if c_display is not None:
         phase = cmath.exp(-1j * cmath.pi * float(c_display) / 12)
         md.T_numeric = phase * np.diag([o.embed() for o in md.omega])
+    return md
+
+
+def _y_coordinates(ring: FusionRing) -> tuple[np.ndarray, int]:
+    """Y's integer coordinates and denominator, as `coordinates(md.Y, M)`
+    gives them, from one integer contraction of the fusion tensor. With
+    omega_l = zeta_M^s_l (`twist_exponents`), t_r = conj(omega_r) d_r has
+    the coordinates of d_r times zeta_M^-s_r, and Y_{l,m} = zeta_M^(s_l + s_m)
+    sum_r N_{l,m}^r t_r. One row l is built at a time, so no (n, n, M) array
+    is formed. The coordinates are over the lcm D of the dims' denominators;
+    dividing D and every coordinate by their gcd leaves the lcm of the
+    entries' own denominators, which `coordinates` takes."""
+    M = ring.conductor
+    s = twist_exponents(ring)
+    dims, D = coordinates(ring.dims, M)
+    t = times_roots(dims, -s, M)
+    rows = [times_roots(int_matmul(t, ring.fusion[l].T), s[l] + s, M) for l in range(ring.size)]
+    X = np.stack(rows, axis=1)
+    g = math.gcd(D, int(np.gcd.reduce(X.ravel()))) if D > 1 else 1
+    if g > 1:
+        X, D = X // g, D // g
+    return X.astype(int_dtype(2 * _max_abs(X)), copy=False), D
 
 
 def display_charge(md: ModularData) -> Optional[Fraction]:
@@ -195,13 +232,17 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
 
 
 def verlinde_check(md: ModularData) -> dict:
-    """Recompute the fusion coefficients from the numeric S-matrix and
-    compare with the ring; requires a non-degenerate braiding."""
+    """Recompute the fusion coefficients from a numeric S-matrix and compare
+    with the ring; requires a non-degenerate braiding. S = Y/|z| is taken
+    from Y's coordinates, by one contraction with the embedded powers of
+    zeta_M, so no scalar Y is built."""
     if not md.nondegenerate:
         raise DegenerateBraidingError(
             "Verlinde reconstruction requires a non-degenerate braiding"
         )
-    S = md.S_numeric
+    M = md.ring.conductor
+    roots = np.array(_embedded_roots(M)[: phi(M)])
+    S = np.tensordot(roots, md.Y_coords.astype(np.float64), axes=1) / (md.Y_den * abs(md.z.embed()))
     val = np.einsum("lk,mk,nk->lmn", S, S, np.conj(S) / S[0])
     nearest = np.round(val.real)
     mismatches = [

@@ -284,24 +284,34 @@ def _is_int(v) -> bool:
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_fraction(s: Union[str, int], where: str) -> Fraction:
+def _parse_ratio(s: Union[str, int], where: str) -> tuple[int, int]:
+    """Integers p and q > 0 with s = p/q, not necessarily in lowest terms,
+    for a JSON integer or a string of the rational grammar."""
     if _is_int(s):
-        return Fraction(s)
+        return s, 1
     if not isinstance(s, str):
         raise RingFileError(f"{where}: expected a rational string, got {s!r}")
     if match := _RATIONAL.fullmatch(s):
         p, q = match.groups()
         try:
-            return Fraction(int(p), int(q or 1))
-        except (ValueError, ZeroDivisionError):  # q = 0, or past int's digit limit
+            p, q = int(p), int(q or 1)
+        except ValueError:  # past int's digit limit
             pass
+        else:
+            if q:
+                return p, q
     raise RingFileError(f"{where}: cannot parse rational {s!r}")
+
+
+def _parse_fraction(s: Union[str, int], where: str) -> Fraction:
+    return Fraction(*_parse_ratio(s, where))
 
 
 def _parse_cyclotomic(data, where: str) -> Cyclotomic:
     """A cyclotomic value as `Cyclotomic.to_json` writes it, {"conductor": m,
     "coeffs": [[e, c], ...]}: m and each e JSON integers, each c a rational
-    read by `_parse_fraction`. A conductor above MAX_CONDUCTOR is refused
+    read by `_parse_ratio`, and the value built from integer numerators over
+    the lcm of the denominators. A conductor above MAX_CONDUCTOR is refused
     before its cyclotomic polynomial is built."""
     try:
         m, terms = data["conductor"], [(e, c) for e, c in data["coeffs"]]
@@ -311,4 +321,7 @@ def _parse_cyclotomic(data, where: str) -> Cyclotomic:
             raise ValueError(f"conductor {m} outside [1, {MAX_CONDUCTOR}]")
     except (KeyError, TypeError, ValueError) as exc:
         raise RingFileError(f"{where}: {exc}") from None
-    return Cyclotomic(m, {e: _parse_fraction(c, where) for e, c in terms})
+    # A repeated exponent keeps its first slot and its last value, as a dict.
+    ratios = {e: _parse_ratio(c, where) for e, c in terms}
+    den = lcm(*(q for _, q in ratios.values()))
+    return Cyclotomic.from_terms(m, [(e, p * (den // q)) for e, (p, q) in ratios.items()], den)

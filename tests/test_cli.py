@@ -531,7 +531,12 @@ with open("su2_10.json", "w") as f:
 assert run("check", "su2_10.json")[0] == 0
 code, exact = run("classify", "su2_10.json")
 assert code == 0
+assert run("modular", "su2_10.json")[0] == 0
+assert run("invariants", "su2_10.json")[0] == 0
 assert "mpmath" not in sys.modules, "check or classify imported mpmath"
+# numpy imports numpy.ma on the first call of some functions (np.unique
+# among them), which costs about 22 ms per process.
+assert "numpy.ma" not in sys.modules, "check, classify, modular or invariants imported numpy.ma"
 data = json.loads(text)
 data["dims"] = "auto"
 with open("auto.json", "w") as f:

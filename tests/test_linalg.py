@@ -3,11 +3,15 @@ serves as an independent oracle for rank, dependent rows, RREF, kernel and
 inverse."""
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modinv import linalg
 from modinv.linalg import Echelon, SingularMatrix, inverse, kernel
 
 pytest.importorskip("sympy")
@@ -112,17 +116,90 @@ def test_residual_is_zero_exactly_on_the_span(M, target):
     assert all(residual[col] == 0 for col in ech.rows)
 
 
+def integer_rows(M: list[list[Fraction]]) -> np.ndarray:
+    """Each row times the lcm of its denominators, as Python ints: the
+    kernel is unchanged."""
+    out = []
+    for row in M:
+        L = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * L) for x in row])
+    return np.array(out, dtype=object)
+
+
+# Entries of the kernel's basis near 2**20 and 2**40: their rational
+# reconstruction needs two and three 31-bit primes.
+TWO_PRIMES = [[Fraction(1048573), Fraction(3 * 349529), Fraction(5)]]
+THREE_PRIMES = [
+    [Fraction(2**40 + 15), Fraction(3**25), Fraction(0)],
+    [Fraction(1), Fraction(1), Fraction(1)],
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 @example(ZERO)
 @example(TALL)
+@example(TWO_PRIMES)
+@example(THREE_PRIMES)
 def test_kernel(M):
     width = len(M[0])
     basis = oracle(M, width).nullspace()
     ref, pivots = basis.rref()
-    got = kernel([sparse(row) for row in M], width)
+    got = kernel(integer_rows(M))
     assert [col for col, _ in got] == list(pivots)
     assert [row for _, row in got] == fractions(ref)[: len(pivots)]
+
+
+PRIMES = linalg._primes
+
+
+def recorded_primes(monkeypatch, first=()):
+    """Make `kernel` draw the primes `first`, then its own others, and
+    record each prime it draws."""
+    used = []
+
+    def primes():
+        for p in chain(first, (q for q in PRIMES() if q not in first)):
+            used.append(p)
+            yield p
+
+    monkeypatch.setattr(linalg, "_primes", primes)
+    return used
+
+
+@pytest.mark.parametrize(
+    "M, count", [(TALL, 1), (TWO_PRIMES, 2), (THREE_PRIMES, 3)], ids=["tall", "two", "three"]
+)
+def test_kernel_adds_primes_until_its_entries_reconstruct(monkeypatch, M, count):
+    used = recorded_primes(monkeypatch)
+    expected = fractions(oracle(M, len(M[0])).nullspace().rref()[0])
+    assert [row for _, row in kernel(integer_rows(M))] == expected
+    assert len(used) == count
+
+
+@pytest.mark.parametrize(
+    "M, first, count",
+    [
+        # Rank 2 over Q, rank 1 mod 3: the lifted vector e_0 fails A v = 0.
+        ([[3, 0], [0, 1]], (3,), 2),
+        # Mod 3 the pivot moves from column 1 to column 0, so the one kernel
+        # vector comes out as e_1, which fails A v = 0; the next prime's
+        # pivot ranks higher (`_rank_key`), and it replaces 3.
+        ([[1, 3]], (3,), 2),
+        # The entry -1048573/1048587 needs two good primes: the first alone
+        # does not reconstruct it, and 3, whose pivot comes later, arrives
+        # between them and is dropped.
+        ([[1048573, 3 * 349529]], (2**31 - 1, 3), 3),
+    ],
+    ids=["rank", "pivot", "between_good_primes"],
+)
+def test_kernel_drops_an_unlucky_prime(monkeypatch, M, first, count):
+    M = [[Fraction(x) for x in row] for row in M]
+    expected = kernel(integer_rows(M))
+    assert [row for _, row in expected] == fractions(oracle(M, len(M[0])).nullspace().rref()[0])
+    used = recorded_primes(monkeypatch, first)
+    assert kernel(integer_rows(M)) == expected
+    assert used[: len(first)] == list(first) and len(used) == count
 
 
 @settings(max_examples=150, deadline=None)

@@ -17,6 +17,7 @@ from modinv.modular import (
     DataIntegrityError,
     DegenerateBraidingError,
     compute_central_charge,
+    _y_coordinates,
     compute_modular_data,
     detect_degenerates,
     verify_statistics_axioms,
@@ -138,6 +139,82 @@ def test_Y_coordinates_over_their_denominator_give_Y(ring):
     assert _elements(md.Y_coords, md.Y_den, ring.conductor) == md.Y
 
 
+Y_RINGS = (
+    [builtin_su2(k) for k in range(33)]
+    + [builtin_so_level1(16), builtin_so_level1(32)]
+    + [builtin_cyclic(n, [Fraction(0)] * n) for n in range(1, 9)]
+    + [builtin_cyclic(n, quadratic_twists(n, 1)) for n in range(1, 17)]
+)
+
+
+@pytest.mark.parametrize("ring", Y_RINGS, ids=lambda ring: ring.name)
+def test_Y_contraction_equals_coordinates_of_the_scalar_Y(ring):
+    md = compute_modular_data(ring)
+    X, D = coordinates(md.Y, ring.conductor)
+    assert (md.Y_den, md.Y_coords.dtype, md.Y_coords.shape) == (D, X.dtype, X.shape)
+    assert (md.Y_coords == X).all()
+
+
+def _reference_Y(ring):
+    n, d = ring.size, ring.dims
+    omega = [root_of_unity(h) for h in ring.twists]
+    return [
+        [
+            omega[l] * omega[m]
+            * csum(omega[r].conjugate() * d[r] * int(ring.fusion[l, m, r]) for r in range(n))
+            for m in range(n)
+        ]
+        for l in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        # dims 1, 1/2 and 1/3: Y's denominator is 6.
+        make_ring(
+            ["0", "1", "2"],
+            [[[int((l + m) % 3 == r) for r in range(3)] for m in range(3)] for l in range(3)],
+            [0, 2, 1],
+            quadratic_twists(3, 1),
+            [Cyclotomic.from_rational(Fraction(1, k)) for k in (1, 2, 3)],
+        ),
+        # dims 1/2 with every fusion multiplicity 2: Y is integral, so the
+        # common factor 2 of the coordinates and their denominator goes.
+        make_ring(
+            ["0", "1"],
+            [[[2 * ((l + m) % 2 == r) for r in range(2)] for m in range(2)] for l in range(2)],
+            [0, 1],
+            [0, Fraction(1, 4)],
+            [Cyclotomic(4, {0: Fraction(1, 2)})] * 2,
+        ),
+        # an irrational dim over 2: sqrt(2)/2 at conductor 16.
+        make_ring(
+            ["0", "1", "2"],
+            builtin_su2(2).fusion,
+            [0, 1, 2],
+            builtin_su2(2).twists,
+            [d / 2 for d in builtin_su2(2).dims],
+        ),
+    ],
+    ids=["z3_thirds", "z2_doubled", "su2_2_halved"],
+)
+def test_Y_contraction_with_dims_over_a_denominator(ring):
+    X, D = _y_coordinates(ring)
+    expected, expected_D = coordinates(_reference_Y(ring), ring.conductor)
+    assert (D, X.dtype, X.shape) == (expected_D, expected.dtype, expected.shape)
+    assert (X == expected).all()
+
+
+def test_check_builds_no_scalar_Y():
+    # verlinde_check takes its float S from Y's coordinates; only a report
+    # that prints S (or Yext) builds the scalar Y.
+    md = compute_modular_data(builtin_su2(5))
+    assert verify_statistics_axioms(md) == [] and verlinde_check(md)["ok"]
+    assert "Y" not in vars(md) and "S_numeric" not in vars(md)
+    assert md.S_numeric is not None and "Y" in vars(md)
+
+
 def test_corrupted_twist_fails_axioms():
     ring = builtin_so_level1(16)
     bad = make_ring(
@@ -196,12 +273,18 @@ def test_gauss_sum_magnitude_is_sqrt_w():
 # checks must reproduce message for message on corrupted data.
 
 
+def _scalar_Y(md):
+    """Y as scalar elements, decoded from md's coordinates."""
+    return _elements(md.Y_coords, md.Y_den, md.ring.conductor)
+
+
 def _scalar_detect_degenerates(md):
     n = md.size
     d = md.ring.dims
+    Y = _scalar_Y(md)
     out = set()
     for l in range(n):
-        s = csum(md.Y[l][m] * d[m] for m in range(n))
+        s = csum(Y[l][m] * d[m] for m in range(n))
         if s == md.w * d[l]:
             out.add(l)
         elif not s.is_zero():
@@ -231,7 +314,7 @@ def test_tstst_equals_s(ring):
 def _scalar_verify_statistics_axioms(md):
     n = md.size
     ring = md.ring
-    Y, omega = md.Y, md.omega
+    Y, omega = _scalar_Y(md), md.omega
     report = []
     for l in range(n):
         for m in range(l, n):
@@ -278,10 +361,12 @@ def _clean_modular_data(i):
 @st.composite
 def corrupted_modular_data(draw):
     """Modular data of a STATISTICS_RINGS entry with one or two of its Y
-    entries, twists or dims changed; Omega follows the twists, and Y's
-    coordinates follow Y."""
+    entries, twists or dims changed; Omega follows the twists, and a
+    changed Y enters through its coordinates, which the checks read and the
+    scalar references decode (`_scalar_Y`)."""
     clean = _clean_modular_data(draw(st.integers(0, len(STATISTICS_RINGS) - 1)))
-    md = dataclasses.replace(clean, Y=[list(row) for row in clean.Y])
+    md = dataclasses.replace(clean)
+    Y = [list(row) for row in clean.Y]
     ring = md.ring
     n, M = ring.size, ring.conductor
     index = st.integers(0, n - 1)
@@ -292,7 +377,7 @@ def corrupted_modular_data(draw):
     for field in draw(st.lists(st.sampled_from(["Y", "twist", "dim"]), min_size=1, max_size=2)):
         if field == "Y":
             l, m = draw(index), draw(index)
-            md.Y[l][m] = md.Y[l][m] + draw(delta)
+            Y[l][m] = Y[l][m] + draw(delta)
         elif field == "twist":
             twists[draw(index)] = draw(st.fractions(0, 1, max_denominator=12))
         else:
@@ -300,7 +385,7 @@ def corrupted_modular_data(draw):
             dims[l] = dims[l] + draw(delta)
     md.ring = make_ring(ring.names, ring.fusion, ring.dual, twists, dims, ring.name)
     md.omega = [root_of_unity(h) for h in md.ring.twists]
-    md.Y_coords, md.Y_den = coordinates(md.Y, md.ring.conductor)
+    md.Y_coords, md.Y_den = coordinates(Y, md.ring.conductor)
     return md
 
 
