@@ -182,7 +182,14 @@ def factorize_type_one(md: ModularData, Z: CouplingMatrix) -> list[BranchingData
             results.append(rows)
             return
         for b in candidate_rows(R, prev, first):
-            R2 = [[R[l][m] - b[l] * b[m] for m in range(n)] for l in range(n)]
+            # R - b b^T differs from R only on b's support: the rows off it
+            # are shared, never mutated.
+            support = [(l, x) for l, x in enumerate(b) if x]
+            R2 = list(R)
+            for l, x in support:
+                row = R2[l] = R[l][:]
+                for m, y in support:
+                    row[m] -= x * y
             if _live(R2):
                 search(R2, b, rows + [b])
 
@@ -340,9 +347,15 @@ def extended_modular_data(
 ) -> ExtendedModularData:
     """Yext = (w_plus/w) (B Y B^T) (B B^T)^{-1}, exact over the cyclotomic
     field with a rational Gram inverse; consistency collects the exact
-    residual checks."""
+    residual checks.
+
+    Every sum runs over the nonzero entries of B and of the Gram inverse only,
+    in ascending order, with a coefficient of 1 taking the term itself: an
+    exact zero term leaves a sum's coordinate slots and denominator as they
+    are, and a term times 1 is the term, so the slots are those of the sums
+    over every entry. B Y is formed only at the labels some row of B
+    touches, the only ones B Y B^T reads."""
     t = branching.block_count
-    n = md.size
     B = branching.B
     Bm = np.array(B, dtype=object)
     try:
@@ -351,22 +364,20 @@ def extended_modular_data(
         raise RankDeficientBranching(
             f"branching rows linearly dependent: rows {exc.dependent}"
         ) from None
+    rows = [[(l, c) for l, c in enumerate(b) if c] for b in B]
+    touched = sorted({l for row in rows for l, _ in row})
+    Y = md.Y
     BY = [
-        [csum(md.Y[l][m] * B[a][l] for l in range(n) if B[a][l]) for m in range(n)]
-        for a in range(t)
+        {m: csum(_times(Y[l][m], c) for l, c in row) for m in touched}
+        for row in rows
     ]
-    BYBt = [
-        [csum(BY[a][l] * B[b][l] for l in range(n) if B[b][l]) for b in range(t)]
-        for a in range(t)
-    ]
+    BYBt = [[csum(_times(BY_a[l], c) for l, c in row) for row in rows] for BY_a in BY]
     ratio = divide(indices.w_plus, md.w)
-    # Zero Gram-inverse entries are skipped: an exact zero leaves a sum's
-    # coordinate slots and denominator as they are, and every column of the
-    # invertible ginv has a nonzero entry.
-    support = [[k for k in range(t) if ginv[k][b]] for b in range(t)]
+    # Every column of the invertible ginv has a nonzero entry.
+    columns = [[(k, g) for k, g in enumerate(col) if g] for col in zip(*ginv)]
     Yext = [
-        [ratio * csum(BYBt[a][k] * ginv[k][b] for k in support[b]) for b in range(t)]
-        for a in range(t)
+        [ratio * csum(_times(BYBt_a[k], g) for k, g in col) for col in columns]
+        for BYBt_a in BYBt
     ]
     failures: list[str] = []
     # (w/w_plus) Yext B = B Y, i.e. Yext B = ratio * (B Y), by value; Yext B
@@ -397,6 +408,12 @@ def extended_modular_data(
         consistent=not failures,
         failures=failures,
     )
+
+
+def _times(x: Cyclotomic, c) -> Cyclotomic:
+    """x * c for a nonzero rational c; x itself for c = 1, as the product
+    would return it."""
+    return x if c == 1 else x * c
 
 
 def branching_checks(

@@ -164,14 +164,23 @@ def _gram(Y: np.ndarray, positions: list[tuple[int, int]]) -> np.ndarray:
     for the integer coordinates Y[e] of a matrix that need not be symmetric:
     G_pq = [b_p = b_q] K1[a_p, a_q] + [a_p = a_q] K2[b_p, b_q] - T_pq - T_qp
     with K1 = sum_e Y_e^T Y_e, K2 = sum_e Y_e Y_e^T and
-    T_pq = sum_e Y_e[a_p, a_q] Y_e[b_p, b_q]. Only (P, P) arrays are formed."""
+    T_pq = sum_e Y_e[a_p, a_q] Y_e[b_p, b_q]. Only (P, P) arrays are formed.
+
+    K1 and K2 are two `int_matmul`s of Y's (f n, n) unfoldings, in float64
+    BLAS while f n max|Y|^2 < 2**53 holds every sum exactly. Every entry of
+    G is at most 4 f n max|Y|^2 in absolute value, so K1, K2 and T are held
+    in `int_dtype` of that bound before they are combined: int64 below 2**63,
+    else Python ints."""
     f, n, _ = Y.shape
     P = len(positions)
     a, b = np.array(positions, dtype=np.intp).reshape(P, 2).T
     # K1 and K2 entries sum f n products of two entries of Y, T entries f.
-    Y = Y.astype(int_dtype(4 * f * n * int(abs(Y).max()) ** 2), copy=False)
-    K1 = np.tensordot(Y, Y, axes=([0, 1], [0, 1]))
-    K2 = np.tensordot(Y, Y, axes=([0, 2], [0, 2]))
+    dtype = int_dtype(4 * f * n * int(abs(Y).max()) ** 2)
+    Y = Y.astype(dtype, copy=False)
+    rows = Y.reshape(f * n, n)  # K1 = rows^T rows
+    columns = Y.transpose(1, 0, 2).reshape(n, f * n)  # K2 = columns columns^T
+    K1 = int_matmul(rows.T, rows).astype(dtype, copy=False)
+    K2 = int_matmul(columns, columns.T).astype(dtype, copy=False)
     T = sum(Ye[np.ix_(a, a)] * Ye[np.ix_(b, b)] for Ye in Y)
     G = np.where(b[:, None] == b, K1[np.ix_(a, a)], 0)
     G += np.where(a[:, None] == a, K2[np.ix_(b, b)], 0)

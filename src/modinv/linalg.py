@@ -82,6 +82,11 @@ class Echelon:
     def rref(self) -> list[tuple[int, list[Fraction]]]:
         """Reduced row echelon form over Q as (pivot column, row) pairs in
         increasing pivot order."""
+        return [(col, [Fraction(x, row[col]) for x in row]) for col, row in self._reduced()]
+
+    def _reduced(self) -> list[tuple[int, list[int]]]:
+        """The rows of `rref` as primitive integer rows, each to be divided
+        by its entry at its pivot column."""
         reduced: dict[int, list[int]] = {}
         # Back-substituting the later, already reduced rows into a row leaves
         # it zero on every pivot but its own.
@@ -90,7 +95,7 @@ class Echelon:
                 if r[col2]:
                     r = _eliminate(r, row2, col2)
             reduced[col] = _primitive(r, col)
-        return [(col, [Fraction(x, row[col]) for x in row]) for col, row in sorted(reduced.items())]
+        return sorted(reduced.items())
 
 
 def _primitive(r: list[int], lead: int) -> list[int]:
@@ -213,12 +218,13 @@ def _annihilates(A: np.ndarray, basis: list[tuple[int, list[Fraction]]]) -> bool
 
 
 def inverse(M: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
-    """Inverse over Q of a square matrix, from one reduction of [M | I];
-    raises SingularMatrix when M has none."""
+    """Inverse over Q of a square matrix, from one reduction of [M | I], with
+    Fractions built only for the inverse half; raises SingularMatrix when M
+    has none."""
     t = len(M)
     augmented = Echelon(2 * t)
     pivots = [augmented.insert({**dict(enumerate(row)), t + i: 1}) for i, row in enumerate(M)]
     dependent = [i for i, col in enumerate(pivots) if col >= t]
     if dependent:
         raise SingularMatrix(dependent)
-    return [row[t:] for _, row in augmented.rref()]
+    return [[Fraction(x, row[col]) for x in row[t:]] for col, row in augmented._reduced()]

@@ -80,17 +80,30 @@ class ModularData:
         t = [omega[r].conjugate() * d[r] for r in range(n)]
         Y: list[list[Cyclotomic]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
         for l in range(n):
-            for m in range(l, n):
-                s = csum(t[r] * c for r, c in enumerate(self.ring.fusion[l, m].tolist()) if c)
-                Y[l][m] = Y[m][l] = omega[l] * omega[m] * s
+            # The nonzero N_{l,m}^r with m >= l, by m and then r: the terms of
+            # each sum in ascending r, t_r itself for multiplicity 1.
+            N = self.ring.fusion[l, l:]
+            ms, rs = np.nonzero(N)
+            terms: list[list[Cyclotomic]] = [[] for _ in range(n - l)]
+            for j, r, c in zip(ms.tolist(), rs.tolist(), N[ms, rs].tolist()):
+                terms[j].append(t[r] if c == 1 else t[r] * c)
+            for m, s in enumerate(terms, l):
+                Y[l][m] = Y[m][l] = omega[l] * omega[m] * csum(s)
         return Y
 
     @cached_property
     def S_numeric(self) -> Optional[np.ndarray]:
-        """S = Y/|z| as complex floats, from the scalar Y; None when z = 0."""
+        """S = Y/|z| as complex floats, from the scalar Y; None when z = 0.
+        Y[l][m] and Y[m][l] are one element, so each unordered pair is
+        embedded once and S is symmetric bit for bit."""
         if self.z.is_zero():
             return None
-        return np.array([[y.embed() for y in row] for row in self.Y]) / abs(self.z.embed())
+        n = self.size
+        S = np.empty((n, n), dtype=complex)
+        for l, row in enumerate(self.Y):
+            for m in range(l, n):
+                S[l, m] = S[m, l] = row[m].embed()
+        return S / abs(self.z.embed())
 
 
 def compute_modular_data(ring: FusionRing) -> ModularData:
@@ -100,11 +113,10 @@ def compute_modular_data(ring: FusionRing) -> ModularData:
     DimsReconstructionError on failure."""
     if ring.dims is None:
         ring = reconstruct_dims(ring)
-    n = ring.size
-    d = list(ring.dims)
     omega = [root_of_unity(h) for h in ring.twists]
-    z = csum(d[r] * d[r] * omega[r] for r in range(n))
-    w = csum(d[r] * d[r] for r in range(n))
+    squares = [x * x for x in ring.dims]
+    z = csum(x * o for x, o in zip(squares, omega))
+    w = csum(squares)
     Y_coords, Y_den = _y_coordinates(ring)
     md = ModularData(ring=ring, omega=omega, z=z, w=w, Y_coords=Y_coords, Y_den=Y_den)
     md.degenerates = detect_degenerates(md)

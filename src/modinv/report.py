@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .classify import Classification, span_dimension_and_relations
 from .commutant import CouplingMatrix
 from .cyclo import Cyclotomic
@@ -34,21 +36,41 @@ def _exact_entry(v: Cyclotomic) -> dict:
     return SharedDict(exact=v.to_json(), text=repr(v), numeric=fmt_complex(v.embed()))
 
 
+def _fmt_matrix(A: np.ndarray) -> list[list[str]]:
+    """fmt_complex of every entry of a complex matrix, each distinct value
+    formatted once; values are told apart by their bytes, so that -0.0 and
+    0.0 (equal as numbers, printed apart) keep their own strings."""
+    text: dict[bytes, str] = {}
+    A = np.ascontiguousarray(A, dtype=complex)
+    keys = A.view("V16").tolist()  # each complex128 as its 16 bytes
+    return [
+        [text[k] if k in text else text.setdefault(k, fmt_complex(x)) for k, x in zip(krow, row)]
+        for krow, row in zip(keys, A.tolist())
+    ]
+
+
 class ReportValues:
     """The values one report shares: an entry dict per exact value and a
     matrix list per coupling matrix, each built once and marked shared for
     the renderer. An entry's key keeps the slot order of num, which fixes
-    the embed() sum and so the shadow."""
+    the embed() sum and so the shadow. An element met again as the same
+    object is found by its id first; the map holds the element, so its id
+    is not reused while the map lives."""
 
     def __init__(self) -> None:
         self._entries: dict[tuple, dict] = {}
+        self._by_id: dict[int, tuple[Cyclotomic, dict]] = {}
         self._matrices: dict[tuple, list] = {}
 
     def entry(self, v: Cyclotomic) -> dict:
+        seen = self._by_id.get(id(v))
+        if seen is not None:
+            return seen[1]
         key = (v.conductor, v.den, tuple(v.num.items()))
         found = self._entries.get(key)
         if found is None:
             found = self._entries[key] = _exact_entry(v)
+        self._by_id[id(v)] = v, found
         return found
 
     def matrix(self, Z: CouplingMatrix) -> list:
@@ -80,9 +102,9 @@ def modular_summary(md: ModularData, values: Optional[ReportValues] = None) -> d
         "w": entry(md.w),
     }
     if md.S_numeric is not None:
-        out["S_numeric"] = [[fmt_complex(x) for x in row] for row in md.S_numeric]
+        out["S_numeric"] = _fmt_matrix(md.S_numeric)
     if md.T_numeric is not None:
-        out["T_numeric"] = [[fmt_complex(x) for x in row] for row in md.T_numeric]
+        out["T_numeric"] = _fmt_matrix(md.T_numeric)
     return out
 
 

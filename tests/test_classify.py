@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -439,6 +440,8 @@ def test_extended_data_failures_on_a_false_branching(so16, B, expected):
     ext = extended_modular_data(md, branching, ident.indices)
     assert not ext.consistent
     assert ext.failures == expected
+    reference = _scalar_extended_modular_data(md, branching, ident.indices)
+    assert _extended_form(ext) == _extended_form(reference)
 
 
 def test_su2_16_taxonomy(su2_16):
@@ -1085,22 +1088,49 @@ def test_block_bijection_matches_brute_force(case):
     assert find_block_bijection(plus, minus, Z) == expected
 
 
+def _dense_Y(md):
+    """Reference: the scalar Y by a loop over every r of each N_{l,m}^r,
+    m >= l, zero multiplicities skipped."""
+    n, d, omega = md.size, md.ring.dims, md.omega
+    t = [omega[r].conjugate() * d[r] for r in range(n)]
+    Y = [[None] * n for _ in range(n)]
+    for l in range(n):
+        for m in range(l, n):
+            s = csum(t[r] * c for r, c in enumerate(md.ring.fusion[l, m].tolist()) if c)
+            Y[l][m] = Y[m][l] = omega[l] * omega[m] * s
+    return Y
+
+
+def _full_width_inverse(M):
+    """Reference: the inverse read off the full reduced echelon form of
+    [M | I], a Fraction built for every entry."""
+    t = len(M)
+    augmented = Echelon(2 * t)
+    pivots = [augmented.insert({**dict(enumerate(row)), t + i: 1}) for i, row in enumerate(M)]
+    dependent = [i for i, col in enumerate(pivots) if col >= t]
+    if dependent:
+        raise SingularMatrix(dependent)
+    return [row[t:] for _, row in augmented.rref()]
+
+
 def _scalar_extended_modular_data(md, branching, indices):
     """Reference: extended_modular_data with every check as an entry-by-entry
-    Cyclotomic loop, and Yext summed over every k, zero Gram-inverse entries
-    included."""
+    Cyclotomic loop, B Y and B Y B^T scanned over every label, and Yext
+    summed over every k, zero Gram-inverse entries included, from the
+    full-width inverse and the dense scalar Y."""
     t = branching.block_count
     n = md.size
     B = branching.B
     gram = [[sum(B[a][l] * B[b][l] for l in range(n)) for b in range(t)] for a in range(t)]
     try:
-        ginv = inverse(gram)
+        ginv = _full_width_inverse(gram)
     except SingularMatrix as exc:
         raise RankDeficientBranching(
             f"branching rows linearly dependent: rows {exc.dependent}"
         ) from None
+    Y = _dense_Y(md)
     BY = [
-        [csum(md.Y[l][m] * B[a][l] for l in range(n) if B[a][l]) for m in range(n)]
+        [csum(Y[l][m] * B[a][l] for l in range(n) if B[a][l]) for m in range(n)]
         for a in range(t)
     ]
     BYBt = [
@@ -1217,33 +1247,61 @@ def _cyclotomic_form(x):
 
 
 SLOT_ORDER_RINGS = (
-    [(f"su2_{k}", builtin_su2, (k,)) for k in range(1, 17)]
+    [(f"su2_{k}", builtin_su2, (k,)) for k in range(1, 33)]
     + [(f"so{n}", builtin_so_level1, (n,)) for n in (16, 32)]
     + [(f"z{n}_quadratic", builtin_cyclic, (n, quadratic_twists(n, 1))) for n in range(2, 13)]
+    + [(f"z{n}_zero", builtin_cyclic, (n, [Fraction(0)] * n)) for n in (3, 4)]
 )
+
+
+def _extended_form(ext):
+    """Yext and z0 by `_cyclotomic_form`, and the failures."""
+    Yext = [list(map(_cyclotomic_form, row)) for row in ext.Yext]
+    return Yext, _cyclotomic_form(ext.z0), ext.failures
 
 
 @pytest.mark.parametrize(
     "build, args", [r[1:] for r in SLOT_ORDER_RINGS], ids=[r[0] for r in SLOT_ORDER_RINGS]
 )
 def test_yext_keeps_the_slot_order_of_the_full_sum(build, args):
-    # Skipping zero Gram-inverse entries must leave every Yext entry with the
-    # coordinates, slot order, denominator and conductor of the sum over all
-    # k, on every factorization of every invariant.
+    # Sums over the nonzero entries of N, B and the Gram inverse only, and
+    # residuals updated on a row's support only, must leave every value a
+    # report prints as the dense loops build it: Y, z and w with their
+    # coordinates, slot order, denominator and conductor, S bit for bit, and
+    # on every factorization of every invariant its rows, its Gram inverse,
+    # and Yext, z0 and the failures of its extended data.
     ring = build(*args)
     md = compute_modular_data(ring)
+    n, d, omega = md.size, ring.dims, md.omega
+    Y = _dense_Y(md)
+    assert [list(map(_cyclotomic_form, row)) for row in md.Y] == [
+        list(map(_cyclotomic_form, row)) for row in Y
+    ]
+    z = csum(d[r] * d[r] * omega[r] for r in range(n))
+    assert _cyclotomic_form(md.z) == _cyclotomic_form(z)
+    assert _cyclotomic_form(md.w) == _cyclotomic_form(csum(d[r] * d[r] for r in range(n)))
+    if md.S_numeric is not None:
+        S = np.array([[y.embed() for y in row] for row in Y]) / abs(md.z.embed())
+        assert md.S_numeric.tobytes() == S.tobytes()
     pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
     checked = 0
     for Z in pool:
         indices = global_indices(md, Z)
-        for branching in factorize_type_one(md, Z):
+        factorizations = factorize_type_one(md, Z)
+        assert list(map(_branching_form, factorizations)) == list(
+            map(_branching_form, _reference_factorize_type_one(md, Z))
+        )
+        for branching in factorizations:
+            B = int_array(branching.B)
+            gram = (B @ B.T).tolist()
             try:
-                got = extended_modular_data(md, branching, indices).Yext
+                expected = _scalar_extended_modular_data(md, branching, indices)
             except RankDeficientBranching:
+                with pytest.raises(RankDeficientBranching):
+                    extended_modular_data(md, branching, indices)
                 continue
-            expected = _scalar_extended_modular_data(md, branching, indices).Yext
-            assert [list(map(_cyclotomic_form, row)) for row in got] == [
-                list(map(_cyclotomic_form, row)) for row in expected
-            ]
+            assert inverse(gram) == _full_width_inverse(gram)
+            got = extended_modular_data(md, branching, indices)
+            assert _extended_form(got) == _extended_form(expected)
             checked += 1
     assert checked

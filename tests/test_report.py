@@ -286,3 +286,34 @@ def test_yext_memo_keeps_denominators_and_slot_orders_apart():
     assert got == [[_exact_entry(v) for v in row] for row in Yext]
     assert got[0][0] is got[1][1]
     assert len({id(e) for row in got for e in row}) == 3
+
+
+def test_entries_of_short_lived_elements_keep_their_values():
+    # An entry is looked up by the element's id first. Each element here is
+    # dropped by the caller at once; were the id map not to hold it, a later
+    # element could take its id and be handed its entry.
+    values = ReportValues()
+    for k in range(200):
+        assert values.entry(Cyclotomic(8, {1: k}))["text"] == repr(Cyclotomic(8, {1: k}))
+
+
+def test_matrix_display_formats_each_distinct_value_once(monkeypatch):
+    # 0j, complex(-0.0, 0.0) and complex(0.0, -0.0) are equal as numbers
+    # but print apart, so each keeps its own string.
+    A = np.array(
+        [
+            [0j, complex(-0.0, 0.0), complex(0.0, -0.0)],
+            [complex(0.0, -0.0), 0j, 0.5 - 1j],
+            [0.5 - 1j, complex(-0.0, 0.0), 0j],
+        ]
+    )
+    fmt_complex, formatted = modinv.report.fmt_complex, []
+
+    def recording(x):
+        formatted.append(x)
+        return fmt_complex(x)
+
+    monkeypatch.setattr(modinv.report, "fmt_complex", recording)
+    assert modinv.report._fmt_matrix(A) == [[fmt_complex(x) for x in row] for row in A]
+    assert len(formatted) == 4
+    assert len({fmt_complex(x) for x in formatted}) == 4
