@@ -23,7 +23,6 @@ pool and, as a stack of one, the matrix `verify_invariant` was given, and
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,12 +75,20 @@ class InvariantRejected(ValueError):
 @dataclass
 class CommutantBasis:
     positions: list[tuple[int, int]]  # allowed entries, row-major
-    basis: list[list[Fraction]]  # reduced echelon rows over the positions
+    rows: np.ndarray  # reduced echelon rows over the positions, times the denominator
+    denominator: int  # the lcm L > 0 of the denominators of the reduced echelon rows
     pivot_indices: list[int]  # indices into positions
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, CommutantBasis):
+            return NotImplemented
+        fields = (self.positions, self.denominator, self.pivot_indices)
+        same = fields == (other.positions, other.denominator, other.pivot_indices)
+        return same and np.array_equal(self.rows, other.rows)
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,7 @@ def twist_sparsity(ring: FusionRing) -> np.ndarray:
 def commutant_basis(md: ModularData, pattern: np.ndarray) -> CommutantBasis:
     """Rational kernel of Z -> YZ - ZY restricted to the True entries of the
     (n, n) mask `pattern` (`twist_sparsity`), as a reduced-echelon basis with
-    respect to row-major entry order.
+    respect to row-major entry order, in integers over one denominator.
 
     It is computed as the kernel of the P x P Gram matrix G = A^T A of the
     integer constraint matrix A (rows: coordinate e and entry (l, m) of
@@ -142,13 +149,10 @@ def commutant_basis(md: ModularData, pattern: np.ndarray) -> CommutantBasis:
     n = md.size
     a, b = np.nonzero(pattern)  # row-major
     positions = list(zip(a.tolist(), b.tolist()))
-    basis = kernel(_gram(md.Y_coords, positions))
-    cb = CommutantBasis(positions, [row for _, row in basis], [col for col, _ in basis])
-    # Each basis row times the lcm of its denominators, as one integer stack.
-    stack = np.zeros((cb.dimension, n, n), dtype=object)
-    for i, vec in enumerate(cb.basis):
-        L = math.lcm(*(x.denominator for x in vec))
-        stack[i, a, b] = [x.numerator * (L // x.denominator) for x in vec]
+    pivots, X, L = kernel(_gram(md.Y_coords, positions))
+    cb = CommutantBasis(positions, X, L, pivots)
+    stack = np.zeros((cb.dimension, n, n), dtype=X.dtype)
+    stack[:, a, b] = X
     failures = np.argwhere(_noncommuting(md, stack))
     if len(failures):
         i, l, m = failures[0].tolist()
@@ -243,13 +247,13 @@ def enumerate_invariants(
     pivots = basis.pivot_indices
     k = len(pivots)
     # Kernel rows times their common denominator L: the search accumulates L * Z.
-    L = math.lcm(*(x.denominator for row in basis.basis for x in row))
-    bvecs = [[x.numerator * (L // x.denominator) for x in row] for row in basis.basis]
+    L = basis.denominator
     # Every accumulator entry, sum and product is at most sum_i bound * max|row_i|
     # (row 0 takes the coefficient 1).
-    acc_bound = sum(max(int(bounds[p]), 1) * max(map(abs, b)) for p, b in zip(pivots, bvecs))
+    row_max = [int(x) for x in abs(basis.rows).max(axis=1)]
+    acc_bound = sum(max(int(bounds[p]), 1) * r for p, r in zip(pivots, row_max))
     dtype = int_dtype(acc_bound)
-    B = np.array(bvecs, dtype=dtype)
+    B = basis.rows.astype(dtype)
     # The leaves' entries lie in 0..max(bounds): the smallest signed dtype that holds them.
     entry_dtype = np.min_scalar_type(-int(bounds.max()) - 1)
     # Level i finalizes the entries from its pivot to the next one.

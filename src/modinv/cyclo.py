@@ -614,8 +614,10 @@ def int_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 PRIME_LIMIT = 2**21
 
 
+@lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the bases 2, 3, 5 and 7, deterministic below 3.2e9."""
+    """Miller-Rabin with the bases 2, 3, 5 and 7, deterministic below 3.2e9;
+    cached, since `linalg.kernel` tests the same primes on every call."""
     bases = (2, 3, 5, 7)
     if n < 2 or any(n % b == 0 for b in bases):
         return n in bases
@@ -868,26 +870,40 @@ def differs(x: Evaluated, y: Evaluated) -> np.ndarray:
     return _anywhere(x.m, a * x.norm + b * y.norm, at)
 
 
-def _rational(c: int, modulus: int) -> Optional[Fraction]:
-    """The fraction n/d = c mod modulus with |n|, d <= sqrt(modulus / 2) and
-    gcd(n, d) = 1, or None (Wang's rational reconstruction)."""
+def _crt(residues: Iterable[int], modulus: int, values: Iterable[int], p: int):
+    """The residues modulo modulus * p that are `residues` modulo `modulus`
+    and `values` modulo the prime p, which does not divide modulus; start
+    from residues of 0 modulo 1. Returns (residues, modulus * p)."""
+    lift = pow(modulus, -1, p)
+    return [r + modulus * ((v - r) * lift % p) for r, v in zip(residues, values)], modulus * p
+
+
+def _reconstruct(residues: Iterable[int], modulus: int) -> Optional[tuple[list[int], int]]:
+    """For each residue c the fraction n/d = c mod modulus with
+    |n|, d <= sqrt(modulus / 2) and gcd(n, d) = 1 (Wang's rational
+    reconstruction), as integer numerators over one positive denominator L,
+    the lcm of the d: (numerators, L), or None when some residue has none."""
     bound = isqrt(modulus // 2)
-    r0, r1, t0, t1 = modulus, c % modulus, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
+    pairs = []
+    for c in residues:
+        r0, r1, t0, t1 = modulus, c % modulus, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if abs(t1) > bound or gcd(r1, t1) != 1:
+            return None
+        pairs.append((r1, t1) if t1 > 0 else (-r1, -t1))
+    L = lcm(*(d for _, d in pairs))
+    return [n * (L // d) for n, d in pairs], L
 
 
 def divide(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
     """Exact quotient a / b in the common cyclotomic field.
 
     Found modulo the primes of `_table` in turn: at each, the quotient is
-    taken point by point and interpolated back to coordinates mod p, the
-    primes so far are combined (CRT) and every coordinate is reconstructed
-    as a fraction (`_rational`). A candidate is accepted only when q * b == a
+    taken point by point and interpolated back to coordinates mod p, and the
+    primes so far are combined and reconstructed as in `linalg.kernel`
+    (`_crt`, `_reconstruct`). A candidate is accepted only when q * b == a
     exactly. A prime at which b vanishes at some point, or that divides a
     denominator, is skipped. Raises ArithmeticError when the primes run out.
     """
@@ -914,16 +930,9 @@ def divide(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
         inverse = [pow(int(v) * ap.den % p, -1, p) for v in vb]
         vq = _mod(_mod(va * (bp.den % p), p) * np.array(inverse, dtype=np.float64), p)
         coords = _dot_mod(t.inverse, vq[:, None], p)[:, 0].astype(np.int64).tolist()
-        lift = pow(modulus, -1, p)
-        residues = [r + modulus * ((c - r) * lift % p) for r, c in zip(residues, coords)]
-        modulus *= p
-        coeffs = []
-        for c in residues:
-            x = _rational(c, modulus)
-            if x is None:
-                break
-            coeffs.append(x)
-        else:
-            q = Cyclotomic(m, {e: c for e, c in enumerate(coeffs) if c})
+        residues, modulus = _crt(residues, modulus, coords, p)
+        lifted = _reconstruct(residues, modulus)
+        if lifted is not None:
+            q = Cyclotomic.from_terms(m, enumerate(lifted[0]), lifted[1])
             if q * b == a:
                 return q

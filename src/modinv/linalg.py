@@ -1,17 +1,19 @@
-"""Exact linear algebra over Q: a kernel by primes and one fraction-free
-integer echelon.
+"""Exact linear algebra over Q: every solve through one kernel by primes,
+and one fraction-free integer echelon for the span analysis.
 
 :func:`kernel` reads the reduced echelon basis of an integer matrix's
 kernel off its reduced echelon form modulo 31-bit primes (int64 numpy),
-lifts it by CRT and rational reconstruction, and returns it only once
-every basis vector is annihilated exactly; it builds no echelon.
+lifts it by CRT and rational reconstruction (the steps `cyclo.divide`
+takes too) and returns it, as integers over one denominator, only once it
+annihilates the matrix exactly; it builds no echelon. :func:`inverse` is
+one such kernel, that of [D | -D M].
 
-:class:`Echelon`, for the span analysis and :func:`inverse`, takes rows
-sparse, as {column: rational}, clears their denominators once and keeps
-them as primitive integer rows with a positive pivot (integer-preserving
-elimination in the spirit of Bareiss 1968). An inserted row is reduced
-against every pivot, so what is left of it does not depend on the order the
-rows came in. Fractions appear only in reduced echelon forms over Q.
+:class:`Echelon`, for the incremental reduction of the span analysis,
+takes rows sparse, as {column: rational}, clears their denominators once
+and keeps them as primitive integer rows with a positive pivot
+(integer-preserving elimination in the spirit of Bareiss 1968). An inserted
+row is reduced against every pivot, so what is left of it does not depend
+on the order the rows came in.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .cyclo import _is_prime, _rational, int_array, int_matmul
+from .cyclo import _crt, _is_prime, _reconstruct, int_array, int_matmul
 
 Rational = Union[int, Fraction]
 
@@ -44,10 +46,6 @@ class Echelon:
         # Pivot column -> primitive integer row, in insertion order. Each row
         # is zero on the pivots inserted before it.
         self.rows: dict[int, list[int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
     def insert(self, entries: Mapping[int, Rational]) -> Optional[int]:
         """Add a row; its pivot column, or None when it is dependent on the
@@ -79,24 +77,6 @@ class Echelon:
             if r[col]:
                 self.rows[pivot] = _primitive(_eliminate(r, row, col), pivot)
 
-    def rref(self) -> list[tuple[int, list[Fraction]]]:
-        """Reduced row echelon form over Q as (pivot column, row) pairs in
-        increasing pivot order."""
-        return [(col, [Fraction(x, row[col]) for x in row]) for col, row in self._reduced()]
-
-    def _reduced(self) -> list[tuple[int, list[int]]]:
-        """The rows of `rref` as primitive integer rows, each to be divided
-        by its entry at its pivot column."""
-        reduced: dict[int, list[int]] = {}
-        # Back-substituting the later, already reduced rows into a row leaves
-        # it zero on every pivot but its own.
-        for col, r in reversed(self.rows.items()):
-            for col2, row2 in reduced.items():
-                if r[col2]:
-                    r = _eliminate(r, row2, col2)
-            reduced[col] = _primitive(r, col)
-        return sorted(reduced.items())
-
 
 def _primitive(r: list[int], lead: int) -> list[int]:
     """r divided by the gcd of its entries, signed so that r[lead] > 0."""
@@ -111,42 +91,48 @@ def _eliminate(r: list[int], row: list[int], col: int) -> list[int]:
     return [p * x - a * y for x, y in zip(r, row)]
 
 
-def kernel(A: np.ndarray) -> list[tuple[int, list[Fraction]]]:
-    """Reduced echelon basis, as in :meth:`Echelon.rref`, of the rational
-    kernel of an integer matrix (int64 or Python ints), from its reduced
-    echelon form modulo 31-bit primes.
+def kernel(A: np.ndarray) -> tuple[list[int], np.ndarray, int]:
+    """The reduced echelon basis of the rational kernel of an integer matrix
+    (int64 or Python ints), from its reduced echelon form modulo 31-bit
+    primes, as (pivots, X, L): the rows of the integer matrix X are L times
+    the basis vectors, L > 0 the lcm of their denominators, and row i is L
+    at its leading column pivots[i], in increasing order.
 
     Reduced with column j moved to width - 1 - j, each row R_p ends at its
     pivot p. For a free column f, the vector with 1 at f, -R_p[f] at each
     pivot p and 0 elsewhere is orthogonal to every R_p, starts at f
     (R_p[f] != 0 only for f < p) and is 0 at every other free column: a row
     of the kernel's unique reduced echelon form. Each -R_p[f] is lifted from
-    its residues by CRT and Wang's reconstruction (`cyclo._rational`), and
-    the basis is returned only once A v = 0 holds exactly for every lifted
-    v. That certifies it: rank_p(A) <= rank_Q(A), so there are at least
-    dim ker_Q lifted vectors; they are independent (1 at their own free
-    column, 0 at the others), so they span ker_Q, and a basis of this shape
-    is its unique reduced echelon form. Until then primes are added: a prime
-    whose pivots come later than another's (`_rank_key`) is unlucky and
-    dropped, one with the same pivots is combined with the others by CRT."""
+    its residues by CRT and Wang's reconstruction (`cyclo._crt` and
+    `cyclo._reconstruct`), and the basis is returned only once A X^T = 0
+    holds exactly. That certifies it: rank_p(A) <= rank_Q(A), so there are
+    at least dim ker_Q lifted vectors; they are independent (1 at their own
+    free column, 0 at the others), so they span ker_Q, and a basis of this
+    shape is its unique reduced echelon form. Until then primes are added: a
+    prime whose pivots come later than another's (`_rank_key`) is unlucky
+    and dropped, one with the same pivots is combined with the others by
+    CRT."""
     A = np.asarray(A)
     width = A.shape[1]
     reversed_columns = A[:, ::-1]
-    best = None  # (pivots, residues of R at the free columns, modulus)
+    best = None  # (pivots, residues of the basis entries at the pivots, modulus)
     for p in _primes():
         pivots, R = _rref_mod((reversed_columns % p).astype(np.int64), p)
-        residues = np.delete(R, pivots, axis=1).astype(object)
+        # -R at the free columns: the basis rows' entries at the pivots, one
+        # basis row (free column) after the other, in the original order.
+        values = (-np.delete(R, pivots, axis=1).T[::-1]).ravel().tolist()
         if best is None or _rank_key(pivots) > _rank_key(best[0]):
-            best = pivots, residues, p
+            residues, modulus = [0] * len(values), 1
         elif pivots == best[0]:
-            _, old, modulus = best
-            lift = pow(modulus, -1, p)
-            best = pivots, old + modulus * ((residues - old) * lift % p), modulus * p
+            _, residues, modulus = best
         else:
             continue
-        basis = _lift(*best, width)
-        if basis is not None and _annihilates(A, basis):
-            return basis
+        best = pivots, *_crt(residues, modulus, values, p)
+        lifted = _reconstruct(*best[1:])
+        if lifted is not None:
+            basis = _basis(pivots, *lifted, width)
+            if not int_matmul(A, basis[1].T).any():
+                return basis
     raise ArithmeticError("kernel: the primes below 2**31 ran out")
 
 
@@ -185,46 +171,43 @@ def _rref_mod(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     return pivots, A[: len(pivots)]
 
 
-def _lift(pivots: list[int], residues: np.ndarray, modulus: int, width: int):
-    """The kernel basis of the docstring of `kernel`, in the original column
-    order, from the residues of R at the free columns (reversed order); None
-    when some entry has no rational reconstruction."""
+def _basis(pivots: list[int], entries: list[int], L: int, width: int):
+    """(pivots, X, L) of `kernel` in the original column order, from the
+    pivots of R in the reversed order and L times the basis entries at them,
+    row by row in increasing order of their leading columns."""
     last = width - 1
-    free = sorted(set(range(width)) - set(pivots))
-    basis = []
-    for i, c in reversed(list(enumerate(free))):
-        row = [Fraction(0)] * width
-        row[last - c] = Fraction(1)
-        for j, x in zip(pivots, residues[:, i].tolist()):
-            if x:
-                q = _rational(-x, modulus)
-                if q is None:
-                    return None
-                row[last - j] = q
-        basis.append((last - c, row))
-    return basis
-
-
-def _annihilates(A: np.ndarray, basis: list[tuple[int, list[Fraction]]]) -> bool:
-    """Whether A v = 0 exactly for every basis row v, each scaled by the lcm
-    of its denominators to integers."""
-    if not basis:
-        return True
-    rows = []
-    for _, row in basis:
-        L = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (L // x.denominator) for x in row])
-    return not int_matmul(A, int_array(rows).T).any()
+    columns = [last - c for c in pivots]
+    leads = sorted(set(range(width)) - set(columns))
+    X = [[0] * width for _ in leads]
+    P = len(columns)
+    for i, (row, lead) in enumerate(zip(X, leads)):
+        row[lead] = L
+        for c, x in zip(columns, entries[i * P : (i + 1) * P]):
+            row[c] = x
+    return leads, int_array(X).reshape(len(leads), width), L
 
 
 def inverse(M: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
-    """Inverse over Q of a square matrix, from one reduction of [M | I], with
-    Fractions built only for the inverse half; raises SingularMatrix when M
-    has none."""
+    """Inverse over Q of a square matrix, from one `kernel`; raises
+    SingularMatrix when M has none.
+
+    With D the diagonal of the lcms of the denominators of M's rows, the
+    kernel of the integer matrix [D | -D M] is {(M y, y)}. Its projection to
+    the first i + 1 columns has the rank of M's first i + 1 rows as its
+    dimension, so its reduced echelon basis has a pivot at column i < t
+    exactly when row i of M is not in the span of the rows before it. When
+    all t rows are independent, basis row i is (e_i, y_i) with M y_i = e_i:
+    y_i is column i of the inverse."""
     t = len(M)
-    augmented = Echelon(2 * t)
-    pivots = [augmented.insert({**dict(enumerate(row)), t + i: 1}) for i, row in enumerate(M)]
-    dependent = [i for i, col in enumerate(pivots) if col >= t]
+    d = [lcm(*(x.denominator for x in row)) for row in M]
+    DM = [
+        [d[i] * (i == j) for j in range(t)] + [int(-x * d[i]) for x in row]
+        for i, row in enumerate(M)
+    ]
+    pivots, X, L = kernel(int_array(DM).reshape(t, 2 * t))
+    taken = set(pivots)
+    dependent = [i for i in range(t) if i not in taken]
     if dependent:
         raise SingularMatrix(dependent)
-    return [[Fraction(x, row[col]) for x in row[t:]] for col, row in augmented._reduced()]
+    zero = Fraction(0)
+    return [[Fraction(x, L) if x else zero for x in column] for column in X[:, t:].T.tolist()]

@@ -16,7 +16,16 @@ from hypothesis import strategies as st
 import modinv.classify
 import modinv.cyclo
 import modinv.report
-from modinv.cyclo import Cyclotomic, csum, divide, int_array, int_matmul, root_of_unity
+from modinv.cyclo import (
+    Cyclotomic,
+    coordinates,
+    csum,
+    divide,
+    int_array,
+    int_dtype,
+    int_matmul,
+    root_of_unity,
+)
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.linalg import Echelon, SingularMatrix, inverse
 from modinv.modular import compute_modular_data
@@ -630,6 +639,34 @@ def test_span_summary_builds_one_echelon(so16, monkeypatch):
     assert built == [2 * md.size**2 + 1]
 
 
+@pytest.mark.parametrize("name", ["su2_16", "so16"])
+def test_extended_modular_data_builds_no_echelon(name, request, monkeypatch):
+    # The Gram inverse is one kernel by primes: only the span analysis builds
+    # an echelon. The D10 factorization of SU(2) 16 has a dependent row, which
+    # the inverse names.
+    md, pool, _ = request.getfixturevalue(name)
+    built = []
+
+    class RecordedEchelon(modinv.linalg.Echelon):
+        def __init__(self, width):
+            built.append(width)
+            super().__init__(width)
+
+    monkeypatch.setattr(modinv.linalg, "Echelon", RecordedEchelon)
+    monkeypatch.setattr(modinv.classify, "Echelon", RecordedEchelon)
+    messages = []
+    for Z in pool:
+        indices = global_indices(md, Z)
+        for branching in factorize_type_one(md, Z):
+            try:
+                extended_modular_data(md, branching, indices)
+            except RankDeficientBranching as exc:
+                messages.append(str(exc))
+    assert built == []
+    dependent = ["branching rows linearly dependent: rows [5]"] if name == "su2_16" else []
+    assert messages == dependent
+
+
 def test_block_dim_identity(su2_16):
     md, pool, cls = su2_16
     d10 = next(c for c in cls if c.Z.trace == 10)
@@ -1101,29 +1138,60 @@ def _dense_Y(md):
     return Y
 
 
-def _full_width_inverse(M):
-    """Reference: the inverse read off the full reduced echelon form of
-    [M | I], a Fraction built for every entry."""
+def _sympy_inverse(M):
+    """Reference: the inverse of a square integer matrix by sympy's
+    DomainMatrix over QQ. When it is singular, the rows in the span of the
+    rows before them are those that are not pivots of the transpose's
+    reduced echelon form."""
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+
     t = len(M)
-    augmented = Echelon(2 * t)
-    pivots = [augmented.insert({**dict(enumerate(row)), t + i: 1}) for i, row in enumerate(M)]
-    dependent = [i for i, col in enumerate(pivots) if col >= t]
-    if dependent:
-        raise SingularMatrix(dependent)
-    return [row[t:] for _, row in augmented.rref()]
+    A = DomainMatrix([[QQ(int(x)) for x in row] for row in M], (t, t), QQ)
+    try:
+        inv = A.inv()
+    except DMNonInvertibleMatrixError:
+        pivots = set(A.transpose().rref()[1])
+        raise SingularMatrix([i for i in range(t) if i not in pivots]) from None
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in inv.to_list()]
+
+
+def _adjoint_differs(Yext, w_zero):
+    """Reference: the (t, t) mask of the entries where Yext Yext^dagger and
+    w_zero times the identity differ, by one integer computation on the
+    coordinates X of D Yext in the power basis of Q(zeta_m), with no value
+    at a prime: column s of R holds the coordinates of zeta_m^s, so
+    conjugation takes X[e] to R[:, -e] X[e], and the products
+    X[e] conj(X)[f]^T, summed at e + f mod m, go back through R."""
+    m = math.lcm(*(x.conductor for row in Yext for x in row), w_zero.conductor)
+    X, D = coordinates(Yext, m)
+    f, t = X.shape[:2]
+    R = coordinates([Cyclotomic.zeta(m, s) for s in range(m)], m)[0]
+    Xbar = int_matmul(R[:, (-np.arange(f)) % m], X.reshape(f, t * t)).reshape(f, t, t)
+    C = int_matmul(X.reshape(f * t, t), Xbar.reshape(f * t, t).T).reshape(f, t, f, t)
+    powers = np.zeros((m, t, t), dtype=int_dtype(f * int(abs(C).max())))
+    for e in range(f):
+        powers[(e + np.arange(f)) % m] += C[e].transpose(1, 0, 2)
+    product = int_matmul(R, powers.reshape(m, t * t)).reshape(f, t, t).astype(object)
+    W, Dw = coordinates(w_zero, m)
+    expected = W.astype(object)[:, None, None] * D**2 * np.eye(t, dtype=int).astype(object)
+    return (product * Dw != expected).any(axis=0)
 
 
 def _scalar_extended_modular_data(md, branching, indices):
     """Reference: extended_modular_data with every check as an entry-by-entry
     Cyclotomic loop, B Y and B Y B^T scanned over every label, and Yext
-    summed over every k, zero Gram-inverse entries included, from the
-    full-width inverse and the dense scalar Y."""
+    summed over every k, zero Gram-inverse entries included, from sympy's
+    inverse and the dense scalar Y; Yext Yext^dagger = w_zero 1 is checked
+    by `_adjoint_differs`."""
     t = branching.block_count
     n = md.size
     B = branching.B
     gram = [[sum(B[a][l] * B[b][l] for l in range(n)) for b in range(t)] for a in range(t)]
     try:
-        ginv = _full_width_inverse(gram)
+        ginv = _sympy_inverse(gram)
     except SingularMatrix as exc:
         raise RankDeficientBranching(
             f"branching rows linearly dependent: rows {exc.dependent}"
@@ -1162,15 +1230,11 @@ def _scalar_extended_modular_data(md, branching, indices):
     if z0 != ratio * md.z:
         failures.append("z0 != (w_plus/w) z")
     if md.nondegenerate:
-        Yext_bar = [[v.conjugate() for v in row] for row in Yext]
-        for a in range(t):
-            for b in range(t):
-                s = csum(Yext[a][k] * Yext_bar[b][k] for k in range(t))
-                if a != b:
-                    if not s.is_zero():
-                        failures.append(f"Yext Yext^dagger not diagonal at ({a},{b})")
-                elif s != indices.w_zero:
-                    failures.append(f"(Yext Yext^dagger)[{a},{a}] != w_zero")
+        for a, b in np.argwhere(_adjoint_differs(Yext, indices.w_zero)).tolist():
+            if a != b:
+                failures.append(f"Yext Yext^dagger not diagonal at ({a},{b})")
+            else:
+                failures.append(f"(Yext Yext^dagger)[{a},{a}] != w_zero")
     return ExtendedModularData(
         Yext=Yext,
         Text_twists=branching.block_twists,
@@ -1240,6 +1304,25 @@ def test_extended_checks_match_scalar_reference(case):
     assert extended_modular_data(md, branching, indices) == expected
 
 
+@pytest.mark.parametrize("i", range(3), ids=[ring.name for ring in EXTENDED_RINGS[:3]])
+def test_adjoint_reference_matches_the_scalar_products(i):
+    # `_adjoint_differs` against the entry-by-entry Cyclotomic products, on
+    # Y, the Yext of the diagonal invariant, and on Y with one entry changed.
+    md, indices = _data_and_identity_indices(i)
+    n, w0 = md.size, indices.w_zero
+    Y = [list(row) for row in md.Y]
+    for corrupted in (False, True):
+        if corrupted:
+            Y[0][1] = Y[0][1] + 1
+        products = [
+            [csum(Y[a][k] * Y[b][k].conjugate() for k in range(n)) for b in range(n)]
+            for a in range(n)
+        ]
+        expected = [[products[a][b] != (w0 if a == b else 0) for b in range(n)] for a in range(n)]
+        assert _adjoint_differs(Y, w0).tolist() == expected
+        assert any(map(any, expected)) == corrupted
+
+
 def _cyclotomic_form(x):
     """What the report reads of an element: its coordinates in slot order
     (the summation order of embed()), denominator and conductor."""
@@ -1300,7 +1383,7 @@ def test_yext_keeps_the_slot_order_of_the_full_sum(build, args):
                 with pytest.raises(RankDeficientBranching):
                     extended_modular_data(md, branching, indices)
                 continue
-            assert inverse(gram) == _full_width_inverse(gram)
+            assert inverse(gram) == _sympy_inverse(gram)
             got = extended_modular_data(md, branching, indices)
             assert _extended_form(got) == _extended_form(expected)
             checked += 1

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from modinv import commutant, linalg
 from modinv.cyclo import Cyclotomic, csum
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
-from modinv.linalg import Echelon, kernel
+from modinv.linalg import kernel
 from modinv.modular import compute_modular_data
 from modinv.commutant import (
     CouplingMatrix,
@@ -93,8 +93,8 @@ def _reference_enumerate(md, basis, bound_scale=1):
     scale = float(bound_scale)
     bounds = [max(0, math.ceil(scale * d[l] * d[m] - 1e-9)) for (l, m) in positions]
     pivots = basis.pivot_indices
-    L = math.lcm(*(x.denominator for row in basis.basis for x in row))
-    bvecs = [[x.numerator * (L // x.denominator) for x in row] for row in basis.basis]
+    L = basis.denominator
+    bvecs = basis.rows.tolist()
     k = len(pivots)
     seg_end = [pivots[i + 1] if i + 1 < k else npos for i in range(k)]
     r0_len = sum(1 for (l, _m) in positions if l == 0)
@@ -545,10 +545,10 @@ def test_kernel_self_check_catches_a_corrupted_basis_vector(monkeypatch):
 
     def corrupted(G):
         # E_00 does not commute with Y, so basis element 3 plus E_00 fails.
-        basis = kernel(G)
-        col, row = basis[3]
-        basis[3] = (col, [row[0] + 1] + row[1:])
-        return basis
+        pivots, X, L = kernel(G)
+        X = X.copy()
+        X[3, 0] += L
+        return pivots, X, L
 
     monkeypatch.setattr(commutant, "kernel", corrupted)
     with pytest.raises(AssertionError) as exc:
@@ -708,10 +708,10 @@ def commutation_inputs(draw):
     if kind == "kernel":
         coeff = draw(st.sampled_from([_rationals, st.integers(-(2**70), 2**70)]))
         Z = [[Fraction(0)] * n for _ in range(n)]
-        for vec in basis.basis:
+        for vec in basis.rows.tolist():
             c = draw(coeff)
             for (l, m), v in zip(basis.positions, vec):
-                Z[l][m] += c * v
+                Z[l][m] += c * Fraction(v, basis.denominator)
         if draw(st.booleans()):
             Z[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += 1
         return md, Z
@@ -766,23 +766,22 @@ def _constraint_rows(Y, positions):
     return np.concatenate(blocks)
 
 
-def _echelon_kernel(rows, width):
-    """Reduced-echelon kernel basis and pivots of an integer matrix, given as
-    rows of Python ints, by forward elimination: the matrix's reduced
-    echelon form R in one echelon, then for each free column f the vector
-    with 1 at f and -R_p[f] at each pivot p reduced in a second one."""
-    constraints = Echelon(width)
-    for row in rows:
-        nonzero = {j: x for j, x in enumerate(row) if x}
-        if nonzero:
-            constraints.insert(nonzero)
-    reduced = dict(constraints.rref())
-    basis = Echelon(width)
-    for free in range(width):
-        if free not in reduced:
-            basis.insert({free: 1, **{col: -row[free] for col, row in reduced.items()}})
-    out = basis.rref()
-    return [row for _, row in out], [col for col, _ in out]
+def _sympy_kernel(rows, width):
+    """Reference: reduced-echelon kernel basis, as Fractions, and pivots of
+    an integer matrix given as rows of ints, by sympy's DomainMatrix over QQ."""
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    A = DomainMatrix([[QQ(int(x)) for x in row] for row in rows], (len(rows), width), QQ)
+    ref, pivots = A.nullspace().rref()
+    basis = [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in ref.to_list()]
+    return basis[: len(pivots)], list(pivots)
+
+
+def _fraction_rows(X, L):
+    """The rows of an integer matrix over the denominator L, as Fractions."""
+    return [[Fraction(x, L) for x in row] for row in X.tolist()]
 
 
 def _kernel_rings():
@@ -810,7 +809,8 @@ def test_commutant_kernel_matches_explicit_constraint_rows(i):
     assert (_gram(md.Y_coords, positions) == A.T @ A).all()
     basis = commutant_basis(md, twist_sparsity(md.ring))
     assert basis.positions == positions
-    assert (basis.basis, basis.pivot_indices) == _echelon_kernel(A.tolist(), len(positions))
+    rows = _fraction_rows(basis.rows, basis.denominator)
+    assert (rows, basis.pivot_indices) == _sympy_kernel(A.tolist(), len(positions))
 
 
 @st.composite
@@ -835,10 +835,10 @@ def test_gram_of_an_asymmetric_tensor(case):
     G = _gram(Y.astype(np.int64), positions)
     assert G.dtype == (np.int64 if bound < 2**63 else object)
     assert (G == A.T @ A).all()
-    expected = _echelon_kernel(A.tolist(), len(G))
-    assert _echelon_kernel(G.tolist(), len(G)) == expected
-    basis = kernel(G)  # by primes, from int64 or Python-int entries
-    assert ([row for _, row in basis], [col for col, _ in basis]) == expected
+    expected = _sympy_kernel(A.tolist(), len(G))
+    assert _sympy_kernel(G.tolist(), len(G)) == expected
+    pivots, X, L = kernel(G)  # by primes, from int64 or Python-int entries
+    assert (_fraction_rows(X, L), pivots) == expected
 
 
 def _first_rejection(md, pool):
