@@ -31,7 +31,7 @@ from .cyclo import (
     root_of_unity,
 )
 from .commutant import CouplingMatrix
-from .linalg import Echelon, SingularMatrix, inverse
+from .linalg import Echelon, kernel
 from .modular import ModularData
 
 
@@ -150,7 +150,7 @@ def factorize_type_one(md: ModularData, Z: CouplingMatrix) -> list[BranchingData
         return []
     b0 = Z.vacuum_column
     resid = [[mat[l][m] - b0[l] * b0[m] for m in range(n)] for l in range(n)]
-    if any(resid[l][m] < 0 for l in range(n) for m in range(n)) or not _live(resid):
+    if b0[0] != 1 or any(resid[l][m] < 0 for l in range(n) for m in range(n)) or not _live(resid):
         return []
     results: list[list[tuple[int, ...]]] = []
 
@@ -204,18 +204,17 @@ def _live(R: list[list[int]]) -> bool:
 
 
 def _branching_from_rows(md: ModularData, rows: list[tuple[int, ...]]) -> BranchingData:
+    """The branching of rows b_tau with Z = sum_tau b_tau b_tau^T, each
+    block's twist that of the first label of its support.
+
+    For a verified invariant Z every label of one block has that twist:
+    Z is non-negative, so b_{tau,l} b_{tau,m} <= Z_{l,m}, and Z commutes with
+    T, so Z_{l,m} = 0 unless h_l = h_m. Rows that factorize an unverified Z
+    can mix twists; `_gram_free_checks` reports each label that does."""
     n = md.size
     h = md.ring.twists
     d = md.ring.dims
-    twists = []
-    for tau, b in enumerate(rows):
-        support = [l for l in range(n) if b[l]]
-        vals = {h[l] for l in support}
-        if len(vals) != 1:
-            raise AssertionError(
-                f"internal error: block {tau} mixes twists {sorted(vals)}"
-            )
-        twists.append(vals.pop())
+    twists = [h[next(l for l in range(n) if b[l])] for b in rows]
     # d_tau = (w_plus / w) * sum_l b_{tau,l} d_l with w/w_plus = sum_l d_l b_{0,l}.
     chiral = csum(d[l] * rows[0][l] for l in range(n) if rows[0][l])
     dims = [
@@ -346,24 +345,33 @@ def extended_modular_data(
     md: ModularData, branching: BranchingData, indices: GlobalIndices
 ) -> ExtendedModularData:
     """Yext = (w_plus/w) (B Y B^T) (B B^T)^{-1}, exact over the cyclotomic
-    field with a rational Gram inverse; consistency collects the exact
-    residual checks.
+    field; consistency collects the exact residual checks.
+
+    The Gram inverse is one `kernel`, that of the integer matrix [1 | -G],
+    G = B B^T: the kernel is {(G y, y)}. Its projection to the first i + 1
+    columns has the rank of G's first i + 1 rows as its dimension, so its
+    reduced echelon basis has a pivot at column i < t exactly when row i of
+    G is not in the span of the rows before it; the rows that are not
+    pivots raise RankDeficientBranching. When all t are pivots, basis row i
+    is (e_i, y_i) with G y_i = e_i, so row i of X[:, t:] is L times column
+    i of G^{-1}, in integers.
 
     Every sum runs over the nonzero entries of B and of the Gram inverse only,
-    in ascending order, with a coefficient of 1 taking the term itself: an
-    exact zero term leaves a sum's coordinate slots and denominator as they
-    are, and a term times 1 is the term, so the slots are those of the sums
-    over every entry. B Y is formed only at the labels some row of B
+    in ascending order, with integer coefficients, a coefficient of 1 taking
+    the term itself, and the sum divided by L once: an exact zero term
+    leaves a sum's coordinate slots and denominator as they are, a term
+    times 1 is the term, and L times every term keeps the zero pattern of
+    every partial sum, so the slots are those of the sums over every entry
+    of the rational inverse. B Y is formed only at the labels some row of B
     touches, the only ones B Y B^T reads."""
     t = branching.block_count
     B = branching.B
     Bm = np.array(B, dtype=object)
-    try:
-        ginv = inverse(int_matmul(Bm, Bm.T).tolist())
-    except SingularMatrix as exc:
-        raise RankDeficientBranching(
-            f"branching rows linearly dependent: rows {exc.dependent}"
-        ) from None
+    G = int_matmul(Bm, Bm.T)
+    pivots, X, L = kernel(np.concatenate([np.eye(t, dtype=G.dtype), -G], axis=1))
+    dependent = [i for i in range(t) if i not in pivots]
+    if dependent:
+        raise RankDeficientBranching(f"branching rows linearly dependent: rows {dependent}")
     rows = [[(l, c) for l, c in enumerate(b) if c] for b in B]
     touched = sorted({l for row in rows for l, _ in row})
     Y = md.Y
@@ -373,10 +381,10 @@ def extended_modular_data(
     ]
     BYBt = [[csum(_times(BY_a[l], c) for l, c in row) for row in rows] for BY_a in BY]
     ratio = divide(indices.w_plus, md.w)
-    # Every column of the invertible ginv has a nonzero entry.
-    columns = [[(k, g) for k, g in enumerate(col) if g] for col in zip(*ginv)]
+    # Every column of the invertible Gram inverse has a nonzero entry.
+    columns = [[(k, x) for k, x in enumerate(row) if x] for row in X[:, t:].tolist()]
     Yext = [
-        [ratio * csum(_times(BYBt_a[k], g) for k, g in col) for col in columns]
+        [ratio * (csum(_times(BYBt_a[k], x) for k, x in col) / L) for col in columns]
         for BYBt_a in BYBt
     ]
     failures: list[str] = []
@@ -411,7 +419,7 @@ def extended_modular_data(
 
 
 def _times(x: Cyclotomic, c) -> Cyclotomic:
-    """x * c for a nonzero rational c; x itself for c = 1, as the product
+    """x * c for a nonzero integer c; x itself for c = 1, as the product
     would return it."""
     return x if c == 1 else x * c
 
@@ -500,10 +508,10 @@ def span_dimension_and_relations(
     relations: list[list[int]] = []
     free = 0  # the slot of the matrix being reduced
     for i, Z in enumerate(mats):
-        entries = {**_flatten(Z), width + free: 1}
-        r = echelon.residual(entries)
+        slots = [int(s == free) for s in range(width + 1)]
+        r = echelon.residual([v for row in Z.Z for v in row] + slots)
         if any(r[:width]):
-            echelon.insert(entries)
+            echelon.insert(r)
             member[free] = i
             free = next(s for s in range(width + 1) if s not in member)
             continue
@@ -522,12 +530,6 @@ def span_dimension_and_relations(
             del member[leaving]
             free = leaving
     return k - len(relations), relations
-
-
-def _flatten(Z: CouplingMatrix) -> dict[int, int]:
-    """Nonzero entries of Z by row-major position."""
-    flat = (v for row in Z.Z for v in row)
-    return {j: v for j, v in enumerate(flat) if v}
 
 
 def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classification]:

@@ -1,45 +1,34 @@
-"""Exact linear algebra over Q: every solve through one kernel by primes,
-and one fraction-free integer echelon for the span analysis.
+"""Exact linear algebra over Q on integer input: every solve through one
+kernel by primes, and one fraction-free integer echelon for the span
+analysis.
 
 :func:`kernel` reads the reduced echelon basis of an integer matrix's
 kernel off its reduced echelon form modulo 31-bit primes (int64 numpy),
 lifts it by CRT and rational reconstruction (the steps `cyclo.divide`
 takes too) and returns it, as integers over one denominator, only once it
-annihilates the matrix exactly; it builds no echelon. :func:`inverse` is
-one such kernel, that of [D | -D M].
+annihilates the matrix exactly; it builds no echelon.
 
 :class:`Echelon`, for the incremental reduction of the span analysis,
-takes rows sparse, as {column: rational}, clears their denominators once
-and keeps them as primitive integer rows with a positive pivot
-(integer-preserving elimination in the spirit of Bareiss 1968). An inserted
-row is reduced against every pivot, so what is left of it does not depend
-on the order the rows came in.
+takes dense integer rows and keeps them as primitive integer rows with a
+positive pivot (integer-preserving elimination in the spirit of Bareiss
+1968). A row is reduced once, against every pivot, so what is left of it
+does not depend on the order the rows came in; a nonzero residual is what
+is kept.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-from typing import Mapping, Optional, Sequence, Union
+from math import gcd
+from typing import Sequence
 
 import numpy as np
 
 from .cyclo import _crt, _is_prime, _reconstruct, int_array, int_matmul
 
-Rational = Union[int, Fraction]
-
-
-class SingularMatrix(ArithmeticError):
-    """A matrix has no inverse; `dependent` lists the rows that lie in the
-    span of the rows before them."""
-
-    def __init__(self, dependent: list[int]):
-        super().__init__(f"singular matrix: rows {dependent} are dependent")
-        self.dependent = dependent
-
 
 class Echelon:
-    """Integer row echelon of a growing set of rational rows of one width."""
+    """Integer row echelon of a growing set of dense integer rows of one
+    width, each reduced once: `residual`, then `insert` of what is left."""
 
     def __init__(self, width: int):
         self.width = width
@@ -47,26 +36,20 @@ class Echelon:
         # is zero on the pivots inserted before it.
         self.rows: dict[int, list[int]] = {}
 
-    def insert(self, entries: Mapping[int, Rational]) -> Optional[int]:
-        """Add a row; its pivot column, or None when it is dependent on the
-        rows already inserted."""
-        r = self.residual(entries)
-        lead = next((j for j, x in enumerate(r) if x), None)
-        if lead is not None:
-            self.rows[lead] = _primitive(r, lead)
-        return lead
-
-    def residual(self, entries: Mapping[int, Rational]) -> list[int]:
-        """A positive integer multiple of what is left of a row once every pivot
-        is eliminated; all zero exactly when the row lies in the span."""
-        den = lcm(*(x.denominator for x in entries.values()))
-        r = [0] * self.width
-        for j, x in entries.items():
-            r[j] = x.numerator * (den // x.denominator)
+    def residual(self, r: list[int]) -> list[int]:
+        """A positive integer multiple of what is left of the integer row r
+        once every pivot is eliminated; all zero exactly when r lies in the
+        span."""
         for col, row in self.rows.items():
             if r[col]:
                 r = _eliminate(r, row, col)
         return r
+
+    def insert(self, r: list[int]) -> int:
+        """Keep a nonzero `residual` as a row; its pivot column."""
+        lead = next(j for j, x in enumerate(r) if x)
+        self.rows[lead] = _primitive(r, lead)
+        return lead
 
     def rewrite(self, row: Sequence[int], col: int) -> None:
         """Clear column col of every stored row with an integer row that is
@@ -185,29 +168,3 @@ def _basis(pivots: list[int], entries: list[int], L: int, width: int):
         for c, x in zip(columns, entries[i * P : (i + 1) * P]):
             row[c] = x
     return leads, int_array(X).reshape(len(leads), width), L
-
-
-def inverse(M: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
-    """Inverse over Q of a square matrix, from one `kernel`; raises
-    SingularMatrix when M has none.
-
-    With D the diagonal of the lcms of the denominators of M's rows, the
-    kernel of the integer matrix [D | -D M] is {(M y, y)}. Its projection to
-    the first i + 1 columns has the rank of M's first i + 1 rows as its
-    dimension, so its reduced echelon basis has a pivot at column i < t
-    exactly when row i of M is not in the span of the rows before it. When
-    all t rows are independent, basis row i is (e_i, y_i) with M y_i = e_i:
-    y_i is column i of the inverse."""
-    t = len(M)
-    d = [lcm(*(x.denominator for x in row)) for row in M]
-    DM = [
-        [d[i] * (i == j) for j in range(t)] + [int(-x * d[i]) for x in row]
-        for i, row in enumerate(M)
-    ]
-    pivots, X, L = kernel(int_array(DM).reshape(t, 2 * t))
-    taken = set(pivots)
-    dependent = [i for i in range(t) if i not in taken]
-    if dependent:
-        raise SingularMatrix(dependent)
-    zero = Fraction(0)
-    return [[Fraction(x, L) if x else zero for x in column] for column in X[:, t:].T.tolist()]

@@ -1,6 +1,8 @@
 """The exact kernel by primes, the inverse through it and the span
 echelon against sympy's DomainMatrix over QQ, which serves as an
-independent oracle for rank, dependent rows, kernel and inverse."""
+independent oracle for rank, dependent rows, kernel and inverse. Both
+solvers take integers: a rational row is fed as itself times the lcm of
+its denominators, which keeps its span and the kernel."""
 
 from fractions import Fraction
 from itertools import chain
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modinv import linalg
-from modinv.linalg import Echelon, SingularMatrix, inverse, kernel
+from modinv.linalg import Echelon, kernel
 
 pytest.importorskip("sympy")
 from sympy import QQ  # noqa: E402
@@ -61,19 +63,35 @@ def fractions(dm: DomainMatrix) -> list[list[Fraction]]:
     return [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in dm.to_list()]
 
 
-def sparse(row: list[Fraction]) -> dict[int, Fraction]:
-    return dict(enumerate(row))
-
-
 def oracle_dependent_rows(M: list[list[Fraction]], width: int) -> list[int]:
     """Rows that do not raise the rank of the rows before them."""
     return [i for i in range(len(M))
             if oracle(M[: i + 1], width).rank() == oracle(M[:i], width).rank()]
 
 
+def integer_row(row: list[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators, as Python ints."""
+    L = lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * L) for x in row]
+
+
+def integer_rows(M: list[list[Fraction]]) -> np.ndarray:
+    """`integer_row` of each row, as an object array: the kernel and the
+    dependent rows are unchanged."""
+    return np.array([integer_row(row) for row in M], dtype=object)
+
+
 def echelon_of(M: list[list[Fraction]]) -> tuple[Echelon, list[int]]:
+    """The echelon of the rows of M, each inserted when its residual is
+    nonzero, and the rows whose residual is zero."""
     ech = Echelon(len(M[0]))
-    dependent = [i for i, row in enumerate(M) if ech.insert(sparse(row)) is None]
+    dependent = []
+    for i, row in enumerate(M):
+        r = ech.residual(integer_row(row))
+        if any(r):
+            ech.insert(r)
+        else:
+            dependent.append(i)
     return ech, dependent
 
 
@@ -96,20 +114,10 @@ def test_residual_is_zero_exactly_on_the_span(M, target):
     width = len(M[0])
     target = [Fraction(x) for x in target[:width]]
     ech, _ = echelon_of(M)
-    residual = ech.residual(sparse(target))
+    residual = ech.residual(integer_row(target))
     in_span = oracle(M + [target], width).rank() == oracle(M, width).rank()
     assert (not any(residual)) == in_span
     assert all(residual[col] == 0 for col in ech.rows)
-
-
-def integer_rows(M: list[list[Fraction]]) -> np.ndarray:
-    """Each row times the lcm of its denominators, as Python ints: the
-    kernel is unchanged."""
-    out = []
-    for row in M:
-        L = lcm(*(Fraction(x).denominator for x in row))
-        out.append([int(x * L) for x in row])
-    return np.array(out, dtype=object)
 
 
 # Entries of the kernel's basis near 2**20 and 2**40: their rational
@@ -197,17 +205,21 @@ def test_kernel_drops_an_unlucky_prime(monkeypatch, M, first, count):
 
 
 @settings(max_examples=150, deadline=None)
-@given(square_matrices())
-@example([[Fraction(0)] * 3 for _ in range(3)])
-@example([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+@given(square_matrices().map(integer_rows))
+@example(integer_rows([[0] * 3 for _ in range(3)]))
+@example(integer_rows([[1, 2], [2, 4]]))
 def test_inverse(M):
+    # The Gram inverse of `extended_modular_data`: the kernel of [1 | -M] is
+    # {(M y, y)}, its missing pivots below n are M's dependent rows, and
+    # when there are none row i of X[:, n:] / L is column i of M^-1.
     n = len(M)
+    pivots, X, L = kernel(np.concatenate([np.eye(n, dtype=object), -M], axis=1))
+    rows = [[Fraction(x) for x in row] for row in M.tolist()]
+    dependent = [i for i in range(n) if i not in pivots]
+    assert dependent == oracle_dependent_rows(rows, n)
     try:
-        expected = fractions(oracle(M, n).inv())
+        expected = fractions(oracle(rows, n).inv())
     except DMNonInvertibleMatrixError:
-        with pytest.raises(SingularMatrix) as exc:
-            inverse(M)
-        assert exc.value.dependent == oracle_dependent_rows(M, n)
+        assert dependent
         return
-    assert inverse(M) == expected
-
+    assert [[Fraction(x, L) for x in column] for column in X[:, n:].T.tolist()] == expected
