@@ -717,26 +717,38 @@ def _mod(z: np.ndarray, p: int) -> np.ndarray:
     array of integers below 2**53 - p in absolute value: z - k p with k the
     float quotient z * (1/p) rounded, which is off z/p by at most
     1/2 + 2/p, so that k p and the difference are exact. The residue is not
-    canonical, but it is 0 exactly when p divides z (p >= 5)."""
-    return z - np.rint(z * (1 / p)) * p
+    canonical, but it is 0 exactly when p divides z (p >= 5). The quotient,
+    its product with p and the difference share one buffer, so that a large
+    array allocates one temporary instead of three."""
+    q = z * (1 / p)
+    np.rint(q, out=q)
+    q *= p
+    return np.subtract(z, q, out=q)
 
 
 def _dot_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A @ B mod p (`_mod`) for float64 residue arrays (matmul broadcasting)
-    with entries below p in absolute value, exactly: the inner sums are
-    split so that no partial sum reaches 2**53 - p."""
+    with entries below p in absolute value, exactly: an inner dimension
+    above 2**53 // p**2 - 2 is split so that no partial sum reaches
+    2**53 - p; at or below it (every product of the exact checks) one
+    product suffices."""
     step = max(1, 2**53 // p**2 - 2)
+    if A.shape[-1] <= step:
+        return _mod(A @ B, p)
     out = 0
-    for s in range(0, max(A.shape[-1], 1), step):
+    for s in range(0, A.shape[-1], step):
         out = _mod(out + A[..., s : s + step] @ B[..., s : s + step, :], p)
     return out
 
 
 def _l1(X: np.ndarray) -> int:
     """The largest L1 norm of the coordinate vectors X[:, ...]."""
-    if X.dtype != object and _max_abs(X) * len(X) >= 2**63:
-        X = X.astype(object)
-    return int(abs(X).sum(axis=0, keepdims=True).max()) if X.size else 0
+    if not X.size:
+        return 0
+    a = abs(X)
+    if X.dtype != object and int(a.max()) * len(X) >= 2**63:
+        a = a.astype(object)
+    return int(a.sum(axis=0, keepdims=True).max())
 
 
 def _lift(values: np.ndarray, ndim: int) -> np.ndarray:

@@ -9,7 +9,7 @@ rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -35,6 +35,11 @@ from .cyclo import (
 
 @dataclass(frozen=True, eq=False)
 class FusionRing:
+    """A fusion ring's data. `conductor`, the global conductor (the lcm of
+    the twist denominators and of the dims' conductors), is computed once,
+    when the ring is built (also by `dataclasses.replace`), and stored, so
+    that every instance holds it and equal rings compare equal."""
+
     names: tuple[str, ...]
     fusion: np.ndarray  # N[l, m, n] = N_{l,m}^n: one read-only integer tensor
     dual: tuple[int, ...]
@@ -42,6 +47,13 @@ class FusionRing:
     dims: Optional[tuple[Cyclotomic, ...]]
     name: str = ""
     central_charge_hint: Optional[Fraction] = None
+    conductor: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        m = lcm(*(h.denominator for h in self.twists)) if self.twists else 1
+        if self.dims is not None:
+            m = lcm(m, *(d.conductor for d in self.dims))
+        object.__setattr__(self, "conductor", m)
 
     @property
     def size(self) -> int:
@@ -52,14 +64,6 @@ class FusionRing:
             return NotImplemented
         a, b = dict(vars(self)), dict(vars(other))
         return np.array_equal(a.pop("fusion"), b.pop("fusion")) and a == b
-
-    @property
-    def conductor(self) -> int:
-        """Global conductor: lcm of twist denominators and dim conductors."""
-        m = lcm(*(h.denominator for h in self.twists)) if self.twists else 1
-        if self.dims is not None:
-            m = lcm(m, *(d.conductor for d in self.dims))
-        return m
 
 
 def make_ring(
@@ -74,7 +78,7 @@ def make_ring(
     """Normalize and freeze ring data: the fusion rules become one read-only
     integer tensor (numpy's ValueError on a ragged one), twists (ints or
     Fractions, else TypeError) are reduced mod 1 and exact dims are promoted
-    to the global conductor."""
+    to the global conductor, which the promotion leaves unchanged."""
     twists_mod = tuple(Fraction(*_parts(h)) % 1 for h in twists)
     N = int_array(fusion)
     N.flags.writeable = False

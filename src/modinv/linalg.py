@@ -134,20 +134,27 @@ def _rank_key(pivots: list[int]) -> tuple:
 
 def _rref_mod(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """Pivot columns and rows of the reduced row echelon form of A mod p,
-    for int64 residues 0 <= A < p."""
+    for int64 residues 0 <= A < p. Each column is scanned once: the first of
+    its nonzero rows at or below the next pivot row r is swapped up to r
+    (row r is zero there, so no other nonzero row changes its label), and
+    only the other nonzero rows are updated, each by one step x + (p - a) y
+    mod p, which stays below p**2 + p < 2**63."""
     A = A.copy()
     pivots: list[int] = []
     for col in range(A.shape[1]):
         r = len(pivots)
-        (candidates,) = np.nonzero(A[r:, col])
-        if not len(candidates):
-            continue
-        k = r + int(candidates[0])
-        A[[r, k]] = A[[k, r]]
-        A[r, col:] = A[r, col:] * pow(int(A[r, col]), -1, p) % p
         (rows,) = np.nonzero(A[:, col])
-        rows = rows[rows != r]
-        A[rows, col:] = (A[rows, col:] - A[rows, col : col + 1] * A[r, col:] % p) % p
+        i = int(np.searchsorted(rows, r))
+        if i == len(rows):
+            continue
+        k = int(rows[i])
+        if k != r:
+            A[[r, k]] = A[[k, r]]
+        rows = rows[rows != k]
+        pivot = A[r, col:] * pow(int(A[r, col]), -1, p) % p
+        A[r, col:] = pivot
+        others = A[rows, col:]
+        A[rows, col:] = (others + (p - others[:, :1]) * pivot) % p
         pivots.append(col)
         if len(pivots) == len(A):
             break

@@ -3,7 +3,8 @@ central charge, degeneracy detection, and consistency checks.
 
 A ring given without dims first gets exact ones from reconstruct_dims.
 Y is held by its integer coordinates (ModularData.Y_coords), built by one
-integer contraction of the fusion tensor; the scalar Y, whose slot order
+integer contraction of the fusion tensor over every pair of labels, taken
+in blocks of rows under a fixed entry cap; the scalar Y, whose slot order
 fixes the numeric shadows of the reported S and Yext, is built only when
 one of them is asked for. All structural identities are verified in exact
 cyclotomic arithmetic, on the integer coordinate tensors of the values
@@ -43,6 +44,10 @@ from .cyclo import (
     times_roots,
 )
 from .fusion import FusionRing, reconstruct_dims
+
+
+# Caps the entries of one (rows, M) exponent array of `_y_coordinates`.
+Y_BLOCK_ENTRIES = 2**20
 
 
 class DataIntegrityError(RuntimeError):
@@ -134,16 +139,26 @@ def _y_coordinates(ring: FusionRing) -> tuple[np.ndarray, int]:
     gives them, from one integer contraction of the fusion tensor. With
     omega_l = zeta_M^s_l (`twist_exponents`), t_r = conj(omega_r) d_r has
     the coordinates of d_r times zeta_M^-s_r, and Y_{l,m} = zeta_M^(s_l + s_m)
-    sum_r N_{l,m}^r t_r. One row l is built at a time, so no (n, n, M) array
-    is formed. The coordinates are over the lcm D of the dims' denominators;
-    dividing D and every coordinate by their gcd leaves the lcm of the
-    entries' own denominators, which `coordinates` takes."""
-    M = ring.conductor
+    sum_r N_{l,m}^r t_r: t times the (n^2, n) fusion matrix gives every sum,
+    and `times_roots` places sum (l, m) at the exponents from s_l + s_m of
+    an (n^2, M) array and reduces it in one product. The pairs are taken in
+    blocks of rows l whose (block * n, M) array holds at most Y_BLOCK_ENTRIES
+    entries (one row l when a single one exceeds it), so no (n, n, M) array
+    is formed at the caps. The coordinates are over the lcm D of the dims'
+    denominators; dividing D and every coordinate by their gcd leaves the
+    lcm of the entries' own denominators, which `coordinates` takes."""
+    n, M = ring.size, ring.conductor
     s = twist_exponents(ring)
     dims, D = coordinates(ring.dims, M)
     t = times_roots(dims, -s, M)
-    rows = [times_roots(int_matmul(t, ring.fusion[l].T), s[l] + s, M) for l in range(ring.size)]
-    X = np.stack(rows, axis=1)
+    F = ring.fusion.reshape(n * n, n)
+    shift = (s[:, None] + s).ravel()
+    rows = max(1, Y_BLOCK_ENTRIES // (n * M)) * n
+    blocks = [
+        times_roots(int_matmul(t, F[i : i + rows].T), shift[i : i + rows], M)
+        for i in range(0, n * n, rows)
+    ]
+    X = np.concatenate(blocks, axis=1).reshape(-1, n, n)
     g = math.gcd(D, int(np.gcd.reduce(X.ravel()))) if D > 1 else 1
     if g > 1:
         X, D = X // g, D // g

@@ -21,6 +21,7 @@ from modinv.cyclo import (
     Cyclotomic,
     _cos_bracket,
     _cyclotomic_poly,
+    _dot_mod,
     _fixed_cos,
     _fixed_pi,
     _is_prime,
@@ -698,6 +699,43 @@ def test_is_prime_matches_a_sieve():
     assert [k for k in range(n) if _is_prime(k)] == np.flatnonzero(sieve).tolist()
     assert not any(map(_is_prime, [2047, 3277, 4033, 4681, 8321, 1373653, 25326001]))
     assert [_table(m, 0).p for m in (1, 2, 3, 12, 105)] == [2097143, 2097143, 2097133, 2097133, 2096851]
+
+
+@pytest.mark.parametrize(
+    "p, inner, worst",
+    [
+        (2097143, 5000, False),  # three chunks of at most 2046 terms, the last short
+        (2097143, 5000, True),
+        (2096851, 2 * 2046 + 1, True),  # a last chunk of one term
+        (2097143, 2047, True),  # one term above a single chunk
+        (2097143, 2046, True),  # a single chunk, one product
+    ],
+)
+def test_dot_mod_matches_the_exact_product(p, inner, worst):
+    # Inner sums longer than 2**53 // p**2 - 2 terms are split; with every
+    # entry p - 1 each chunk's sum comes closest to 2**53.
+    rng = np.random.default_rng(inner)
+    if worst:
+        A, B = np.full((2, 3, inner), p - 1), np.full((inner, 4), p - 1)
+    else:
+        A, B = rng.integers(1 - p, p, size=(2, 3, inner)), rng.integers(1 - p, p, size=(inner, 4))
+    got = _dot_mod(A.astype(np.float64), B.astype(np.float64), p)
+    exact = A.astype(object) @ B.astype(object)
+    assert got.dtype == np.float64 and got.shape == (2, 3, 4)
+    assert (abs(got) <= p / 2 + 2).all()
+    assert ((got.astype(np.int64) - exact) % p == 0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_l1_is_the_largest_column_norm(dtype):
+    X = np.random.default_rng(3).integers(-50, 50, size=(6, 3, 4)).astype(dtype)
+    norms = [sum(abs(int(x)) for x in X[:, i, j]) for i in range(3) for j in range(4)]
+    assert _l1(X) == max(norms)
+    assert _l1(X[:, 0, 0]) == norms[0]
+    assert _l1(X[:, :0]) == 0
+    # 3 * 2**62 - 1 does not fit in int64: the sum is taken in Python ints.
+    big = np.array([[2**62, 5], [-(2**62), -7], [2**62 - 1, 0]], dtype=dtype)
+    assert _l1(big) == 3 * 2**62 - 1
 
 
 @pytest.fixture

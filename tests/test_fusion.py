@@ -3,6 +3,7 @@ reconstructed for rings given without them."""
 
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import numpy as np
@@ -176,6 +177,35 @@ def test_conductor_is_lcm_of_twist_and_dim_conductors():
     ring = builtin_su2(2)  # twists have denominator 16, dims live in Q(zeta_16)
     assert ring.conductor == 16
     assert all(d.conductor == 16 for d in ring.dims)
+
+
+def _conductor_of_fields(ring):
+    """The global conductor recomputed from the twists and dims."""
+    dims = ring.dims or ()
+    return lcm(1, *(h.denominator for h in ring.twists), *(d.conductor for d in dims))
+
+
+def test_conductor_is_stored_by_every_constructor():
+    # make_ring, ring_from_json, replace and reconstruct_dims each build the
+    # ring through __post_init__, which stores the conductor of its fields.
+    made = builtin_su2(5)
+    stripped = strip_dims(made)
+    built = [made, ring_from_json(ring_to_json(made)), replace(made), replace(made, name="x"),
+             stripped, reconstruct_dims(stripped), builtin_cyclic(6, quadratic_twists(6, 1))]
+    for ring in built:
+        assert "conductor" in vars(ring)
+        assert ring.conductor == _conductor_of_fields(ring)
+    assert made.conductor == stripped.conductor == 28
+    assert made == built[1] == built[2] == built[5]
+
+
+def test_replaced_twists_give_the_new_conductor():
+    ring = builtin_su2(2)  # conductor 16
+    thirds = replace(ring, twists=(Fraction(0), Fraction(1, 3), Fraction(1, 3)))
+    assert thirds.conductor == 48 == _conductor_of_fields(thirds)
+    assert replace(thirds, twists=ring.twists) == ring
+    with pytest.raises(ValueError):
+        replace(ring, conductor=5)
 
 
 def test_twists_normalized_mod_one():

@@ -223,3 +223,66 @@ def test_inverse(M):
         assert dependent
         return
     assert [[Fraction(x, L) for x in column] for column in X[:, n:].T.tolist()] == expected
+
+
+def gauss_jordan_mod(rows: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
+    """Plain Gauss-Jordan elimination mod p, row by row in Python ints: the
+    pivot columns and the nonzero rows of the reduced row echelon form."""
+    A = [[x % p for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(A[0])):
+        r = len(pivots)
+        k = next((i for i in range(r, len(A)) if A[i][col]), None)
+        if k is None:
+            continue
+        A[r], A[k] = A[k], A[r]
+        inv = pow(A[r][col], -1, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i, row in enumerate(A):
+            if i != r and row[col]:
+                A[i] = [(x - row[col] * y) % p for x, y in zip(row, A[r])]
+        pivots.append(col)
+    return pivots, A[: len(pivots)]
+
+
+BIG_PRIME = next(PRIMES())
+
+
+@st.composite
+def residue_matrices(draw):
+    """A prime from `_primes` and a matrix of residues mod it, 0, small or
+    any, with some rows drawn as combinations of earlier rows (repeated and
+    dependent rows)."""
+    p = draw(st.sampled_from([3, 7, 65521, BIG_PRIME]))
+    r, c = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, p - 1))
+    out: list[list[int]] = []
+    for _ in range(r):
+        if out and draw(st.booleans()):
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            s = draw(st.integers(0, p - 1))
+            out.append([(x + s * y) % p for x, y in zip(a, b)])
+        else:
+            out.append([draw(entry) % p for _ in range(c)])
+    return out, p
+
+
+WIDE_SPARSE = [[0] * 20 for _ in range(4)]
+WIDE_SPARSE[0][17] = WIDE_SPARSE[1][3] = WIDE_SPARSE[3][3] = WIDE_SPARSE[3][11] = 5
+WIDE_SPARSE[2][0] = 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_matrices())
+@example(([[0, 0, 0], [0, 0, 0]], BIG_PRIME))  # all zero
+@example(([[0, 1, 0, 2], [0, 3, 0, 1], [0, 0, 0, 4]], 7))  # zero columns
+@example(([[0, 0, 1], [0, 2, 0], [3, 0, 0]], BIG_PRIME))  # every pivot below row r
+@example(([[1, 2, 3], [1, 2, 3], [2, 4, 6], [0, 1, 1]], 3))  # repeated rows
+@example((WIDE_SPARSE, BIG_PRIME))
+def test_rref_mod_matches_gauss_jordan(case):
+    rows, p = case
+    pivots, R = linalg._rref_mod(np.array(rows, dtype=np.int64), p)
+    expected_pivots, expected = gauss_jordan_mod(rows, p)
+    assert pivots == expected_pivots
+    assert R.dtype == np.int64 and R.shape == (len(pivots), len(rows[0]))
+    assert R.tolist() == expected

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modinv.cyclo import Cyclotomic, coordinates, csum, root_of_unity
+from modinv.cyclo import Cyclotomic, coordinates, csum, root_of_unity, times_roots
+from modinv import modular
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2, make_ring
 from modinv.modular import (
     DataIntegrityError,
@@ -204,6 +205,38 @@ def test_Y_contraction_with_dims_over_a_denominator(ring):
     expected, expected_D = coordinates(_reference_Y(ring), ring.conductor)
     assert (D, X.dtype, X.shape) == (expected_D, expected.dtype, expected.shape)
     assert (X == expected).all()
+
+
+@pytest.mark.parametrize(
+    "ring", [builtin_su2(12), builtin_cyclic(12, quadratic_twists(12, 1))], ids=["su2_12", "z12"]
+)
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_Y_contraction_in_row_blocks(monkeypatch, ring, rows):
+    # A cap of rows * n * M entries (+1 at one row) takes `rows` rows l per
+    # block: 13 = 4 * 3 + 1 = 2 * 5 + 3 and 12 = 2 * 5 + 2 leave a short
+    # last block.
+    n, M = ring.size, ring.conductor
+    whole = _y_coordinates(ring)
+    monkeypatch.setattr(modular, "Y_BLOCK_ENTRIES", rows * n * M + (rows == 1))
+    shifts = []  # one call for t, then one per block
+    monkeypatch.setattr(modular, "times_roots", lambda X, k, m: shifts.append(k) or times_roots(X, k, m))
+    X, D = _y_coordinates(ring)
+    assert [len(k) for k in shifts[1:]] == [n * min(rows, n - l) for l in range(0, n, rows)]
+    expected, expected_D = coordinates(_reference_Y(ring), M)
+    assert (D, X.dtype, X.shape) == (expected_D, expected.dtype, expected.shape)
+    assert (X == expected).all()
+    assert D == whole[1] and X.dtype == whole[0].dtype and (X == whole[0]).all()
+
+
+def test_Y_contraction_above_one_block_at_the_default_cap():
+    # n^2 M = 65^2 * 264 is above the cap: two blocks, of 61 and 4 rows l.
+    ring = builtin_su2(64)
+    n, M = ring.size, ring.conductor
+    assert n * n * M > modular.Y_BLOCK_ENTRIES >= n * M
+    md = compute_modular_data(ring)
+    X, D = coordinates(md.Y, M)
+    assert (md.Y_den, md.Y_coords.dtype, md.Y_coords.shape) == (D, X.dtype, X.shape)
+    assert (md.Y_coords == X).all()
 
 
 def test_check_builds_no_scalar_Y():
