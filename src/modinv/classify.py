@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Hashable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -242,11 +242,11 @@ def find_parents(
 
 
 def _type_one_by_column(
-    columns: Sequence[Hashable], facts: Sequence[list[BranchingData]]
-) -> dict[Hashable, list[int]]:
-    """Vacuum column (or its id) -> ascending pool indices of the type I
-    matrices with it."""
-    by_column: dict[Hashable, list[int]] = {}
+    columns: Sequence[tuple], facts: Sequence[list[BranchingData]]
+) -> dict[tuple, list[int]]:
+    """Vacuum column -> ascending pool indices of the type I matrices with
+    it."""
+    by_column: dict[tuple, list[int]] = {}
     for i, (column, branchings) in enumerate(zip(columns, facts)):
         if branchings:
             by_column.setdefault(column, []).append(i)
@@ -254,7 +254,7 @@ def _type_one_by_column(
 
 
 def _parents(
-    by_column: dict[Hashable, list[int]], column: Hashable, row: Hashable
+    by_column: dict[tuple, list[int]], column: tuple, row: tuple
 ) -> tuple[list[int], list[int]]:
     return list(by_column.get(column, ())), list(by_column.get(row, ()))
 
@@ -376,15 +376,15 @@ def extended_modular_data(
     touched = sorted({l for row in rows for l, _ in row})
     Y = md.Y
     BY = [
-        {m: csum(_times(Y[l][m], c) for l, c in row) for m in touched}
+        {m: csum(Y[l][m] * c for l, c in row) for m in touched}
         for row in rows
     ]
-    BYBt = [[csum(_times(BY_a[l], c) for l, c in row) for row in rows] for BY_a in BY]
+    BYBt = [[csum(BY_a[l] * c for l, c in row) for row in rows] for BY_a in BY]
     ratio = divide(indices.w_plus, md.w)
     # Every column of the invertible Gram inverse has a nonzero entry.
     columns = [[(k, x) for k, x in enumerate(row) if x] for row in X[:, t:].tolist()]
     Yext = [
-        [ratio * (csum(_times(BYBt_a[k], x) for k, x in col) / L) for col in columns]
+        [ratio * (csum(BYBt_a[k] * x for k, x in col) / L) for col in columns]
         for BYBt_a in BYBt
     ]
     failures: list[str] = []
@@ -416,12 +416,6 @@ def extended_modular_data(
         consistent=not failures,
         failures=failures,
     )
-
-
-def _times(x: Cyclotomic, c) -> Cyclotomic:
-    """x * c for a nonzero integer c; x itself for c = 1, as the product
-    would return it."""
-    return x if c == 1 else x * c
 
 
 def branching_checks(
@@ -552,7 +546,7 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
     out = []
     for i, Z in enumerate(pool):
         sym, idx, facts = data.vacuum_symmetric[i], data.indices[i], data.facts[i]
-        plus, minus = _parents(data.type_one_by_column, data.column_ids[i], data.row_ids[i])
+        plus, minus = _parents(data.type_one_by_column, data.columns[i], data.rows[i])
         cls = Classification(
             index=i,
             Z=Z,
@@ -590,9 +584,9 @@ class _PoolData:
     """The exact data of one `classify_all` call, each piece computed at most
     once. The pool is read once as a (k, n, n) integer stack S, and every
     structural fact of an invariant is read off it as an array: the vacuum
-    symmetry S[:, :, 0] = S[:, 0], Z = Z^T, the identity, and one integer id
-    per distinct vacuum column or row (`_row_ids`), by which parents are
-    looked up. Every invariant needs its factorizations and global indices,
+    symmetry S[:, :, 0] = S[:, 0], Z = Z^T, the identity, and the vacuum
+    columns and rows as tuples, by which parents are looked up, as
+    `find_parents` looks them up. Every invariant needs its factorizations and global indices,
     so those are computed up front; only a matrix with Z = Z^T can factorize
     as B^T B, so no other is searched. A parent can come later in the pool
     than the invariant that needs it, so extended data is filled in lazily.
@@ -601,12 +595,11 @@ class _PoolData:
     of its vacuum row at degenerate labels, so invariants that agree there
     share one `GlobalIndices` and the notes of one `check()`. Equal inputs
     to the same exact code give the same values and slot orders. Keys are
-    ids of integer rows and pool indices, never cyclotomic values."""
+    tuples of integers and pool indices, never cyclotomic values."""
 
     def __init__(self, md: ModularData, pool: Sequence[CouplingMatrix]):
         self.md = md
         S = _pool_stack(pool, md.size)
-        k = len(S)
         column, row = S[:, :, 0], S[:, 0]
         self.vacuum_symmetric = (column == row).all(axis=1).tolist()
         self.identity = (S == np.eye(md.size, dtype=S.dtype)).all(axis=(1, 2)).tolist()
@@ -614,21 +607,21 @@ class _PoolData:
         self.facts = [
             factorize_type_one(md, Z) if sym else [] for Z, sym in zip(pool, symmetric)
         ]
-        # Columns and rows share one id space, so a row's id finds the type I
-        # matrices whose column it equals.
-        ids = _row_ids(np.concatenate([column, row]))
-        self.column_ids, self.row_ids = ids[:k], ids[k:]
-        self.type_one_by_column = _type_one_by_column(self.column_ids, self.facts)
+        # A row finds the type I matrices whose vacuum column equals it.
+        self.columns = list(map(tuple, column.tolist()))
+        self.rows = list(map(tuple, row.tolist()))
+        self.type_one_by_column = _type_one_by_column(self.columns, self.facts)
         degenerate_row = row[:, sorted(md.degenerates)]
-        key_ids = _row_ids(np.concatenate([column, degenerate_row], axis=1))
-        by_key: dict[int, tuple[GlobalIndices, list[str]]] = {}
+        keys = map(tuple, np.concatenate([column, degenerate_row], axis=1).tolist())
+        by_key: dict[tuple, tuple[GlobalIndices, list[str]]] = {}
         self.indices: list[GlobalIndices] = []
         self.index_notes: list[list[str]] = []  # check() of each invariant's indices
-        for Z, key in zip(pool, key_ids):
-            if key not in by_key:
+        for Z, key in zip(pool, keys):
+            entry = by_key.get(key)
+            if entry is None:
                 idx = global_indices(md, Z)
-                by_key[key] = idx, idx.check()
-            idx, notes = by_key[key]
+                entry = by_key[key] = idx, idx.check()
+            idx, notes = entry
             self.indices.append(idx)
             self.index_notes.append(notes)
         self._extended: dict[tuple[int, int], tuple] = {}  # (i, k) -> extended(i, k)
@@ -668,18 +661,6 @@ def _pool_stack(pool: Sequence[CouplingMatrix], n: int) -> np.ndarray:
         return int_array([Z.Z for Z in pool]).reshape(-1, n, n)
     dtype = np.min_scalar_type(-int(abs(S).max(initial=0)) - 1)
     return S.astype(dtype).reshape(-1, n, n)
-
-
-def _row_ids(A: np.ndarray) -> list[int]:
-    """One id per row of a 2-d integer array, equal exactly for equal rows:
-    the rows are sorted, and a row's id counts the changes before it."""
-    order = np.lexsort(A.T)
-    A = A[order]
-    step = np.zeros(len(A), dtype=np.intp)  # 1 where a sorted row differs from the last
-    step[1:] = (A[1:] != A[:-1]).any(axis=1)
-    ids = np.empty_like(step)
-    ids[order] = np.cumsum(step)
-    return ids.tolist()
 
 
 def _attach_bijection(data: _PoolData, cls: Classification) -> None:

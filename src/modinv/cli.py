@@ -8,7 +8,6 @@ parse error, 3 node-budget exhaustion (partial results are still printed).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 from typing import Optional
@@ -28,6 +27,7 @@ from .fusion import (
     builtin_cyclic,
     builtin_so_level1,
     builtin_su2,
+    global_conductor,
     validate,
 )
 from .modular import (
@@ -37,7 +37,7 @@ from .modular import (
     verlinde_check,
 )
 from .report import build_report, modular_summary, render_json, render_markdown, ring_summary
-from .ringfile import MAX_CONDUCTOR, MAX_LABELS, RingFileError, _parse_fraction, dump_ring, load_ring
+from .ringfile import RingFileError, _parse_fraction, check_limits, dump_ring, load_ring, read_json
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -45,16 +45,12 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-class UsageError(ValueError):
-    """A file named on the command line cannot be read or parsed."""
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RingFileError, UsageError) as exc:
+    except RingFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantRejected as exc:
@@ -150,7 +146,7 @@ def cmd_builtin(args) -> int:
         if args.family == "su2":
             if args.level is None:
                 raise ValueError("su2 requires --level")
-            _check_size(args.level + 1)
+            check_limits(args.level + 1)  # the conductor 4(level + 2) is then at most 404
             ring = builtin_su2(args.level)
         elif args.family == "so-level1":
             if args.n is None:
@@ -159,29 +155,15 @@ def cmd_builtin(args) -> int:
         else:
             if args.n is None:
                 raise ValueError("cyclic requires --n")
-            _check_size(args.n)
-            if args.twists is None:
-                twists = [0] * args.n
-            else:
-                items = [t.strip() for t in args.twists.split(",")]
-                twists = [_parse_fraction(t, f"twists[{i}]") for i, t in enumerate(items)]
-            ring = builtin_cyclic(args.n, twists)
-        if ring.conductor > MAX_CONDUCTOR:
-            raise ValueError(
-                f"global conductor {ring.conductor}, above the limit of {MAX_CONDUCTOR}"
-            )
+            items = [] if args.twists is None else args.twists.split(",")
+            twists = [_parse_fraction(t.strip(), f"twists[{i}]") for i, t in enumerate(items)]
+            check_limits(args.n, global_conductor(twists))
+            ring = builtin_cyclic(args.n, twists if args.twists is not None else [0] * args.n)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(dump_ring(ring))
     return EXIT_OK
-
-
-def _check_size(labels: int) -> None:
-    """Refuse, before building it, a ring with more labels than any ring-file
-    subcommand accepts."""
-    if labels > MAX_LABELS:
-        raise ValueError(f"{labels} labels, above the limit of {MAX_LABELS}")
 
 
 def cmd_check(args) -> int:
@@ -274,14 +256,7 @@ def _is_digits(spec: str) -> bool:
 
 def _read_invariant(path: str, md):
     """The matrix in a JSON file, exactly verified as a modular invariant."""
-    try:
-        with open(path) as fh:
-            mat = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"{path}: cannot read the invariant: {exc}") from None
-    except RecursionError:
-        raise UsageError(f"{path}: cannot read the invariant: JSON nested too deeply") from None
-    return verify_invariant(md, mat)
+    return verify_invariant(md, read_json(path, "invariant file"))
 
 
 def _pool_index(spec: str, Z, pool) -> Optional[int]:

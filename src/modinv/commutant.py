@@ -231,8 +231,10 @@ def enumerate_invariants(
     far as its parents' children fit in `node_budget`; when not one parent
     fits, the search raises SearchBudgetExceeded with the invariants reached
     so far: verified, but not the subset a one-node-at-a-time depth-first
-    search would have reached. Output is canonically sorted and exactly
-    re-verified.
+    search would have reached. The children per parent are counted from the
+    entry bound before any array of them is allocated, so a bound far past
+    the budget (a huge `bound_scale`) ends the search, not the memory.
+    Output is canonically sorted and exactly re-verified.
     """
     n = md.size
     scale = Fraction(*_parts(bound_scale))  # an int or a Fraction, else TypeError
@@ -279,11 +281,14 @@ def enumerate_invariants(
     stack = [(0, np.zeros((1, P), dtype=dtype))]  # batches (level, acc)
     while stack:
         i, acc = stack.pop()
-        values = np.arange(1, 2) if i == 0 else np.arange(bounds[pivots[i]] + 1)
-        fit = (node_budget - nodes) // len(values)
+        # Children per parent, a Python int: the coefficients are allocated
+        # only once some parent's children fit in the budget.
+        count = 1 if i == 0 else int(bounds[pivots[i]]) + 1
+        fit = (node_budget - nodes) // count
         if fit == 0:
             partial = _verify_pool(md, _sorted_stack(leaves, flat, n))
             raise SearchBudgetExceeded(node_budget, partial, nodes, depth, k)
+        values = np.arange(1, 2) if i == 0 else np.arange(count)
         if fit < len(acc):  # expand the parents that fit; the rest wait below their children
             stack.append((i, acc[fit:]))
             acc = acc[:fit]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,10 +35,10 @@ from .cyclo import (
 
 @dataclass(frozen=True, eq=False)
 class FusionRing:
-    """A fusion ring's data. `conductor`, the global conductor (the lcm of
-    the twist denominators and of the dims' conductors), is computed once,
-    when the ring is built (also by `dataclasses.replace`), and stored, so
-    that every instance holds it and equal rings compare equal."""
+    """A fusion ring's data. `conductor`, the `global_conductor` of the
+    twists and dims, is computed once, when the ring is built (also by
+    `dataclasses.replace`), and stored, so that every instance holds it and
+    equal rings compare equal."""
 
     names: tuple[str, ...]
     fusion: np.ndarray  # N[l, m, n] = N_{l,m}^n: one read-only integer tensor
@@ -50,10 +50,7 @@ class FusionRing:
     conductor: int = field(init=False)
 
     def __post_init__(self) -> None:
-        m = lcm(*(h.denominator for h in self.twists)) if self.twists else 1
-        if self.dims is not None:
-            m = lcm(m, *(d.conductor for d in self.dims))
-        object.__setattr__(self, "conductor", m)
+        object.__setattr__(self, "conductor", global_conductor(self.twists, self.dims))
 
     @property
     def size(self) -> int:
@@ -64,6 +61,15 @@ class FusionRing:
             return NotImplemented
         a, b = dict(vars(self)), dict(vars(other))
         return np.array_equal(a.pop("fusion"), b.pop("fusion")) and a == b
+
+
+def global_conductor(
+    twists: Iterable[Fraction], dims: Optional[Iterable[Cyclotomic]] = None
+) -> int:
+    """The global conductor of a ring: the lcm of its twists' denominators
+    and, when given, of its dims' conductors; 1 for no twists and no dims.
+    All exact data of the ring lives in Q(zeta_M) for this M."""
+    return lcm(*(h.denominator for h in twists), *(d.conductor for d in dims or ()))
 
 
 def make_ring(

@@ -86,12 +86,12 @@ class ModularData:
         Y: list[list[Cyclotomic]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
         for l in range(n):
             # The nonzero N_{l,m}^r with m >= l, by m and then r: the terms of
-            # each sum in ascending r, t_r itself for multiplicity 1.
+            # each sum in ascending r (t_r * 1 is t_r itself).
             N = self.ring.fusion[l, l:]
             ms, rs = np.nonzero(N)
             terms: list[list[Cyclotomic]] = [[] for _ in range(n - l)]
             for j, r, c in zip(ms.tolist(), rs.tolist(), N[ms, rs].tolist()):
-                terms[j].append(t[r] if c == 1 else t[r] * c)
+                terms[j].append(t[r] * c)
             for m, s in enumerate(terms, l):
                 Y[l][m] = Y[m][l] = omega[l] * omega[m] * csum(s)
         return Y

@@ -4,6 +4,11 @@ Exact fields cross the boundary as strings ("p/q" rationals) or structured
 cyclotomic serializations; no decimals are accepted for exact data. The
 fusion tensor is stored sparsely as [l, m, n, multiplicity] quadruples.
 Ring files and reports are written by one renderer, :func:`json_text`.
+
+This module decides what input modinv accepts: every JSON file the command
+line takes is read by :func:`read_json`, every rational by `_parse_ratio`,
+and every ring's size is held to the caps by :func:`check_limits` before it
+is built. Each refusal is a :class:`RingFileError`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .cyclo import Cyclotomic
-from .fusion import FusionRing, make_ring, validate
+from .fusion import FusionRing, global_conductor, make_ring, validate
 
 
 # Checked before the n**3 fusion tensor and the (M+1)-entry cyclotomic
@@ -34,7 +39,39 @@ MAX_MULTIPLICITY = 2**20
 
 
 class RingFileError(ValueError):
-    """Malformed or inconsistent ring file."""
+    """Malformed, oversized or inconsistent input: a ring file, an
+    `--invariant` file or a built-in ring's parameters."""
+
+
+def read_json(path: str, what: str):
+    """The JSON value in the file at path; `what` names the file in the
+    message when it cannot be opened or read. Every way the standard
+    library's reader can fail (bad syntax, nesting past its recursion limit,
+    bytes that are not UTF-8, an integer past Python's digit limit, an OS
+    error) raises RingFileError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise RingFileError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+    except RecursionError:
+        raise RingFileError(f"{path}: JSON nested too deeply to parse") from None
+    except UnicodeDecodeError as exc:
+        raise RingFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except ValueError:  # the only other: an integer past int()'s digit limit
+        raise RingFileError(f"{path}: JSON number too long to parse") from None
+    except OSError as exc:
+        raise RingFileError(f"{path}: cannot read the {what}: {exc.strerror or exc}") from None
+
+
+def check_limits(labels: int, conductor: int = 1) -> None:
+    """Refuse a ring with more than MAX_LABELS labels or a global conductor
+    above MAX_CONDUCTOR, before its n**3 fusion tensor or the cyclotomic
+    polynomial of its conductor is built."""
+    if labels > MAX_LABELS:
+        raise RingFileError(f"{labels} labels, above the limit of {MAX_LABELS}")
+    if conductor > MAX_CONDUCTOR:
+        raise RingFileError(f"global conductor {conductor}, above the limit of {MAX_CONDUCTOR}")
 
 
 def ring_to_json(ring: FusionRing) -> dict:
@@ -56,7 +93,9 @@ def ring_to_json(ring: FusionRing) -> dict:
 
 def ring_from_json(data: dict) -> FusionRing:
     """Parse a ring file dict; structural errors raise RingFileError naming
-    the offending field. Axioms are not checked here (see load_ring)."""
+    the offending field. `check_limits` refuses too many labels before the
+    fusion tensor is built, and a global conductor past the cap before the
+    ring is. Axioms are not checked here (see load_ring)."""
     if not isinstance(data, dict):
         raise RingFileError("a ring file must hold a JSON object")
     if not isinstance(data.get("labels"), list):
@@ -65,8 +104,7 @@ def ring_from_json(data: dict) -> FusionRing:
     n = len(labels)
     if n == 0:
         raise RingFileError("'labels' is empty")
-    if n > MAX_LABELS:
-        raise RingFileError(f"{n} labels, above the limit of {MAX_LABELS}")
+    check_limits(n)
     quads = data.get("fusion", [])
     if not isinstance(quads, list):
         raise RingFileError("'fusion' must be a list of [l, m, n, multiplicity] quadruples")
@@ -80,7 +118,6 @@ def ring_from_json(data: dict) -> FusionRing:
         raise RingFileError(f"'twists' must be a list of {n} rational strings")
     twists = [_parse_fraction(s, f"twists[{i}]") for i, s in enumerate(twists_raw)]
     dims_raw = data.get("dims", "auto")
-    conductor = lcm(*(h.denominator for h in twists))
     dims: Optional[list[Cyclotomic]] = None
     if dims_raw != "auto":
         if not (isinstance(dims_raw, list) and len(dims_raw) == n):
@@ -89,9 +126,7 @@ def ring_from_json(data: dict) -> FusionRing:
             dims = [_parse_cyclotomic(d, f"dims[{i}]") for i, d in enumerate(dims_raw)]
         except RingFileError as exc:
             raise RingFileError(f"malformed 'dims': {exc}") from None
-        conductor = lcm(conductor, *(d.conductor for d in dims))
-    if conductor > MAX_CONDUCTOR:
-        raise RingFileError(f"global conductor {conductor}, above the limit of {MAX_CONDUCTOR}")
+    check_limits(n, global_conductor(twists, dims))
     hint = None
     if "central_charge" in data:
         hint = _parse_fraction(data["central_charge"], "central_charge")
@@ -164,20 +199,10 @@ def _first_quad_error(quads: list, n: int) -> str:
 
 
 def load_ring(path: str, check_axioms: bool = True) -> FusionRing:
-    """Load and parse a ring file; with check_axioms, reject rings that fail
-    validation, quoting the report."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise RingFileError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
-    except RecursionError:
-        raise RingFileError(f"{path}: JSON nested too deeply to parse") from None
-    except UnicodeDecodeError as exc:
-        raise RingFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    except OSError as exc:
-        raise RingFileError(f"{path}: cannot read the ring file: {exc.strerror or exc}") from None
-    ring = ring_from_json(data)
+    """Read a ring file (`read_json`) and parse it (`ring_from_json`); with
+    check_axioms, reject rings that fail validation, quoting the report.
+    Every refusal is a RingFileError."""
+    ring = ring_from_json(read_json(path, "ring file"))
     if check_axioms:
         report = validate(ring)
         if report:

@@ -175,8 +175,12 @@ def test_factorize_rejects_a_zero_vacuum_entry(so16):
 
 
 def _reference_factorize_type_one(md, Z):
-    """Reference: the plain recursive search, which tests a branch for dead
-    ends only at its leaf and scans every residual for negative entries."""
+    """Reference: the plain recursive search, which scans every residual for
+    negative entries and cuts dead ends by a rule of its own, not the
+    library's `_live`: a residual still to be written as a sum of b b^T is
+    a Gram matrix, so R_lm^2 <= R_ll R_mm (Cauchy-Schwarz). Without a cut
+    before the leaves, its time grows with the number of row chains that
+    fit Z, not with Z's factorizations: seconds on some 5x5 draws."""
     n = md.size
     mat = Z.Z
     if any(mat[l][m] != mat[m][l] for l in range(n) for m in range(l + 1, n)):
@@ -212,6 +216,8 @@ def _reference_factorize_type_one(md, Z):
         return out
 
     def search(R, prev, rows):
+        if any(R[l][m] ** 2 > R[l][l] * R[m][m] for l in range(n) for m in range(n)):
+            return
         if all(R[l][l] == 0 for l in range(n)):
             if any(R[l][m] != 0 for l in range(n) for m in range(n)):
                 return

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -700,7 +701,67 @@ def test_deeply_nested_invariant_file_is_a_usage_error(tmp_path, capsys):
     path.write_text(DEEP_JSON)
     code, out, err = run(capsys, "classify", str(ring_path), "--invariant", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {path}: cannot read the invariant: JSON nested too deeply")
+    # Invariant files are read as ring files are, with the same messages.
+    assert err == f"error: {path}: JSON nested too deeply to parse\n"
+
+
+def run_limited(cwd, *argv):
+    """`modinv *argv` in a fresh process under a 1 GB address-space limit
+    and a 10 s timeout (TimeoutExpired fails the test): oversized input must
+    exit fast, not allocate. One BLAS thread keeps the per-thread buffers
+    out of the limit."""
+    src = os.path.dirname(os.path.dirname(modinv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    limit = 2**30
+    return subprocess.run(
+        [sys.executable, "-m", "modinv.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "modular", "classify"])
+def test_ring_file_with_an_integer_past_the_digit_limit_exits_2(tmp_path, command):
+    # json.load raises a plain ValueError for an integer of more than 4300
+    # digits (Python's int() limit); it is a usage error like bad syntax.
+    data = ring_to_json(builtin_so_level1(16))
+    text = json.dumps(data).replace('"name"', f'"big": {"9" * 5000}, "name"', 1)
+    (tmp_path / "big.json").write_text(text)
+    done = run_limited(tmp_path, command, "big.json")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: big.json: JSON number too long to parse\n"
+
+
+def test_builtin_checks_the_twists_conductor_before_building(tmp_path):
+    # Building Z_2 at this conductor would form its cyclotomic polynomial.
+    done = run_limited(tmp_path, "builtin", "cyclic", "--n", "2", "--twists", "0,1/1000000007")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"usage error: global conductor 1000000007, above the limit of {MAX_CONDUCTOR}\n"
+    )
+
+
+def test_bound_scale_past_the_budget_exits_3_before_allocating(tmp_path):
+    # Every pivot level past the first has about 10**10 children per parent:
+    # the budget is spent before their coefficients are allocated.
+    (tmp_path / "so16.json").write_text(dump_ring(builtin_so_level1(16)))
+    done = run_limited(tmp_path, "invariants", "so16.json", "--bound-scale", "10000000000")
+    assert done.returncode == 3
+    assert done.stderr.startswith("warning: enumeration exceeded the node budget of ")
+    assert json.loads(done.stdout)["budget_exhausted"] is True
+
+
+def test_invariant_file_with_a_syntax_error_exits_2(tmp_path):
+    (tmp_path / "so16.json").write_text(dump_ring(builtin_so_level1(16)))
+    (tmp_path / "bad.json").write_text("[[1,0,0,0],\n[0,1")
+    done = run_limited(tmp_path, "classify", "so16.json", "--invariant", "bad.json")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: bad.json: invalid JSON at line 2, column 5\n"
 
 
 SU2_3_FILE = ring_to_json(builtin_su2(3))
