@@ -320,7 +320,9 @@ def find_block_bijection(
 class BlockPair:
     """What `find_block_bijection` reads of two branchings with t blocks
     each, apart from Z: their rows as (t, n) integer arrays and the (t, t)
-    mask of block pairs (tau, s) with equal twists and exactly equal dims."""
+    mask of block pairs (tau, s) with equal twists and exactly equal dims. A
+    dim is equal to itself without a comparison, so the diagonal invariant
+    as its own parent pair compares no dims."""
 
     def __init__(self, plus: BranchingData, minus: BranchingData):
         t = plus.block_count
@@ -334,7 +336,10 @@ class BlockPair:
         self.peak = int(max(Bp.max(), self.ceiling))
         self.matching = np.array(
             [
-                [h == g and d == e for g, e in zip(minus.block_twists, minus.block_dims)]
+                [
+                    h == g and (d is e or d == e)
+                    for g, e in zip(minus.block_twists, minus.block_dims)
+                ]
                 for h, d in zip(plus.block_twists, plus.block_dims)
             ],
             dtype=bool,
@@ -345,16 +350,25 @@ def extended_modular_data(
     md: ModularData, branching: BranchingData, indices: GlobalIndices
 ) -> ExtendedModularData:
     """Yext = (w_plus/w) (B Y B^T) (B B^T)^{-1}, exact over the cyclotomic
-    field; consistency collects the exact residual checks.
+    field; consistency collects the exact residual checks, which run on the
+    integer coordinates of Yext whichever way it was found.
 
-    The Gram inverse is one `kernel`, that of the integer matrix [1 | -G],
-    G = B B^T: the kernel is {(G y, y)}. Its projection to the first i + 1
-    columns has the rank of G's first i + 1 rows as its dimension, so its
-    reduced echelon basis has a pivot at column i < t exactly when row i of
-    G is not in the span of the rows before it; the rows that are not
-    pivots raise RankDeficientBranching. When all t are pivots, basis row i
-    is (e_i, y_i) with G y_i = e_i, so row i of X[:, t:] is L times column
-    i of G^{-1}, in integers.
+    When the blocks are the labels (B = 1 with the labels' dims and twists:
+    the diagonal invariant as its own parent, the trivial extension) and
+    w_plus = w, G = 1 and the ratio is 1, so Yext is Y object for object and
+    its coordinates are Y's own (md.Y_coords, md.Y_den): neither a Gram
+    inverse nor a sum is formed. The general path would return the same
+    objects, as a one-term sum, a factor of 1 and a division by 1 each
+    return their operand.
+
+    Otherwise the Gram inverse is one `kernel`, that of the integer matrix
+    [1 | -G], G = B B^T: the kernel is {(G y, y)}. Its projection to the
+    first i + 1 columns has the rank of G's first i + 1 rows as its
+    dimension, so its reduced echelon basis has a pivot at column i < t
+    exactly when row i of G is not in the span of the rows before it; the
+    rows that are not pivots raise RankDeficientBranching. When all t are
+    pivots, basis row i is (e_i, y_i) with G y_i = e_i, so row i of
+    X[:, t:] is L times column i of G^{-1}, in integers.
 
     Every sum runs over the nonzero entries of B and of the Gram inverse only,
     in ascending order, with integer coefficients, a coefficient of 1 taking
@@ -366,38 +380,26 @@ def extended_modular_data(
     touches, the only ones B Y B^T reads."""
     t = branching.block_count
     B = branching.B
-    Bm = np.array(B, dtype=object)
-    G = int_matmul(Bm, Bm.T)
-    pivots, X, L = kernel(np.concatenate([np.eye(t, dtype=G.dtype), -G], axis=1))
-    dependent = [i for i in range(t) if i not in pivots]
-    if dependent:
-        raise RankDeficientBranching(f"branching rows linearly dependent: rows {dependent}")
-    rows = [[(l, c) for l, c in enumerate(b) if c] for b in B]
-    touched = sorted({l for row in rows for l, _ in row})
-    Y = md.Y
-    BY = [
-        {m: csum(Y[l][m] * c for l, c in row) for m in touched}
-        for row in rows
-    ]
-    BYBt = [[csum(BY_a[l] * c for l, c in row) for row in rows] for BY_a in BY]
-    ratio = divide(indices.w_plus, md.w)
-    # Every column of the invertible Gram inverse has a nonzero entry.
-    columns = [[(k, x) for k, x in enumerate(row) if x] for row in X[:, t:].tolist()]
-    Yext = [
-        [ratio * (csum(BYBt_a[k] * x for k, x in col) / L) for col in columns]
-        for BYBt_a in BYBt
-    ]
+    Bm = int_array(B).reshape(t, -1)
+    M = md.ring.conductor
+    trivial = _blocks_are_labels(md, branching)
+    if trivial and indices.w_plus == md.w:
+        ratio = ONE
+        Yext = [list(row) for row in md.Y]
+        X, DX = md.Y_coords, md.Y_den
+    else:
+        ratio = divide(indices.w_plus, md.w)
+        Yext = _general_yext(md, B, Bm, ratio)
+        X, DX = coordinates(Yext, M)
     failures: list[str] = []
     # (w/w_plus) Yext B = B Y, i.e. Yext B = ratio * (B Y), by value; Yext B
     # and B Y are integer combinations of the coordinates of Yext and md.Y.
-    M = md.ring.conductor
-    X, DX = coordinates(Yext, M)
     rhs = evaluate(*coordinates(ratio, M), M) * evaluate(int_matmul(Bm, md.Y_coords), md.Y_den, M)
     for a, m in np.argwhere(differs(evaluate(int_matmul(X, Bm), DX, M), rhs)):
         failures.append(f"intertwining fails at block {a}, label {m}")
     for a, b in np.argwhere(np.triu((X != X.transpose(0, 2, 1)).any(axis=0))):
         failures.append(f"Yext not symmetric at ({a},{b})")
-    z0, gram_free = _gram_free_checks(md, branching, ratio)
+    z0, gram_free = _gram_free_checks(md, branching, ratio, trivial)
     failures += gram_free
     if md.nondegenerate:
         # Yext Yext^dagger must be w_zero times the identity.
@@ -418,6 +420,33 @@ def extended_modular_data(
     )
 
 
+def _general_yext(
+    md: ModularData, B: tuple[tuple[int, ...], ...], Bm: np.ndarray, ratio: Cyclotomic
+) -> list[list[Cyclotomic]]:
+    """Yext = ratio (B Y B^T) G^{-1} through the kernel of [1 | -G], as
+    `extended_modular_data` describes it."""
+    t = len(B)
+    G = int_matmul(Bm, Bm.T)
+    pivots, X, L = kernel(np.concatenate([np.eye(t, dtype=G.dtype), -G], axis=1))
+    dependent = [i for i in range(t) if i not in pivots]
+    if dependent:
+        raise RankDeficientBranching(f"branching rows linearly dependent: rows {dependent}")
+    rows = [[(l, c) for l, c in enumerate(b) if c] for b in B]
+    touched = sorted({l for row in rows for l, _ in row})
+    Y = md.Y
+    BY = [
+        {m: csum(Y[l][m] * c for l, c in row) for m in touched}
+        for row in rows
+    ]
+    BYBt = [[csum(BY_a[l] * c for l, c in row) for row in rows] for BY_a in BY]
+    # Every column of the invertible Gram inverse has a nonzero entry.
+    columns = [[(k, x) for k, x in enumerate(row) if x] for row in X[:, t:].tolist()]
+    return [
+        [ratio * (csum(BYBt_a[k] * x for k, x in col) / L) for col in columns]
+        for BYBt_a in BYBt
+    ]
+
+
 def branching_checks(
     md: ModularData, branching: BranchingData, indices: GlobalIndices
 ) -> list[str]:
@@ -432,28 +461,35 @@ def branching_checks(
       vacuum column of Z, and `global_indices` takes
       w_plus = divide(w, sum_l d_l Z_{l,0});
     - w_zero w_alpha = w_plus^2, since w_zero = divide(w_plus^2, w_alpha)."""
-    return _gram_free_checks(md, branching, divide(indices.w_plus, md.w))[1]
+    ratio = divide(indices.w_plus, md.w)
+    return _gram_free_checks(md, branching, ratio, _blocks_are_labels(md, branching))[1]
+
+
+def _blocks_are_labels(md: ModularData, branching: BranchingData) -> bool:
+    """B = 1 with the labels' own dims and twists: the diagonal invariant as
+    its own parent. The block dims d_l / d_0 of `_branching_from_rows` keep
+    the coordinates and slot order of d_l, so they are the ring's dims."""
+    ring = md.ring
+    unit = tuple(map(tuple, np.eye(md.size, dtype=np.int64).tolist()))
+    return (branching.B, branching.block_dims, branching.block_twists) == (unit, ring.dims, ring.twists)
 
 
 def _gram_free_checks(
-    md: ModularData, branching: BranchingData, ratio: Cyclotomic
+    md: ModularData, branching: BranchingData, ratio: Cyclotomic, trivial: bool
 ) -> tuple[Cyclotomic, list[str]]:
     """The extended Gauss sum z0 = sum_a d_a^2 omega_a, and the failures, in
     this order, of twist intertwining (every label in the row of block a has
     its twist, blocks in order) and of z0 = ratio * z, ratio = w_plus/w.
-    When the blocks are the labels (B = 1, the diagonal invariant as its own
-    parent) with their dims and twists, z0 is the sum behind z itself: the
-    block dims d_l / d_0 of `_branching_from_rows` keep the coordinates and
-    slot order of d_l, so z0 = z term by term."""
-    ring, n = md.ring, md.size
+    When the blocks are the labels (`trivial`, from `_blocks_are_labels`),
+    z0 is the sum behind z itself, term by term."""
+    ring = md.ring
     failures = [
         f"twist intertwining fails at block {a}, label {l}"
         for a, (row, h) in enumerate(zip(branching.B, branching.block_twists))
         for l, b in enumerate(row)
         if b and ring.twists[l] != h
     ]
-    unit = tuple(tuple(int(l == a) for l in range(n)) for a in range(n))
-    if (branching.B, branching.block_dims, branching.block_twists) == (unit, ring.dims, ring.twists):
+    if trivial:
         z0 = md.z
     else:
         pairs = zip(branching.block_dims, branching.block_twists)
@@ -697,7 +733,11 @@ def _attach_bijection(data: _PoolData, cls: Classification) -> None:
 def _permutation_preserves(
     ext: ExtendedModularData, branching: BranchingData, theta: tuple[int, ...]
 ) -> bool:
+    """theta maps every block to one of its twist and keeps Yext; the
+    identity does so by definition, with no comparison."""
     t = branching.block_count
+    if theta == tuple(range(t)):
+        return True
     for a in range(t):
         if branching.block_twists[theta[a]] != branching.block_twists[a]:
             return False

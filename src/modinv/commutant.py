@@ -46,6 +46,9 @@ from .modular import ModularData, twist_exponents
 
 DEFAULT_NODE_BUDGET = 10_000_000
 SEARCH_CHUNK = 2**16  # caps the entries of one batch: search accumulators, YZ = ZY products
+# Caps parents x children x P, the entries of one expansion's (children, P)
+# arrays; one parent is always expanded, whatever its children.
+SEARCH_EXPANSION = 2**20
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -233,7 +236,10 @@ def enumerate_invariants(
     so far: verified, but not the subset a one-node-at-a-time depth-first
     search would have reached. The children per parent are counted from the
     entry bound before any array of them is allocated, so a bound far past
-    the budget (a huge `bound_scale`) ends the search, not the memory.
+    the budget (a huge `bound_scale`) ends the search, not the memory. At
+    most SEARCH_EXPANSION entries of parents x children x P are expanded at
+    once (one parent at least), so that one expansion's arrays, its
+    children's entries and accumulators, do not grow with the budget.
     Output is canonically sorted and exactly re-verified.
     """
     n = md.size
@@ -282,12 +288,14 @@ def enumerate_invariants(
     while stack:
         i, acc = stack.pop()
         # Children per parent, a Python int: the coefficients are allocated
-        # only once some parent's children fit in the budget.
+        # only once some parent's children fit in the budget, and no more
+        # parents are expanded at once than SEARCH_EXPANSION allows.
         count = 1 if i == 0 else int(bounds[pivots[i]]) + 1
         fit = (node_budget - nodes) // count
         if fit == 0:
             partial = _verify_pool(md, _sorted_stack(leaves, flat, n))
             raise SearchBudgetExceeded(node_budget, partial, nodes, depth, k)
+        fit = min(fit, max(1, SEARCH_EXPANSION // (count * P)))
         values = np.arange(1, 2) if i == 0 else np.arange(count)
         if fit < len(acc):  # expand the parents that fit; the rest wait below their children
             stack.append((i, acc[fit:]))

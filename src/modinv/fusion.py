@@ -104,7 +104,13 @@ def make_ring(
 
 
 def validate(ring: FusionRing) -> list[str]:
-    """Check every ring axiom exactly; returns the list of violations."""
+    """Check every ring axiom exactly; returns the list of violations.
+
+    Associativity is checked label by label, x (z w) = (x z) w for a label x
+    and all labels z, w. The x that pass span a subring (the lemma of
+    `_generating_labels`), so when labels whose products span Q^n are found,
+    only those are checked; every label is checked, and every failure
+    reported, when none are found or one of them fails."""
     n = ring.size
     report: list[str] = []
     if len(ring.dual) != n or sorted(ring.dual) != list(range(n)):
@@ -132,17 +138,12 @@ def validate(ring: FusionRing) -> list[str]:
         report.append("dual(0) != 0")
     for l, m in np.argwhere(N[:, :, 0] != eye[lbar]):
         report.append(f"duality: N[{l},{m}]^0 != delta(m, dual({l}))")
-    # Associativity: sum_r N_lm^r N_r nu^s = sum_r N_m nu^r N_lr^s, as two
-    # (n, n*n) matrix products per l, indexed (m, nu, s), exact in one dtype.
+    # Associativity, for a generating set of labels first and for every
+    # label when there is none or some label of it fails.
     F = N.astype(matmul_dtype(n, N, N), copy=False)
-    right = F.reshape(n, n * n)
-    left = F.reshape(n * n, n)
-    for l in range(n):
-        lhs = (F[l] @ right).reshape(n, n, n)
-        rhs = (left @ F[l]).reshape(n, n, n)
-        if not np.array_equal(lhs, rhs):
-            for m, nu, s in np.argwhere(lhs != rhs):
-                report.append(f"associativity fails at ({l},{m},{nu},{s})")
+    generators = _generating_labels(N)
+    if generators is None or _associativity_failures(F, generators):
+        report += _associativity_failures(F, range(n))
     # Frobenius symmetry: N_lm^nu = N_{lbar nu}^m = N_{nu mbar}^l.
     frobenius = (N != N[lbar].transpose(0, 2, 1)) | (N != N[:, lbar].transpose(2, 1, 0))
     for l, m, nu in np.argwhere(frobenius):
@@ -176,6 +177,85 @@ def validate(ring: FusionRing) -> list[str]:
         for l, m in np.argwhere(differs(dv[:, None] * dv, evaluate(Nd, D, M))):
             report.append(f"dims: d[{l}]*d[{m}] != sum N*d")
     return report
+
+
+def _associativity_failures(F: np.ndarray, labels: Iterable[int]) -> list[str]:
+    """sum_r N_lm^r N_r nu^s = sum_r N_m nu^r N_lr^s for each label l given,
+    as two (n, n*n) matrix products, indexed (m, nu, s), in F's dtype (exact
+    for them): the failures, in order."""
+    n = len(F)
+    right, left = F.reshape(n, n * n), F.reshape(n * n, n)
+    failures = []
+    for l in labels:
+        lhs = (F[l] @ right).reshape(n, n, n)
+        rhs = (left @ F[l]).reshape(n, n, n)
+        if not np.array_equal(lhs, rhs):
+            for m, nu, s in np.argwhere(lhs != rhs):
+                failures.append(f"associativity fails at ({l},{m},{nu},{s})")
+    return failures
+
+
+# A prime p with n p**2 < 2**63 for every n < 2**13: the products of
+# `_generating_labels` stay in int64. A fusion tensor of 2**13 labels would
+# have 2**39 entries.
+GENERATOR_PRIME = 33554393  # the largest prime below 2**25
+# Below this many labels, checking every label costs less than the search
+# for a generating set.
+GENERATOR_MIN_LABELS = 21
+
+
+def _generating_labels(N: np.ndarray) -> Optional[list[int]]:
+    """Labels G, label 0 first, whose nested products span Q^n, or None.
+
+    Associativity asks x (z w) = (x z) w for every label x and all z, w; the
+    x with it form a set S that is closed under sums, and under products:
+    for x, y in S, (x y)(z w) = x (y (z w)) = x ((y z) w) = (x (y z)) w
+    = ((x y) z) w. So once every label of G is in S and products of labels
+    of G span Q^n, every label is in S.
+
+    Labels join G one at a time, each the first label outside the span so
+    far, while G holds at most half the labels. For x = sum_j j e_{g_j} over
+    the labels g_1, g_2, ... of G after 0 (x is in S with them), the
+    products taken are e_0, e_0 x, (e_0 x) x, ..., kept modulo
+    GENERATOR_PRIME as a reduced echelon form, one vector at a time, up to
+    the first that lies in the span of those before it: the span is then
+    closed under right multiplication by x. Full rank modulo a prime
+    certifies full rank over Q, as the rank modulo a prime never exceeds it.
+    """
+    n = len(N)
+    if n < GENERATOR_MIN_LABELS:
+        return None
+    p = GENERATOR_PRIME
+    labels, pivots = [0], [0]
+    R = np.zeros((n, n), dtype=np.int64)
+    rows = np.empty((n, n), dtype=np.int64)
+    while 2 * (len(labels) + 1) <= n:
+        g = next((c for c in range(1, n) if c not in pivots and c not in labels), None)
+        if g is None:
+            return None
+        # (v e_g)_s = sum_r v_r N_{r,g}^s: right multiplication by e_g is N[:, g].
+        R = (R + len(labels) * (N[:, g] % p).astype(np.int64)) % p
+        labels.append(g)
+        # rows[:r]: the reduced echelon form of e_0, e_0 x, ..., which stop
+        # growing at the first one in the span of those before it.
+        pivots = []
+        v = np.zeros(n, dtype=np.int64)
+        v[0] = 1
+        while True:
+            r = len(pivots)
+            u = (v - v[pivots] @ rows[:r]) % p
+            (support,) = u.nonzero()
+            if not len(support):
+                break
+            c = int(support[0])
+            u = u * pow(int(u[c]), -1, p) % p
+            rows[:r] = (rows[:r] - rows[:r, c, None] * u) % p
+            rows[r] = u
+            pivots.append(c)
+            v = v @ R % p
+        if len(pivots) == n:
+            return labels
+    return None
 
 
 # PSLQ looks for coordinates below PSLQ_MAX_COEFF within PSLQ_MAX_STEPS

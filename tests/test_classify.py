@@ -1,6 +1,7 @@
 """Classification: factorizations, parents, bijections, extended modular
 data and global indices."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -523,6 +524,82 @@ def test_diagonal_extended_data_takes_no_general_product(su2_16, monkeypatch):
         [_layout(y) for y in row] for row in md.Y
     ]
     assert _layout(ext.z0) == _layout(md.z)
+
+
+@pytest.mark.parametrize(
+    "build, args", [r[1:] for r in MEMO_RINGS], ids=[r[0] for r in MEMO_RINGS]
+)
+def test_y_coordinates_are_those_of_the_scalar_y(build, args):
+    # The trivial extension takes Yext's coordinates as Y's own: that holds
+    # only while md.Y_coords and md.Y_den are coordinates(md.Y, M).
+    md = compute_modular_data(build(*args))
+    X, D = coordinates(md.Y, md.ring.conductor)
+    assert D == md.Y_den
+    assert np.array_equal(X, md.Y_coords)
+
+
+@pytest.mark.parametrize("name", ["su2_16", "so16"])
+def test_trivial_extension_takes_y_as_yext(name, request, monkeypatch):
+    # B = 1: no Gram inverse, and no coordinates of Yext; only the scalars
+    # of the checks (the ratio and w_zero) are put in coordinates.
+    md, pool, cls = request.getfixturevalue(name)
+    diag = next(c for c in cls if c.kind == "diagonal")
+    (branching,) = diag.factorizations
+    kernels = record_calls(monkeypatch, "kernel")
+    coords = record_calls(monkeypatch, "coordinates")
+    ext = extended_modular_data(md, branching, diag.indices)
+    assert kernels == []
+    assert all(isinstance(args[0], Cyclotomic) for args in coords)
+    assert ext.consistent
+    assert all(a is b for a, b in zip(itertools.chain(*ext.Yext), itertools.chain(*md.Y)))
+    assert [len(row) for row in ext.Yext] == [md.size] * md.size
+    # The labels in another order take the general path: one kernel, and
+    # Yext's coordinates.
+    del kernels[:], coords[:]
+    reverse = _relabelled_blocks(md, [0, *range(md.size - 1, 0, -1)])
+    extended_modular_data(md, reverse, diag.indices)
+    assert len(kernels) == 1
+    assert any(isinstance(args[0], list) for args in coords)
+
+
+def _relabelled_blocks(md, sigma):
+    """The branching whose block a is label sigma[a]: B a permutation matrix,
+    with the labels' twists and dims; Z = B^T B = 1."""
+    n = md.size
+    return BranchingData(
+        block_count=n,
+        B=tuple(tuple(int(l == sigma[a]) for l in range(n)) for a in range(n)),
+        block_twists=tuple(md.ring.twists[l] for l in sigma),
+        block_dims=tuple(md.ring.dims[l] for l in sigma),
+    )
+
+
+def test_trivial_extension_keeps_every_check_live(so16):
+    # Y's coordinates off by one at (0, 1) only, and the scalar Y with them:
+    # the fast path reads both, the general path, through the branching
+    # that swaps the spinors s and c, builds Yext from the scalar Y. The
+    # swap fixes labels 0 and 1, so both report the same failures.
+    md, pool, cls = so16
+    assert md.nondegenerate
+    diag = next(c for c in cls if c.kind == "diagonal")
+    (branching,) = diag.factorizations
+    M = md.ring.conductor
+    Yc = md.Y_coords.copy()
+    Yc[0, 0, 1] += 1
+    broken = dataclasses.replace(md, Y_coords=Yc)
+    broken.Y = [
+        [Cyclotomic.from_terms(M, enumerate(Yc[:, l, m].tolist()), md.Y_den) for m in range(4)]
+        for l in range(4)
+    ]
+    swap = _relabelled_blocks(md, (0, 1, 3, 2))
+    fast = extended_modular_data(broken, branching, diag.indices)
+    general = extended_modular_data(broken, swap, diag.indices)
+    assert general.Yext[2][3] == broken.Y[3][2]
+    assert "Yext not symmetric at (0,1)" in fast.failures
+    assert any("Yext^dagger" in f for f in fast.failures)
+    assert fast.failures == general.failures
+    # Unbroken, both paths are consistent.
+    assert extended_modular_data(md, swap, diag.indices).consistent
 
 
 def test_su2_16_d10_branching(su2_16):

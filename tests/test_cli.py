@@ -705,17 +705,18 @@ def test_deeply_nested_invariant_file_is_a_usage_error(tmp_path, capsys):
     assert err == f"error: {path}: JSON nested too deeply to parse\n"
 
 
-def run_limited(cwd, *argv):
+def run_limited(cwd, *argv, program=None):
     """`modinv *argv` in a fresh process under a 1 GB address-space limit
     and a 10 s timeout (TimeoutExpired fails the test): oversized input must
     exit fast, not allocate. One BLAS thread keeps the per-thread buffers
-    out of the limit."""
+    out of the limit. A `program` (Python source) runs in place of the
+    `modinv.cli` module, with argv as its arguments."""
     src = os.path.dirname(os.path.dirname(modinv.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     env["OPENBLAS_NUM_THREADS"] = "1"
     limit = 2**30
     return subprocess.run(
-        [sys.executable, "-m", "modinv.cli", *argv],
+        [sys.executable, *(["-c", program] if program else ["-m", "modinv.cli"]), *argv],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -754,6 +755,32 @@ def test_bound_scale_past_the_budget_exits_3_before_allocating(tmp_path):
     assert done.returncode == 3
     assert done.stderr.startswith("warning: enumeration exceeded the node budget of ")
     assert json.loads(done.stdout)["budget_exhausted"] is True
+
+
+# `modinv` that prints its own peak RSS, in MB, as its last stderr line.
+PEAK_RSS = """
+import resource, sys
+from modinv.cli import main
+code = main(sys.argv[1:])
+unit = 2**20 if sys.platform == "darwin" else 2**10
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_one_search_expansion_stays_bounded(tmp_path):
+    # SO(16) at --bound-scale 10000: each parent past the first level has
+    # 10,001 children, and the default budget holds 999 parents. Expanded at
+    # once they peaked at about 510 MB; SEARCH_EXPANSION caps the parents
+    # expanded together.
+    (tmp_path / "so16.json").write_text(dump_ring(builtin_so_level1(16)))
+    done = run_limited(
+        tmp_path, "classify", "so16.json", "--bound-scale", "10000", program=PEAK_RSS
+    )
+    assert done.returncode == 3
+    warning, peak = done.stderr.splitlines()
+    assert warning.startswith("warning: enumeration exceeded the node budget of 10000000 ")
+    assert float(peak) < 200
 
 
 def test_invariant_file_with_a_syntax_error_exits_2(tmp_path):

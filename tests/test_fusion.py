@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modinv.cyclo import ONE, Cyclotomic, csum
+from modinv import fusion
+from modinv.cyclo import ONE, Cyclotomic, _is_prime, csum
 from modinv.fusion import (
     DimsReconstructionError,
     _pf_vector,
@@ -301,6 +302,64 @@ def test_validation_catches_broken_associativity():
         "associativity fails at (2,1,1,2)",
         "associativity fails at (2,2,1,1)",
     ]
+
+
+def test_generating_prime_keeps_the_certificate_in_int64():
+    p = fusion.GENERATOR_PRIME
+    assert _is_prime(p) and not any(_is_prime(q) for q in range(p + 2, 2**25, 2))
+    assert (2**13 - 1) * p**2 < 2**63
+
+
+@pytest.mark.parametrize("k", [20, 24, 40])
+def test_su2_checks_associativity_for_a_generating_set_only(k, monkeypatch):
+    # The spin-1/2 label generates SU(2): the product pair runs for labels
+    # 0 and 1 only.
+    ring = builtin_su2(k)
+    checked = []
+    original = fusion._associativity_failures
+
+    def recorded(F, labels):
+        checked.append(list(labels))
+        return original(F, labels)
+
+    monkeypatch.setattr(fusion, "_associativity_failures", recorded)
+    assert validate(ring) == []
+    assert checked == [[0, 1]]
+
+
+def _xor_ring(bits):
+    """The group ring of (Z_2)^bits: each label generates a subring of two."""
+    n = 2**bits
+    fusion_rules = [[[int(l ^ m == r) for r in range(n)] for m in range(n)] for l in range(n)]
+    return make_ring([str(l) for l in range(n)], fusion_rules, list(range(n)), [0] * n)
+
+
+@pytest.mark.parametrize(
+    "ring, entry",
+    [
+        (builtin_su2(24), (1, 1, 2)),  # a generator's own products
+        (builtin_su2(24), (10, 12, 4)),  # labels outside the generating set
+        (builtin_su2(24), (13, 13, 0)),  # with a duality failure too
+        (_xor_ring(5), (7, 9, 14)),  # no generating set: every label checked
+    ],
+    ids=["su2_24_generator", "su2_24_outside", "su2_24_duality", "z2_5"],
+)
+def test_broken_associativity_reports_what_every_label_reports(ring, entry, monkeypatch):
+    # A failure at any label fails a generator or the certificate (the
+    # lemma of _generating_labels), and then every label is checked: the
+    # report is that of the loop over all labels.
+    l, m, nu = entry
+    bad = _with_entry(ring, l, m, nu, int(ring.fusion[l, m, nu]) + 1)
+    report = validate(bad)
+    assert any(msg.startswith("associativity fails") for msg in report)
+    monkeypatch.setattr(fusion, "GENERATOR_MIN_LABELS", 2**13)
+    assert validate(bad) == report
+
+
+def test_xor_ring_has_no_generating_set():
+    ring = _xor_ring(5)
+    assert fusion._generating_labels(ring.fusion) is None
+    assert validate(ring) == []
 
 
 def test_validation_catches_broken_frobenius_symmetry():
