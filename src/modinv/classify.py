@@ -320,9 +320,7 @@ def find_block_bijection(
 class BlockPair:
     """What `find_block_bijection` reads of two branchings with t blocks
     each, apart from Z: their rows as (t, n) integer arrays and the (t, t)
-    mask of block pairs (tau, s) with equal twists and exactly equal dims. A
-    dim is equal to itself without a comparison, so the diagonal invariant
-    as its own parent pair compares no dims."""
+    mask of block pairs (tau, s) with equal twists and exactly equal dims."""
 
     def __init__(self, plus: BranchingData, minus: BranchingData):
         t = plus.block_count
@@ -336,10 +334,7 @@ class BlockPair:
         self.peak = int(max(Bp.max(), self.ceiling))
         self.matching = np.array(
             [
-                [
-                    h == g and (d is e or d == e)
-                    for g, e in zip(minus.block_twists, minus.block_dims)
-                ]
+                [h == g and d == e for g, e in zip(minus.block_twists, minus.block_dims)]
                 for h, d in zip(plus.block_twists, plus.block_dims)
             ],
             dtype=bool,
@@ -359,7 +354,11 @@ def extended_modular_data(
     its coordinates are Y's own (md.Y_coords, md.Y_den): neither a Gram
     inverse nor a sum is formed. The general path would return the same
     objects, as a one-term sum, a factor of 1 and a division by 1 each
-    return their operand.
+    return their operand. The intertwining check would then compare Y's
+    coordinates with themselves, so it is skipped there; that they are the
+    coordinates of the scalar Y is `modular._y_coordinates`' contract, not
+    a check of Yext. Symmetry, Yext Yext^dagger = w_zero and the Gram-free
+    checks still run.
 
     Otherwise the Gram inverse is one `kernel`, that of the integer matrix
     [1 | -G], G = B B^T: the kernel is {(G y, y)}. Its projection to the
@@ -383,6 +382,7 @@ def extended_modular_data(
     Bm = int_array(B).reshape(t, -1)
     M = md.ring.conductor
     trivial = _blocks_are_labels(md, branching)
+    failures: list[str] = []
     if trivial and indices.w_plus == md.w:
         ratio = ONE
         Yext = [list(row) for row in md.Y]
@@ -391,12 +391,13 @@ def extended_modular_data(
         ratio = divide(indices.w_plus, md.w)
         Yext = _general_yext(md, B, Bm, ratio)
         X, DX = coordinates(Yext, M)
-    failures: list[str] = []
-    # (w/w_plus) Yext B = B Y, i.e. Yext B = ratio * (B Y), by value; Yext B
-    # and B Y are integer combinations of the coordinates of Yext and md.Y.
-    rhs = evaluate(*coordinates(ratio, M), M) * evaluate(int_matmul(Bm, md.Y_coords), md.Y_den, M)
-    for a, m in np.argwhere(differs(evaluate(int_matmul(X, Bm), DX, M), rhs)):
-        failures.append(f"intertwining fails at block {a}, label {m}")
+        # (w/w_plus) Yext B = B Y, i.e. Yext B = ratio * (B Y), by value; Yext
+        # B and B Y are integer combinations of the coordinates of Yext and Y.
+        rhs = evaluate(*coordinates(ratio, M), M) * evaluate(
+            int_matmul(Bm, md.Y_coords), md.Y_den, M
+        )
+        for a, m in np.argwhere(differs(evaluate(int_matmul(X, Bm), DX, M), rhs)):
+            failures.append(f"intertwining fails at block {a}, label {m}")
     for a, b in np.argwhere(np.triu((X != X.transpose(0, 2, 1)).any(axis=0))):
         failures.append(f"Yext not symmetric at ({a},{b})")
     z0, gram_free = _gram_free_checks(md, branching, ratio, trivial)

@@ -287,6 +287,8 @@ class Cyclotomic:
         return None
 
     def __eq__(self, other):
+        if self is other:  # no coercion: e.g. a block dim matched with itself
+            return True
         o = self._coerce(other)
         if o is None:
             return NotImplemented

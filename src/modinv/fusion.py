@@ -199,9 +199,10 @@ def _associativity_failures(F: np.ndarray, labels: Iterable[int]) -> list[str]:
 # `_generating_labels` stay in int64. A fusion tensor of 2**13 labels would
 # have 2**39 entries.
 GENERATOR_PRIME = 33554393  # the largest prime below 2**25
-# Below this many labels, checking every label costs less than the search
-# for a generating set.
-GENERATOR_MIN_LABELS = 21
+# Below this many labels, checking every label costs about as much as the
+# search for a generating set and its labels' checks, or less (measured on
+# SU(2) and cyclic rings under random relabellings of their labels).
+GENERATOR_MIN_LABELS = 25
 
 
 def _generating_labels(N: np.ndarray) -> Optional[list[int]]:
@@ -213,49 +214,57 @@ def _generating_labels(N: np.ndarray) -> Optional[list[int]]:
     = ((x y) z) w. So once every label of G is in S and products of labels
     of G span Q^n, every label is in S.
 
-    Labels join G one at a time, each the first label outside the span so
-    far, while G holds at most half the labels. For x = sum_j j e_{g_j} over
-    the labels g_1, g_2, ... of G after 0 (x is in S with them), the
-    products taken are e_0, e_0 x, (e_0 x) x, ..., kept modulo
-    GENERATOR_PRIME as a reduced echelon form, one vector at a time, up to
-    the first that lies in the span of those before it: the span is then
-    closed under right multiplication by x. Full rank modulo a prime
-    certifies full rank over Q, as the rank modulo a prime never exceeds it.
+    One span V grows from e_0, kept modulo GENERATOR_PRIME: each vector that
+    joins V is multiplied on the right by each label of G after 0, so V is
+    spanned by products e_0 g_1 ... g_k. When V is closed under them short
+    of Q^n, the first candidate outside V joins G and multiplies every
+    vector of V so far; G holds at most half the labels. Candidates come in
+    an order that a relabelling keeps up to ties: labels whose fusion matrix
+    is not a permutation first, smallest total multiplicity
+    sum_{m, nu} N_lm^nu first (on SU(2), the spin-1/2 label and its product
+    with the simple current, which also generates at even level). Full rank
+    modulo a prime certifies full rank over Q, as the rank modulo a prime
+    never exceeds it.
     """
     n = len(N)
     if n < GENERATOR_MIN_LABELS:
         return None
     p = GENERATOR_PRIME
-    labels, pivots = [0], [0]
-    R = np.zeros((n, n), dtype=np.int64)
-    rows = np.empty((n, n), dtype=np.int64)
-    while 2 * (len(labels) + 1) <= n:
-        g = next((c for c in range(1, n) if c not in pivots and c not in labels), None)
-        if g is None:
-            return None
-        # (v e_g)_s = sum_r v_r N_{r,g}^s: right multiplication by e_g is N[:, g].
-        R = (R + len(labels) * (N[:, g] % p).astype(np.int64)) % p
-        labels.append(g)
-        # rows[:r]: the reduced echelon form of e_0, e_0 x, ..., which stop
-        # growing at the first one in the span of those before it.
-        pivots = []
-        v = np.zeros(n, dtype=np.int64)
-        v[0] = 1
-        while True:
-            r = len(pivots)
-            u = (v - v[pivots] @ rows[:r]) % p
-            (support,) = u.nonzero()
-            if not len(support):
-                break
+    weight = N.reshape(n, n * n).sum(axis=1).tolist()
+    candidates = sorted(range(1, n), key=lambda l: (weight[l] <= n, weight[l], l))
+    # (v e_g)_s = sum_r v_r N_{r,g}^s: right multiplication by e_g is N[:, g].
+    right = (N % p).astype(np.int64).transpose(1, 0, 2)
+    # v @ P % p is v reduced by V's reduced echelon form: zero exactly on V.
+    P = np.eye(n, dtype=np.int64)
+    joined: list[np.ndarray] = []  # the vectors that joined V, in order
+
+    def join(v: np.ndarray) -> None:
+        nonlocal P
+        u = v @ P % p
+        (support,) = u.nonzero()
+        if len(support):
             c = int(support[0])
             u = u * pow(int(u[c]), -1, p) % p
-            rows[:r] = (rows[:r] - rows[:r, c, None] * u) % p
-            rows[r] = u
-            pivots.append(c)
-            v = v @ R % p
-        if len(pivots) == n:
-            return labels
-    return None
+            P = (P - P[:, c, None] * u) % p
+            joined.append(u)
+
+    join(np.eye(1, n, dtype=np.int64)[0])
+    generators: list[int] = []
+    done: list[int] = []  # done[j]: the vectors of `joined` multiplied by generators[j]
+    while len(joined) < n:
+        j = min(range(len(generators)), key=done.__getitem__, default=None)
+        if j is not None and done[j] < len(joined):
+            join(joined[done[j]] @ right[generators[j]] % p)
+            done[j] += 1
+            continue
+        if 2 * (len(generators) + 2) > n:
+            return None
+        g = next((g for g in candidates if P[g].any() and g not in generators), None)
+        if g is None:
+            return None
+        generators.append(g)
+        done.append(0)
+    return [0] + generators
 
 
 # PSLQ looks for coordinates below PSLQ_MAX_COEFF within PSLQ_MAX_STEPS

@@ -1,6 +1,7 @@
 """Fusion-ring data model: axiom validation, builtins, exact dims
 reconstructed for rings given without them."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -310,11 +311,8 @@ def test_generating_prime_keeps_the_certificate_in_int64():
     assert (2**13 - 1) * p**2 < 2**63
 
 
-@pytest.mark.parametrize("k", [20, 24, 40])
-def test_su2_checks_associativity_for_a_generating_set_only(k, monkeypatch):
-    # The spin-1/2 label generates SU(2): the product pair runs for labels
-    # 0 and 1 only.
-    ring = builtin_su2(k)
+def _recorded_labels(monkeypatch):
+    """The label lists `validate` passes to `_associativity_failures`."""
     checked = []
     original = fusion._associativity_failures
 
@@ -323,8 +321,35 @@ def test_su2_checks_associativity_for_a_generating_set_only(k, monkeypatch):
         return original(F, labels)
 
     monkeypatch.setattr(fusion, "_associativity_failures", recorded)
-    assert validate(ring) == []
+    return checked
+
+
+@pytest.mark.parametrize("k", [24, 40])
+def test_su2_checks_associativity_for_a_generating_set_only(k, monkeypatch):
+    # The spin-1/2 label generates SU(2): the product pair runs for labels
+    # 0 and 1 only.
+    checked = _recorded_labels(monkeypatch)
+    assert validate(builtin_su2(k)) == []
     assert checked == [[0, 1]]
+
+
+def test_small_rings_check_every_label(monkeypatch):
+    checked = _recorded_labels(monkeypatch)
+    assert validate(builtin_su2(fusion.GENERATOR_MIN_LABELS - 2)) == []
+    assert checked == [list(range(fusion.GENERATOR_MIN_LABELS - 1))]
+
+
+def _relabelled(ring, seed):
+    """The ring with its labels other than 0 in a random order."""
+    rest = list(range(1, ring.size))
+    random.Random(seed).shuffle(rest)
+    perm = [0] + rest  # label perm[j] moves to position j
+    inv = np.argsort(perm)
+    N = ring.fusion[np.ix_(perm, perm, perm)]
+    dual = [int(inv[ring.dual[p]]) for p in perm]
+    dims = [ring.dims[p] for p in perm] if ring.dims is not None else None
+    return make_ring([ring.names[p] for p in perm], N.tolist(), dual,
+                     [ring.twists[p] for p in perm], dims)
 
 
 def _xor_ring(bits):
@@ -334,15 +359,59 @@ def _xor_ring(bits):
     return make_ring([str(l) for l in range(n)], fusion_rules, list(range(n)), [0] * n)
 
 
+def _a4_times_cyclic(m):
+    """Rep(A_4) x Z_m: the 3-dimensional irrep X of A_4 spans only
+    1, X and 1 + w + w^2 with its powers, so no label generates alone."""
+    A = np.zeros((4, 4, 4), dtype=np.int64)  # labels 1, w, w^2, X
+    for a in range(3):
+        for b in range(3):
+            A[a, b, (a + b) % 3] = 1
+        A[a, 3, 3] = A[3, a, 3] = 1
+    A[3, 3] = [1, 1, 1, 2]
+    C = np.asarray(builtin_cyclic(m, [0] * m).fusion)
+    n = 4 * m
+    N = np.einsum("ijk,lmn->iljmkn", A, C).reshape(n, n, n)
+    dual = [[0, 2, 1, 3][a] * m + (-c) % m for a in range(4) for c in range(m)]
+    return make_ring([str(l) for l in range(n)], N.tolist(), dual, [0] * n)
+
+
+@pytest.mark.parametrize(
+    "ring, most",
+    [
+        (builtin_su2(24), 2),  # spin 1/2, or spin 23/2 = J x spin 1/2: both generate
+        (builtin_su2(25), 3),  # spin 23/2 spans the integer spins only
+        (builtin_su2(40), 2),
+        (builtin_cyclic(28, [Fraction(a * a, 56) for a in range(28)]), 4),
+        (_a4_times_cyclic(8), 6),
+    ],
+    ids=["su2_24", "su2_25", "su2_40", "z28", "a4_z8"],
+)
+def test_generating_sets_stay_small_under_relabelling(ring, most, monkeypatch):
+    # The first candidates are chosen by their fusion matrices, and the span
+    # grows without restarting, so a relabelling does not lengthen G much.
+    for seed in range(8):
+        relabelled = _relabelled(ring, seed)
+        labels = fusion._generating_labels(relabelled.fusion)
+        assert labels is not None and labels[0] == 0
+        assert len(labels) <= most
+        checked = _recorded_labels(monkeypatch)
+        assert validate(relabelled) == []
+        assert checked == [labels]
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize(
     "ring, entry",
     [
         (builtin_su2(24), (1, 1, 2)),  # a generator's own products
         (builtin_su2(24), (10, 12, 4)),  # labels outside the generating set
         (builtin_su2(24), (13, 13, 0)),  # with a duality failure too
-        (_xor_ring(5), (7, 9, 14)),  # no generating set: every label checked
+        (_relabelled(builtin_su2(25), 3), (5, 7, 9)),
+        (_xor_ring(5), (7, 9, 14)),
+        (_a4_times_cyclic(8), (9, 9, 9)),
     ],
-    ids=["su2_24_generator", "su2_24_outside", "su2_24_duality", "z2_5"],
+    ids=["su2_24_generator", "su2_24_outside", "su2_24_duality", "su2_25_relabelled",
+         "z2_5", "a4_z8"],
 )
 def test_broken_associativity_reports_what_every_label_reports(ring, entry, monkeypatch):
     # A failure at any label fails a generator or the certificate (the
@@ -356,10 +425,27 @@ def test_broken_associativity_reports_what_every_label_reports(ring, entry, monk
     assert validate(bad) == report
 
 
-def test_xor_ring_has_no_generating_set():
+def test_xor_ring_is_generated_by_its_bits():
     ring = _xor_ring(5)
-    assert fusion._generating_labels(ring.fusion) is None
+    assert fusion._generating_labels(ring.fusion) == [0, 1, 2, 4, 8, 16]
     assert validate(ring) == []
+
+
+def test_generating_set_stops_at_half_the_labels(monkeypatch):
+    # a_l a_l = 1 and a_l a_m = 0 otherwise: each label adds one dimension
+    # to the span, so G would need every label. Past half of them the
+    # search gives up, and every label is checked, with the same report.
+    n = 25
+    N = np.zeros((n, n, n), dtype=np.int64)
+    for l in range(n):
+        N[0, l, l] = N[l, 0, l] = N[l, l, 0] = 1
+    assert fusion._generating_labels(N) is None
+    ring = make_ring([str(l) for l in range(n)], N.tolist(), list(range(n)), [0] * n)
+    checked = _recorded_labels(monkeypatch)
+    report = validate(ring)
+    assert checked == [list(range(n))]
+    monkeypatch.setattr(fusion, "GENERATOR_MIN_LABELS", 2**13)
+    assert validate(ring) == report
 
 
 def test_validation_catches_broken_frobenius_symmetry():
