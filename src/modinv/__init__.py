@@ -14,6 +14,7 @@ from .modular import ModularData, compute_modular_data, verify_statistics_axioms
 from .commutant import (
     CommutantBasis,
     CouplingMatrix,
+    Pool,
     SearchBudgetExceeded,
     commutant_basis,
     enumerate_invariants,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .cyclo import (
     real_floor,
     root_of_unity,
 )
-from .commutant import CouplingMatrix
+from .commutant import SEARCH_CHUNK, CouplingMatrix, Pool
 from .linalg import Echelon, kernel
 from .modular import ModularData
 
@@ -260,76 +260,104 @@ def _parents(
 
 
 def find_block_bijection(
-    plus: BranchingData,
-    minus: BranchingData,
-    Z: CouplingMatrix,
-    pair: Optional[BlockPair] = None,
+    plus: BranchingData, minus: BranchingData, Z: CouplingMatrix
 ) -> Optional[tuple[tuple[int, ...], int]]:
     """First bijection theta (in lexicographic order) with
     Z_{l,m} = sum_tau bplus_{tau,l} bminus_{theta(tau),m}, plus the count of
     all solutions; None when block counts differ or no bijection exists.
-    `pair` is `BlockPair(plus, minus)`, built here when not given: a caller
-    that tries one pair of branchings against many Z builds it once.
+    This is `_block_bijections` for a stack of one matrix."""
+    if minus.block_count != plus.block_count:
+        return None
+    return _block_bijections(BlockPair(plus, minus), int_array(Z.Z)[None])[0]
+
+
+def _block_bijections(
+    pair: BlockPair, targets: np.ndarray
+) -> list[Optional[tuple[tuple[int, ...], int]]]:
+    """`find_block_bijection` of the pair's two branchings for each matrix
+    of a (g, n, n) stack, in one search over theta.
 
     Candidates are pruned by matching block twists and exact block dims, and
     by the entries: B and Z are non-negative, so each term bplus_tau bminus_s^T
     of the sum is at most Z entrywise, that is bminus_s <= cap_tau with
     cap_{tau,m} = min over l with bplus_{tau,l} > 0 of
-    floor(Z_{l,m} / bplus_{tau,l}): (t, n, n) quotients and one (t, t, n)
-    comparison for all pairs, never a (t, t, n, n) array.
-    """
-    t = plus.block_count
-    if minus.block_count != t:
-        return None
-    if pair is None:
-        pair = BlockPair(plus, minus)
-    target = int_array(Z.Z)
-    # A zero of bplus caps nothing: its terms are 0 <= Z. No cap exceeds
-    # max bminus, which every row of bminus fits.
-    quotients = np.where(pair.zero, pair.ceiling, target // pair.divisor)
-    cap = np.minimum(quotients.min(axis=1), pair.ceiling)
-    fits = (pair.Bm <= cap[:, None]).all(axis=2) & pair.matching
-    if not fits.any(axis=1).all():
-        return None
-    compatible = [row.nonzero()[0].tolist() for row in fits]
+    floor(Z_{l,m} / bplus_{tau,l}). For every matrix at once that is a
+    (g, t, t) mask `fits` of the pairs (tau, s) it allows, from chunks of
+    quotients at the nonzero entries of bplus. Theta is then built block by
+    block, s ascending, with the mask of the matrices that every pair so far
+    fits: a partial theta that no matrix fits is dropped. A complete theta's
+    product Bplus^T Bminus[theta] is one matrix, compared with those still
+    in the mask, and it counts for each that it equals. So each matrix gets
+    the solutions that a search over its own mask would visit, in the same
+    (lexicographic) order: the first and their count."""
+    g, n, _ = targets.shape
+    t = pair.Bm.shape[0]
+    fits = np.empty((g, t, t), dtype=bool)
+    chunk = max(1, SEARCH_CHUNK // (max(len(pair.labels), t * t) * n))
+    for start in range(0, g, chunk):
+        quotients = targets[start : start + chunk, pair.labels] // pair.divisor
+        # A zero of bplus caps nothing: its terms are 0 <= Z. No cap exceeds
+        # max bminus, which every row of bminus fits.
+        cap = np.full((len(quotients), t, n), pair.ceiling, dtype=quotients.dtype)
+        if len(pair.rows):
+            cap[:, pair.rows] = np.minimum.reduceat(quotients, pair.starts, axis=1)
+        np.minimum(cap, pair.ceiling, out=cap)
+        fits[start : start + chunk] = (pair.Bm <= cap[:, :, None]).all(axis=3)
+    fits &= pair.matching
+    found: list[Optional[tuple[tuple[int, ...], int]]] = [None] * g
+    live = fits.any(axis=2).all(axis=1)
+    if not live.any():
+        return found
+    masks = np.ascontiguousarray(fits.transpose(1, 2, 0))  # (tau, s) -> matrices
+    # The pairs (tau, s) that some matrix still searched allows, s ascending.
+    compatible = [[s for s, ok in enumerate(row) if ok] for row in fits[live].any(axis=0).tolist()]
     # Each term of a compatible theta is at most its entry of Z, so no sum
     # of t terms exceeds t max Z.
-    dtype = int_dtype(t * max(int(target.max()), pair.peak))
+    dtype = int_dtype(t * max(int(targets[live].max()), pair.peak))
     BpT = pair.BpT.astype(dtype, copy=False)
-    Bm, target = pair.Bm.astype(dtype, copy=False), target.astype(dtype, copy=False)
-    found: list[tuple[int, ...]] = []
+    Bm = pair.Bm.astype(dtype, copy=False)
+    theta: list[int] = []
+    used = [False] * t
 
-    def assign(tau: int, theta: list[int], used: set[int]):
+    def assign(tau: int, alive: np.ndarray):
         if tau == t:
-            if (BpT @ Bm[theta] == target).all():
-                found.append(tuple(theta))
+            (alive,) = alive.nonzero()
+            equal = (targets[alive] == BpT @ Bm[theta]).all(axis=(1, 2))
+            for i in alive[equal].tolist():
+                first, count = found[i] or (tuple(theta), 0)
+                found[i] = first, count + 1
             return
         for s in compatible[tau]:
-            if s not in used:
-                theta.append(s)
-                used.add(s)
-                assign(tau + 1, theta, used)
-                used.discard(s)
-                theta.pop()
+            if not used[s]:
+                fitting = alive & masks[tau, s]
+                if fitting.any():
+                    theta.append(s)
+                    used[s] = True
+                    assign(tau + 1, fitting)
+                    used[s] = False
+                    theta.pop()
 
-    assign(0, [], set())
-    # The compatible lists ascend, so theta is found in lexicographic order.
-    return (found[0], len(found)) if found else None
+    assign(0, live)
+    return found
 
 
 class BlockPair:
-    """What `find_block_bijection` reads of two branchings with t blocks
-    each, apart from Z: their rows as (t, n) integer arrays and the (t, t)
-    mask of block pairs (tau, s) with equal twists and exactly equal dims."""
+    """What `_block_bijections` reads of two branchings with t blocks
+    each, apart from the matrices: their rows as (t, n) integer arrays and
+    the (t, t) mask of block pairs (tau, s) with equal twists and exactly
+    equal dims."""
 
     def __init__(self, plus: BranchingData, minus: BranchingData):
         t = plus.block_count
         self.Bm = int_array(minus.B).reshape(t, -1)
         Bp = int_array(plus.B).reshape(t, -1)
         self.BpT = np.ascontiguousarray(Bp.T)
-        # Z_{l,m} // bplus_{tau,l} as (t, n, 1) // (n, n) -> (t, n, n).
-        self.zero = (Bp == 0)[:, :, None]
-        self.divisor = np.maximum(Bp, 1)[:, :, None]
+        # The nonzero entries bplus_{tau,l}, row by row: the quotients
+        # Z_{l,m} // bplus_{tau,l} are taken for them alone, and row
+        # rows[j]'s run of them starts at starts[j].
+        taus, self.labels = Bp.nonzero()
+        self.divisor = Bp[taus, self.labels][:, None]
+        self.rows, self.starts = np.unique(taus, return_index=True)
         self.ceiling = self.Bm.max()
         self.peak = int(max(Bp.max(), self.ceiling))
         self.matching = np.array(
@@ -521,7 +549,8 @@ def span_relations(mats: Sequence[CouplingMatrix]) -> list[list[int]]:
 def span_dimension_and_relations(
     mats: Sequence[CouplingMatrix],
 ) -> tuple[int, list[list[int]]]:
-    """Span dimension and `span_relations` from one pass over the matrices.
+    """Span dimension and `span_relations` from one pass over the matrices,
+    read as one integer stack (`_pool_stack`).
 
     Relation i is the unique primitive relation among mats[:i+1], positive at
     its lead (its first nonzero coefficient), that vanishes at the leads of
@@ -533,14 +562,15 @@ def span_dimension_and_relations(
     rewritten through the relation to the member that takes its place.
     """
     k = len(mats)
-    width = len(mats[0].Z) ** 2 if mats else 0
+    S = _pool_stack(mats)
+    width = S[0].size if k else 0
     echelon = Echelon(2 * width + 1)
     member: dict[int, int] = {}  # slot -> index into mats
     relations: list[list[int]] = []
     free = 0  # the slot of the matrix being reduced
-    for i, Z in enumerate(mats):
+    for i, entries in enumerate(S.reshape(k, width).tolist()):
         slots = [int(s == free) for s in range(width + 1)]
-        r = echelon.residual([v for row in Z.Z for v in row] + slots)
+        r = echelon.residual(entries + slots)
         if any(r[:width]):
             echelon.insert(r)
             member[free] = i
@@ -571,32 +601,42 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
     realizing a block automorphism of its parents), type II (coinciding
     parents with an automorphism), unresolved.
 
-    The pool is read once as an integer stack (see `_PoolData`). Each
-    symmetric invariant is factorized once, and the extended data of each of
-    its factorizations is computed at most once. Global indices and their
-    check are computed once per distinct vacuum key, not once per invariant.
-    Parents are looked up by vacuum column in a map built from those
-    factorizations, and a parent's extended data is shared between its own
-    classification and the automorphism check of its children.
+    The pool is read as one (k, n, n) integer stack: a `Pool`'s own, or one
+    built once from a list (see `_PoolData`). Each symmetric invariant is
+    factorized once, and the extended data of each of its factorizations is
+    computed at most once. Global indices and their check are computed once
+    per distinct vacuum key, not once per invariant. Parents are looked up
+    by vacuum column in a map built from those factorizations, and a
+    parent's extended data is shared between its own classification and the
+    automorphism check of its children.
+
+    The parents of an invariant depend only on its (vacuum column, vacuum
+    row), so block bijections are searched once per such key: the invariants
+    that share it are grouped in a dict of integer tuples, and each pair of
+    parent factorizations is tried, in the order a loop over one invariant
+    would try them, as one `_block_bijections` search over the sub-stack of
+    the key's invariants that no earlier pair joined. Each invariant takes
+    the first pair that joins it, and that pair's first theta and count.
     """
     data = _PoolData(md, pool)
+    joined = data.bijections()
     out = []
     for i, Z in enumerate(pool):
         sym, idx, facts = data.vacuum_symmetric[i], data.indices[i], data.facts[i]
-        plus, minus = _parents(data.type_one_by_column, data.columns[i], data.rows[i])
+        plus, minus = _parents(data.type_one_by_column, data.column_ids[i], data.row_ids[i])
         cls = Classification(
             index=i,
             Z=Z,
             kind="unresolved",
             vacuum_symmetric=sym,
             indices=idx,
-            factorizations=facts,
+            factorizations=facts or [],
             parent_plus=plus,
             parent_minus=minus,
             notes=list(data.index_notes[i]),
         )
-        if plus and minus:
-            _attach_bijection(data, cls)
+        if i in joined:
+            _attach_bijection(data, cls, *joined[i])
         if data.identity[i]:
             cls.kind = "diagonal"
         elif not sym:
@@ -619,14 +659,20 @@ def classify_all(md: ModularData, pool: Sequence[CouplingMatrix]) -> list[Classi
 
 class _PoolData:
     """The exact data of one `classify_all` call, each piece computed at most
-    once. The pool is read once as a (k, n, n) integer stack S, and every
-    structural fact of an invariant is read off it as an array: the vacuum
-    symmetry S[:, :, 0] = S[:, 0], Z = Z^T, the identity, and the vacuum
-    columns and rows as tuples, by which parents are looked up, as
-    `find_parents` looks them up. Every invariant needs its factorizations and global indices,
-    so those are computed up front; only a matrix with Z = Z^T can factorize
-    as B^T B, so no other is searched. A parent can come later in the pool
-    than the invariant that needs it, so extended data is filled in lazily.
+    once. The pool is read as a (k, n, n) integer stack S (`_pool_stack`),
+    and every structural fact of an invariant is read off it as an array:
+    the vacuum symmetry S[:, :, 0] = S[:, 0], Z = Z^T, the identity, and the
+    vacuum columns and rows, by which parents are looked up, as
+    `find_parents` looks them up. Every invariant needs its factorizations
+    and global indices, so those are computed up front; only a matrix with
+    Z = Z^T can factorize as B^T B, so no other is searched (the others
+    share one empty tuple). A parent can come later in the pool than the
+    invariant that needs it, so extended data is filled in lazily.
+
+    A vacuum column or row is held as an int, its index among the distinct
+    ones: per invariant the data holds ints and shared objects, not tuples
+    or lists of its own, so that building it does not set off the full
+    garbage collections that k retained containers would.
 
     `global_indices` reads Z only through its vacuum column and the entries
     of its vacuum row at degenerate labels, so invariants that agree there
@@ -636,33 +682,33 @@ class _PoolData:
 
     def __init__(self, md: ModularData, pool: Sequence[CouplingMatrix]):
         self.md = md
-        S = _pool_stack(pool, md.size)
+        self.stack = S = _pool_stack(pool, md.size)
         column, row = S[:, :, 0], S[:, 0]
         self.vacuum_symmetric = (column == row).all(axis=1).tolist()
         self.identity = (S == np.eye(md.size, dtype=S.dtype)).all(axis=(1, 2)).tolist()
-        symmetric = (S == S.transpose(0, 2, 1)).all(axis=(1, 2)).tolist()
-        self.facts = [
-            factorize_type_one(md, Z) if sym else [] for Z, sym in zip(pool, symmetric)
-        ]
+        (symmetric,) = (S == S.transpose(0, 2, 1)).all(axis=(1, 2)).nonzero()
+        self.facts: list[Sequence[BranchingData]] = [()] * len(S)
+        for i in symmetric.tolist():
+            self.facts[i] = factorize_type_one(md, pool[i])
         # A row finds the type I matrices whose vacuum column equals it.
-        self.columns = list(map(tuple, column.tolist()))
-        self.rows = list(map(tuple, row.tolist()))
-        self.type_one_by_column = _type_one_by_column(self.columns, self.facts)
+        ids: dict[tuple, int] = {}
+        self.column_ids = [ids.setdefault(c, len(ids)) for c in _row_tuples(column)]
+        self.row_ids = [ids.setdefault(r, len(ids)) for r in _row_tuples(row)]
+        self.type_one_by_column = _type_one_by_column(self.column_ids, self.facts)
         degenerate_row = row[:, sorted(md.degenerates)]
-        keys = map(tuple, np.concatenate([column, degenerate_row], axis=1).tolist())
+        keys = _row_tuples(np.concatenate([column, degenerate_row], axis=1))
         by_key: dict[tuple, tuple[GlobalIndices, list[str]]] = {}
         self.indices: list[GlobalIndices] = []
         self.index_notes: list[list[str]] = []  # check() of each invariant's indices
-        for Z, key in zip(pool, keys):
+        for i, key in enumerate(keys):
             entry = by_key.get(key)
             if entry is None:
-                idx = global_indices(md, Z)
+                idx = global_indices(md, pool[i])
                 entry = by_key[key] = idx, idx.check()
             idx, notes = entry
             self.indices.append(idx)
             self.index_notes.append(notes)
         self._extended: dict[tuple[int, int], tuple] = {}  # (i, k) -> extended(i, k)
-        self._pairs: dict[tuple[int, int, int, int], Optional[BlockPair]] = {}
 
     def extended(self, i: int, k: int) -> tuple[Optional[ExtendedModularData], Optional[str]]:
         """(extended data, None) for factorization k of pool[i], or (None, the
@@ -676,59 +722,84 @@ class _PoolData:
                 self._extended[key] = None, str(exc)
         return self._extended[key]
 
-    def block_pair(self, ip: int, kp: int, im: int, km: int) -> Optional[BlockPair]:
-        """The `BlockPair` of factorization kp of pool[ip] and km of
-        pool[im], built once per pair; None when their block counts differ,
-        as no bijection joins them."""
-        key = (ip, kp, im, km)
-        if key not in self._pairs:
-            plus, minus = self.facts[ip][kp], self.facts[im][km]
-            same = plus.block_count == minus.block_count
-            self._pairs[key] = BlockPair(plus, minus) if same else None
-        return self._pairs[key]
+    def bijections(self) -> dict[int, tuple[int, int, int, tuple[int, ...], int]]:
+        """Pool index -> (ip, kp, im, theta, count) for each invariant that a
+        pair of parent factorizations joins: factorization kp of pool[ip] on
+        the plus side and one of pool[im] on the minus side, the first such
+        pair in the order (ip, im, kp, km) with its first theta and count."""
+        by_column = self.type_one_by_column
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, key in enumerate(zip(self.column_ids, self.row_ids)):
+            if key[0] in by_column and key[1] in by_column:
+                groups.setdefault(key, []).append(i)
+        facts = self.facts
+        joined = {}
+        for (column, row), members in groups.items():
+            left = np.array(members)
+            pairs = (
+                (ip, kp, im, bp, bm)
+                for ip in by_column[column]
+                for im in by_column[row]
+                for kp, bp in enumerate(facts[ip])
+                for bm in facts[im]
+                if bp.block_count == bm.block_count
+            )
+            for ip, kp, im, bp, bm in pairs:
+                found = _block_bijections(BlockPair(bp, bm), self.stack[left])
+                for i, res in zip(left.tolist(), found):
+                    if res is not None:
+                        joined[i] = (ip, kp, im, *res)
+                left = left[[res is None for res in found]]
+                if not len(left):
+                    break
+        return joined
 
 
-def _pool_stack(pool: Sequence[CouplingMatrix], n: int) -> np.ndarray:
-    """The pool as one (k, n, n) integer stack, in the smallest signed dtype
-    that holds its entries, or as Python ints (object) where one exceeds int64."""
+def _row_tuples(rows: np.ndarray) -> Iterator[tuple]:
+    """The rows of a 2-d integer array as tuples of ints, converted 2**12
+    rows at a time: the lists of a block are freed before the next."""
+    step = 2**12
+    for start in range(0, len(rows), step):
+        yield from map(tuple, rows[start : start + step].tolist())
+
+
+def _pool_stack(pool: Sequence[CouplingMatrix], n: Optional[int] = None) -> np.ndarray:
+    """The pool as one (k, n, n) integer stack: a `Pool`'s own, or, for a
+    list, one in the smallest signed dtype that holds its entries, or as
+    Python ints (object) where one exceeds int64. The size n is read off the
+    first matrix when not given (0 for an empty list)."""
+    if isinstance(pool, Pool):
+        return pool.stack
+    if n is None:
+        n = pool[0].size if pool else 0
     entries = chain.from_iterable(chain.from_iterable(Z.Z for Z in pool))
     try:
         S = np.fromiter(entries, dtype=np.int64, count=len(pool) * n * n)
     except OverflowError:
-        return int_array([Z.Z for Z in pool]).reshape(-1, n, n)
+        return int_array([Z.Z for Z in pool]).reshape(len(pool), n, n)
     dtype = np.min_scalar_type(-int(abs(S).max(initial=0)) - 1)
-    return S.astype(dtype).reshape(-1, n, n)
+    return S.astype(dtype).reshape(len(pool), n, n)
 
 
-def _attach_bijection(data: _PoolData, cls: Classification) -> None:
-    """Find a block bijection between some factorization of a plus parent and
-    one of a minus parent; record the automorphism when the parents coincide."""
-    facts = data.facts
-    for ip in cls.parent_plus:
-        for im in cls.parent_minus:
-            for kp, bp in enumerate(facts[ip]):
-                for km, bm in enumerate(facts[im]):
-                    pair = data.block_pair(ip, kp, im, km)
-                    res = find_block_bijection(bp, bm, cls.Z, pair)
-                    if res is None:
-                        continue
-                    theta, count = res
-                    cls.bijection = theta
-                    cls.bijection_count = count
-                    if ip == im:
-                        cls.automorphism = theta
-                        ext, _ = data.extended(ip, kp)
-                        # Without Yext (not determined by the branching), twist
-                        # and dim matching were already enforced per block pair.
-                        if ext is not None:
-                            cls.automorphism_preserves_extended = _permutation_preserves(
-                                ext, bp, theta
-                            )
-                        if len(facts[ip]) > 1:
-                            cls.notes.append(
-                                "coinciding parents admit multiple distinct factorizations"
-                            )
-                    return
+def _attach_bijection(
+    data: _PoolData, cls: Classification, ip: int, kp: int, im: int, theta: tuple, count: int
+) -> None:
+    """Record the block bijection theta (of `count`) between factorization kp
+    of the plus parent ip and one of the minus parent im; record the
+    automorphism when the parents coincide."""
+    cls.bijection = theta
+    cls.bijection_count = count
+    if ip == im:
+        cls.automorphism = theta
+        ext, _ = data.extended(ip, kp)
+        # Without Yext (not determined by the branching), twist and dim
+        # matching were already enforced per block pair.
+        if ext is not None:
+            cls.automorphism_preserves_extended = _permutation_preserves(
+                ext, data.facts[ip][kp], theta
+            )
+        if len(data.facts[ip]) > 1:
+            cls.notes.append("coinciding parents admit multiple distinct factorizations")
 
 
 def _permutation_preserves(

@@ -16,12 +16,14 @@ from .classify import classify_all
 from .commutant import (
     DEFAULT_NODE_BUDGET,
     InvariantRejected,
+    Pool,
     SearchBudgetExceeded,
     commutant_basis,
     enumerate_invariants,
     twist_sparsity,
     verify_invariant,
 )
+from .cyclo import int_array
 from .fusion import (
     DimsReconstructionError,
     builtin_cyclic,
@@ -259,18 +261,19 @@ def _read_invariant(path: str, md):
     return verify_invariant(md, read_json(path, "invariant file"))
 
 
-def _pool_index(spec: str, Z, pool) -> Optional[int]:
+def _pool_index(spec: str, Z, pool: Pool) -> Optional[int]:
     """Pool index named by an index string, or the index of the verified
-    matrix Z, which must occur in the enumeration."""
+    matrix Z, which must occur in the enumeration: found in the pool's
+    stack."""
     if Z is None:
         i = int(spec)
         if not 0 <= i < len(pool):
             print(f"error: invariant index {i} out of range", file=sys.stderr)
             return None
         return i
-    for i, W in enumerate(pool):
-        if W.Z == Z.Z:
-            return i
+    (found,) = (pool.stack == int_array(Z.Z)).all(axis=(1, 2)).nonzero()
+    if len(found):
+        return int(found[0])
     print("error: verified matrix is not in the enumerated pool", file=sys.stderr)
     return None
 

@@ -18,7 +18,9 @@ yet final have a negative d-weighted sum, which integer brackets of
 Each constraint on a coupling matrix has one implementation, a mask over a
 (k, n, n) stack of integer matrices: `_verify_pool` checks the search's whole
 pool and, as a stack of one, the matrix `verify_invariant` was given, and
-`_noncommuting` decides YZ = ZY for both and for the kernel's own basis.
+`_noncommuting` decides YZ = ZY for both and for the kernel's own basis. The
+stack checked is what the search returns: a `Pool`, whose coupling matrices
+are read from it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence, Union
 
 import numpy as np
@@ -45,7 +48,9 @@ from .linalg import kernel
 from .modular import ModularData, twist_exponents
 
 DEFAULT_NODE_BUDGET = 10_000_000
-SEARCH_CHUNK = 2**16  # caps the entries of one batch: search accumulators, YZ = ZY products
+# Caps the entries of one batch: search accumulators, YZ = ZY products and
+# classification's block-bijection quotients and caps.
+SEARCH_CHUNK = 2**16
 # Caps parents x children x P, the entries of one expansion's (children, P)
 # arrays; one parent is always expanded, whatever its children.
 SEARCH_EXPANSION = 2**20
@@ -57,7 +62,7 @@ class SearchBudgetExceeded(RuntimeError):
     reached by then in `partial`."""
 
     def __init__(
-        self, budget: int, partial: list["CouplingMatrix"], nodes: int, depth: int, levels: int
+        self, budget: int, partial: "Pool", nodes: int, depth: int, levels: int
     ):
         super().__init__(
             f"enumeration exceeded the node budget of {budget} after {nodes} nodes, "
@@ -94,11 +99,42 @@ class CommutantBasis:
         return same and np.array_equal(self.rows, other.rows)
 
 
-@dataclass(frozen=True)
 class CouplingMatrix:
-    """A coupling matrix as :func:`verify_invariant` returns it, exactly verified."""
+    """A coupling matrix as :func:`verify_invariant` returns it, exactly
+    verified. `Z` is its entries as a tuple of row tuples. An item of a
+    `Pool` holds only its pool's stack and its row there, and builds `Z`
+    from that row the first time `Z` is read; equality, hash and repr are
+    those of `Z`."""
 
-    Z: tuple[tuple[int, ...], ...]
+    __slots__ = ("_Z", "_stack", "_index")
+
+    def __init__(self, Z: tuple[tuple[int, ...], ...]):
+        self._Z = Z
+        self._stack = None
+        self._index = 0
+
+    @classmethod
+    def _row(cls, stack: np.ndarray, index: int) -> "CouplingMatrix":
+        self = cls.__new__(cls)
+        self._Z, self._stack, self._index = None, stack, index
+        return self
+
+    @property
+    def Z(self) -> tuple[tuple[int, ...], ...]:
+        if self._Z is None:
+            self._Z = tuple(map(tuple, self._stack[self._index].tolist()))
+        return self._Z
+
+    def __eq__(self, other):
+        if not isinstance(other, CouplingMatrix):
+            return NotImplemented
+        return self.Z == other.Z
+
+    def __hash__(self):
+        return hash(self.Z)
+
+    def __repr__(self):
+        return f"CouplingMatrix(Z={self.Z!r})"
 
     @property
     def size(self) -> int:
@@ -125,6 +161,26 @@ class CouplingMatrix:
         return all(sum(self.Z[l]) == 1 for l in range(n)) and all(
             sum(self.Z[l][m] for l in range(n)) == 1 for m in range(n)
         )
+
+
+class Pool(list):
+    """Verified coupling matrices as one read-only (k, n, n) integer stack,
+    `stack`, the form in which `_verify_pool` checked them. The list holds
+    k `CouplingMatrix` items, item i over row i of the stack, so a pool is
+    indexed, iterated and compared as a list of coupling matrices; the
+    search, classification and the report read the stack itself. A pool is
+    not changed in place, so that its items and its stack stay one."""
+
+    def __init__(self, stack: np.ndarray):
+        stack.flags.writeable = False
+        super().__init__(map(CouplingMatrix._row, repeat(stack), range(len(stack))))
+        self.stack = stack
+
+    def _read_only(self, *args):
+        raise TypeError("a Pool is not changed in place: its items are rows of its stack")
+
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
 
 
 def twist_sparsity(ring: FusionRing) -> np.ndarray:
@@ -214,7 +270,7 @@ def enumerate_invariants(
     basis: CommutantBasis,
     bound_scale: Union[Fraction, int] = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> list[CouplingMatrix]:
+) -> Pool:
     """All non-negative integer matrices in the commutant with Z[0,0] = 1.
 
     Search over the kernel's pivot entries, level i choosing the coefficient
@@ -238,16 +294,17 @@ def enumerate_invariants(
     entry bound before any array of them is allocated, so a bound far past
     the budget (a huge `bound_scale`) ends the search, not the memory. At
     most SEARCH_EXPANSION entries of parents x children x P are expanded at
-    once (one parent at least), so that one expansion's arrays, its
-    children's entries and accumulators, do not grow with the budget.
+    once, so that one expansion's arrays, its children's entries and
+    accumulators, do not grow with the budget: a parent with more children
+    than that is expanded a range of its coefficients at a time, all its
+    children counted with the first range.
     Output is canonically sorted and exactly re-verified.
     """
     n = md.size
     scale = Fraction(*_parts(bound_scale))  # an int or a Fraction, else TypeError
-    if basis.dimension == 0 or basis.positions[0] != (0, 0):
-        return []
-    if basis.pivot_indices[0] != 0:
-        return []  # every kernel element vanishes at (0,0); Z[0,0]=1 unreachable
+    if basis.dimension == 0 or basis.positions[0] != (0, 0) or basis.pivot_indices[0] != 0:
+        # every kernel element vanishes at (0,0): Z[0,0] = 1 is unreachable
+        return Pool(np.zeros((0, n, n), dtype=np.int64))
 
     positions = basis.positions
     P = len(positions)
@@ -284,24 +341,34 @@ def enumerate_invariants(
 
     leaves = []
     nodes = depth = 0
-    stack = [(0, np.zeros((1, P), dtype=dtype))]  # batches (level, acc)
+    # Batches (level, acc, first): parents at one level whose children from
+    # coefficient `first` on are still to be expanded.
+    stack = [(0, np.zeros((1, P), dtype=dtype), 0)]
     while stack:
-        i, acc = stack.pop()
+        i, acc, first = stack.pop()
         # Children per parent, a Python int: the coefficients are allocated
         # only once some parent's children fit in the budget, and no more
         # parents are expanded at once than SEARCH_EXPANSION allows.
         count = 1 if i == 0 else int(bounds[pivots[i]]) + 1
-        fit = (node_budget - nodes) // count
-        if fit == 0:
-            partial = _verify_pool(md, _sorted_stack(leaves, flat, n))
-            raise SearchBudgetExceeded(node_budget, partial, nodes, depth, k)
-        fit = min(fit, max(1, SEARCH_EXPANSION // (count * P)))
-        values = np.arange(1, 2) if i == 0 else np.arange(count)
-        if fit < len(acc):  # expand the parents that fit; the rest wait below their children
-            stack.append((i, acc[fit:]))
-            acc = acc[:fit]
-        nodes += len(acc) * len(values)
-        depth = max(depth, i + 1)
+        if first == 0:
+            fit = (node_budget - nodes) // count
+            if fit == 0:
+                partial = _verify_pool(md, _sorted_stack(leaves, flat, n))
+                raise SearchBudgetExceeded(node_budget, partial, nodes, depth, k)
+            fit = min(fit, max(1, SEARCH_EXPANSION // (count * P)))
+            if fit < len(acc):  # expand the parents that fit; the rest wait below their children
+                stack.append((i, acc[fit:], 0))
+                acc = acc[:fit]
+            nodes += len(acc) * count
+            depth = max(depth, i + 1)
+        # A parent whose children alone exceed SEARCH_EXPANSION is expanded
+        # a range of coefficients at a time; the rest wait below the
+        # children, already counted.
+        lo, hi = (1, 2) if i == 0 else (first, count)
+        hi = min(hi, lo + max(1, SEARCH_EXPANSION // P))
+        if hi < count:
+            stack.append((i, acc, hi))
+        values = np.arange(lo, hi)
         seg = segments[i]
         # The segment's entries of child (parent p, coefficient v) in row
         # p * len(values) + v - values[0]; the rest of acc is unchanged or,
@@ -327,7 +394,7 @@ def enumerate_invariants(
             continue
         rows = max(1, SEARCH_CHUNK // P)
         for start in reversed(range(0, len(acc), rows)):
-            stack.append((i + 1, acc[start : start + rows]))
+            stack.append((i + 1, acc[start : start + rows], 0))
 
     return _verify_pool(md, _sorted_stack(leaves, flat, n))
 
@@ -348,21 +415,41 @@ def _sorted_stack(leaves: list[np.ndarray], flat: np.ndarray, n: int) -> np.ndar
 def _entry_bounds(
     dims: Sequence[Cyclotomic], positions: list[tuple[int, int]], scale: Fraction
 ) -> list[int]:
-    """max(0, ceil(scale * d_l * d_m)) for each position, exactly
-    (`real_floor`) and once per unordered pair."""
-    ceilings = {
-        (l, m): max(0, -real_floor(-(dims[l] * dims[m] * scale)))
-        for l, m in {(min(l, m), max(l, m)) for l, m in positions}
-    }
+    """max(0, ceil(scale * d_l * d_m)) for each position, exactly and once
+    per unordered pair.
+
+    With scale = p/q and integer brackets lo <= 2**64 d <= hi of the real
+    dims (`real_bounds`), 2**128 q scale d_l d_m lies between the least and
+    the greatest of p times the four products of the ends, whatever their
+    signs. When both ends of that bracket have one ceiling, it is the
+    bound. Otherwise the bracket holds an integer (as at d_0 d_m for a
+    rational d_m), and the bound is the exact ceiling of the real part of
+    the cyclotomic product (`real_floor`), as it is for a dim that is not
+    real."""
+    p, q = scale.numerator, scale.denominator
+    unit = q << 128
+    brackets = real_bounds(dims, 64)
+    real = [d.is_real() for d in dims]
+
+    def ceiling(l: int, m: int) -> int:
+        if real[l] and real[m]:
+            ends = [p * x * y for x in brackets[l] for y in brackets[m]]
+            lo, hi = -(-min(ends) // unit), -(-max(ends) // unit)
+            if lo == hi:
+                return max(0, lo)
+        return max(0, -real_floor(-(dims[l] * dims[m] * scale)))
+
+    ceilings = {pair: ceiling(*pair) for pair in {(min(l, m), max(l, m)) for l, m in positions}}
     return [ceilings[min(l, m), max(l, m)] for l, m in positions]
 
 
 def _verify_pool(
     md: ModularData, pool: Union[np.ndarray, Sequence[Sequence[Sequence[int]]]]
-) -> list[CouplingMatrix]:
+) -> Pool:
     """Exactly verify n x n integer matrices, given as a (k, n, n) integer
-    stack or as nested sequences of ints, with one mask per constraint;
-    raises InvariantRejected for the first failing matrix, naming its first
+    stack or as nested sequences of ints, with one mask per constraint, and
+    return them as a `Pool` over the stack checked; raises
+    InvariantRejected for the first failing matrix, naming its first
     failing constraint and, in row-major order, entry."""
     n = md.size
     Z = (pool if isinstance(pool, np.ndarray) else int_array(pool)).reshape(-1, n, n)
@@ -381,12 +468,7 @@ def _verify_pool(
         message, mask = next((msg, mask[i]) for msg, mask in masks.items() if mask[i].any())
         l, m = np.argwhere(mask)[0].tolist()
         raise InvariantRejected(message.format(l=l, m=m, v=Z[i, l, m]))
-    step = 2**12  # matrices per list conversion: the lists are not all held at once
-    return [
-        CouplingMatrix(Z=tuple(map(tuple, matrix)))
-        for start in range(0, len(Z), step)
-        for matrix in Z[start : start + step].tolist()
-    ]
+    return Pool(Z)
 
 
 def verify_invariant(md: ModularData, Z: Sequence[Sequence[int]]) -> CouplingMatrix:

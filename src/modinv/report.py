@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classify import Classification, span_dimension_and_relations
+from .classify import Classification, _pool_stack, span_dimension_and_relations
 from .commutant import CouplingMatrix
 from .cyclo import Cyclotomic
 from .modular import ModularData, display_charge
@@ -54,13 +54,14 @@ class ReportValues:
     matrix list per coupling matrix, each built once and marked shared for
     the renderer. An entry's key keeps the slot order of num, which fixes
     the embed() sum and so the shadow. An element met again as the same
-    object is found by its id first; the map holds the element, so its id
-    is not reused while the map lives."""
+    object is found by its id first, and a coupling matrix only by its id:
+    an invariant and its classification hold one object. The maps hold the
+    objects, so an id is not reused while they live."""
 
     def __init__(self) -> None:
         self._entries: dict[tuple, dict] = {}
         self._by_id: dict[int, tuple[Cyclotomic, dict]] = {}
-        self._matrices: dict[tuple, list] = {}
+        self._matrices: dict[int, tuple[CouplingMatrix, list]] = {}
 
     def entry(self, v: Cyclotomic) -> dict:
         seen = self._by_id.get(id(v))
@@ -73,11 +74,13 @@ class ReportValues:
         self._by_id[id(v)] = v, found
         return found
 
-    def matrix(self, Z: CouplingMatrix) -> list:
-        found = self._matrices.get(Z.Z)
+    def matrix(self, Z: CouplingMatrix, rows: Optional[list[list[int]]] = None) -> list:
+        """Z's matrix list, from its rows when given (a stack's), else from Z."""
+        found = self._matrices.get(id(Z))
         if found is None:
-            found = self._matrices[Z.Z] = SharedList(map(list, Z.Z))
-        return found
+            rows = list(map(list, Z.Z)) if rows is None else rows
+            found = self._matrices[id(Z)] = Z, SharedList(rows)
+        return found[1]
 
 
 def ring_summary(md: ModularData) -> dict:
@@ -108,16 +111,27 @@ def modular_summary(md: ModularData, values: Optional[ReportValues] = None) -> d
     return out
 
 
-def invariant_summary(Z: CouplingMatrix, values: ReportValues) -> dict:
+def invariant_summary(
+    Z: CouplingMatrix, values: ReportValues, rows: Optional[list[list[int]]] = None
+) -> dict:
+    """The invariant's entry, read off its matrix list: from `rows` when
+    given (its row of the pool's stack, as `build_report` passes it), so
+    that Z's tuple is not built."""
+    matrix = values.matrix(Z, rows)
+    column = [row[0] for row in matrix]
     return {
-        "matrix": values.matrix(Z),
-        "trace": Z.trace,
-        "vacuum_column": list(Z.vacuum_column),
-        "vacuum_row": list(Z.vacuum_row),
-        "vacuum_symmetric": Z.vacuum_symmetric,
+        "matrix": matrix,
+        "trace": _trace(matrix),
+        "vacuum_column": column,
+        "vacuum_row": list(matrix[0]),
+        "vacuum_symmetric": column == matrix[0],
         "verified": True,
         "exact": True,
     }
+
+
+def _trace(matrix: list[list[int]]) -> int:
+    return sum(row[l] for l, row in enumerate(matrix))
 
 
 def span_summary(pool: Sequence[CouplingMatrix]) -> dict:
@@ -129,26 +143,27 @@ def span_summary(pool: Sequence[CouplingMatrix]) -> dict:
     linear subspace, which holds every symmetric invariant and so their
     span, and an asymmetric invariant lies outside it."""
     dimension, relations = span_dimension_and_relations(pool)
+    S = _pool_stack(pool)
+    asymmetric = (S[:, :, 0] != S[:, 0]).any(axis=1).nonzero()[0].tolist() if S.size else []
     return {
         "count": len(pool),
         "span_dimension": dimension,
         "relations": relations,
-        "asymmetric_in_symmetric_span": {
-            str(i): False for i, Z in enumerate(pool) if not Z.vacuum_symmetric
-        },
+        "asymmetric_in_symmetric_span": {str(i): False for i in asymmetric},
     }
 
 
 def classification_summary(cls: Classification, values: Optional[ReportValues] = None) -> dict:
     values = values or ReportValues()
     entry = values.entry
+    matrix = values.matrix(cls.Z)  # from the pool's stack when build_report has read it
     out = {
         "index": cls.index,
         "kind": cls.kind,
         "type_two": cls.type_two,
         "vacuum_symmetric": cls.vacuum_symmetric,
-        "trace": cls.Z.trace,
-        "matrix": values.matrix(cls.Z),
+        "trace": _trace(matrix),
+        "matrix": matrix,
         "global_indices": {
             "w": entry(cls.indices.w),
             "w_plus": entry(cls.indices.w_plus),
@@ -197,7 +212,10 @@ def build_report(
     report = {
         "ring": ring_summary(md),
         "modular": modular_summary(md, values),
-        "invariants": [invariant_summary(Z, values) for Z in pool],
+        "invariants": [
+            invariant_summary(Z, values, rows)
+            for Z, rows in zip(pool, _pool_stack(pool, md.size).tolist())
+        ],
         "span": span_summary(pool),
         "budget_exhausted": budget_exhausted,
     }

@@ -860,12 +860,15 @@ def test_z5_zero_twists_classification(monkeypatch):
     md = compute_modular_data(ring)
     pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
     factorized = record_calls(monkeypatch, "factorize_type_one")
-    bijections = record_calls(monkeypatch, "find_block_bijection")
+    bijections = record_calls(monkeypatch, "_block_bijections")
     cls = classify_all(md, pool)
     monkeypatch.undo()
     # Deterministic work counters: the symmetric invariants are factorized,
-    # and the block bijections tried are those of the parent pairs found.
-    assert (len(factorized), len(bijections)) == (139, 25)
+    # and the block bijections are searched once per pair of parent
+    # factorizations of a vacuum key: two searches, over the 25 invariants
+    # whose keys have parents on both sides.
+    assert len(factorized) == 139
+    assert [len(targets) for _pair, targets in bijections] == [24, 1]
     assert len(cls) == 2161
     assert Counter(c.kind for c in cls) == {
         "heterotic": 1704,
@@ -887,49 +890,89 @@ def test_z5_zero_twists_classification(monkeypatch):
         assert fresh.chain_holds()
 
 
+def _reference_bijection_fields(md, pool, cls):
+    """Reference: the per-invariant loop classify_all ran before invariants
+    were grouped by vacuum key. Each invariant tries the pairs of its
+    parents' factorizations in the order (plus parent, minus parent, plus
+    factorization, minus factorization) through find_block_bijection, and
+    takes the first pair that joins it; coinciding parents make its theta an
+    automorphism, checked against the parent's extended data afresh."""
+    out = []
+    for c in cls:
+        fields = [None, 0, None, None, list(global_indices(md, c.Z).check())]
+        pairs = (
+            (ip, im, kp, bp, bm)
+            for ip in c.parent_plus
+            for im in c.parent_minus
+            for kp, bp in enumerate(cls[ip].factorizations)
+            for bm in cls[im].factorizations
+        )
+        for ip, im, kp, bp, bm in pairs:
+            res = find_block_bijection(bp, bm, c.Z)
+            if res is None:
+                continue
+            fields[:2] = res
+            if ip == im:
+                fields[2] = res[0]
+                try:
+                    ext = extended_modular_data(md, bp, global_indices(md, pool[ip]))
+                    fields[3] = modinv.classify._permutation_preserves(ext, bp, res[0])
+                except RankDeficientBranching:
+                    pass
+                if len(cls[ip].factorizations) > 1:
+                    fields[4].append("coinciding parents admit multiple distinct factorizations")
+            break
+        if c.extended_error is not None:
+            fields[4].append(
+                "extended Y not determined by the branching (dependent rows); "
+                "Gram-free identities checked instead"
+            )
+        out.append(fields)
+    return out
+
+
+BIJECTION_RINGS = [r[1:] for r in MEMO_RINGS] + [
+    (builtin_cyclic, (n, [Fraction(0)] * n)) for n in (3, 4, 5)
+]
+
+
 @pytest.mark.parametrize(
     "build, args",
-    [r[1:] for r in MEMO_RINGS] + [(builtin_cyclic, (4, [Fraction(0)] * 4))],
-    ids=[r[0] for r in MEMO_RINGS] + ["z4_zero"],
+    BIJECTION_RINGS,
+    ids=[r[0] for r in MEMO_RINGS] + ["z3_zero", "z4_zero", "z5_zero"],
 )
-def test_classify_all_bijections_match_the_public_search(build, args, monkeypatch):
-    # classify_all reads each pair of factorizations through one BlockPair,
-    # built the first time the pair is tried; every search it makes returns
-    # what the public find_block_bijection returns for the same branchings
-    # and matrix, and each classification records its first solution.
+def test_classify_all_bijections_match_the_public_search(build, args):
+    # classify_all searches the block bijections once per vacuum key, over
+    # the stack of the key's invariants; each invariant gets what the
+    # per-invariant loop over the public find_block_bijection gives it.
     ring = build(*args)
     md = compute_modular_data(ring)
     pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
-    searches = []
-    search = modinv.classify.find_block_bijection
-
-    def recorded_search(*args):
-        searches.append((args, search(*args)))
-        return searches[-1][1]
-
-    built = {}
-
-    class RecordedPair(modinv.classify.BlockPair):
-        def __init__(self, plus, minus):
-            assert (id(plus), id(minus)) not in built
-            built[id(plus), id(minus)] = self
-            super().__init__(plus, minus)
-
-    monkeypatch.setattr(modinv.classify, "find_block_bijection", recorded_search)
-    monkeypatch.setattr(modinv.classify, "BlockPair", RecordedPair)
     cls = classify_all(md, pool)
-    monkeypatch.undo()
-    first = {}
-    for (plus, minus, Z, pair), res in searches:
-        assert res == find_block_bijection(plus, minus, Z)
-        same = plus.block_count == minus.block_count
-        assert pair is (built[id(plus), id(minus)] if same else None)
-        if res is not None:
-            first.setdefault(id(Z), res)
-    pairs = {(id(a[0]), id(a[1])) for a, _ in searches if a[3] is not None}
-    assert pairs == set(built)
-    for c in cls:
-        assert (c.bijection, c.bijection_count) == first.get(id(c.Z), (None, 0))
+    got = [
+        [c.bijection, c.bijection_count, c.automorphism, c.automorphism_preserves_extended,
+         c.notes]
+        for c in cls
+    ]
+    assert got == _reference_bijection_fields(md, pool, cls)
+
+
+def test_one_search_per_key_gives_each_matrix_its_own_solutions():
+    # Two matrices that one pair of branchings joins with different thetas,
+    # and one it joins with none, searched together and one at a time.
+    md = _zero_twist_data(3)
+    plus = modinv.classify._branching_from_rows(md, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    minus = plus
+    stack = np.array(
+        [np.eye(3, dtype=np.int64), np.eye(3, dtype=np.int64)[[0, 2, 1]], np.ones((3, 3), int)]
+    )
+    pair = modinv.classify.BlockPair(plus, minus)
+    together = modinv.classify._block_bijections(pair, stack)
+    alone = [
+        find_block_bijection(plus, minus, CouplingMatrix(tuple(map(tuple, Z))))
+        for Z in stack.tolist()
+    ]
+    assert together == alone == [((0, 1, 2), 1), ((0, 2, 1), 1), None]
 
 
 def _sqrt2_power(k):

@@ -786,6 +786,25 @@ def test_one_search_expansion_stays_bounded(tmp_path):
     assert float(peak) < 200
 
 
+def test_one_parent_expansion_stays_bounded(tmp_path):
+    # SO(16) at --bound-scale 1000000: each parent past the first level has
+    # 1,000,001 children, more than SEARCH_EXPANSION allows for one parent.
+    # Expanded whole, one parent peaked at about 465 MB; its coefficients
+    # are now expanded a range at a time, and the budget ends the search at
+    # the same node.
+    (tmp_path / "so16.json").write_text(dump_ring(builtin_so_level1(16)))
+    done = run_limited(
+        tmp_path, "classify", "so16.json", "--bound-scale", "1000000", program=PEAK_RSS
+    )
+    assert done.returncode == 3
+    *rest, peak = done.stderr.splitlines()
+    assert rest == [
+        "warning: enumeration exceeded the node budget of 10000000 after 9000010 nodes, "
+        "reaching pivot level 5 of 5; 4 invariants found before the cutoff"
+    ]
+    assert float(peak) < 200
+
+
 def test_invariant_file_with_a_syntax_error_exits_2(tmp_path):
     (tmp_path / "so16.json").write_text(dump_ring(builtin_so_level1(16)))
     (tmp_path / "bad.json").write_text("[[1,0,0,0],\n[0,1")

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modinv import commutant, linalg
-from modinv.cyclo import Cyclotomic, csum
+from modinv.cyclo import Cyclotomic, csum, real_floor
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.linalg import kernel
 from modinv.modular import compute_modular_data
@@ -413,6 +413,42 @@ def test_entry_bounds_are_exact_ceilings():
     dims = builtin_su2(2).dims
     assert commutant._entry_bounds(dims, [(1, 1), (0, 0)], Fraction(3, 2)) == [3, 2]
     assert commutant._entry_bounds(dims, [(1, 1)], Fraction(0)) == [0]
+
+
+def _exact_entry_bounds(dims, positions, scale):
+    """Reference: max(0, ceil(scale d_l d_m)) from the cyclotomic product,
+    as the ceiling of its real part (`real_floor`), at every position."""
+    return [max(0, -real_floor(-(dims[l] * dims[m] * scale))) for l, m in positions]
+
+
+ENTRY_BOUND_SCALES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(10**6))
+SQRT2 = Cyclotomic(8, {1: 1, 7: 1})
+GOLDEN = Cyclotomic(5, {0: 1, 1: 1, 4: 1})  # (1 + sqrt 5) / 2
+# Negative, irrational, rational and non-real dims: the brackets multiply
+# with any signs, rational products hold an integer, and a dim that is not
+# real takes the exact form.
+HAND_MADE_DIMS = [
+    Cyclotomic.from_rational(1), -SQRT2, SQRT2, GOLDEN, -GOLDEN, Cyclotomic.from_rational(-3),
+    Cyclotomic.from_rational(Fraction(7, 3)), SQRT2 * GOLDEN - 3, Cyclotomic.zeta(4),
+    Cyclotomic.zeta(3) + 2,
+]
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [builtin_su2(k).dims for k in range(1, 41)]
+    + [builtin_so_level1(n).dims for n in (16, 32)]
+    + [builtin_cyclic(n, quadratic_twists(n, 1)).dims for n in range(2, 17)]
+    + [HAND_MADE_DIMS],
+    ids=[f"su2_{k}" for k in range(1, 41)] + ["so16", "so32"]
+    + [f"z{n}_quadratic" for n in range(2, 17)] + ["hand_made"],
+)
+def test_entry_bounds_match_the_exact_form(dims):
+    n = len(dims)
+    positions = [(l, m) for l in range(n) for m in range(l, n)]
+    for scale in ENTRY_BOUND_SCALES:
+        expected = _exact_entry_bounds(dims, positions, scale)
+        assert commutant._entry_bounds(dims, positions, scale) == expected
 
 
 def _oracle_cases():

@@ -1,6 +1,7 @@
 """Fusion-ring data model: axiom validation, builtins, exact dims
 reconstructed for rings given without them."""
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ from math import lcm
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -423,6 +425,51 @@ def test_broken_associativity_reports_what_every_label_reports(ring, entry, monk
     assert any(msg.startswith("associativity fails") for msg in report)
     monkeypatch.setattr(fusion, "GENERATOR_MIN_LABELS", 2**13)
     assert validate(bad) == report
+
+
+def _su2_times_nonassociative(k):
+    """SU(2)_k x B for a ring B on labels 1, x, y that keeps every unit,
+    duality and Frobenius relation but is not associative: x x = 1 + 2x + y,
+    x y = x + y, y y = 1 + x + 2y (a self-dual B needs only a totally
+    symmetric N), while (x x) y and x (x y) differ at y."""
+    T = np.zeros((3, 3, 3), dtype=np.int64)
+    for a in range(3):
+        T[0, a, a] = T[a, 0, a] = T[a, a, 0] = 1
+    for entry, value in {(1, 1, 1): 2, (1, 1, 2): 1, (1, 2, 2): 1, (2, 2, 2): 2}.items():
+        for l, m, nu in set(itertools.permutations(entry)):
+            T[l, m, nu] = value
+    A = builtin_su2(k)
+    n = 3 * A.size
+    N = np.einsum("ijk,lmn->iljmkn", np.asarray(A.fusion), T).reshape(n, n, n)
+    dual = [3 * A.dual[a] + b for a in range(A.size) for b in range(3)]
+    return make_ring([str(l) for l in range(n)], N.tolist(), dual, [0] * n)
+
+
+def test_associativity_fault_outside_the_first_generators_span(monkeypatch):
+    # The spin-1/2 label of SU(2)_8 x B, label 3, is the first candidate
+    # (its total multiplicity is 48, every label off SU(2)_8 x {1} has at
+    # least 63). Its products span only the nine labels of SU(2)_8 x {1}
+    # (an exact rank over Q), where associativity holds, and labels 0 and 3
+    # pass their checks, since their B part is the unit; every fault is at
+    # a label with x or y in its B part. So only the full-rank certificate
+    # sends validate past the first generator: without it, labels 0 and 3
+    # would be checked and the ring would pass.
+    ring = _su2_times_nonassociative(8)
+    F = ring.fusion.astype(np.int64)
+    assert ring.size == 27 >= fusion.GENERATOR_MIN_LABELS
+    span = [np.eye(1, ring.size, dtype=np.int64)[0]]
+    for _ in range(ring.size):
+        span.append(span[-1] @ F[:, 3])
+    assert sympy.Matrix(span).rank() == 9
+    assert fusion._associativity_failures(F, [0, 3]) == []
+    # The certificate adds label 1 = (0, x), whose check fails.
+    assert fusion._generating_labels(ring.fusion) == [0, 3, 1]
+    report = validate(ring)
+    assert report and all(msg.startswith("associativity fails") for msg in report)
+    faulty = {int(msg[len("associativity fails at (") :].split(",")[0]) for msg in report}
+    assert all(l % 3 for l in faulty)
+    monkeypatch.setattr(fusion, "GENERATOR_MIN_LABELS", 2**13)
+    assert validate(ring) == report
 
 
 def test_xor_ring_is_generated_by_its_bits():

@@ -218,7 +218,7 @@ class _FreshValues(ReportValues):
     def entry(self, v):
         return _exact_entry(v)
 
-    def matrix(self, Z):
+    def matrix(self, Z, rows=None):
         return [list(row) for row in Z.Z]
 
 
