@@ -23,6 +23,7 @@ from modinv.modular import compute_modular_data
 from modinv.commutant import (
     CouplingMatrix,
     InvariantRejected,
+    Pool,
     SearchBudgetExceeded,
     _gram,
     _noncommuting,
@@ -170,6 +171,26 @@ def test_so16_enumeration_matches_brute_force():
     assert {Z.Z for Z in invs} == SO16_EXPECTED
     assert brute_force_invariants(md) == SO16_EXPECTED
     assert invs == [verify_invariant(md, Z.Z) for Z in invs]
+
+
+def test_search_returns_one_read_only_stack():
+    # The pool is the stack its checks ran on: each item reads its own row,
+    # builds Z only when Z is read, and equals the eager matrix; neither the
+    # stack nor the list changes in place.
+    _, _, pool = pipeline(builtin_so_level1(16))
+    assert isinstance(pool, Pool) and isinstance(pool, list)
+    assert pool.stack.shape == (6, 4, 4) and not pool.stack.flags.writeable
+    assert all(Z._Z is None for Z in pool)
+    rows = [tuple(map(tuple, M)) for M in pool.stack.tolist()]
+    assert [Z.Z for Z in pool] == rows
+    eager = [CouplingMatrix(Z=M) for M in rows]
+    assert pool == eager and list(map(hash, pool)) == list(map(hash, eager))
+    assert repr(pool[0]) == f"CouplingMatrix(Z={rows[0]!r})"
+    for mutate in (lambda: pool.append(eager[0]), lambda: pool.__setitem__(0, eager[1])):
+        with pytest.raises(TypeError):
+            mutate()
+    with pytest.raises(ValueError):
+        pool.stack[0, 0, 0] = 2
 
 
 def test_cyclic2_enumeration_matches_brute_force():
