@@ -268,14 +268,14 @@ def find_block_bijection(
     This is `_block_bijections` for a stack of one matrix."""
     if minus.block_count != plus.block_count:
         return None
-    return _block_bijections(BlockPair(plus, minus), int_array(Z.Z)[None])[0]
+    return _block_bijections(plus, minus, int_array(Z.Z)[None])[0]
 
 
 def _block_bijections(
-    pair: BlockPair, targets: np.ndarray
+    plus: BranchingData, minus: BranchingData, targets: np.ndarray
 ) -> list[Optional[tuple[tuple[int, ...], int]]]:
-    """`find_block_bijection` of the pair's two branchings for each matrix
-    of a (g, n, n) stack, in one search over theta.
+    """`find_block_bijection` of plus and minus, two branchings with t blocks
+    each, for every matrix of a (g, n, n) stack, in one search over theta.
 
     Candidates are pruned by matching block twists and exact block dims, and
     by the entries: B and Z are non-negative, so each term bplus_tau bminus_s^T
@@ -291,19 +291,33 @@ def _block_bijections(
     the solutions that a search over its own mask would visit, in the same
     (lexicographic) order: the first and their count."""
     g, n, _ = targets.shape
-    t = pair.Bm.shape[0]
+    t = plus.block_count
+    Bp = int_array(plus.B).reshape(t, -1)
+    Bm = int_array(minus.B).reshape(t, -1)
+    # The nonzero entries bplus_{tau,l}, row by row: the quotients
+    # Z_{l,m} // bplus_{tau,l} are taken for them alone, and row rows[j]'s
+    # run of them starts at starts[j].
+    taus, labels = Bp.nonzero()
+    divisor = Bp[taus, labels][:, None]
+    rows, starts = np.unique(taus, return_index=True)
+    ceiling = Bm.max()
     fits = np.empty((g, t, t), dtype=bool)
-    chunk = max(1, SEARCH_CHUNK // (max(len(pair.labels), t * t) * n))
+    chunk = max(1, SEARCH_CHUNK // (max(len(labels), t * t) * n))
     for start in range(0, g, chunk):
-        quotients = targets[start : start + chunk, pair.labels] // pair.divisor
+        quotients = targets[start : start + chunk, labels] // divisor
         # A zero of bplus caps nothing: its terms are 0 <= Z. No cap exceeds
         # max bminus, which every row of bminus fits.
-        cap = np.full((len(quotients), t, n), pair.ceiling, dtype=quotients.dtype)
-        if len(pair.rows):
-            cap[:, pair.rows] = np.minimum.reduceat(quotients, pair.starts, axis=1)
-        np.minimum(cap, pair.ceiling, out=cap)
-        fits[start : start + chunk] = (pair.Bm <= cap[:, :, None]).all(axis=3)
-    fits &= pair.matching
+        cap = np.full((len(quotients), t, n), ceiling, dtype=quotients.dtype)
+        if len(rows):
+            cap[:, rows] = np.minimum.reduceat(quotients, starts, axis=1)
+        np.minimum(cap, ceiling, out=cap)
+        fits[start : start + chunk] = (Bm <= cap[:, :, None]).all(axis=3)
+    # Block pairs (tau, s) with equal twists and exactly equal dims.
+    blocks = list(zip(minus.block_twists, minus.block_dims))
+    fits &= np.array(
+        [[block == other for other in blocks] for block in zip(plus.block_twists, plus.block_dims)],
+        dtype=bool,
+    )
     found: list[Optional[tuple[tuple[int, ...], int]]] = [None] * g
     live = fits.any(axis=2).all(axis=1)
     if not live.any():
@@ -313,9 +327,9 @@ def _block_bijections(
     compatible = [[s for s, ok in enumerate(row) if ok] for row in fits[live].any(axis=0).tolist()]
     # Each term of a compatible theta is at most its entry of Z, so no sum
     # of t terms exceeds t max Z.
-    dtype = int_dtype(t * max(int(targets[live].max()), pair.peak))
-    BpT = pair.BpT.astype(dtype, copy=False)
-    Bm = pair.Bm.astype(dtype, copy=False)
+    dtype = int_dtype(t * max(int(targets[live].max()), int(Bp.max()), int(ceiling)))
+    BpT = np.ascontiguousarray(Bp.T).astype(dtype, copy=False)
+    Bm = Bm.astype(dtype, copy=False)
     theta: list[int] = []
     used = [False] * t
 
@@ -339,34 +353,6 @@ def _block_bijections(
 
     assign(0, live)
     return found
-
-
-class BlockPair:
-    """What `_block_bijections` reads of two branchings with t blocks
-    each, apart from the matrices: their rows as (t, n) integer arrays and
-    the (t, t) mask of block pairs (tau, s) with equal twists and exactly
-    equal dims."""
-
-    def __init__(self, plus: BranchingData, minus: BranchingData):
-        t = plus.block_count
-        self.Bm = int_array(minus.B).reshape(t, -1)
-        Bp = int_array(plus.B).reshape(t, -1)
-        self.BpT = np.ascontiguousarray(Bp.T)
-        # The nonzero entries bplus_{tau,l}, row by row: the quotients
-        # Z_{l,m} // bplus_{tau,l} are taken for them alone, and row
-        # rows[j]'s run of them starts at starts[j].
-        taus, self.labels = Bp.nonzero()
-        self.divisor = Bp[taus, self.labels][:, None]
-        self.rows, self.starts = np.unique(taus, return_index=True)
-        self.ceiling = self.Bm.max()
-        self.peak = int(max(Bp.max(), self.ceiling))
-        self.matching = np.array(
-            [
-                [h == g and d == e for g, e in zip(minus.block_twists, minus.block_dims)]
-                for h, d in zip(plus.block_twists, plus.block_dims)
-            ],
-            dtype=bool,
-        )
 
 
 def extended_modular_data(
@@ -745,7 +731,7 @@ class _PoolData:
                 if bp.block_count == bm.block_count
             )
             for ip, kp, im, bp, bm in pairs:
-                found = _block_bijections(BlockPair(bp, bm), self.stack[left])
+                found = _block_bijections(bp, bm, self.stack[left])
                 for i, res in zip(left.tolist(), found):
                     if res is not None:
                         joined[i] = (ip, kp, im, *res)

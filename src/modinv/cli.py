@@ -161,6 +161,8 @@ def cmd_builtin(args) -> int:
             twists = [_parse_fraction(t.strip(), f"twists[{i}]") for i, t in enumerate(items)]
             check_limits(args.n, global_conductor(twists))
             ring = builtin_cyclic(args.n, twists if args.twists is not None else [0] * args.n)
+    except RingFileError:
+        raise  # the limits and rationals of a ring file: `main` prints them
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -185,15 +187,12 @@ def cmd_check(args) -> int:
         print(f"FAIL statistics axiom: {f}")
     if not axiom_failures:
         print("PASS statistics axioms")
-    ok = not failures and not axiom_failures
-    if md.nondegenerate:
-        v = verlinde_check(md)
-        if v["ok"]:
-            print(f"PASS fusion reconstruction (max deviation {v['max_deviation']:.3e})")
-        else:
-            print(f"FAIL fusion reconstruction: {len(v['mismatches'])} mismatches")
-            ok = False
-    return EXIT_OK if ok else EXIT_FAIL
+    mismatches = verlinde_check(md)
+    if mismatches:
+        print(f"FAIL fusion reconstruction: {len(mismatches)} entries")
+    else:
+        print("PASS fusion reconstruction")
+    return EXIT_FAIL if failures or axiom_failures or mismatches else EXIT_OK
 
 
 def _load_and_compute(args):

@@ -139,11 +139,10 @@ def validate(ring: FusionRing) -> list[str]:
     for l, m in np.argwhere(N[:, :, 0] != eye[lbar]):
         report.append(f"duality: N[{l},{m}]^0 != delta(m, dual({l}))")
     # Associativity, for a generating set of labels first and for every
-    # label when there is none or some label of it fails.
-    F = N.astype(matmul_dtype(n, N, N), copy=False)
-    generators = _generating_labels(N)
-    if generators is None or _associativity_failures(F, generators):
-        report += _associativity_failures(F, range(n))
+    # label when there is none, the ring is small or some label of it fails.
+    generators = _generating_labels(N) if n >= GENERATOR_MIN_LABELS else None
+    if generators is None or _associativity_failures(N, generators):
+        report += _associativity_failures(N, range(n))
     # Frobenius symmetry: N_lm^nu = N_{lbar nu}^m = N_{nu mbar}^l.
     frobenius = (N != N[lbar].transpose(0, 2, 1)) | (N != N[:, lbar].transpose(2, 1, 0))
     for l, m, nu in np.argwhere(frobenius):
@@ -179,11 +178,12 @@ def validate(ring: FusionRing) -> list[str]:
     return report
 
 
-def _associativity_failures(F: np.ndarray, labels: Iterable[int]) -> list[str]:
+def _associativity_failures(N: np.ndarray, labels: Iterable[int]) -> list[str]:
     """sum_r N_lm^r N_r nu^s = sum_r N_m nu^r N_lr^s for each label l given,
-    as two (n, n*n) matrix products, indexed (m, nu, s), in F's dtype (exact
-    for them): the failures, in order."""
-    n = len(F)
+    as two (n, n*n) matrix products, indexed (m, nu, s), in a dtype exact
+    for them (`matmul_dtype`): the failures, in order."""
+    n = len(N)
+    F = N.astype(matmul_dtype(n, N, N), copy=False)
     right, left = F.reshape(n, n * n), F.reshape(n * n, n)
     failures = []
     for l in labels:
@@ -199,9 +199,9 @@ def _associativity_failures(F: np.ndarray, labels: Iterable[int]) -> list[str]:
 # `_generating_labels` stay in int64. A fusion tensor of 2**13 labels would
 # have 2**39 entries.
 GENERATOR_PRIME = 33554393  # the largest prime below 2**25
-# Below this many labels, checking every label costs about as much as the
-# search for a generating set and its labels' checks, or less (measured on
-# SU(2) and cyclic rings under random relabellings of their labels).
+# Below this many labels, `validate` checks every label: that costs about as
+# much as the search for a generating set and its labels' checks, or less
+# (measured on SU(2) and cyclic rings under random relabellings of labels).
 GENERATOR_MIN_LABELS = 25
 
 
@@ -227,34 +227,32 @@ def _generating_labels(N: np.ndarray) -> Optional[list[int]]:
     never exceeds it.
     """
     n = len(N)
-    if n < GENERATOR_MIN_LABELS:
-        return None
     p = GENERATOR_PRIME
     weight = N.reshape(n, n * n).sum(axis=1).tolist()
     candidates = sorted(range(1, n), key=lambda l: (weight[l] <= n, weight[l], l))
-    # (v e_g)_s = sum_r v_r N_{r,g}^s: right multiplication by e_g is N[:, g].
-    right = (N % p).astype(np.int64).transpose(1, 0, 2)
-    # v @ P % p is v reduced by V's reduced echelon form: zero exactly on V.
+    # v @ P % p is v reduced by V's reduced echelon form: zero exactly on V,
+    # and on P's pivot columns, which are zero; an update touches u's support.
     P = np.eye(n, dtype=np.int64)
     joined: list[np.ndarray] = []  # the vectors that joined V, in order
 
     def join(v: np.ndarray) -> None:
-        nonlocal P
         u = v @ P % p
         (support,) = u.nonzero()
         if len(support):
             c = int(support[0])
             u = u * pow(int(u[c]), -1, p) % p
-            P = (P - P[:, c, None] * u) % p
+            P[:, support] = (P[:, support] - P[:, c, None] * u[support]) % p
             joined.append(u)
 
     join(np.eye(1, n, dtype=np.int64)[0])
     generators: list[int] = []
+    # (v e_g)_s = sum_r v_r N_{r,g}^s: right multiplication by e_g is N[:, g].
+    right: list[np.ndarray] = []  # right[j]: N[:, generators[j]] modulo p
     done: list[int] = []  # done[j]: the vectors of `joined` multiplied by generators[j]
     while len(joined) < n:
         j = min(range(len(generators)), key=done.__getitem__, default=None)
         if j is not None and done[j] < len(joined):
-            join(joined[done[j]] @ right[generators[j]] % p)
+            join(joined[done[j]] @ right[j] % p)
             done[j] += 1
             continue
         if 2 * (len(generators) + 2) > n:
@@ -263,6 +261,7 @@ def _generating_labels(N: np.ndarray) -> Optional[list[int]]:
         if g is None:
             return None
         generators.append(g)
+        right.append((N[:, g] % p).astype(np.int64))
         done.append(0)
     return [0] + generators
 

@@ -9,9 +9,9 @@ fixes the numeric shadows of the reported S and Yext, is built only when
 one of them is asked for. All structural identities are verified in exact
 cyclotomic arithmetic, on the integer coordinate tensors of the values
 they check (S^2 = C as Y Y = z conj(z) C), and c by an exact identity;
-TSTST = S follows from them exactly. Floats only propose c (the phase of
-z) and decide the numeric Verlinde reconstruction of verlinde_check, whose
-S comes from Y's coordinates. The S- and T-matrices are kept numeric only,
+TSTST = S follows from them exactly, and verlinde_check recovers the fusion
+rules from Y's columns exactly, on every ring, degenerate or not. Floats
+only propose c (the phase of z). The S- and T-matrices are kept numeric only,
 since |z| involves a square root that need not have a representation in
 the chosen power basis. Commutation with S is equivalent to commutation
 with Y (they differ by the nonzero scalar |z|), so nothing exact is lost.
@@ -30,7 +30,6 @@ import numpy as np
 
 from .cyclo import (
     Cyclotomic,
-    _embedded_roots,
     _max_abs,
     coordinates,
     csum,
@@ -43,19 +42,16 @@ from .cyclo import (
     root_of_unity,
     times_roots,
 )
-from .fusion import FusionRing, reconstruct_dims
+from .fusion import FusionRing, _associativity_failures, _generating_labels, reconstruct_dims
 
 
-# Caps the entries of one (rows, M) exponent array of `_y_coordinates`.
+# Caps the entries of one block's array: the (rows, M) exponent array of
+# `_y_coordinates` and the (phi(M), labels, n, n) values of `verlinde_check`.
 Y_BLOCK_ENTRIES = 2**20
 
 
 class DataIntegrityError(RuntimeError):
     """Exact input data violates a dichotomy the algorithms rely on."""
-
-
-class DegenerateBraidingError(RuntimeError):
-    """Operation requires a non-degenerate braiding."""
 
 
 @dataclass
@@ -258,26 +254,43 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
     return report
 
 
-def verlinde_check(md: ModularData) -> dict:
-    """Recompute the fusion coefficients from a numeric S-matrix and compare
-    with the ring; requires a non-degenerate braiding. S = Y/|z| is taken
-    from Y's coordinates, by one contraction with the embedded powers of
-    zeta_M, so no scalar Y is built."""
-    if not md.nondegenerate:
-        raise DegenerateBraidingError(
-            "Verlinde reconstruction requires a non-degenerate braiding"
-        )
-    M = md.ring.conductor
-    roots = np.array(_embedded_roots(M)[: phi(M)])
-    S = np.tensordot(roots, md.Y_coords.astype(np.float64), axes=1) / (md.Y_den * abs(md.z.embed()))
-    val = np.einsum("lk,mk,nk->lmn", S, S, np.conj(S) / S[0])
-    nearest = np.round(val.real)
-    mismatches = [
-        (int(l), int(m), int(nu), val[l, m, nu])
-        for l, m, nu in np.argwhere(nearest != md.ring.fusion)
-    ]
-    return {
-        "ok": not mismatches,
-        "max_deviation": float(np.max(np.abs(val - nearest))),
-        "mismatches": mismatches,
-    }
+def verlinde_check(md: ModularData) -> list[tuple[int, int, int]]:
+    """The (lambda, nu, mu) where Y_{lambda,mu} Y_{nu,mu} differs from
+    Y_{0,mu} sum_rho N_{lambda,nu}^rho Y_{rho,mu}, in order, decided exactly:
+    for any braiding, each column of Y over its vacuum entry is a character
+    of the fusion rules.
+
+    With phi(x) = sum_rho x_rho Y_{rho,mu} / Y_{0,mu}, the identity for
+    lambda is phi(e_lambda) phi(y) = phi(e_lambda y) for all y and mu. The x
+    with it form a subspace, and those that are also associative (a subring,
+    by the lemma of `_generating_labels`) are closed under products:
+    phi((x x') y) = phi(x (x' y)) = phi(x) phi(x') phi(y) = phi(x x') phi(y).
+    So the identity on the labels G of `_generating_labels`, whose nested
+    products from e_0 span Q^n, gives it on every label once associativity
+    holds on G (g products, as in `validate`) and every Y_{0,mu} != 0
+    (`nonzero`). N_0 need not be the unit: label 0 is in G and passes both
+    checks itself. When there is no G or a check on G fails, every label is
+    checked."""
+    N, n = md.ring.fusion, md.size
+    Y = evaluate(md.Y_coords, md.Y_den, md.ring.conductor)
+    G = _generating_labels(N)
+    certified = G is not None and not _associativity_failures(N, G) and nonzero(Y[0]).all()
+    if certified and not _character_failures(md, Y, G):
+        return []
+    return _character_failures(md, Y, range(n))
+
+
+def _character_failures(md: ModularData, Y, labels) -> list[tuple[int, int, int]]:
+    """The failures of `verlinde_check`'s identity for lambda in `labels`,
+    for a block of labels of at most Y_BLOCK_ENTRIES values at a time; Y is
+    md's Y as `evaluate` gives it."""
+    N, n, M = md.ring.fusion, md.size, md.ring.conductor
+    step = max(1, Y_BLOCK_ENTRIES // (phi(M) * n * n))
+    failures = []
+    for i in range(0, len(labels), step):
+        block = labels[i : i + step]
+        NY = int_matmul(N[block].reshape(-1, n), md.Y_coords).reshape(-1, len(block), n, n)
+        lhs = Y[block, None] * Y
+        rhs = Y[0] * evaluate(NY, md.Y_den, M)
+        failures += [(block[l], int(nu), int(mu)) for l, nu, mu in np.argwhere(differs(lhs, rhs))]
+    return failures

@@ -868,7 +868,7 @@ def test_z5_zero_twists_classification(monkeypatch):
     # factorizations of a vacuum key: two searches, over the 25 invariants
     # whose keys have parents on both sides.
     assert len(factorized) == 139
-    assert [len(targets) for _pair, targets in bijections] == [24, 1]
+    assert [len(targets) for _plus, _minus, targets in bijections] == [24, 1]
     assert len(cls) == 2161
     assert Counter(c.kind for c in cls) == {
         "heterotic": 1704,
@@ -966,8 +966,7 @@ def test_one_search_per_key_gives_each_matrix_its_own_solutions():
     stack = np.array(
         [np.eye(3, dtype=np.int64), np.eye(3, dtype=np.int64)[[0, 2, 1]], np.ones((3, 3), int)]
     )
-    pair = modinv.classify.BlockPair(plus, minus)
-    together = modinv.classify._block_bijections(pair, stack)
+    together = modinv.classify._block_bijections(plus, minus, stack)
     alone = [
         find_block_bijection(plus, minus, CouplingMatrix(tuple(map(tuple, Z))))
         for Z in stack.tolist()

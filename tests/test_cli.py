@@ -305,9 +305,11 @@ def test_builtin_and_check(tmp_path, capsys):
 
 
 def test_builtin_usage_error(capsys):
+    # A missing flag is builtin's own usage error; the limits and rationals
+    # it shares with ring files read as they do there.
     code, _, err = run(capsys, "builtin", "su2")
     assert code == 2
-    assert "--level" in err
+    assert err == "usage error: su2 requires --level\n"
 
 
 @pytest.mark.parametrize(
@@ -332,7 +334,7 @@ def test_builtin_refuses_rings_the_ring_file_limits_reject(capsys, argv, limit):
     # Labels are checked before the ring is built: its fusion tensor grows as n**3.
     code, out, err = run(capsys, "builtin", *argv)
     assert (code, out) == (2, "")
-    assert err == f"usage error: {limit}\n"
+    assert err == f"error: {limit}\n"
 
 
 def test_builtin_twists_are_stripped_rationals(capsys):
@@ -341,6 +343,41 @@ def test_builtin_twists_are_stripped_rationals(capsys):
         assert code == 0
         assert json.loads(out)["twists"] == ["0", "1/4"]
         assert out == dump_ring(builtin_cyclic(2, [Fraction(0), Fraction(1, 4)])) + "\n"
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        builtin_so_level1(16),
+        builtin_su2(10),
+        builtin_cyclic(2, [0] * 2),
+        builtin_cyclic(6, [0] * 6),
+        builtin_cyclic(6, quadratic_twists(6, 1)),
+    ],
+    ids=["so16", "su2_10", "z2_zero", "z6_zero", "z6_quadratic"],
+)
+def test_check_reconstructs_the_fusion_rules_of_every_ring(tmp_path, capsys, ring):
+    # Degenerate rings too, and the line carries no float.
+    path = tmp_path / "ring.json"
+    path.write_text(dump_ring(ring))
+    assert run(capsys, "check", str(path)) == (
+        0,
+        "PASS ring axioms\nPASS statistics axioms\nPASS fusion reconstruction\n",
+        "",
+    )
+
+
+def test_check_fails_fusion_rules_that_Y_does_not_reconstruct(tmp_path, capsys):
+    # In Z_4 with twists a^2/8, labels 1 and 3 share their twist and dim, so
+    # moving N_23^1 to N_23^3 leaves Y and its statistics axioms as they
+    # were; Y_2mu Y_3mu = Y_0mu Y_3mu then fails where Y_1mu != Y_3mu.
+    data = ring_to_json(builtin_cyclic(4, quadratic_twists(4, 1)))
+    data["fusion"] = [[2, 3, 3, c] if q == [2, 3, 1] else [*q, c] for *q, c in data["fusion"]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert out.splitlines()[-2:] == ["PASS statistics axioms", "FAIL fusion reconstruction: 2 entries"]
 
 
 def test_check_corrupted_twist(tmp_path, capsys):
@@ -743,7 +780,7 @@ def test_builtin_checks_the_twists_conductor_before_building(tmp_path):
     done = run_limited(tmp_path, "builtin", "cyclic", "--n", "2", "--twists", "0,1/1000000007")
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == (
-        f"usage error: global conductor 1000000007, above the limit of {MAX_CONDUCTOR}\n"
+        f"error: global conductor 1000000007, above the limit of {MAX_CONDUCTOR}\n"
     )
 
 

@@ -11,12 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modinv.cyclo import Cyclotomic, coordinates, csum, root_of_unity, times_roots
-from modinv import modular
+from modinv.cyclo import (
+    Cyclotomic,
+    _embedded_roots,
+    coordinates,
+    csum,
+    phi,
+    root_of_unity,
+    times_roots,
+)
+from modinv import fusion, modular
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2, make_ring
 from modinv.modular import (
     DataIntegrityError,
-    DegenerateBraidingError,
     compute_central_charge,
     _y_coordinates,
     compute_modular_data,
@@ -26,7 +33,7 @@ from modinv.modular import (
 )
 
 from test_cyclo import _elements
-from test_fusion import quadratic_twists, strip_dims
+from test_fusion import _relabelled, _with_entry, quadratic_twists, strip_dims
 
 
 def test_so16_modular_data():
@@ -91,22 +98,72 @@ def test_cyclic_degenerate_braiding():
     assert md.degenerates == frozenset({0, 1})
     assert not md.nondegenerate
     assert verify_statistics_axioms(md) == []
-    with pytest.raises(DegenerateBraidingError):
-        verlinde_check(md)
+    assert verlinde_check(md) == []
 
 
 def test_cyclic_nondegenerate_braiding():
     md = compute_modular_data(builtin_cyclic(4, quadratic_twists(4, 1)))
     assert md.nondegenerate
     assert verify_statistics_axioms(md) == []
-    assert verlinde_check(md)["ok"]
+    assert verlinde_check(md) == []
 
 
-@pytest.mark.parametrize("k", [2, 5, 16])
-def test_verlinde_reconstruction(k):
-    result = verlinde_check(compute_modular_data(builtin_su2(k)))
-    assert result["ok"]
-    assert result["max_deviation"] < 1e-9
+def _checked_labels(monkeypatch):
+    """The label lists `verlinde_check` checks its identity for."""
+    checked = []
+    original = modular._character_failures
+
+    def recorded(md, Y, labels):
+        checked.append(list(labels))
+        return original(md, Y, labels)
+
+    monkeypatch.setattr(modular, "_character_failures", recorded)
+    return checked
+
+
+def _float_failures(md):
+    """Reference: the (lambda, nu, mu) where Y_{lambda,mu} Y_{nu,mu} and
+    Y_{0,mu} sum_rho N_{lambda,nu}^rho Y_{rho,mu} differ by more than 1e-6 in
+    floats, Y embedded from md's coordinates, over every label."""
+    M = md.ring.conductor
+    roots = np.array(_embedded_roots(M)[: phi(M)])
+    Y = np.tensordot(roots, md.Y_coords.astype(float), axes=1) / md.Y_den
+    lhs = Y[:, None, :] * Y
+    rhs = Y[0] * np.einsum("lvr,rm->lvm", md.ring.fusion.astype(float), Y)
+    return [tuple(map(int, entry)) for entry in np.argwhere(abs(lhs - rhs) > 1e-6)]
+
+
+@pytest.mark.parametrize(
+    "ring, labels",
+    [
+        (builtin_su2(2), [0, 1, 2]),  # three labels: no generating set
+        (builtin_su2(5), [0, 1]),
+        (builtin_su2(16), [0, 1]),
+        (_relabelled(builtin_su2(24), 1), [0, 11]),  # the spin-1/2 label moved to 11
+    ],
+    ids=["2", "5", "16", "24-relabelled"],
+)
+def test_verlinde_reconstruction(ring, labels, monkeypatch):
+    # Exact on every ring; checked on a generating set alone when there is one.
+    md = compute_modular_data(ring)
+    checked = _checked_labels(monkeypatch)
+    assert verlinde_check(md) == []
+    assert checked == [labels]
+
+
+@pytest.mark.parametrize(
+    "twists",
+    [[0] * 4, [Fraction(a * a, 4) for a in range(6)]],
+    ids=["z4_zero", "z6_quarter"],
+)
+def test_degenerate_rings_reconstruct_their_fusion_rules(twists):
+    # Each column of Y over its vacuum entry is a character of the fusion
+    # rules for any braiding, so degenerate rings pass as non-degenerate do
+    # (Z_2 with zero twists is test_cyclic_degenerate_braiding's ring).
+    md = compute_modular_data(builtin_cyclic(len(twists), twists))
+    assert not md.nondegenerate
+    assert verify_statistics_axioms(md) == []
+    assert verlinde_check(md) == []
 
 
 def test_verlinde_reports_mismatched_fusion_entries():
@@ -115,10 +172,73 @@ def test_verlinde_reports_mismatched_fusion_entries():
     fusion[1][1][0] = 2
     fusion[2][0][2] = 5
     md.ring = make_ring(md.ring.names, fusion, md.ring.dual, md.ring.twists)
-    result = verlinde_check(md)
-    assert not result["ok"]
-    assert [t[:3] for t in result["mismatches"]] == [(1, 1, 0), (2, 0, 2)]
-    assert abs(result["mismatches"][1][3] - 1) < 1e-9  # Verlinde gives N_20^2 = 1
+    # N_11^0 = 2 adds Y_{0,mu} to every entry (1, 1, mu); N_20^2 = 5 makes
+    # (2, 0, mu) five times Y_{2,mu}, which is nonzero for each mu.
+    mismatches = [(1, 1, 0), (1, 1, 1), (1, 1, 2), (2, 0, 0), (2, 0, 1), (2, 0, 2)]
+    assert verlinde_check(md) == mismatches == _float_failures(md)
+
+
+ALL = list(range(25))  # the labels of SU(2) 24
+
+
+def _shifted_entry(md):
+    md.Y_coords = md.Y_coords.copy()
+    md.Y_coords[0, 1, 3] += md.Y_den
+    return md
+
+
+def _zero_vacuum_entry(md):
+    """md with Y_{0,5} = Y_{1,5} = 0: the identity still holds for the
+    generating labels 0 and 1 of SU(2), and fails for labels l with
+    Y_{l,5} != 0, at (l, l, 5)."""
+    md.Y_coords = md.Y_coords.copy()
+    md.Y_coords[:, :2, 5] = 0
+    return md
+
+
+@pytest.mark.parametrize(
+    "corrupt, checked",
+    [
+        # Y_{1,3} + 1: the identity fails for label 1, on G.
+        (_shifted_entry, [[0, 1], ALL]),
+        # N_{10,12}^4 = 2 changes neither N_0 nor N_1, so the identity holds
+        # on G; associativity on G fails.
+        (lambda md: dataclasses.replace(md, ring=_with_entry(md.ring, 10, 12, 4, 2)), [ALL]),
+        (_zero_vacuum_entry, [ALL]),
+    ],
+    ids=["generator_fails", "associativity_outside_G", "zero_vacuum_entry"],
+)
+def test_every_label_is_checked_when_G_certifies_nothing(corrupt, checked, monkeypatch):
+    # SU(2) 24 is checked on G = [0, 1] alone. When associativity fails on
+    # G, some Y_{0,mu} is 0 or a label of G fails, every label is checked,
+    # and the failures are those of the float reference over every label.
+    md = corrupt(compute_modular_data(builtin_su2(24)))
+    recorded = _checked_labels(monkeypatch)
+    mismatches = verlinde_check(md)
+    assert recorded == checked
+    assert mismatches and mismatches == _float_failures(md)
+    if checked == [ALL]:  # a check on G alone would have passed
+        assert all(l > 1 for l, _nu, _mu in mismatches)
+
+
+def test_no_generating_set_checks_every_label(monkeypatch):
+    # `test_fusion`'s ring with a_l a_l = 1 and a_l a_m = 0 otherwise has no
+    # generating set within half its labels; Y is built from its fusion
+    # rules with dims 1. Label 0 alone would pass.
+    n = 25
+    N = np.zeros((n, n, n), dtype=np.int64)
+    for l in range(n):
+        N[0, l, l] = N[l, 0, l] = N[l, l, 0] = 1
+    assert fusion._generating_labels(N) is None
+    ones = [Cyclotomic.from_rational(1)] * n
+    ring = make_ring([str(l) for l in range(n)], N.tolist(), list(range(n)), [0] * n, ones)
+    md = dataclasses.replace(compute_modular_data(builtin_cyclic(n, [0] * n)), ring=ring)
+    md.Y_coords, md.Y_den = _y_coordinates(ring)
+    checked = _checked_labels(monkeypatch)
+    mismatches = verlinde_check(md)
+    assert checked == [list(range(n))]
+    assert mismatches == _float_failures(md)
+    assert {l for l, _nu, _mu in mismatches} == set(range(1, n))
 
 
 def test_corrupted_Y_violates_dichotomy():
@@ -240,10 +360,10 @@ def test_Y_contraction_above_one_block_at_the_default_cap():
 
 
 def test_check_builds_no_scalar_Y():
-    # verlinde_check takes its float S from Y's coordinates; only a report
-    # that prints S (or Yext) builds the scalar Y.
+    # verlinde_check reads Y's coordinates; only a report that prints S (or
+    # Yext) builds the scalar Y.
     md = compute_modular_data(builtin_su2(5))
-    assert verify_statistics_axioms(md) == [] and verlinde_check(md)["ok"]
+    assert verify_statistics_axioms(md) == [] and verlinde_check(md) == []
     assert "Y" not in vars(md) and "S_numeric" not in vars(md)
     assert md.S_numeric is not None and "Y" in vars(md)
 
