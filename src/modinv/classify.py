@@ -365,10 +365,11 @@ def extended_modular_data(
     When the blocks are the labels (B = 1 with the labels' dims and twists:
     the diagonal invariant as its own parent, the trivial extension) and
     w_plus = w, G = 1 and the ratio is 1, so Yext is Y object for object and
-    its coordinates are Y's own (md.Y_coords, md.Y_den): neither a Gram
-    inverse nor a sum is formed. The general path would return the same
-    objects, as a one-term sum, a factor of 1 and a division by 1 each
-    return their operand. The intertwining check would then compare Y's
+    its coordinates and values are Y's own (md.Y_coords, and md.Y_values,
+    which the statistics checks evaluated already): no Gram inverse, sum or
+    evaluation is formed. The general path would return the same objects,
+    as a one-term sum, a factor of 1 and a division by 1 each return their
+    operand. The intertwining check would then compare Y's
     coordinates with themselves, so it is skipped there; that they are the
     coordinates of the scalar Y is `modular._y_coordinates`' contract, not
     a check of Yext. Symmetry, Yext Yext^dagger = w_zero and the Gram-free
@@ -400,11 +401,12 @@ def extended_modular_data(
     if trivial and indices.w_plus == md.w:
         ratio = ONE
         Yext = [list(row) for row in md.Y]
-        X, DX = md.Y_coords, md.Y_den
+        X, Xv = md.Y_coords, md.Y_values
     else:
         ratio = divide(indices.w_plus, md.w)
         Yext = _general_yext(md, B, Bm, ratio)
         X, DX = coordinates(Yext, M)
+        Xv = evaluate(X, DX, M)
         # (w/w_plus) Yext B = B Y, i.e. Yext B = ratio * (B Y), by value; Yext
         # B and B Y are integer combinations of the coordinates of Yext and Y.
         rhs = evaluate(*coordinates(ratio, M), M) * evaluate(
@@ -418,7 +420,6 @@ def extended_modular_data(
     failures += gram_free
     if md.nondegenerate:
         # Yext Yext^dagger must be w_zero times the identity.
-        Xv = evaluate(X, DX, M)
         identity = evaluate(np.eye(t, dtype=np.int64)[None], 1, M)
         w0 = evaluate(*coordinates(indices.w_zero, M), M) * identity
         for a, b in np.argwhere(differs(Xv @ Xv.conjugate().T, w0)):

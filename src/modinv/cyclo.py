@@ -38,9 +38,13 @@ p = 1 mod m below 2**21, which split completely in Q(zeta_m). There a
 product is pointwise, or a batched matrix product, in float64 mod p;
 conjugation reverses the points and zeta^s is one factor per point.
 :func:`differs` compares two arrays at as many primes as a bound on the
-coordinates of their difference needs, so every verdict is exact. Integer
-arrays are int64 only where an explicit bound shows that no product or sum
-can wrap, and Python ints (object dtype) otherwise.
+coordinates of their difference needs, so every verdict is exact. An array
+keeps the values of its last prime, or, evaluated with ``keep``, of every
+prime asked, for an array that several comparisons read. Coordinates are
+reduced mod p in float64 when their L1 norm is below 2**52, and by the
+integer % otherwise. Integer arrays are int64 only where an explicit bound
+shows that no product or sum can wrap, and Python ints (object dtype)
+otherwise.
 """
 
 from __future__ import annotations
@@ -765,22 +769,26 @@ class Evaluated:
     modulo primes: for the i-th prime p (`_table`), `values(i)` is the
     float64 array, of shape (phi(m),) + `shape`, of the residues mod p of
     den * x at the points x_k. Values are computed for the primes a
-    comparison asks for, in turn, and those of the last prime are kept.
+    comparison asks for, in turn, and those of the last prime are kept, or
+    of every prime asked when `keep` is set (`evaluate`): an array that
+    several comparisons read is then evaluated once per prime.
     `norm` bounds the L1 norm of the integer
     coordinates of den * x, entry by entry: it grows by rho (`_rho`) in a
     product, a conjugation or a factor zeta^s, and by n in a sum of n terms.
     Products are then pointwise, or batched matrix products, in float64
     mod p."""
 
-    def __init__(self, m: int, den: int, norm: int, shape: tuple, at):
+    def __init__(self, m: int, den: int, norm: int, shape: tuple, at, keep: bool = False):
         self.m, self.den, self.norm, self.shape = m, den, norm, shape
-        self._at = at
-        self._last: Optional[tuple[int, np.ndarray]] = None
+        self._at, self._keep = at, keep
+        self._values: dict[int, np.ndarray] = {}
 
     def values(self, i: int) -> np.ndarray:
-        if self._last is None or self._last[0] != i:
-            self._last = i, self._at(i)
-        return self._last[1]
+        if i not in self._values:
+            if not self._keep:
+                self._values.clear()
+            self._values[i] = self._at(i)
+        return self._values[i]
 
     def _derived(self, den: int, norm: int, shape: tuple, at) -> "Evaluated":
         return Evaluated(self.m, den, norm, shape, at)
@@ -843,17 +851,28 @@ class Evaluated:
         return self._derived(self.den, _rho(m) * self.norm, shape, at)
 
 
-def evaluate(X: np.ndarray, D: int, m: int) -> Evaluated:
+def evaluate(X: np.ndarray, D: int, m: int, keep: bool = False) -> Evaluated:
     """The elements X / D of Q(zeta_m), for integer coordinates X over a
     positive denominator D as `coordinates` gives them; X may hold only the
-    first len(X) coordinates (one for rational entries), the rest being 0."""
+    first len(X) coordinates (one for rational entries), the rest being 0.
+    With `keep`, the values of every prime asked are kept (`Evaluated`).
+
+    X is reduced mod p in float64 (`_mod`) when its L1 norm, and so every
+    entry, is below 2**52, where the cast is exact and `_mod` applies, and
+    by the integer % otherwise; either residue is below p in absolute value,
+    as `_dot_mod` asks."""
+    norm = _l1(X)
 
     def at(i):
         t = _table(m, i)
-        flat = (X % t.p).astype(np.float64).reshape(len(X), -1)
+        if norm < 2**52:
+            flat = _mod(X.astype(np.float64), t.p)
+        else:
+            flat = (X % t.p).astype(np.float64)
+        flat = flat.reshape(len(X), -1)
         return _dot_mod(t.V[:, : len(X)], flat, t.p).reshape((phi(m),) + X.shape[1:])
 
-    return Evaluated(m, D, _l1(X), X.shape[1:], at)
+    return Evaluated(m, D, norm, X.shape[1:], at, keep)
 
 
 def _anywhere(m: int, bound: int, at) -> np.ndarray:

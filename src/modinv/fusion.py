@@ -9,9 +9,9 @@ rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -57,10 +57,22 @@ class FusionRing:
         return len(self.names)
 
     def __eq__(self, other) -> bool:
+        """Equal fields; attributes cached on a ring (`associative_generators`)
+        are not compared."""
         if type(other) is not type(self):
             return NotImplemented
-        a, b = dict(vars(self)), dict(vars(other))
+        a, b = ({f.name: getattr(r, f.name) for f in fields(r)} for r in (self, other))
         return np.array_equal(a.pop("fusion"), b.pop("fusion")) and a == b
+
+    @cached_property
+    def associative_generators(self) -> Optional[list[int]]:
+        """The labels G of `_generating_labels` when associativity holds on
+        each of them, else None (no G, or a label of G fails): then
+        associativity holds on every label (the lemma of
+        `_generating_labels`). Found once per ring, for `validate` and
+        `modular.verlinde_check`; the fusion tensor must have shape (n, n, n)."""
+        G = _generating_labels(self.fusion)
+        return G if G is not None and not _associativity_failures(self.fusion, G) else None
 
 
 def global_conductor(
@@ -140,8 +152,7 @@ def validate(ring: FusionRing) -> list[str]:
         report.append(f"duality: N[{l},{m}]^0 != delta(m, dual({l}))")
     # Associativity, for a generating set of labels first and for every
     # label when there is none, the ring is small or some label of it fails.
-    generators = _generating_labels(N) if n >= GENERATOR_MIN_LABELS else None
-    if generators is None or _associativity_failures(N, generators):
+    if n < GENERATOR_MIN_LABELS or ring.associative_generators is None:
         report += _associativity_failures(N, range(n))
     # Frobenius symmetry: N_lm^nu = N_{lbar nu}^m = N_{nu mbar}^l.
     frobenius = (N != N[lbar].transpose(0, 2, 1)) | (N != N[:, lbar].transpose(2, 1, 0))

@@ -2,19 +2,24 @@
 central charge, degeneracy detection, and consistency checks.
 
 A ring given without dims first gets exact ones from reconstruct_dims.
-Y is held by its integer coordinates (ModularData.Y_coords), built by one
-integer contraction of the fusion tensor over every pair of labels, taken
-in blocks of rows under a fixed entry cap; the scalar Y, whose slot order
-fixes the numeric shadows of the reported S and Yext, is built only when
-one of them is asked for. All structural identities are verified in exact
-cyclotomic arithmetic, on the integer coordinate tensors of the values
-they check (S^2 = C as Y Y = z conj(z) C), and c by an exact identity;
-TSTST = S follows from them exactly, and verlinde_check recovers the fusion
-rules from Y's columns exactly, on every ring, degenerate or not. Floats
-only propose c (the phase of z). The S- and T-matrices are kept numeric only,
-since |z| involves a square root that need not have a representation in
-the chosen power basis. Commutation with S is equivalent to commutation
-with Y (they differ by the nonzero scalar |z|), so nothing exact is lost.
+Y is held by its integer coordinates (ModularData.Y_coords, read-only),
+built by one integer contraction of the fusion tensor over every pair of
+labels, taken in blocks of rows under a fixed entry cap; the scalar Y, whose
+slot order fixes the numeric shadows of the reported S and Yext, is built
+only when one of them is asked for. All structural identities are verified
+in exact cyclotomic arithmetic, on the integer coordinate tensors of the
+values they check, and c by an exact identity; TSTST = S follows from them
+exactly, and verlinde_check recovers the fusion rules from Y's columns
+exactly, on every ring, degenerate or not. The checks share one evaluation
+of Y (ModularData.Y_values), which keeps Y's values at every prime asked,
+so Y's coordinates are evaluated once per ring and prime; Omega Y Omega Y
+Omega = z Y is compared as (Omega Y Omega) Y = z Y conj(Omega), and
+S^2 = C as Y Y = (z conj(z)) C, the forms whose bounds need the fewest
+primes (`verify_statistics_axioms`). Floats only propose c (the phase of
+z). The S- and T-matrices are kept numeric only, since |z| involves a
+square root that need not have a representation in the chosen power basis.
+Commutation with S is equivalent to commutation with Y (they differ by the
+nonzero scalar |z|), so nothing exact is lost.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import numpy as np
 
 from .cyclo import (
     Cyclotomic,
+    Evaluated,
     _max_abs,
     coordinates,
     csum,
@@ -42,7 +48,7 @@ from .cyclo import (
     root_of_unity,
     times_roots,
 )
-from .fusion import FusionRing, _associativity_failures, _generating_labels, reconstruct_dims
+from .fusion import FusionRing, reconstruct_dims
 
 
 # Caps the entries of one block's array: the (rows, M) exponent array of
@@ -70,6 +76,20 @@ class ModularData:
     @property
     def size(self) -> int:
         return self.ring.size
+
+    @property
+    def Y_values(self) -> Evaluated:
+        """Y = Y_coords / Y_den as `evaluate` holds it, keeping the values of
+        every prime asked, so that the exact checks evaluate Y's coordinates
+        once per prime. It is built again when the Y_coords array object,
+        Y_den or the conductor is replaced, and the array it is built from
+        is made read-only, so that no write can leave it stale."""
+        X, D, M = self.Y_coords, self.Y_den, self.ring.conductor
+        built = self.__dict__.get("_Y_values")
+        if built is None or built[0] is not X or built[1:3] != (D, M):
+            X.flags.writeable = False
+            built = self._Y_values = X, D, M, evaluate(X, D, M, keep=True)
+        return built[3]
 
     @cached_property
     def Y(self) -> list[list[Cyclotomic]]:
@@ -158,7 +178,9 @@ def _y_coordinates(ring: FusionRing) -> tuple[np.ndarray, int]:
     g = math.gcd(D, int(np.gcd.reduce(X.ravel()))) if D > 1 else 1
     if g > 1:
         X, D = X // g, D // g
-    return X.astype(int_dtype(2 * _max_abs(X)), copy=False), D
+    X = X.astype(int_dtype(2 * _max_abs(X)), copy=False)
+    X.flags.writeable = False
+    return X, D
 
 
 def display_charge(md: ModularData) -> Optional[Fraction]:
@@ -180,7 +202,7 @@ def detect_degenerates(md: ModularData) -> frozenset[int]:
     M = md.ring.conductor
     d = evaluate(*coordinates(md.ring.dims, M), M)
     w = evaluate(*coordinates(md.w, M), M)
-    s = (evaluate(md.Y_coords, md.Y_den, M) @ d[:, None])[:, 0]
+    s = (md.Y_values @ d[:, None])[:, 0]
     is_wd = ~differs(s, w * d)
     is_zero = ~nonzero(s)
     out = set()
@@ -222,7 +244,14 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
     """Exact checks: Y symmetry, Y_{dual(l),m} = conj(Y_{l,m}), Y_{l,0} = d_l,
     Omega Y Omega Y Omega = z Y. When the braiding is non-degenerate, also
     S^2 = charge conjugation, exactly as Y Y = z conj(z) C. TSTST = S
-    follows from Omega Y Omega Y Omega = z Y and the exact central charge."""
+    follows from Omega Y Omega Y Omega = z Y and the exact central charge.
+
+    The last two are compared in the forms whose sides have the smallest
+    coordinate bounds (`differs`), so that they need the fewest primes:
+    (Omega Y Omega) Y = z Y conj(Omega), the identity times conj(Omega) =
+    Omega^-1 on the right, which scales entry (l, m) by the root of unity
+    conj(omega_m) and so fails at the same entries; and Y Y = (z conj(z)) C
+    with z conj(z) one exact element, evaluated from its own coordinates."""
     n = md.size
     ring = md.ring
     M = ring.conductor
@@ -230,17 +259,17 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
     report: list[str] = []
     for l, m in np.argwhere(np.triu((Y != Y.transpose(0, 2, 1)).any(axis=0))):
         report.append(f"Y not symmetric at ({l},{m})")
-    Yv = evaluate(Y, md.Y_den, M)
+    Yv = md.Y_values
     for l, m in np.argwhere(differs(Yv[list(ring.dual)], Yv.conjugate())):
         report.append(f"Y[dual({l}),{m}] != conj(Y[{l},{m}])")
     for (l,) in np.argwhere(differs(Yv[:, 0], evaluate(*coordinates(ring.dims, M), M))):
         report.append(f"Y[{l},0] != d[{l}]")
-    # Omega Y Omega Y Omega = z Y: omega_l = zeta_M^s_l, so entry (l, m) of
-    # the left side is zeta_M^(s_l + s_m) (Y (Omega Y))_lm.
+    # omega_l = zeta_M^s_l, so entry (l, m) of Omega Y Omega is
+    # zeta_M^(s_l + s_m) Y_lm, and of z Y conj(Omega) is zeta_M^-s_m z Y_lm.
     s = twist_exponents(ring)
-    lhs = (Yv @ Yv.times_root(s[:, None])).times_root(s[:, None] + s)
     z = evaluate(*coordinates(md.z, M), M)
-    for l, m in np.argwhere(np.triu(differs(lhs, z * Yv))):
+    omega = differs(Yv.times_root(s[:, None] + s) @ Yv, z * Yv.times_root(-s))
+    for l, m in np.argwhere(np.triu(omega)):
         report.append(f"OmegaYOmegaYOmega != zY at ({l},{m})")
     # TSTST = S needs no check of its own: T = e^(-i pi c/12) Omega with
     # c = 4 arg(z)/pi mod 8 and S = Y/|z|, so TSTST = e^(-i pi c/4) z S/|z|
@@ -249,7 +278,8 @@ def verify_statistics_axioms(md: ModularData) -> list[str]:
         # S = Y / |z|, so S^2 = C is Y Y = z conj(z) C, which fails when z = 0.
         C = np.zeros((1, n, n), dtype=np.int64)
         C[0, np.arange(n), list(ring.dual)] = 1
-        if differs(Yv @ Yv, z * z.conjugate() * evaluate(C, 1, M)).any():
+        zz = evaluate(*coordinates(md.z * md.z.conjugate(), M), M)
+        if differs(Yv @ Yv, zz * evaluate(C, 1, M)).any():
             report.append("S^2 != charge conjugation (Y Y != z conj(z) C)")
     return report
 
@@ -267,23 +297,20 @@ def verlinde_check(md: ModularData) -> list[tuple[int, int, int]]:
     phi((x x') y) = phi(x (x' y)) = phi(x) phi(x') phi(y) = phi(x x') phi(y).
     So the identity on the labels G of `_generating_labels`, whose nested
     products from e_0 span Q^n, gives it on every label once associativity
-    holds on G (g products, as in `validate`) and every Y_{0,mu} != 0
-    (`nonzero`). N_0 need not be the unit: label 0 is in G and passes both
-    checks itself. When there is no G or a check on G fails, every label is
-    checked."""
-    N, n = md.ring.fusion, md.size
-    Y = evaluate(md.Y_coords, md.Y_den, md.ring.conductor)
-    G = _generating_labels(N)
-    certified = G is not None and not _associativity_failures(N, G) and nonzero(Y[0]).all()
-    if certified and not _character_failures(md, Y, G):
+    holds on G (`FusionRing.associative_generators`, found once per ring
+    and read by `validate` too) and every Y_{0,mu} != 0 (`nonzero`). N_0
+    need not be the unit: label 0 is in G and passes both checks itself.
+    When there is no G or a check on G fails, every label is checked."""
+    Y, G = md.Y_values, md.ring.associative_generators
+    if G is not None and nonzero(Y[0]).all() and not _character_failures(md, Y, G):
         return []
-    return _character_failures(md, Y, range(n))
+    return _character_failures(md, Y, range(md.size))
 
 
 def _character_failures(md: ModularData, Y, labels) -> list[tuple[int, int, int]]:
     """The failures of `verlinde_check`'s identity for lambda in `labels`,
     for a block of labels of at most Y_BLOCK_ENTRIES values at a time; Y is
-    md's Y as `evaluate` gives it."""
+    md.Y_values."""
     N, n, M = md.ring.fusion, md.size, md.ring.conductor
     step = max(1, Y_BLOCK_ENTRIES // (phi(M) * n * n))
     failures = []

@@ -658,6 +658,69 @@ def test_coordinate_tensors_fall_back_to_python_ints():
     assert differs(square, _values([[Cyclotomic(4, {1: 2**125 + 1})]], 4)).all()
 
 
+def _exact_values(X, m, i):
+    """The values `evaluate` holds at the i-th prime, from Python ints: the
+    residues mod p of sum_e X[e] x_k^e at the points x_k, entries flattened."""
+    t = _table(m, i)
+    V = t.V[:, : len(X)].astype(np.int64).astype(object)
+    return (V @ X.reshape(len(X), -1).astype(object)) % t.p
+
+
+def _assert_exact_values(X, m):
+    x = evaluate(X, 1, m)
+    for i in (0, 1):
+        p = _table(m, i).p
+        values = x.values(i)
+        assert values.dtype == np.float64 and values.shape == (phi(m),) + X.shape[1:]
+        assert (abs(values) < p).all()
+        residues = values.astype(np.int64).reshape(phi(m), -1) % p
+        assert (residues == _exact_values(X, m, i)).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("m", [1, 12, 72])
+def test_evaluate_reduces_in_floats_below_2_52_and_in_integers_from_it(m, dtype):
+    # Coordinates whose L1 norms stay below 2**52 are reduced in float64
+    # (`_mod`), and those of a norm of 2**52 or more by the integer %; both
+    # give the exact values, for negative entries too, and for entries that
+    # float64 does not hold.
+    f, top = phi(m), 2**52 - 1
+    columns = [[top], [-top], [-7, 3], [top - 5, -4], [0]]
+    below = np.array([c + [0] * (f - len(c)) for c in columns if len(c) <= f], dtype=dtype).T
+    assert _l1(below) == top
+    _assert_exact_values(below, m)
+    for extra in ([top + 1], [-(top + 2)], [2**51, -(2**51)], [2**53 + 1], [-(2**62)]):
+        if len(extra) <= f:
+            column = np.array([extra + [0] * (f - len(extra))], dtype=dtype).T
+            above = np.concatenate([below, column], axis=1)
+            assert _l1(above) >= 2**52
+            _assert_exact_values(above.reshape(f, 1, -1), m)
+
+
+@given(
+    st.sampled_from([1, 5, 12, 24]).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(
+                st.lists(
+                    st.integers(-(2**52) - 4, 2**52 + 4) | st.integers(-9, 9),
+                    min_size=phi(m),
+                    max_size=phi(m),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+        )
+    ),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_gives_the_exact_values(case, as_object):
+    m, columns = case
+    X = np.array(columns, dtype=object if as_object else np.int64).T
+    _assert_exact_values(X, m)
+
+
 @pytest.mark.parametrize(
     "a, b",
     [

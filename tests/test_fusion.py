@@ -26,6 +26,7 @@ from modinv.fusion import (
     reconstruct_dims,
     validate,
 )
+from modinv.modular import compute_modular_data, verlinde_check
 from modinv.ringfile import dump_ring, ring_from_json, ring_to_json
 
 
@@ -339,6 +340,22 @@ def test_small_rings_check_every_label(monkeypatch):
     checked = _recorded_labels(monkeypatch)
     assert validate(builtin_su2(fusion.GENERATOR_MIN_LABELS - 2)) == []
     assert checked == [list(range(fusion.GENERATOR_MIN_LABELS - 1))]
+
+
+def test_validate_and_the_fusion_reconstruction_share_one_generating_set(monkeypatch):
+    # `modinv check` runs validate and verlinde_check on one ring: G is
+    # searched for, and associativity checked on it, once. The G cached on
+    # the ring does not enter ring equality.
+    searched = []
+    original = fusion._generating_labels
+    monkeypatch.setattr(fusion, "_generating_labels", lambda N: searched.append(N) or original(N))
+    checked = _recorded_labels(monkeypatch)
+    ring = builtin_su2(24)
+    assert validate(ring) == []
+    assert verlinde_check(compute_modular_data(ring)) == []
+    assert len(searched) == 1 and checked == [[0, 1]]
+    assert "associative_generators" in vars(ring)
+    assert ring == builtin_su2(24) and builtin_su2(24) == ring
 
 
 def _relabelled(ring, seed):

@@ -20,7 +20,7 @@ from modinv.cyclo import (
     root_of_unity,
     times_roots,
 )
-from modinv import fusion, modular
+from modinv import cyclo, fusion, modular
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2, make_ring
 from modinv.modular import (
     DataIntegrityError,
@@ -366,6 +366,118 @@ def test_check_builds_no_scalar_Y():
     assert verify_statistics_axioms(md) == [] and verlinde_check(md) == []
     assert "Y" not in vars(md) and "S_numeric" not in vars(md)
     assert md.S_numeric is not None and "Y" in vars(md)
+
+
+def _recorded_prime_counts(monkeypatch):
+    """The prime counts of the comparisons (`cyclo._prime_count`), in order."""
+    counts = []
+    original = cyclo._prime_count
+
+    def recorded(m, bound):
+        counts.append(original(m, bound))
+        return counts[-1]
+
+    monkeypatch.setattr(cyclo, "_prime_count", recorded)
+    return counts
+
+
+@pytest.mark.parametrize("k, primes", [(20, 1), (24, 1), (64, 2)])
+def test_omega_and_s_squared_identities_take_the_fewest_primes(k, primes, monkeypatch):
+    # The axioms compare, in order, Y's dual entries, its vacuum column,
+    # (Omega Y Omega) Y with z Y conj(Omega) and Y Y with (z conj(z)) C.
+    # Their bounds keep the last two to one prime at SU(2) 20 and 24, where
+    # Omega Y Omega Y Omega = z Y and Y Y = z conj(z) C took two.
+    md = compute_modular_data(builtin_su2(k))
+    counts = _recorded_prime_counts(monkeypatch)
+    assert verify_statistics_axioms(md) == []
+    assert counts == [1, 1, primes, primes]
+
+
+def _recorded_evaluations(monkeypatch, *modules):
+    """The (coordinate array, prime index) of every evaluation at a prime
+    of an array that one of `modules` passes to `evaluate`, in order."""
+    evaluated = []
+
+    def recorder(original):
+        def recorded(X, D, m, keep=False):
+            x = original(X, D, m, keep)
+            at = x._at
+
+            def logged(i):
+                evaluated.append((X, i))
+                return at(i)
+
+            x._at = logged
+            return x
+
+        return recorded
+
+    for module in modules:
+        monkeypatch.setattr(module, "evaluate", recorder(module.evaluate))
+    return evaluated
+
+
+def test_checks_evaluate_Y_once_per_prime(monkeypatch):
+    # The dichotomy, the statistics axioms and the fusion reconstruction read
+    # one evaluation of Y; at SU(2) 64 the Omega and S^2 comparisons take
+    # two primes, and each is evaluated once.
+    evaluated = _recorded_evaluations(monkeypatch, modular)
+    md = compute_modular_data(builtin_su2(64))
+    assert verify_statistics_axioms(md) == [] and verlinde_check(md) == []
+    assert [i for X, i in evaluated if X is md.Y_coords] == [0, 1]
+
+
+def test_Y_coordinates_are_read_only_and_a_replacement_is_read():
+    md = compute_modular_data(builtin_su2(20))
+    assert verify_statistics_axioms(md) == []
+    with pytest.raises(ValueError):
+        md.Y_coords[0, 1, 3] += md.Y_den
+    # A replaced array, or denominator, is evaluated again, and frozen.
+    assert verify_statistics_axioms(_shifted_entry(md)) == _shifted_entry_lines(20)
+    assert not md.Y_coords.flags.writeable
+    md.Y_den *= 2
+    assert "Y[0,0] != d[0]" in verify_statistics_axioms(md)
+
+
+S_SQUARED_LINE = "S^2 != charge conjugation (Y Y != z conj(z) C)"
+
+
+def _shifted_entry_lines(k):
+    """The lines of `verify_statistics_axioms` on SU(2) k with
+    `_shifted_entry`, as the comparisons in their earlier forms,
+    Omega Y Omega Y Omega = z Y and Y Y = z conj(z) C, gave them at k = 20
+    and 24 (Y_{1,k/2} = 0 keeps (1, k/2) off the Omega lines)."""
+    omega = [(0, 3)] + [(1, m) for m in range(1, k + 1) if m != k // 2] + [(2, 3), (3, 3)]
+    return (
+        ["Y not symmetric at (1,3)"]
+        + [f"OmegaYOmegaYOmega != zY at ({l},{m})" for l, m in omega]
+        + [S_SQUARED_LINE]
+    )
+
+
+@pytest.mark.parametrize("k, shifted, lines", [(20, 24, 222), (24, 28, 314)])
+def test_perturbed_Y_and_z_give_the_lines_of_the_earlier_forms(k, shifted, lines):
+    # The line counts are those the earlier forms of the two identities gave.
+    # Each entry (l, m) of z Y with Y_{l,m} != 0 changes with z, so z + 1
+    # fails the Omega identity there, and S^2 = C; z zeta_M keeps |z|, and
+    # S^2 = C holds.
+    md = compute_modular_data(builtin_su2(k))
+    n, M = md.size, md.ring.conductor
+    assert verify_statistics_axioms(_shifted_entry(dataclasses.replace(md))) == (
+        _shifted_entry_lines(k)
+    )
+    assert len(_shifted_entry_lines(k)) == shifted
+    omega = [
+        f"OmegaYOmegaYOmega != zY at ({l},{m})"
+        for l in range(n)
+        for m in range(l, n)
+        if not md.Y[l][m].is_zero()
+    ]
+    plus_one = dataclasses.replace(md, z=md.z + 1)
+    rotated = dataclasses.replace(md, z=md.z * Cyclotomic.zeta(M))
+    assert verify_statistics_axioms(plus_one) == omega + [S_SQUARED_LINE]
+    assert verify_statistics_axioms(rotated) == omega
+    assert len(omega) + 1 == lines
 
 
 def test_corrupted_twist_fails_axioms():
