@@ -369,11 +369,10 @@ def extended_modular_data(
     which the statistics checks evaluated already): no Gram inverse, sum or
     evaluation is formed. The general path would return the same objects,
     as a one-term sum, a factor of 1 and a division by 1 each return their
-    operand. The intertwining check would then compare Y's
-    coordinates with themselves, so it is skipped there; that they are the
-    coordinates of the scalar Y is `modular._y_coordinates`' contract, not
-    a check of Yext. Symmetry, Yext Yext^dagger = w_zero and the Gram-free
-    checks still run.
+    operand. The intertwining check would then compare Y's coordinates with
+    themselves, so it is skipped there; that they are the coordinates of the
+    scalar Y is `modular._y_coordinates`' contract, not a check of Yext.
+    Symmetry, Yext Yext^dagger = w_zero and the Gram-free checks still run.
 
     Otherwise the Gram inverse is one `kernel`, that of the integer matrix
     [1 | -G], G = B B^T: the kernel is {(G y, y)}. Its projection to the
@@ -401,12 +400,11 @@ def extended_modular_data(
     if trivial and indices.w_plus == md.w:
         ratio = ONE
         Yext = [list(row) for row in md.Y]
-        X, Xv = md.Y_coords, md.Y_values
+        X, DX = md.Y_coords, md.Y_den
     else:
         ratio = divide(indices.w_plus, md.w)
         Yext = _general_yext(md, B, Bm, ratio)
         X, DX = coordinates(Yext, M)
-        Xv = evaluate(X, DX, M)
         # (w/w_plus) Yext B = B Y, i.e. Yext B = ratio * (B Y), by value; Yext
         # B and B Y are integer combinations of the coordinates of Yext and Y.
         rhs = evaluate(*coordinates(ratio, M), M) * evaluate(
@@ -420,6 +418,7 @@ def extended_modular_data(
     failures += gram_free
     if md.nondegenerate:
         # Yext Yext^dagger must be w_zero times the identity.
+        Xv = md.Y_values if X is md.Y_coords else evaluate(X, DX, M)
         identity = evaluate(np.eye(t, dtype=np.int64)[None], 1, M)
         w0 = evaluate(*coordinates(indices.w_zero, M), M) * identity
         for a, b in np.argwhere(differs(Xv @ Xv.conjugate().T, w0)):

@@ -41,8 +41,8 @@ conjugation reverses the points and zeta^s is one factor per point.
 coordinates of their difference needs, so every verdict is exact. An array
 keeps the values of its last prime, or, evaluated with ``keep``, of every
 prime asked, for an array that several comparisons read. Coordinates are
-reduced mod p in float64 when their L1 norm is below 2**52, and by the
-integer % otherwise. Integer arrays are int64 only where an explicit bound
+reduced mod p in float64 when their L1 norm is below 2**52 (not at all
+below p), and by the integer % otherwise. Integer arrays are int64 only where an explicit bound
 shows that no product or sum can wrap, and Python ints (object dtype)
 otherwise.
 """
@@ -857,16 +857,18 @@ def evaluate(X: np.ndarray, D: int, m: int, keep: bool = False) -> Evaluated:
     first len(X) coordinates (one for rational entries), the rest being 0.
     With `keep`, the values of every prime asked are kept (`Evaluated`).
 
-    X is reduced mod p in float64 (`_mod`) when its L1 norm, and so every
-    entry, is below 2**52, where the cast is exact and `_mod` applies, and
-    by the integer % otherwise; either residue is below p in absolute value,
-    as `_dot_mod` asks."""
+    `_dot_mod` asks for entries below p in absolute value. When the L1 norm
+    of X, and so every entry, is below p, X is cast to float64 as it is;
+    below 2**52, where the cast is exact and `_mod` applies, it is cast and
+    reduced by `_mod`; otherwise it is reduced by the integer %."""
     norm = _l1(X)
 
     def at(i):
         t = _table(m, i)
         if norm < 2**52:
-            flat = _mod(X.astype(np.float64), t.p)
+            flat = X.astype(np.float64)
+            if norm >= t.p:
+                flat = _mod(flat, t.p)
         else:
             flat = (X % t.p).astype(np.float64)
         flat = flat.reshape(len(X), -1)
