@@ -42,9 +42,9 @@ coordinates of their difference needs, so every verdict is exact. An array
 keeps the values of its last prime, or, evaluated with ``keep``, of every
 prime asked, for an array that several comparisons read. Coordinates are
 reduced mod p in float64 when their L1 norm is below 2**52 (not at all
-below p), and by the integer % otherwise. Integer arrays are int64 only where an explicit bound
-shows that no product or sum can wrap, and Python ints (object dtype)
-otherwise.
+below p), and by the integer % otherwise. Integer arrays are int64 only
+where an explicit bound shows that no product or sum can wrap, and Python
+ints (object dtype) otherwise.
 """
 
 from __future__ import annotations
