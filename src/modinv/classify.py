@@ -365,14 +365,14 @@ def extended_modular_data(
     When the blocks are the labels (B = 1 with the labels' dims and twists:
     the diagonal invariant as its own parent, the trivial extension) and
     w_plus = w, G = 1 and the ratio is 1, so Yext is Y object for object and
-    its coordinates and values are Y's own (md.Y_coords, and md.Y_values,
-    which the statistics checks evaluated already): no Gram inverse, sum or
-    evaluation is formed. The general path would return the same objects,
-    as a one-term sum, a factor of 1 and a division by 1 each return their
-    operand. The intertwining check would then compare Y's coordinates with
-    themselves, so it is skipped there; that they are the coordinates of the
-    scalar Y is `modular._y_coordinates`' contract, not a check of Yext.
-    Symmetry, Yext Yext^dagger = w_zero and the Gram-free checks still run.
+    its coordinates are Y's own (md.Y_coords, md.Y_den): neither a Gram
+    inverse nor a sum is formed. The general path would return the same
+    objects, as a one-term sum, a factor of 1 and a division by 1 each
+    return their operand. The intertwining check would then compare Y's
+    coordinates with themselves, so it is skipped there; that they are the
+    coordinates of the scalar Y is `modular._y_coordinates`' contract, not
+    a check of Yext. Symmetry, Yext Yext^dagger = w_zero and the Gram-free
+    checks still run.
 
     Otherwise the Gram inverse is one `kernel`, that of the integer matrix
     [1 | -G], G = B B^T: the kernel is {(G y, y)}. Its projection to the
@@ -418,7 +418,7 @@ def extended_modular_data(
     failures += gram_free
     if md.nondegenerate:
         # Yext Yext^dagger must be w_zero times the identity.
-        Xv = md.Y_values if X is md.Y_coords else evaluate(X, DX, M)
+        Xv = evaluate(X, DX, M)
         identity = evaluate(np.eye(t, dtype=np.int64)[None], 1, M)
         w0 = evaluate(*coordinates(indices.w_zero, M), M) * identity
         for a, b in np.argwhere(differs(Xv @ Xv.conjugate().T, w0)):

@@ -40,11 +40,11 @@ conjugation reverses the points and zeta^s is one factor per point.
 :func:`differs` compares two arrays at as many primes as a bound on the
 coordinates of their difference needs, so every verdict is exact. An array
 keeps the values of its last prime, or, evaluated with ``keep``, of every
-prime asked, for an array that several comparisons read. Coordinates are
-reduced mod p in float64 when their L1 norm is below 2**52 (not at all
-below p), and by the integer % otherwise. Integer arrays are int64 only
-where an explicit bound shows that no product or sum can wrap, and Python
-ints (object dtype) otherwise.
+prime asked, for an array that several comparisons read. Coordinates whose
+L1 norm is below p are cast to float64 as they are, and others reduced mod
+p by the integer % first. Integer arrays are int64 only where an explicit
+bound shows that no product or sum can wrap, and Python ints (object dtype)
+otherwise.
 """
 
 from __future__ import annotations
@@ -859,19 +859,13 @@ def evaluate(X: np.ndarray, D: int, m: int, keep: bool = False) -> Evaluated:
 
     `_dot_mod` asks for entries below p in absolute value. When the L1 norm
     of X, and so every entry, is below p, X is cast to float64 as it is;
-    below 2**52, where the cast is exact and `_mod` applies, it is cast and
-    reduced by `_mod`; otherwise it is reduced by the integer %."""
+    otherwise it is reduced by the integer % first."""
     norm = _l1(X)
 
     def at(i):
         t = _table(m, i)
-        if norm < 2**52:
-            flat = X.astype(np.float64)
-            if norm >= t.p:
-                flat = _mod(flat, t.p)
-        else:
-            flat = (X % t.p).astype(np.float64)
-        flat = flat.reshape(len(X), -1)
+        flat = X if norm < t.p else X % t.p
+        flat = flat.astype(np.float64).reshape(len(X), -1)
         return _dot_mod(t.V[:, : len(X)], flat, t.p).reshape((phi(m),) + X.shape[1:])
 
     return Evaluated(m, D, norm, X.shape[1:], at, keep)

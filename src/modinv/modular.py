@@ -10,16 +10,19 @@ only when one of them is asked for. All structural identities are verified
 in exact cyclotomic arithmetic, on the integer coordinate tensors of the
 values they check, and c by an exact identity; TSTST = S follows from them
 exactly, and verlinde_check recovers the fusion rules from Y's columns
-exactly, on every ring, degenerate or not. The checks share one evaluation
-of Y (ModularData.Y_values), which keeps Y's values at every prime asked,
-so Y's coordinates are evaluated once per ring and prime; Omega Y Omega Y
-Omega = z Y is compared as (Omega Y Omega) Y = z Y conj(Omega), and
-S^2 = C as Y Y = (z conj(z)) C, the forms whose bounds need the fewest
-primes (`verify_statistics_axioms`). Floats only propose c (the phase of
-z). The S- and T-matrices are kept numeric only, since |z| involves a
-square root that need not have a representation in the chosen power basis.
-Commutation with S is equivalent to commutation with Y (they differ by the
-nonzero scalar |z|), so nothing exact is lost.
+exactly, on every ring, degenerate or not. The statistics axioms and the
+fusion reconstruction share one evaluation of Y (ModularData.Y_values),
+which keeps Y's values at every prime asked, so they evaluate Y's
+coordinates once per ring and prime; the degeneracy dichotomy, run by
+compute_modular_data, evaluates Y on its own and frees the values, so that
+a ModularData that enumeration and classification keep alive holds none.
+Omega Y Omega Y Omega = z Y is compared as (Omega Y Omega) Y = z Y
+conj(Omega), and S^2 = C as Y Y = (z conj(z)) C, the forms whose bounds
+need the fewest primes (`verify_statistics_axioms`). Floats only propose c
+(the phase of z). The S- and T-matrices are kept numeric only, since |z|
+involves a square root that need not have a representation in the chosen
+power basis. Commutation with S is equivalent to commutation with Y (they
+differ by the nonzero scalar |z|), so nothing exact is lost.
 """
 
 from __future__ import annotations
@@ -80,10 +83,12 @@ class ModularData:
     @property
     def Y_values(self) -> Evaluated:
         """Y = Y_coords / Y_den as `evaluate` holds it, keeping the values of
-        every prime asked, so that the exact checks evaluate Y's coordinates
-        once per prime. It is built again when the Y_coords array object,
-        Y_den or the conductor is replaced, and the array it is built from
-        is made read-only, so that no write can leave it stale."""
+        every prime asked, so that `verify_statistics_axioms` and
+        `verlinde_check` evaluate Y's coordinates once per prime. The values
+        live as long as md: phi(M) n^2 floats per prime. It is built again
+        when the Y_coords array object, Y_den or the conductor is replaced,
+        and the array it is built from is made read-only, so that no write
+        can leave it stale."""
         X, D, M = self.Y_coords, self.Y_den, self.ring.conductor
         built = self.__dict__.get("_Y_values")
         if built is None or built[0] is not X or built[1:3] != (D, M):
@@ -202,7 +207,9 @@ def detect_degenerates(md: ModularData) -> frozenset[int]:
     M = md.ring.conductor
     d = evaluate(*coordinates(md.ring.dims, M), M)
     w = evaluate(*coordinates(md.w, M), M)
-    s = (md.Y_values @ d[:, None])[:, 0]
+    # Y is evaluated here on its own, not through md.Y_values, so that its
+    # values are freed on return; both comparisons read them.
+    s = (evaluate(md.Y_coords, md.Y_den, M, keep=True) @ d[:, None])[:, 0]
     is_wd = ~differs(s, w * d)
     is_zero = ~nonzero(s)
     out = set()

@@ -29,7 +29,7 @@ from modinv.cyclo import (
 )
 from modinv.fusion import builtin_cyclic, builtin_so_level1, builtin_su2
 from modinv.linalg import Echelon
-from modinv.modular import compute_modular_data, verify_statistics_axioms
+from modinv.modular import compute_modular_data
 from modinv.commutant import (
     CouplingMatrix,
     commutant_basis,
@@ -58,7 +58,6 @@ from modinv.classify import (
 
 from test_commutant import IDENTITY4, Q, Q_T, SO16_EXPECTED, W, X_C, X_S, identity
 from test_fusion import quadratic_twists
-from test_modular import _recorded_evaluations
 from test_report import MEMO_RINGS
 
 
@@ -563,18 +562,17 @@ def test_trivial_extension_takes_y_as_yext(name, request, monkeypatch):
     assert any(isinstance(args[0], list) for args in coords)
 
 
-def test_trivial_extension_evaluates_y_once_per_prime_with_the_checks(su2_16, monkeypatch):
-    # The trivial extension's checks read md.Y_values, which the statistics
-    # axioms evaluated already: no prime evaluates Y's coordinates twice.
-    md, pool, cls = su2_16
-    diag = next(c for c in cls if c.kind == "diagonal")
-    (branching,) = diag.factorizations
-    evaluated = _recorded_evaluations(monkeypatch, modinv.modular, modinv.classify)
-    fresh = compute_modular_data(md.ring)
-    assert verify_statistics_axioms(fresh) == []
-    assert extended_modular_data(fresh, branching, diag.indices).consistent
-    primes = [i for X, i in evaluated if X is fresh.Y_coords]
-    assert primes and primes == sorted(set(primes))
+def test_classification_leaves_no_values_of_y_on_md():
+    # The dichotomy and the extension's checks evaluate Y on their own, so a
+    # ModularData that the search and the report keep alive holds no values
+    # of Y (md.Y_values), the trivial extension's included.
+    ring = builtin_su2(16)
+    md = compute_modular_data(ring)
+    assert md.nondegenerate and "_Y_values" not in vars(md)
+    pool = enumerate_invariants(md, commutant_basis(md, twist_sparsity(ring)))
+    cls = classify_all(md, pool)
+    assert any(c.kind == "diagonal" and c.extended and c.extended.consistent for c in cls)
+    assert "_Y_values" not in vars(md)
 
 
 def _relabelled_blocks(md, sigma):

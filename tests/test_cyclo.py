@@ -679,27 +679,25 @@ def _assert_exact_values(X, m):
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
 @pytest.mark.parametrize("m", [1, 12, 72])
-def test_evaluate_reduces_in_floats_below_2_52_and_in_integers_from_it(m, dtype):
-    # Coordinates whose L1 norms stay below p are cast to float64 as they
-    # are, those below 2**52 are reduced in float64 (`_mod`), and those of a
-    # norm of 2**52 or more by the integer %; each gives the exact values,
-    # for negative entries too, and for entries that float64 does not hold.
-    f, p, top = phi(m), _table(m, 1).p, 2**52 - 1
+def test_evaluate_casts_below_p_and_reduces_in_integers_from_it(m, dtype):
+    # Coordinates whose L1 norm stays below p are cast to float64 as they
+    # are, and those of a norm of p or more reduced by the integer % first;
+    # each gives the exact values, for negative entries too, and for entries
+    # that float64 does not hold. The primes fall (p0 > p1), so a norm of p1
+    # takes the cast at the first prime and the % at the second.
+    f, p0, p1 = phi(m), _table(m, 0).p, _table(m, 1).p
 
     def array(columns):
         """Columns at the last coordinates, whose points' powers are large."""
         return np.array([[0] * (f - len(c)) + c for c in columns if len(c) <= f], dtype=dtype).T
 
-    small = array([[p - 1], [1 - p], [-7, 3], [0]])
-    assert _l1(small) == p - 1 < _table(m, 0).p
+    small = array([[p1 - 1], [1 - p1], [-7, 3], [0]])
+    assert _l1(small) == p1 - 1
     _assert_exact_values(small, m)
-    below = np.concatenate([small, array([[p], [top], [-top], [top - 5, -4]])], axis=1)
-    assert _l1(below) == top
-    _assert_exact_values(below, m)
-    for extra in ([top + 1], [-(top + 2)], [2**51, -(2**51)], [2**53 + 1], [-(2**62)]):
+    for extra in ([p1], [-p1], [p0 - 5, -4], [2**52 - 1], [-(2**52)], [2**53 + 1], [-(2**62)]):
         if len(extra) <= f:
-            above = np.concatenate([below, array([extra])], axis=1)
-            assert _l1(above) >= 2**52
+            above = np.concatenate([small, array([extra])], axis=1)
+            assert _l1(above) >= p1
             _assert_exact_values(above.reshape(f, 1, -1), m)
 
 

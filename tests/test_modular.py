@@ -418,11 +418,16 @@ def _recorded_evaluations(monkeypatch, *modules):
 
 
 def test_checks_evaluate_Y_once_per_prime(monkeypatch):
-    # The dichotomy, the statistics axioms and the fusion reconstruction read
-    # one evaluation of Y; at SU(2) 64 the Omega and S^2 comparisons take
-    # two primes, and each is evaluated once.
+    # The statistics axioms and the fusion reconstruction read one
+    # evaluation of Y; at SU(2) 64 the Omega and S^2 comparisons take two
+    # primes, and each is evaluated once. The dichotomy evaluates Y on its
+    # own, once per prime too, and compute_modular_data returns md without
+    # its values.
     evaluated = _recorded_evaluations(monkeypatch, modular)
     md = compute_modular_data(builtin_su2(64))
+    assert [i for X, i in evaluated if X is md.Y_coords] == [0, 1]
+    assert "_Y_values" not in vars(md)
+    del evaluated[:]
     assert verify_statistics_axioms(md) == [] and verlinde_check(md) == []
     assert [i for X, i in evaluated if X is md.Y_coords] == [0, 1]
 
