@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -751,20 +750,13 @@ def _row_tuples(rows: np.ndarray) -> Iterator[tuple]:
 
 def _pool_stack(pool: Sequence[CouplingMatrix], n: Optional[int] = None) -> np.ndarray:
     """The pool as one (k, n, n) integer stack: a `Pool`'s own, or, for a
-    list, one in the smallest signed dtype that holds its entries, or as
-    Python ints (object) where one exceeds int64. The size n is read off the
+    list, its matrices stacked by `int_array`. The size n is read off the
     first matrix when not given (0 for an empty list)."""
     if isinstance(pool, Pool):
         return pool.stack
     if n is None:
         n = pool[0].size if pool else 0
-    entries = chain.from_iterable(chain.from_iterable(Z.Z for Z in pool))
-    try:
-        S = np.fromiter(entries, dtype=np.int64, count=len(pool) * n * n)
-    except OverflowError:
-        return int_array([Z.Z for Z in pool]).reshape(len(pool), n, n)
-    dtype = np.min_scalar_type(-int(abs(S).max(initial=0)) - 1)
-    return S.astype(dtype).reshape(len(pool), n, n)
+    return int_array([Z.Z for Z in pool]).reshape(len(pool), n, n)
 
 
 def _attach_bijection(

@@ -151,8 +151,8 @@ def validate(ring: FusionRing) -> list[str]:
     for l, m in np.argwhere(N[:, :, 0] != eye[lbar]):
         report.append(f"duality: N[{l},{m}]^0 != delta(m, dual({l}))")
     # Associativity, for a generating set of labels first and for every
-    # label when there is none, the ring is small or some label of it fails.
-    if n < GENERATOR_MIN_LABELS or ring.associative_generators is None:
+    # label when there is none or some label of it fails.
+    if ring.associative_generators is None:
         report += _associativity_failures(N, range(n))
     # Frobenius symmetry: N_lm^nu = N_{lbar nu}^m = N_{nu mbar}^l.
     frobenius = (N != N[lbar].transpose(0, 2, 1)) | (N != N[:, lbar].transpose(2, 1, 0))
@@ -210,10 +210,6 @@ def _associativity_failures(N: np.ndarray, labels: Iterable[int]) -> list[str]:
 # `_generating_labels` stay in int64. A fusion tensor of 2**13 labels would
 # have 2**39 entries.
 GENERATOR_PRIME = 33554393  # the largest prime below 2**25
-# Below this many labels, `validate` checks every label: that costs about as
-# much as the search for a generating set and its labels' checks, or less
-# (measured on SU(2) and cyclic rings under random relabellings of labels).
-GENERATOR_MIN_LABELS = 25
 
 
 def _generating_labels(N: np.ndarray) -> Optional[list[int]]:

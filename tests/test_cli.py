@@ -367,6 +367,23 @@ def test_check_reconstructs_the_fusion_rules_of_every_ring(tmp_path, capsys, rin
     )
 
 
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_commands_search_and_check_one_generating_set(tmp_path, capsys, monkeypatch, command):
+    # Each command searches for the labels G once and checks associativity
+    # once, on G = [0, 1], never on every label: check through validate and
+    # the fusion reconstruction, classify through load_ring's validate.
+    searched, checked = [], []
+    search, check = modinv.fusion._generating_labels, modinv.fusion._associativity_failures
+    monkeypatch.setattr(modinv.fusion, "_generating_labels",
+                        lambda N: searched.append(len(N)) or search(N))
+    monkeypatch.setattr(modinv.fusion, "_associativity_failures",
+                        lambda N, labels: checked.append(list(labels)) or check(N, labels))
+    path = tmp_path / "su2_20.json"
+    path.write_text(dump_ring(builtin_su2(20)))
+    assert run(capsys, command, str(path))[0] == 0
+    assert searched == [21] and checked == [[0, 1]]
+
+
 def test_check_fails_fusion_rules_that_Y_does_not_reconstruct(tmp_path, capsys):
     # In Z_4 with twists a^2/8, labels 1 and 3 share their twist and dim, so
     # moving N_23^1 to N_23^3 leaves Y and its statistics axioms as they

@@ -327,22 +327,17 @@ def _recorded_labels(monkeypatch):
     return checked
 
 
-@pytest.mark.parametrize("k", [24, 40])
+@pytest.mark.parametrize("k", [12, 20, 24, 40])
 def test_su2_checks_associativity_for_a_generating_set_only(k, monkeypatch):
     # The spin-1/2 label generates SU(2): the product pair runs for labels
-    # 0 and 1 only.
+    # 0 and 1 only, on small rings as on large ones.
     checked = _recorded_labels(monkeypatch)
     assert validate(builtin_su2(k)) == []
     assert checked == [[0, 1]]
 
 
-def test_small_rings_check_every_label(monkeypatch):
-    checked = _recorded_labels(monkeypatch)
-    assert validate(builtin_su2(fusion.GENERATOR_MIN_LABELS - 2)) == []
-    assert checked == [list(range(fusion.GENERATOR_MIN_LABELS - 1))]
-
-
-def test_validate_and_the_fusion_reconstruction_share_one_generating_set(monkeypatch):
+@pytest.mark.parametrize("k", [20, 24])
+def test_validate_and_the_fusion_reconstruction_share_one_generating_set(k, monkeypatch):
     # `modinv check` runs validate and verlinde_check on one ring: G is
     # searched for, and associativity checked on it, once. The G cached on
     # the ring does not enter ring equality.
@@ -350,12 +345,21 @@ def test_validate_and_the_fusion_reconstruction_share_one_generating_set(monkeyp
     original = fusion._generating_labels
     monkeypatch.setattr(fusion, "_generating_labels", lambda N: searched.append(N) or original(N))
     checked = _recorded_labels(monkeypatch)
-    ring = builtin_su2(24)
+    ring = builtin_su2(k)
     assert validate(ring) == []
     assert verlinde_check(compute_modular_data(ring)) == []
     assert len(searched) == 1 and checked == [[0, 1]]
     assert "associative_generators" in vars(ring)
-    assert ring == builtin_su2(24) and builtin_su2(24) == ring
+    assert ring == builtin_su2(k) and builtin_su2(k) == ring
+
+
+def _every_label_report(ring, monkeypatch):
+    """The report of `validate` with every label checked, as when no
+    generating set is found: on a fresh copy of the ring, since the set
+    found is cached on the ring object."""
+    with monkeypatch.context() as m:
+        m.setattr(fusion, "_generating_labels", lambda N: None)
+        return validate(replace(ring))
 
 
 def _relabelled(ring, seed):
@@ -422,15 +426,17 @@ def test_generating_sets_stay_small_under_relabelling(ring, most, monkeypatch):
 @pytest.mark.parametrize(
     "ring, entry",
     [
-        (builtin_su2(24), (1, 1, 2)),  # a generator's own products
+        (builtin_su2(12), (1, 1, 2)),  # a generator's own products
+        (builtin_su2(12), (5, 7, 4)),  # labels outside the generating set
+        (builtin_su2(24), (1, 1, 2)),
         (builtin_su2(24), (10, 12, 4)),  # labels outside the generating set
         (builtin_su2(24), (13, 13, 0)),  # with a duality failure too
         (_relabelled(builtin_su2(25), 3), (5, 7, 9)),
         (_xor_ring(5), (7, 9, 14)),
         (_a4_times_cyclic(8), (9, 9, 9)),
     ],
-    ids=["su2_24_generator", "su2_24_outside", "su2_24_duality", "su2_25_relabelled",
-         "z2_5", "a4_z8"],
+    ids=["su2_12_generator", "su2_12_outside", "su2_24_generator", "su2_24_outside",
+         "su2_24_duality", "su2_25_relabelled", "z2_5", "a4_z8"],
 )
 def test_broken_associativity_reports_what_every_label_reports(ring, entry, monkeypatch):
     # A failure at any label fails a generator or the certificate (the
@@ -440,8 +446,7 @@ def test_broken_associativity_reports_what_every_label_reports(ring, entry, monk
     bad = _with_entry(ring, l, m, nu, int(ring.fusion[l, m, nu]) + 1)
     report = validate(bad)
     assert any(msg.startswith("associativity fails") for msg in report)
-    monkeypatch.setattr(fusion, "GENERATOR_MIN_LABELS", 2**13)
-    assert validate(bad) == report
+    assert _every_label_report(bad, monkeypatch) == report
 
 
 def _su2_times_nonassociative(k):
@@ -473,7 +478,7 @@ def test_associativity_fault_outside_the_first_generators_span(monkeypatch):
     # would be checked and the ring would pass.
     ring = _su2_times_nonassociative(8)
     F = ring.fusion.astype(np.int64)
-    assert ring.size == 27 >= fusion.GENERATOR_MIN_LABELS
+    assert ring.size == 27
     span = [np.eye(1, ring.size, dtype=np.int64)[0]]
     for _ in range(ring.size):
         span.append(span[-1] @ F[:, 3])
@@ -485,8 +490,7 @@ def test_associativity_fault_outside_the_first_generators_span(monkeypatch):
     assert report and all(msg.startswith("associativity fails") for msg in report)
     faulty = {int(msg[len("associativity fails at (") :].split(",")[0]) for msg in report}
     assert all(l % 3 for l in faulty)
-    monkeypatch.setattr(fusion, "GENERATOR_MIN_LABELS", 2**13)
-    assert validate(ring) == report
+    assert _every_label_report(ring, monkeypatch) == report
 
 
 def test_xor_ring_is_generated_by_its_bits():
@@ -508,8 +512,7 @@ def test_generating_set_stops_at_half_the_labels(monkeypatch):
     checked = _recorded_labels(monkeypatch)
     report = validate(ring)
     assert checked == [list(range(n))]
-    monkeypatch.setattr(fusion, "GENERATOR_MIN_LABELS", 2**13)
-    assert validate(ring) == report
+    assert _every_label_report(ring, monkeypatch) == report
 
 
 def test_validation_catches_broken_frobenius_symmetry():

@@ -72,9 +72,12 @@ def ring_run(request):
 
 
 def test_report_bytes_pinned(ring_run):
+    # The `Pool` carries its stack; a plain list of the same matrices is
+    # stacked by `_pool_stack` itself, and must render the same bytes.
     md, pool, digest = ring_run
-    text = render_json(build_report(md, pool, classify_all(md, pool)))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    for invariants in (pool, list(pool)):
+        text = render_json(build_report(md, invariants, classify_all(md, invariants)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_span_summary_matches_public_span_functions(ring_run):
